@@ -58,6 +58,14 @@ def _slice_product(row: ArrayRow, i0: int, i1: int) -> np.ndarray:
     return p
 
 
+def _grid_index(x: float, n: int) -> int:
+    """floor(x n), snapped to the nearest integer when x n lies within 1e-9
+    relative of it: 0.29 * 100 is 28.999999999999996 in floating point."""
+    xn = x * n
+    k = round(xn)
+    return k if abs(xn - k) <= 1e-9 * max(1.0, xn) else math.floor(xn)
+
+
 def propagate(spec: PropagatorSpec, row: ArrayRow | None = None) -> np.ndarray:
     """Product of exp(A_i/n) over grid positions [s n] .. [t n] - 1 (0-based),
     the discrete propagator from time s to time t; identity when the slice is
@@ -66,9 +74,7 @@ def propagate(spec: PropagatorSpec, row: ArrayRow | None = None) -> np.ndarray:
         row = sample_row(spec)
     elif row.n != spec.n:
         raise ValueError("supplied row length differs from spec.n")
-    i0 = math.floor(spec.s * spec.n)
-    i1 = math.floor(spec.t * spec.n)
-    return _slice_product(row, i0, i1)
+    return _slice_product(row, _grid_index(spec.s, spec.n), _grid_index(spec.t, spec.n))
 
 
 def cocycle_check(spec: PropagatorSpec, r: float) -> float:
@@ -79,7 +85,7 @@ def cocycle_check(spec: PropagatorSpec, r: float) -> float:
         raise ValueError("cocycle check is defined for the ordered mode")
     row = sample_row(spec)
     n = spec.n
-    i0, im, i1 = math.floor(spec.s * n), math.floor(r * n), math.floor(spec.t * n)
+    i0, im, i1 = (_grid_index(x, n) for x in (spec.s, r, spec.t))
     left = _slice_product(row, i0, im)
     right = _slice_product(row, im, i1)
     whole = _slice_product(row, i0, i1)

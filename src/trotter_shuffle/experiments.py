@@ -2,9 +2,10 @@
 
 An ExperimentConfig (JSON-serializable dataclass) names one of five
 experiment kinds; run() executes it and returns an ExperimentReport whose
-CSV rows and JSON sidecar are fully determined by (config, seed). All
-randomness is drawn from streams keyed by (seed, kind, n, trial), so cells
-can be evaluated in any order without changing a byte of the output.
+records (one per CSV row) and JSON sidecar are fully determined by
+(config, seed). All randomness is drawn from streams keyed by
+(seed, kind, n, trial), so cells can be evaluated in any order without
+changing a byte of the output.
 """
 
 from __future__ import annotations
@@ -147,12 +148,12 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentReport:
-    kind: str
-    columns: list[str]
-    csv_rows: list[list]
+    """One record per CSV row, each keyed by COLUMNS[config.kind] (None for an
+    empty cell), plus the summary that goes into the sidecar."""
+
+    config: ExperimentConfig
     records: list[dict]
     summary: dict
-    provenance: dict
 
 
 def _stream(*key: int) -> np.random.Generator:
@@ -230,10 +231,10 @@ def _grid_ks(n: int) -> list[int]:
     return sorted({round(m * n / 100) for m in range(101)})
 
 
-def _run_converge(cfg: ExperimentConfig) -> ExperimentReport:
+def _run_converge(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     kid = _KIND_ID[cfg.kind]
+    cols = COLUMNS[cfg.kind]
     target_user = parse_matrix(cfg.target, "target") if cfg.target is not None else None
-    rows_csv: list[list] = []
     records: list[dict] = []
     sups: dict[int, list[float]] = {}
     finals: dict[int, list[float]] = {}
@@ -246,26 +247,20 @@ def _run_converge(cfg: ExperimentConfig) -> ExperimentReport:
             rep = path_deviation(row, sigma, mean)
             rep_t = path_deviation(row, sigma, target_user) if target_user is not None else None
             for k in ks:
-                rows_csv.append([n, trial, k, float(rep.deviations[k]),
-                                 float(rep_t.deviations[k]) if rep_t is not None else "",
-                                 "", ""])
-            rows_csv.append([n, trial, "", "", "", rep.sup_dev, rep.slack])
-            rec = {"n": n, "trial": trial, "sup_dev": rep.sup_dev, "slack": rep.slack,
-                   "final_dev": float(rep.deviations[-1])}
-            if rep_t is not None:
-                rec["sup_dev_target"] = rep_t.sup_dev
-                rec["final_dev_target"] = float(rep_t.deviations[-1])
-            records.append(rec)
+                dev_t = float(rep_t.deviations[k]) if rep_t is not None else None
+                records.append(dict(zip(cols, (n, trial, k, float(rep.deviations[k]), dev_t,
+                                               None, None))))
+            records.append(dict(zip(cols, (n, trial, None, None, None, rep.sup_dev, rep.slack))))
             sups.setdefault(n, []).append(rep.sup_dev)
-            finals.setdefault(n, []).append(rec["final_dev"])
+            finals.setdefault(n, []).append(float(rep.deviations[-1]))
     summary = {str(n): {"sup_dev": _quantiles(sups[n]), "final_dev": _quantiles(finals[n])}
                for n in cfg.n_list}
-    return _report(cfg, rows_csv, records, summary)
+    return records, summary
 
 
-def _run_tail(cfg: ExperimentConfig) -> ExperimentReport:
+def _run_tail(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     kid = _KIND_ID[cfg.kind]
-    rows_csv: list[list] = []
+    cols = COLUMNS[cfg.kind]
     records: list[dict] = []
     summary: dict = {}
     for n in cfg.n_list:
@@ -275,7 +270,7 @@ def _run_tail(cfg: ExperimentConfig) -> ExperimentReport:
         if a_fixed:
             scheme = BlockScheme(a=int(a_fixed), b=n // int(a_fixed))
         else:
-            scheme = choose_blocks(n, stats, eps=cfg.eps or 0.0, mode=cfg.block_mode)
+            scheme = choose_blocks(n, stats, mode=cfg.block_mode)
         grid = eps_grid(stats.l1, floor=cfg.eps if cfg.eps else 0.05)
         mean_dev, _ = block_deviation_samples(row, scheme, cfg.trials, (cfg.seed, kid, n))
         freqs = []
@@ -283,21 +278,18 @@ def _run_tail(cfg: ExperimentConfig) -> ExperimentReport:
             freq = float((mean_dev > e).mean())
             lemma = lemma_random_bound(n, scheme.a, scheme.b, float(e), stats, row.d)
             bern = block_bernstein_bound(row, scheme, float(e))
-            rows_csv.append([n, float(e), freq, bern, lemma, cfg.trials])
-            records.append({"n": n, "eps": float(e), "empirical_freq": freq,
-                            "bernstein_bound": bern, "lemma_bound": lemma,
-                            "trials": cfg.trials})
+            records.append(dict(zip(cols, (n, float(e), freq, bern, lemma, cfg.trials))))
             freqs.append(freq)
         summary[str(n)] = {"a": scheme.a, "b": scheme.b, "l1": stats.l1,
                            "linf": stats.linf, "max_freq": max(freqs)}
-    return _report(cfg, rows_csv, records, summary)
+    return records, summary
 
 
-def _run_regime(cfg: ExperimentConfig) -> ExperimentReport:
+def _run_regime(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     kid = _KIND_ID[cfg.kind]
+    cols = COLUMNS[cfg.kind]
     gen = cfg.generator
     regimes = gen.get("regimes") or [gen]
-    rows_csv: list[list] = []
     records: list[dict] = []
     sups: dict[tuple, list[float]] = {}
     for n in cfg.n_list:
@@ -307,49 +299,45 @@ def _run_regime(cfg: ExperimentConfig) -> ExperimentReport:
             sub = dataclasses.replace(cfg, generator={**gen, **rgen, "name": "spiked"})
             row = _build_row(sub, n, _stream(cfg.seed, kid, n, ri))
             stats = row_stats(row)
+            norm_mean = op_norm(stats.mean)
             for trial in range(cfg.trials):
                 sigma = _sigma(cfg, n, _stream(cfg.seed, kid, n, ri, trial))
                 rep = path_deviation(row, sigma, stats.mean)
-                rows_csv.append([n, spec.regime, trial, k_n, linf, stats.l1,
-                                 float(op_norm(stats.mean)), rep.sup_dev, rep.slack])
-                records.append({"n": n, "regime": spec.regime, "trial": trial,
-                                "k_n": k_n, "linf": linf, "l1": stats.l1,
-                                "sup_dev": rep.sup_dev, "slack": rep.slack})
+                records.append(dict(zip(cols, (n, spec.regime, trial, k_n, linf, stats.l1,
+                                               norm_mean, rep.sup_dev, rep.slack))))
                 sups.setdefault((n, spec.regime), []).append(rep.sup_dev)
     summary = {f"{n}:{reg}": _quantiles(v) for (n, reg), v in sups.items()}
-    return _report(cfg, rows_csv, records, summary)
+    return records, summary
 
 
-def _run_words(cfg: ExperimentConfig) -> ExperimentReport:
+def _run_words(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     kid = _KIND_ID[cfg.kind]
+    cols = COLUMNS[cfg.kind]
     a = int(cfg.generator.get("a", 5))
     b = int(cfg.generator.get("b", 8))
     if a < 1 or b < 1:
         raise ConfigError(f"generator: word shape a={a}, b={b} must be positive")
     length = a * b
-    rows_csv: list[list] = []
     records: list[dict] = []
     taus = []
     for trial in range(cfg.trials):
         w = random_word(a, b, _stream(cfg.seed, kid, trial))
         tv = tau(w)
-        dist = transposition_distance(w)
-        bound = length * length * tv
-        rows_csv.append([trial, tv, dist, bound])
-        records.append({"trial": trial, "tau": tv, "distance": dist, "bound": bound})
+        records.append(dict(zip(cols, (trial, tv, transposition_distance(w),
+                                       length * length * tv))))
         taus.append(tv)
     summary = {"tau": _quantiles(taus), "a": a, "b": b}
-    return _report(cfg, rows_csv, records, summary)
+    return records, summary
 
 
-def _run_evolution(cfg: ExperimentConfig) -> ExperimentReport:
+def _run_evolution(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     kid = _KIND_ID[cfg.kind]
+    cols = COLUMNS[cfg.kind]
     gen = cfg.generator
     fn = _build_family(gen)
     s = float(gen.get("s", 0.0))
     t = float(gen.get("t", 1.0))
     mode = gen.get("mode", "permuted")
-    rows_csv: list[list] = []
     records: list[dict] = []
     devs: dict[int, list[float]] = {}
     for n in cfg.n_list:
@@ -358,24 +346,15 @@ def _run_evolution(cfg: ExperimentConfig) -> ExperimentReport:
             spec = evo.PropagatorSpec(fn=fn, s=s, t=t, n=n, mode=mode,
                                       seed=(cfg.seed, kid, n, trial))
             dev = float(op_norm(evo.propagate(spec) - target))
-            rows_csv.append([n, trial, dev])
-            records.append({"n": n, "seed": trial, "deviation": dev})
+            records.append(dict(zip(cols, (n, trial, dev))))
             devs.setdefault(n, []).append(dev)
     summary = {str(n): _quantiles(v) for n, v in devs.items()}
-    return _report(cfg, rows_csv, records, summary)
+    return records, summary
 
 
 def riemann_reference(fn, n: int) -> np.ndarray:
     """Time-average of the family on a grid 4x finer than the propagator's."""
     return evo.riemann_integral(fn, 4 * n)
-
-
-def _report(cfg: ExperimentConfig, rows_csv, records, summary) -> ExperimentReport:
-    provenance = {"config": cfg.to_dict(), "seed": cfg.seed,
-                  "package_version": PACKAGE_VERSION, "schema_version": SCHEMA_VERSION,
-                  "columns": COLUMNS[cfg.kind]}
-    return ExperimentReport(kind=cfg.kind, columns=COLUMNS[cfg.kind], csv_rows=rows_csv,
-                            records=records, summary=summary, provenance=provenance)
 
 
 _RUNNERS = {
@@ -389,7 +368,8 @@ _RUNNERS = {
 
 def run(cfg: ExperimentConfig) -> ExperimentReport:
     cfg.validate()
-    return _RUNNERS[cfg.kind](cfg)
+    records, summary = _RUNNERS[cfg.kind](cfg)
+    return ExperimentReport(config=cfg, records=records, summary=summary)
 
 
 def _cell(value) -> str:
@@ -403,13 +383,17 @@ def _cell(value) -> str:
 def emit(report: ExperimentReport, out_path: str | Path) -> Path:
     """Write the CSV (UTF-8, LF) and a sibling .json sidecar; returns the CSV path."""
     path = Path(out_path)
+    cfg = report.config
+    columns = COLUMNS[cfg.kind]
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(report.columns) + "\n")
-            for row in report.csv_rows:
-                fh.write(",".join(_cell(v) for v in row) + "\n")
+            fh.write(",".join(columns) + "\n")
+            for rec in report.records:
+                fh.write(",".join(_cell(rec[c]) for c in columns) + "\n")
         sidecar = path.with_suffix(".json")
-        doc = {**report.provenance, "summary": report.summary}
+        doc = {"config": cfg.to_dict(), "seed": cfg.seed, "package_version": PACKAGE_VERSION,
+               "schema_version": SCHEMA_VERSION, "columns": columns,
+               "summary": report.summary}
         with open(sidecar, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")

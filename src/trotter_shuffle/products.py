@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix, exp_stack, mat_exp, op_norm, op_norms
-from .rows import ArrayRow, RowStats, element_norms, row_stats
+from .rows import ArrayRow, RowStats, row_stats
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,8 +70,7 @@ class BlockScheme:
         return [range(j * self.a, (j + 1) * self.a) for j in range(self.b)]
 
 
-def choose_blocks(n: int, stats: RowStats, eps: float = 0.0,
-                  mode: str = "sqrt_default") -> BlockScheme:
+def choose_blocks(n: int, stats: RowStats, mode: str = "sqrt_default") -> BlockScheme:
     """Pick a block size for a row of length n.
 
     sqrt_default takes a = ceil(sqrt(n)). The probability mode grows a by the
@@ -167,6 +166,20 @@ def path_deviation(row: ArrayRow, sigma: Permutation, target) -> PathReport:
     return PathReport(deviations=devs, sup_dev=float(devs.max()) + slack, slack=slack)
 
 
+def block_gaps(row: ArrayRow, stats: RowStats, order: np.ndarray,
+               scheme: BlockScheme) -> tuple[float, float]:
+    """Largest ||block mean - A_n|| and largest |block norm-mean - L1| over the
+    b consecutive blocks of the row read in the given order.
+
+    stats is row_stats(row); positions past a*b are ignored.
+    """
+    idx = order[: scheme.covered]
+    blocks = row.elements[idx].reshape(scheme.b, scheme.a, row.d, row.d)
+    mean_gap = float(op_norms(blocks.mean(axis=1) - stats.mean).max())
+    norms = stats.norms[idx].reshape(scheme.b, scheme.a)
+    return mean_gap, float(np.abs(norms.mean(axis=1) - stats.l1).max())
+
+
 @dataclass(frozen=True)
 class BlockConditionReport:
     ok: bool
@@ -189,11 +202,7 @@ def check_block_conditions(row: ArrayRow, sigma: Permutation, scheme: BlockSchem
         raise ValueError(f"scheme covers {scheme.covered} > n = {row.n}")
     stats = row_stats(row)
     scale = math.exp(stats.l1)
-    idx = sigma.order[: scheme.covered]
-    blocks = row.elements[idx].reshape(scheme.b, scheme.a, row.d, row.d)
-    mean_gap = float(op_norms(blocks.mean(axis=1) - stats.mean).max()) * scale
-    norms = element_norms(row)[idx].reshape(scheme.b, scheme.a)
-    norm_gap = float(np.abs(norms.mean(axis=1) - stats.l1).max()) * scale
+    mean_gap, norm_gap = (g * scale for g in block_gaps(row, stats, sigma.order, scheme))
     return BlockConditionReport(ok=(mean_gap <= eps and norm_gap <= eps),
                                 worst_mean_gap=mean_gap, worst_norm_gap=norm_gap)
 

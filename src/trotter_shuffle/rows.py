@@ -82,24 +82,21 @@ class ArrayRow:
 
 @dataclass(frozen=True, eq=False)
 class RowStats:
-    """Row mean and the two norm statistics: L1 = mean norm, Linf = max norm."""
+    """Row mean, per-element operator norms (n,), and the two norm
+    statistics: L1 = mean norm, Linf = max norm."""
 
     mean: np.ndarray
     l1: float
     linf: float
+    norms: np.ndarray
 
 
 def row_stats(row: ArrayRow) -> RowStats:
     if row.n < 1:
         raise ValueError("empty row")
-    norms = op_norms(row.elements)
+    norms = _freeze(op_norms(row.elements))
     return RowStats(mean=_freeze(row.elements.mean(axis=0)),
-                    l1=float(norms.mean()), linf=float(norms.max()))
-
-
-def element_norms(row: ArrayRow) -> np.ndarray:
-    """Per-element operator norms, shape (n,)."""
-    return op_norms(row.elements)
+                    l1=float(norms.mean()), linf=float(norms.max()), norms=norms)
 
 
 def _unit_rescale(letters: np.ndarray) -> np.ndarray:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import op_norms
-from .products import BlockScheme
-from .rows import ArrayRow, RowStats, element_norms, row_stats
+from .products import BlockScheme, block_gaps
+from .rows import ArrayRow, RowStats, row_stats
 
 
 @dataclass(frozen=True)
@@ -50,19 +50,14 @@ def bernstein_tail(q: TailQuery) -> float:
 
 
 def sample_without_replacement(pool, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform ordered k-subset of the pool (partial Fisher-Yates).
-
-    With k = len(pool) this is a uniform permutation of the pool.
+    """Uniform ordered k-subset of the pool: the first k items of a uniform
+    permutation. With k = len(pool) this is a uniform permutation of the pool.
     """
     arr = np.asarray(pool)
     m = arr.shape[0]
     if k < 0 or k > m:
         raise ValueError(f"cannot draw {k} items from a pool of {m}")
-    idx = np.arange(m)
-    for i in range(k):
-        j = i + int(rng.integers(m - i))
-        idx[i], idx[j] = idx[j], idx[i]
-    return arr[idx[:k]]
+    return arr[rng.permutation(m)[:k]]
 
 
 def variance_proxy(row: ArrayRow, a: int) -> float:
@@ -121,17 +116,11 @@ def block_deviation_samples(row: ArrayRow, scheme: BlockScheme, trials: int,
         raise ValueError("scheme does not fit the row")
     key = (seed,) if isinstance(seed, int) else tuple(seed)
     stats = row_stats(row)
-    norms = element_norms(row)
-    a, b = scheme.a, scheme.b
-    n, d = row.n, row.d
     mean_dev = np.empty(trials)
     norm_dev = np.empty(trials)
     for t in range(trials):
-        rng = np.random.default_rng([*key, t])
-        idx = rng.permutation(n)[: a * b]
-        blocks = row.elements[idx].reshape(b, a, d, d)
-        mean_dev[t] = op_norms(blocks.mean(axis=1) - stats.mean).max()
-        norm_dev[t] = np.abs(norms[idx].reshape(b, a).mean(axis=1) - stats.l1).max()
+        order = np.random.default_rng([*key, t]).permutation(row.n)
+        mean_dev[t], norm_dev[t] = block_gaps(row, stats, order, scheme)
     return mean_dev, norm_dev
 
 

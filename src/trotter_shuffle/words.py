@@ -69,13 +69,20 @@ def restrict_word(sigma: Permutation, n: int, a: int, b: int) -> Word:
     return Word(kept % a, alphabet_size=a, multiplicity=b)
 
 
+def _prefix_counts(letters: np.ndarray, a: int) -> np.ndarray:
+    """Prefix counts along the last axis of a (..., L) batch of letter rows:
+    out[..., i, j] = occurrences of letter i among the first j letters;
+    shape (..., a, L+1)."""
+    onehot = letters[..., None, :] == np.arange(a)[:, None]
+    out = np.zeros(letters.shape[:-1] + (a, letters.shape[-1] + 1), dtype=np.int64)
+    np.cumsum(onehot, axis=-1, out=out[..., 1:])
+    return out
+
+
 def prefix_counts(w: Word) -> np.ndarray:
     """counts[i, j] = occurrences of letter i among the first j positions,
     for j = 0..length; shape (a, length+1)."""
-    onehot = (w.letters[None, :] == np.arange(w.alphabet_size)[:, None]).astype(np.int64)
-    out = np.zeros((w.alphabet_size, w.length + 1), dtype=np.int64)
-    np.cumsum(onehot, axis=1, out=out[:, 1:])
-    return out
+    return _prefix_counts(w.letters, w.alphabet_size)
 
 
 def tau(w: Word) -> float:
@@ -88,40 +95,24 @@ def tau(w: Word) -> float:
 def _target_ranks(w: Word) -> np.ndarray:
     """Rank of each position under the stable matching to the standard word:
     the m-th occurrence of letter l is destined for slot m*a + l."""
-    a = w.alphabet_size
-    occurrence = np.empty(w.length, dtype=np.int64)
-    for letter in range(a):
-        occurrence[w.letters == letter] = np.arange(w.multiplicity)
-    return occurrence * a + w.letters
-
-
-def _merge_count(ranks: list[int]) -> int:
-    n = len(ranks)
-    if n <= 1:
-        return 0
-    mid = n // 2
-    left, right = ranks[:mid], ranks[mid:]
-    inv = _merge_count(left) + _merge_count(right)
-    merged = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] <= right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            merged.append(right[j])
-            j += 1
-            inv += len(left) - i
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    ranks[:] = merged
-    return inv
+    occurrence = prefix_counts(w)[w.letters, np.arange(w.length)]
+    return occurrence * w.alphabet_size + w.letters
 
 
 def transposition_distance(w: Word) -> int:
     """Adjacent transpositions needed to reach the standard word under stable
-    matching of equal letters: the inversion count of the rank sequence."""
-    return _merge_count(_target_ranks(w).tolist())
+    matching of equal letters: the inversion count of the rank sequence.
+
+    Read off the prefix counts: the m-th occurrence of letter l is outranked
+    by an earlier occurrence of l' when that is the m'-th with m' > m, or
+    m' = m and l' > l. With c occurrences of l' so far, that makes
+    max(0, c - m - [l' < l]) inversions.
+    """
+    before = prefix_counts(w)[:, :-1]
+    m = before[w.letters, np.arange(w.length)]
+    gap = before - m
+    gap -= np.arange(w.alphabet_size)[:, None] < w.letters
+    return int(np.maximum(gap, 0, out=gap).sum())
 
 
 def transpositions_to_standard(w: Word) -> list[int]:
@@ -180,9 +171,8 @@ def tau_tail_empirical(a: int, b: int, p: float, trials: int, seed: int,
         keys = rng.random((c, length))
         perm = np.argsort(keys, axis=1)
         letters = base[perm]  # each row a uniform multiset arrangement
-        onehot = letters[:, :, None] == np.arange(a)[None, None, :]
-        pc = np.cumsum(onehot, axis=1)
-        disc = (pc.max(axis=2) - pc.min(axis=2)).max(axis=1)
+        pc = _prefix_counts(letters, a)
+        disc = (pc.max(axis=-2) - pc.min(axis=-2)).max(axis=-1)
         taus = (disc + 1) / b
         hits += int((taus > p / math.sqrt(b)).sum())
         done += c

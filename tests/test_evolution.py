@@ -40,6 +40,17 @@ def test_propagate_constant_family():
         assert svd_norm(u - mat_exp(a)) <= 300 * 1e-12 * np.exp(svd_norm(a))
 
 
+@pytest.mark.parametrize("t", [0.29, 0.57, 0.58])
+def test_propagate_slices_at_exact_grid_index(t):
+    # t * 100 is a hair below an integer in floating point; flooring it drops
+    # the last factor and misses exp(t A) by about 1e-2
+    a = random_matrix(np.random.default_rng(2), 2, 1.0)
+    spec = PropagatorSpec(fn=constant_family(a), t=t, n=100, mode="ordered")
+    assert svd_norm(propagate(spec) - mat_exp(t * a)) <= 1e-12
+    spec = PropagatorSpec(fn=constant_family(a), s=t, t=1.0, n=100, mode="ordered")
+    assert svd_norm(propagate(spec) - mat_exp((1.0 - t) * a)) <= 1e-12
+
+
 def test_propagate_ordered_step_time_ordered_limit():
     spec = PropagatorSpec(fn=step_family(E12, E21), n=4000, mode="ordered")
     u = propagate(spec)

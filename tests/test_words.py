@@ -123,11 +123,12 @@ def test_transposition_distance_basics():
     assert transpositions_to_standard(w1) == [0]
 
 
-def test_transposition_distance_vs_quadratic_oracle_and_replay():
+@pytest.mark.parametrize("a, b", [(1, 6), (6, 1), (5, 8), (3, 40)])
+def test_transposition_distance_vs_quadratic_oracle_and_replay(a, b):
     rng = np.random.default_rng(2)
-    std = standard_word(5, 8).letters
+    std = standard_word(a, b).letters
     for _ in range(300):
-        w = random_word(5, 8, rng)
+        w = random_word(a, b, rng)
         dist = transposition_distance(w)
         assert dist == brute_distance(w)
         swaps = transpositions_to_standard(w)
