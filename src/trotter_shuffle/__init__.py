@@ -13,8 +13,8 @@ from .evolution import (FAMILIES, PropagatorSpec, cocycle_check, propagate,
 from .linalg import commutator, hermitian_dilation, mat_exp, op_norm, op_norms
 from .products import (BlockConditionReport, BlockScheme, PathReport, Permutation,
                        check_block_conditions, choose_blocks, partial_products,
-                       path_deviation, prop_uniform_bound, reference_path,
-                       uniform_permutation)
+                       path_deviation, path_deviations, prefix_products,
+                       prop_uniform_bound, reference_path, uniform_permutation)
 from .rows import (ArrayRow, InfeasibleRegimeError, QuantizationPlan, RegimeSpec,
                    RowStats, frequency_quantize, gen_repeated, gen_riemann,
                    gen_spiked, gen_two_letter, row_from_json, row_stats,
@@ -38,8 +38,8 @@ __all__ = [
     "cocycle_check", "commutator", "emit", "empirical_block_tail", "eps_grid",
     "frequency_quantize", "gen_repeated", "gen_riemann", "gen_spiked",
     "gen_two_letter", "hermitian_dilation", "lemma_random_bound", "mat_exp",
-    "op_norm", "op_norms", "partial_products", "path_deviation", "prefix_counts",
-    "prop_uniform_bound", "propagate", "random_word", "reference_path",
+    "op_norm", "op_norms", "partial_products", "path_deviation", "path_deviations",
+    "prefix_counts", "prefix_products", "prop_uniform_bound", "propagate", "random_word", "reference_path",
     "restrict_word", "riemann_integral", "row_from_json", "row_stats",
     "row_to_json", "run", "sample_row", "sample_without_replacement",
     "spiked_parameters", "standard_word", "tau", "tau_tail_bound",

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import as_matrix, op_norm
-from .products import exp_factors
+from .products import exp_factors, prefix_products
 from .rows import ArrayRow, gen_riemann
 
 
@@ -50,14 +50,6 @@ def sample_row(spec: PropagatorSpec) -> ArrayRow:
     return gen_riemann(spec.fn, spec.n, mode=spec.mode, seed=spec.seed)
 
 
-def _slice_product(row: ArrayRow, i0: int, i1: int) -> np.ndarray:
-    factors = exp_factors(row)
-    p = np.eye(row.d, dtype=np.complex128)
-    for i in range(i0, i1):
-        p = p @ factors[i]
-    return p
-
-
 def _grid_index(x: float, n: int) -> int:
     """floor(x n), snapped to the nearest integer when x n lies within 1e-9
     relative of it: 0.29 * 100 is 28.999999999999996 in floating point."""
@@ -74,7 +66,8 @@ def propagate(spec: PropagatorSpec, row: ArrayRow | None = None) -> np.ndarray:
         row = sample_row(spec)
     elif row.n != spec.n:
         raise ValueError("supplied row length differs from spec.n")
-    return _slice_product(row, _grid_index(spec.s, spec.n), _grid_index(spec.t, spec.n))
+    i0, i1 = _grid_index(spec.s, spec.n), _grid_index(spec.t, spec.n)
+    return prefix_products(exp_factors(row), np.arange(i0, i1))[-1].copy()
 
 
 def cocycle_check(spec: PropagatorSpec, r: float) -> float:
@@ -86,9 +79,9 @@ def cocycle_check(spec: PropagatorSpec, r: float) -> float:
     row = sample_row(spec)
     n = spec.n
     i0, im, i1 = (_grid_index(x, n) for x in (spec.s, r, spec.t))
-    left = _slice_product(row, i0, im)
-    right = _slice_product(row, im, i1)
-    whole = _slice_product(row, i0, i1)
+    factors = exp_factors(row)
+    left, right, whole = (prefix_products(factors, np.arange(a, b))[-1]
+                          for a, b in ((i0, im), (im, i1), (i0, i1)))
     return op_norm(left @ right - whole)
 
 

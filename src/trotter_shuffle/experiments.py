@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -20,12 +21,12 @@ import numpy as np
 
 from . import evolution as evo
 from .linalg import as_matrix, mat_exp, op_norm
-from .products import (BlockScheme, Permutation, choose_blocks, path_deviation,
+from .products import (BlockScheme, Permutation, choose_blocks, path_deviations,
                        uniform_permutation)
 from .rows import (ArrayRow, RegimeSpec, gen_repeated, gen_riemann, gen_spiked,
                    gen_two_letter, row_stats, spiked_parameters)
 from .tails import (block_bernstein_bound, block_deviation_samples, eps_grid,
-                    lemma_random_bound)
+                    lemma_random_bound, variance_proxy)
 from .words import random_word, tau, transposition_distance
 
 PACKAGE_VERSION = "0.1.0"
@@ -84,6 +85,10 @@ def _default_generator(kind: str) -> dict:
     return {"name": "two_letter", "b": "e12", "c": "e21", "order": "first_half_b"}
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass
 class ExperimentConfig:
     kind: str
@@ -107,13 +112,14 @@ class ExperimentConfig:
         errors = []
         if self.kind not in KINDS:
             errors.append(f"kind: {self.kind!r} is not one of {KINDS}")
-        if not self.n_list:
-            errors.append("n_list: must be non-empty")
-        elif any((not isinstance(n, int)) or n < 1 for n in self.n_list):
+        ns = self.n_list if isinstance(self.n_list, list) else []
+        if not ns:
+            errors.append("n_list: must be a non-empty list")
+        elif not all(_is_int(n) and n >= 1 for n in ns):
             errors.append(f"n_list: entries must be positive integers, got {self.n_list}")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if not _is_int(self.trials) or self.trials < 1:
             errors.append(f"trials: must be >= 1, got {self.trials}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             errors.append(f"seed: must be a non-negative integer, got {self.seed}")
         if self.eps is not None and not self.eps > 0:
             errors.append(f"eps: must be positive when given, got {self.eps}")
@@ -121,10 +127,15 @@ class ExperimentConfig:
             errors.append(f"sigma_mode: {self.sigma_mode!r} is not 'random' or 'identity'")
         if self.block_mode not in ("sqrt_default", "probability", "almost_sure"):
             errors.append(f"block_mode: unknown mode {self.block_mode!r}")
-        if not isinstance(self.d, int) or self.d < 1:
+        if not _is_int(self.d) or self.d < 1:
             errors.append(f"d: must be a positive integer, got {self.d}")
         if not isinstance(self.generator, dict) or "name" not in self.generator:
             errors.append("generator: must be an object with a 'name' field")
+        elif self.kind == "tail" and self.generator.get("a") is not None:
+            a = self.generator["a"]
+            if not _is_int(a) or a < 1 or any(_is_int(n) and a > n for n in ns):
+                errors.append(f"generator.a: block size must be an integer in "
+                              f"[1, min(n_list)], got {a!r}")
         if not self.out_path:
             errors.append("out_path: must be non-empty")
         if errors:
@@ -240,14 +251,12 @@ def _run_converge(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     finals: dict[int, list[float]] = {}
     for n in cfg.n_list:
         row = _build_row(cfg, n, _stream(cfg.seed, kid, n))
-        mean = row_stats(row).mean
+        targets = [row_stats(row).mean] + ([target_user] if target_user is not None else [])
+        sigmas = (_sigma(cfg, n, _stream(cfg.seed, kid, n, trial)) for trial in range(cfg.trials))
         ks = _grid_ks(n)
-        for trial in range(cfg.trials):
-            sigma = _sigma(cfg, n, _stream(cfg.seed, kid, n, trial))
-            rep = path_deviation(row, sigma, mean)
-            rep_t = path_deviation(row, sigma, target_user) if target_user is not None else None
+        for trial, (rep, *rep_t) in enumerate(path_deviations(row, sigmas, targets)):
             for k in ks:
-                dev_t = float(rep_t.deviations[k]) if rep_t is not None else None
+                dev_t = float(rep_t[0].deviations[k]) if rep_t else None
                 records.append(dict(zip(cols, (n, trial, k, float(rep.deviations[k]), dev_t,
                                                None, None))))
             records.append(dict(zip(cols, (n, trial, None, None, None, rep.sup_dev, rep.slack))))
@@ -267,17 +276,18 @@ def _run_tail(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
         row = _build_row(cfg, n, _stream(cfg.seed, kid, n))
         stats = row_stats(row)
         a_fixed = cfg.generator.get("a")
-        if a_fixed:
-            scheme = BlockScheme(a=int(a_fixed), b=n // int(a_fixed))
+        if a_fixed is not None:
+            scheme = BlockScheme(a=a_fixed, b=n // a_fixed)
         else:
             scheme = choose_blocks(n, stats, mode=cfg.block_mode)
         grid = eps_grid(stats.l1, floor=cfg.eps if cfg.eps else 0.05)
-        mean_dev, _ = block_deviation_samples(row, scheme, cfg.trials, (cfg.seed, kid, n))
+        mean_dev, _ = block_deviation_samples(row, scheme, cfg.trials, (cfg.seed, kid, n), stats)
+        v = variance_proxy(row, scheme.a, stats)
         freqs = []
         for e in grid:
             freq = float((mean_dev > e).mean())
             lemma = lemma_random_bound(n, scheme.a, scheme.b, float(e), stats, row.d)
-            bern = block_bernstein_bound(row, scheme, float(e))
+            bern = block_bernstein_bound(row, scheme, float(e), stats=stats, v=v)
             records.append(dict(zip(cols, (n, float(e), freq, bern, lemma, cfg.trials))))
             freqs.append(freq)
         summary[str(n)] = {"a": scheme.a, "b": scheme.b, "l1": stats.l1,
@@ -300,9 +310,9 @@ def _run_regime(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
             row = _build_row(sub, n, _stream(cfg.seed, kid, n, ri))
             stats = row_stats(row)
             norm_mean = op_norm(stats.mean)
-            for trial in range(cfg.trials):
-                sigma = _sigma(cfg, n, _stream(cfg.seed, kid, n, ri, trial))
-                rep = path_deviation(row, sigma, stats.mean)
+            sigmas = (_sigma(cfg, n, _stream(cfg.seed, kid, n, ri, trial))
+                      for trial in range(cfg.trials))
+            for trial, (rep,) in enumerate(path_deviations(row, sigmas, [stats.mean])):
                 records.append(dict(zip(cols, (n, spec.regime, trial, k_n, linf, stats.l1,
                                                norm_mean, rep.sup_dev, rep.slack))))
                 sups.setdefault((n, spec.regime), []).append(rep.sup_dev)
@@ -381,22 +391,31 @@ def _cell(value) -> str:
 
 
 def emit(report: ExperimentReport, out_path: str | Path) -> Path:
-    """Write the CSV (UTF-8, LF) and a sibling .json sidecar; returns the CSV path."""
+    """Write the CSV (UTF-8, LF) and a sibling .json sidecar; returns the CSV path.
+
+    Both files are written to temporary files in the same directory and then
+    moved over the targets, so a failed write leaves any previous report intact.
+    """
     path = Path(out_path)
     cfg = report.config
     columns = COLUMNS[cfg.kind]
+    sidecar = path.with_suffix(".json")
+    doc = {"config": cfg.to_dict(), "seed": cfg.seed, "package_version": PACKAGE_VERSION,
+           "schema_version": SCHEMA_VERSION, "columns": columns, "summary": report.summary}
+    temps = [p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in (path, sidecar)]
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open(temps[0], "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(columns) + "\n")
             for rec in report.records:
                 fh.write(",".join(_cell(rec[c]) for c in columns) + "\n")
-        sidecar = path.with_suffix(".json")
-        doc = {"config": cfg.to_dict(), "seed": cfg.seed, "package_version": PACKAGE_VERSION,
-               "schema_version": SCHEMA_VERSION, "columns": columns,
-               "summary": report.summary}
-        with open(sidecar, "w", encoding="utf-8") as fh:
+        with open(temps[1], "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        for temp, final in zip(temps, (path, sidecar)):
+            os.replace(temp, final)
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
     return path

@@ -23,30 +23,36 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
 
 def op_norm(m) -> float:
     """Operator (spectral) norm: the largest singular value."""
-    a = as_matrix(m)
-    return float(np.linalg.svd(a, compute_uv=False)[0])
-
-
-def _is_hermitian(batch: np.ndarray) -> bool:
-    return bool(np.array_equal(batch, np.conj(np.swapaxes(batch, -1, -2))))
+    return float(op_norms(as_matrix(m)))
 
 
 def op_norms(batch: np.ndarray) -> np.ndarray:
     """Operator norms of a stack of matrices, shape (..., d, d) -> (...).
 
-    Fast paths: d = 1 directly, exactly-Hermitian 2x2 via the closed-form
-    eigenvalues |m| + sqrt(((a-d)/2)^2 + |b|^2) (no cancellation), otherwise
-    batched SVD.
+    d = 1 is |m|. d = 2 uses the closed form for the largest eigenvalue of
+    M*M = [[c0, x], [x*, c1]] (c0, c1 the squared column norms, x their inner
+    product): sigma^2 = (c0 + c1)/2 + hypot((c0 - c1)/2, |x|), a sum of two
+    non-negative terms, so nothing cancels; each matrix is first scaled
+    exactly, by a power of two, to a largest entry modulus in [1/2, 1), so
+    that squaring neither overflows nor loses the leading terms to underflow.
+    Larger d uses batched SVD.
     """
     batch = np.asarray(batch, dtype=np.complex128)
     d = batch.shape[-1]
     if d == 1:
         return np.abs(batch[..., 0, 0])
-    if d == 2 and _is_hermitian(batch):
-        mid = (batch[..., 0, 0].real + batch[..., 1, 1].real) / 2.0
-        rad = np.hypot((batch[..., 0, 0].real - batch[..., 1, 1].real) / 2.0,
-                       np.abs(batch[..., 0, 1]))
-        return np.abs(mid) + rad
+    if d == 2:
+        mod = np.abs(batch)
+        top = np.maximum(np.maximum(mod[..., 0, 0], mod[..., 0, 1]),
+                         np.maximum(mod[..., 1, 0], mod[..., 1, 1]))
+        e = np.frexp(top)[1]
+        shift = -e[..., None, None]
+        m = np.ldexp(batch.real, shift) + 1j * np.ldexp(batch.imag, shift)
+        sq = np.ldexp(mod, shift) ** 2
+        c0 = sq[..., 0, 0] + sq[..., 1, 0]
+        c1 = sq[..., 0, 1] + sq[..., 1, 1]
+        x = np.abs(m[..., 0, 0].conj() * m[..., 0, 1] + m[..., 1, 0].conj() * m[..., 1, 1])
+        return np.ldexp(np.sqrt((c0 + c1) / 2.0 + np.hypot((c0 - c1) / 2.0, x)), e)
     return np.linalg.svd(batch, compute_uv=False)[..., 0]
 
 

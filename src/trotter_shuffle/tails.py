@@ -60,12 +60,13 @@ def sample_without_replacement(pool, k: int, rng: np.random.Generator) -> np.nda
     return arr[rng.permutation(m)[:k]]
 
 
-def variance_proxy(row: ArrayRow, a: int) -> float:
+def variance_proxy(row: ArrayRow, a: int, stats: RowStats | None = None) -> float:
     """v = (a/n) sum_i ||A_i - A_n||^2, the centered second-moment scale of a
-    size-a block; always at most 4 a L1 Linf."""
+    size-a block; always at most 4 a L1 Linf. stats, when given, is
+    row_stats(row)."""
     if a < 0 or a > row.n:
         raise ValueError(f"block size {a} out of range for row of length {row.n}")
-    stats = row_stats(row)
+    stats = stats or row_stats(row)
     sq = op_norms(row.elements - stats.mean) ** 2
     v = float(a / row.n * sq.sum())
     cap = 4.0 * a * stats.l1 * stats.linf
@@ -102,20 +103,22 @@ def lemma_random_bound(n: int, a: int, b: int, eps: float, stats: RowStats,
 
 
 def block_deviation_samples(row: ArrayRow, scheme: BlockScheme, trials: int,
-                            seed: int | tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+                            seed: int | tuple[int, ...],
+                            stats: RowStats | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial worst block deviations under fresh uniform permutations.
 
     Returns (max_mean_dev, max_norm_dev), each of shape (trials,): the largest
     ||block mean - A_n|| and the largest |block norm-mean - L1| over the b
     blocks, one independent permutation per trial (stream seeded by
-    (seed, trial) so trials are order-independent).
+    (seed, trial) so trials are order-independent). stats, when given, is
+    row_stats(row).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if scheme.covered > row.n:
         raise ValueError("scheme does not fit the row")
     key = (seed,) if isinstance(seed, int) else tuple(seed)
-    stats = row_stats(row)
+    stats = stats or row_stats(row)
     mean_dev = np.empty(trials)
     norm_dev = np.empty(trials)
     for t in range(trials):
@@ -140,12 +143,17 @@ def empirical_block_tail(row: ArrayRow, scheme: BlockScheme, eps: float,
 
 
 def block_bernstein_bound(row: ArrayRow, scheme: BlockScheme, eps: float,
-                          d: int | None = None) -> float:
+                          d: int | None = None, stats: RowStats | None = None,
+                          v: float | None = None) -> float:
     """Union-over-blocks Bernstein bound before the L1 Linf simplifications:
-    b * tail(a*eps) with summand bound 2 Linf and the row's variance proxy."""
-    q = TailQuery(eps=scheme.a * eps, L=2.0 * row_stats(row).linf,
-                  v=variance_proxy(row, scheme.a), d=d if d is not None else row.d,
-                  k=scheme.a)
+    b * tail(a*eps) with summand bound 2 Linf and the row's variance proxy.
+    stats and v, when given, are row_stats(row) and
+    variance_proxy(row, scheme.a), computed once for many eps."""
+    stats = stats or row_stats(row)
+    if v is None:
+        v = variance_proxy(row, scheme.a, stats)
+    q = TailQuery(eps=scheme.a * eps, L=2.0 * stats.linf, v=v,
+                  d=d if d is not None else row.d, k=scheme.a)
     return scheme.b * bernstein_tail(q)
 
 

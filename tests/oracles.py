@@ -90,3 +90,17 @@ def random_hermitian(rng: np.random.Generator, d: int, norm: float = 1.0) -> np.
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = (g + g.conj().T) / 2
     return h * (norm / svd_norm(h))
+
+
+def sequential_products(factors, order) -> np.ndarray:
+    """P_0 = I, P_k = P_{k-1} @ factors[order[k-1]] by a plain left-to-right
+    loop: the slow path the blocked prefix scan replaces."""
+    f = np.asarray(factors, dtype=np.complex128)
+    d = f.shape[-1]
+    out = np.empty((len(order) + 1, d, d), dtype=np.complex128)
+    p = np.eye(d, dtype=np.complex128)
+    out[0] = p
+    for k, i in enumerate(order):
+        p = p @ f[i]
+        out[k + 1] = p
+    return out

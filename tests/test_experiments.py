@@ -1,8 +1,10 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from trotter_shuffle import experiments, products, tails
 from trotter_shuffle.cli import main
 from trotter_shuffle.experiments import (COLUMNS, ConfigError, ExperimentConfig,
                                          emit, parse_matrix, run)
@@ -101,6 +103,61 @@ def test_emit_byte_identical_and_sidecar(tmp_path):
     assert doc["schema_version"] == 1
 
 
+@pytest.mark.parametrize("stage", ["csv", "sidecar"])
+def test_emit_failure_leaves_previous_report_intact(tmp_path, monkeypatch, stage):
+    cfg = ExperimentConfig(kind="words", trials=8, seed=1, out_path="w.csv")
+    monkeypatch.chdir(tmp_path)
+    emit(run(cfg), cfg.out_path)
+    assert json.loads((tmp_path / "w.json").read_text())["config"]["out_path"] == "w.csv"
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == ["w.csv", "w.json"]
+
+    def failing(real, after):
+        calls = Counter()
+
+        def fn(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] > after:
+                raise OSError("disk full")
+            return real(*args, **kwargs)
+        return fn
+
+    if stage == "csv":  # fail after a few cells have been written
+        monkeypatch.setattr(experiments, "_cell", failing(experiments._cell, 10))
+    else:
+        monkeypatch.setattr(experiments.json, "dump", failing(json.dump, 0))
+    other = ExperimentConfig(kind="words", trials=5, seed=2, out_path="w.csv")
+    with pytest.raises(OSError, match="disk full"):
+        emit(run(other), other.out_path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def _counting(monkeypatch, calls, *targets):
+    """Count calls of each (module, name), patched in every module given."""
+    for mods, name in targets:
+        real = getattr(mods[0], name)
+
+        def wrapper(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        for mod in mods:
+            monkeypatch.setattr(mod, name, wrapper)
+
+
+def test_per_row_work_runs_once_per_row(monkeypatch):
+    calls = Counter()
+    _counting(monkeypatch, calls, ((products,), "exp_factors"),
+              ((products,), "reference_path"))
+    run(ExperimentConfig(kind="converge", n_list=[40, 60], trials=5, seed=1,
+                         target="pauli_x"))
+    assert calls == {"exp_factors": 2, "reference_path": 4}  # 2 rows x 2 targets
+    calls.clear()
+    _counting(monkeypatch, calls, ((experiments, tails), "row_stats"),
+              ((experiments, tails), "variance_proxy"))
+    run(ExperimentConfig(kind="tail", n_list=[200, 300], trials=5, seed=1))
+    assert calls == {"row_stats": 2, "variance_proxy": 2}
+
+
 def test_tail_kind_schema(tmp_path):
     cfg = ExperimentConfig(kind="tail", n_list=[200], trials=20, seed=4,
                            generator={"name": "two_letter", "a": 20},
@@ -189,6 +246,33 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     unknown = tmp_path / "unknown.json"
     unknown.write_text(json.dumps({"kind": "converge", "frobnicate": 1}))
     assert main(["converge", "--config", str(unknown)]) == 2
+
+
+@pytest.mark.parametrize("field, value", [("n_list", [True, 100]), ("trials", True),
+                                          ("seed", False), ("d", True)])
+def test_cli_rejects_booleans_as_integers(tmp_path, capsys, field, value):
+    cfg = tmp_path / "bool.json"
+    cfg.write_text(json.dumps({"kind": "converge", "n_list": [100], field: value,
+                               "out_path": str(tmp_path / "b.csv")}))
+    assert main(["converge", "--config", str(cfg)]) == 2
+    assert f"config error: {field}" in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
+
+
+@pytest.mark.parametrize("a", [0, -3, 201, 2.5, "20", True])
+def test_cli_tail_block_size_out_of_range_exit_2(tmp_path, capsys, a):
+    cfg = tmp_path / "tail.json"
+    cfg.write_text(json.dumps({"kind": "tail", "n_list": [400, 200], "trials": 3,
+                               "generator": {"name": "two_letter", "a": a},
+                               "out_path": str(tmp_path / "t.csv")}))
+    assert main(["tail", "--config", str(cfg)]) == 2
+    assert "generator.a" in capsys.readouterr().err
+
+
+def test_tail_block_size_may_equal_smallest_n():
+    report = run(ExperimentConfig(kind="tail", n_list=[400, 200], trials=3, seed=1,
+                                  generator={"name": "two_letter", "a": 200}))
+    assert report.summary["200"]["b"] == 1
 
 
 def test_cli_runtime_error_exit_3(tmp_path, capsys):

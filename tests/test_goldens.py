@@ -21,13 +21,13 @@ from trotter_shuffle.experiments import ExperimentConfig, emit, run
 GOLDENS = {
     "converge": (
         dict(kind="converge", n_list=[40, 100], trials=2, seed=11),
-        "a73e86bc02cf56b212e189734e965ba110c30482ff0bb7c8a902c4e9b23fd8bc",
-        "37343e40cd21029d42afe5ca4959b48afdd13ed5efc357c17b3cf85e2754bd05"),
+        "657b6e663f30b1e5c972cbc9985ed2b314154b3b29100db27385d461ce9d2f47",
+        "45ef68339a78f79923649e980500f80f8e2e59a69a01dfd204a1fcbc4ec89f22"),
     "converge_target": (
         dict(kind="converge", n_list=[60], trials=2, seed=12,
              target=[[0, 0.6], [0.4, 0]]),
-        "03737042f233efc9f9999e5e16eff1390d8132059099ffae29f4984b78a6cf58",
-        "2c97919036ae18e1a5040018a618c2b00c37dd54df94c48ff78fad2e450ecb69"),
+        "cfcab00c48371cc0bfc4549daa5b3aed21030fa4812df4c0f83c457c5c7c8ad4",
+        "b47cb8e5825fb00b5856c21ac21b2c30e79371be7a0e05f5a7f32eca35f0b3a2"),
     "tail": (
         dict(kind="tail", n_list=[400], trials=30, seed=13,
              generator={"name": "two_letter", "b": "e12", "c": "e21", "a": 20}),
@@ -43,8 +43,8 @@ GOLDENS = {
              generator={"name": "spiked", "regimes": [
                  {"regime": "intermediate", "alpha": 0.5, "beta": 0.0, "t": 1.0},
                  {"regime": "large_linf", "delta": 1.0}]}),
-        "c518f354c1aaba44dac5875fec8207dbbb8633db26c0ed37f3b3cc8c5d341582",
-        "690a9e9654d07c056d5afeff616b67b1637e606f5b8faaf4ed6311da11d79947"),
+        "18b2825f7d42aacde9fa0bc60cc38705ad15f1b5c19b7ce8772bd6818f9f08c8",
+        "a38d4a3ff876bb5504c8dca9345e2043398662065deb631ce8299c117e613e25"),
     "words": (
         dict(kind="words", trials=6, seed=16,
              generator={"name": "multiset", "a": 4, "b": 7}),
@@ -54,8 +54,8 @@ GOLDENS = {
         dict(kind="evolution", n_list=[40, 100], trials=3, seed=17,
              generator={"name": "family", "fn": "step", "b": "e12", "c": "e21",
                         "s": 0.25, "t": 0.75, "mode": "permuted"}),
-        "c24da1443cdc03ce0641698c0489b5c5be7ed2b3be1258260d4bfb6369ed9f1f",
-        "b52c4888a2de62086e3439f5aa63ec45c93d20cc39d9e1d7b5192e4d7552aa70"),
+        "f2d80ea709ec78107e29b183ad02f93085272bcb50ec020443da96c01af62e04",
+        "c8c1910433a8b3124cfc8164011191eb26ab74eb3feb77a9f5bce0a76ad3bba3"),
 }
 
 

@@ -94,11 +94,31 @@ def test_op_norms_batch_agrees_with_scalar():
     got = op_norms(batch)
     for i in range(50):
         assert got[i] == pytest.approx(op_norm(batch[i]), rel=1e-10)
-    # hermitian closed-form path
+    # Hermitian inputs
     herm = (batch + np.conj(np.swapaxes(batch, -1, -2))) / 2
     got_h = op_norms(herm)
     for i in range(50):
         assert got_h[i] == pytest.approx(svd_norm(herm[i]), rel=1e-10)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-8, 1.0, 1e150])
+def test_op_norms_closed_form_2x2_matches_svd(scale):
+    rng = np.random.default_rng(int(-np.log10(scale)) + 300)
+    g = (rng.standard_normal((3000, 2, 2)) + 1j * rng.standard_normal((3000, 2, 2))) * scale
+    g[:500, 0] *= 1e-9  # entries of very different size within one matrix
+    g[500:800, :, 1] = g[500:800, :, 0] * (0.3 - 2j)  # rank one
+    g[800:1100] = (g[800:1100] + np.conj(np.swapaxes(g[800:1100], -1, -2))) / 2  # Hermitian
+    want = np.linalg.svd(g, compute_uv=False)[..., 0]
+    got = op_norms(g)
+    assert np.all(np.abs(got - want) <= 4e-15 * want)
+    assert op_norms(np.zeros((3, 2, 2))).tolist() == [0.0, 0.0, 0.0]
+
+
+def test_op_norm_delegates_to_op_norms():
+    rng = np.random.default_rng(12)
+    for d in (1, 2, 5):
+        m = random_matrix(rng, d, 3.0)
+        assert op_norm(m) == op_norms(m[None])[0]
 
 
 def test_hermitian_dilation_examples():

@@ -3,18 +3,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
-from trotter_shuffle.linalg import mat_exp, op_norm
+from trotter_shuffle.linalg import mat_exp, op_norm, op_norms
 from trotter_shuffle.products import (BlockScheme, Permutation,
                                       check_block_conditions, choose_blocks,
                                       partial_products, path_deviation,
+                                      path_deviations, prefix_products,
                                       prop_uniform_bound, reference_path,
                                       uniform_permutation)
 from trotter_shuffle.rows import (ArrayRow, gen_repeated, gen_two_letter,
                                   random_unit_hermitians, row_stats)
 
-from oracles import mp_product_path, random_matrix, svd_norm
+from oracles import (mp_exp, mp_product_path, random_matrix, sequential_products,
+                     svd_norm)
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
@@ -90,6 +94,58 @@ def test_partial_products_requires_matching_sizes():
     row = gen_two_letter(4, E12, E21)
     with pytest.raises(ValueError):
         partial_products(row, Permutation.identity(6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(0, 4096), d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       near_identity=st.booleans())
+def test_prefix_products_matches_sequential_loop(n, d, seed, near_identity):
+    # blocked scan vs the plain loop, within n d u prod ||F_i|| (u = 2^-53)
+    rng = np.random.default_rng(seed)
+    m = min(max(n, 1), 64)
+    g = rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d))
+    g /= op_norms(g)[:, None, None]
+    if near_identity:
+        factors = np.eye(d) + g * (rng.uniform(0.0, 2.0) / max(n, 1))
+    else:
+        factors = g * np.exp(rng.uniform(-1.0, 1.0, size=(m, 1, 1)) / max(n, 1))
+    order = rng.integers(0, m, size=n)
+    got = prefix_products(factors, order)
+    want = sequential_products(factors, order)
+    assert got.shape == want.shape == (n + 1, d, d)
+    assert np.array_equal(got[:2], want[:2])
+    growth = np.cumprod(op_norms(factors)[order]).max() if n else 1.0
+    assert op_norms(got - want).max() <= n * d * 2.0**-53 * growth
+
+
+def test_prefix_products_real_factors_and_empty_order():
+    path = prefix_products(np.array([[[2.0]], [[3.0]]]), np.array([0, 1, 1, 0]))
+    assert path[:, 0, 0].tolist() == [1, 2, 6, 18, 36]
+    assert np.array_equal(prefix_products(np.eye(3)[None], np.arange(0)), np.eye(3)[None])
+
+
+@pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (3, 3), (7, 2), (16, 2), (17, 3)])
+def test_reference_path_vs_mp_oracle(n, d):
+    a = random_matrix(np.random.default_rng(20 + n), d, 2.0)
+    path = reference_path(a, n)
+    assert path.shape == (n + 1, d, d)
+    assert np.array_equal(path[0], np.eye(d))
+    for k in range(n + 1):
+        assert svd_norm(path[k] - mp_exp(a * (k / n))) <= 1e-13 * math.exp(svd_norm(a))
+
+
+def test_path_deviations_share_one_scan_per_permutation():
+    n = 300
+    row = gen_two_letter(n, E12, E21)
+    sigmas = [uniform_permutation(n, np.random.default_rng(s)) for s in range(3)]
+    targets = [row_stats(row).mean, np.array([[0, 0.6], [0.4, 0]])]
+    reports = list(path_deviations(row, sigmas, targets))
+    assert len(reports) == 3
+    for sigma, reps in zip(sigmas, reports):
+        for target, rep in zip(targets, reps):
+            one = path_deviation(row, sigma, target)
+            assert np.array_equal(rep.deviations, one.deviations)
+            assert (rep.sup_dev, rep.slack) == (one.sup_dev, one.slack)
 
 
 def test_reference_path():
