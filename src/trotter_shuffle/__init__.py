@@ -9,7 +9,7 @@ compares matrix concentration tail bounds with Monte Carlo frequencies.
 from .experiments import PACKAGE_VERSION as __version__
 from .experiments import ConfigError, ExperimentConfig, ExperimentReport, emit, run
 from .evolution import (FAMILIES, PropagatorSpec, cocycle_check, propagate,
-                        riemann_integral, sample_row)
+                        propagators, sample_row)
 from .linalg import commutator, hermitian_dilation, mat_exp, op_norm, op_norms
 from .products import (BlockConditionReport, BlockScheme, PathReport, Permutation,
                        check_block_conditions, choose_blocks, partial_products,
@@ -39,9 +39,9 @@ __all__ = [
     "frequency_quantize", "gen_repeated", "gen_riemann", "gen_spiked",
     "gen_two_letter", "hermitian_dilation", "lemma_random_bound", "mat_exp",
     "op_norm", "op_norms", "partial_products", "path_deviation", "path_deviations",
-    "prefix_counts", "prefix_products", "prop_uniform_bound", "propagate", "random_word", "reference_path",
-    "restrict_word", "riemann_integral", "row_from_json", "row_stats",
-    "row_to_json", "run", "sample_row", "sample_without_replacement",
+    "prefix_counts", "prefix_products", "prop_uniform_bound", "propagate",
+    "propagators", "random_word", "reference_path", "restrict_word",
+    "row_from_json", "row_stats", "row_to_json", "run", "sample_row", "sample_without_replacement",
     "spiked_parameters", "standard_word", "tau", "tau_tail_bound",
     "tau_tail_empirical", "transposition_distance", "transpositions_to_standard",
     "tropp_ward_rate", "uniform_permutation", "variance_proxy",

@@ -20,7 +20,7 @@ from .rows import ArrayRow, gen_riemann
 
 @dataclass(frozen=True)
 class PropagatorSpec:
-    fn: Callable[[float], np.ndarray]
+    fn: Callable[[np.ndarray], np.ndarray]
     s: float = 0.0
     t: float = 1.0
     n: int = 1000
@@ -34,16 +34,6 @@ class PropagatorSpec:
             raise ValueError("n must be >= 1")
         if self.mode not in ("ordered", "permuted", "iid"):
             raise ValueError(f"unknown mode {self.mode!r}")
-
-
-def riemann_integral(fn: Callable[[float], np.ndarray], n: int) -> np.ndarray:
-    """Left-endpoint Riemann sum (1/n) sum_{i<n} fn(i/n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    acc = as_matrix(fn(0.0), "fn value").copy()
-    for i in range(1, n):
-        acc += as_matrix(fn(i / n), "fn value")
-    return acc / n
 
 
 def sample_row(spec: PropagatorSpec) -> ArrayRow:
@@ -63,11 +53,27 @@ def propagate(spec: PropagatorSpec, row: ArrayRow | None = None) -> np.ndarray:
     the discrete propagator from time s to time t; identity when the slice is
     empty. A prebuilt row (from sample_row) can be reused across calls."""
     if row is None:
-        row = sample_row(spec)
-    elif row.n != spec.n:
+        return next(propagators(spec, [spec.seed]))
+    if row.n != spec.n:
         raise ValueError("supplied row length differs from spec.n")
     i0, i1 = _grid_index(spec.s, spec.n), _grid_index(spec.t, spec.n)
     return prefix_products(exp_factors(row), np.arange(i0, i1))[-1].copy()
+
+
+def propagators(spec: PropagatorSpec, seeds):
+    """propagate(spec) with spec.seed set to each of seeds, in turn.
+
+    A permuted row is the ordered grid row read through a permutation, so in
+    the ordered and permuted modes exp_factors of the grid row is built once
+    and each seed only scans it in its own order; iid builds a row per seed.
+    """
+    n, mode = spec.n, spec.mode
+    i0, i1 = _grid_index(spec.s, n), _grid_index(spec.t, n)
+    grid = None if mode == "iid" else exp_factors(gen_riemann(spec.fn, n, "ordered"))
+    for seed in seeds:
+        factors = grid if grid is not None else exp_factors(gen_riemann(spec.fn, n, mode, seed))
+        order = np.random.default_rng(seed).permutation(n) if mode == "permuted" else np.arange(n)
+        yield prefix_products(factors, order[i0:i1])[-1].copy()
 
 
 def cocycle_check(spec: PropagatorSpec, r: float) -> float:
@@ -85,40 +91,43 @@ def cocycle_check(spec: PropagatorSpec, r: float) -> float:
     return op_norm(left @ right - whole)
 
 
-# Built-in generator families for configs and experiments.
+# Built-in generator families for configs and experiments. Each maps an array
+# of times xs, shape (N,), to the (N, d, d) stack of its values.
 
-def constant_family(a) -> Callable[[float], np.ndarray]:
+def constant_family(a) -> Callable[[np.ndarray], np.ndarray]:
     m = as_matrix(a, "a")
-    return lambda x: m
+    return lambda xs: np.broadcast_to(m, (len(xs),) + m.shape)
 
 
-def linear_diagonal_family(diag) -> Callable[[float], np.ndarray]:
+def linear_diagonal_family(diag) -> Callable[[np.ndarray], np.ndarray]:
     """fn(x) = x * diag(entries); values commute across x."""
     m = np.diag(np.asarray(diag, dtype=np.complex128))
-    return lambda x: x * m
+    return lambda xs: np.multiply.outer(xs, m)
 
 
-def step_family(b, c, split: float = 0.5) -> Callable[[float], np.ndarray]:
+def step_family(b, c, split: float = 0.5) -> Callable[[np.ndarray], np.ndarray]:
     """fn = b on [0, split), c on [split, 1]."""
     bm = as_matrix(b, "b")
     cm = as_matrix(c, "c")
     if bm.shape != cm.shape:
         raise ValueError("b and c must have the same dimension")
-    return lambda x: bm if x < split else cm
+    return lambda xs: np.where((xs < split)[:, None, None], bm, cm)
 
 
-def rotation_family(scale: float = 1.0) -> Callable[[float], np.ndarray]:
+def rotation_family(scale: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
     """Hermitian unit-norm generators with a phase winding once around [0, 1];
     the time average is zero, so permuted products should approach the identity."""
 
-    def fn(x: float) -> np.ndarray:
-        z = scale * np.exp(2j * np.pi * x)
-        return np.array([[0.0, z], [np.conj(z), 0.0]], dtype=np.complex128)
+    def fn(xs: np.ndarray) -> np.ndarray:
+        z = scale * np.exp(2j * np.pi * xs)
+        out = np.zeros((len(z), 2, 2), dtype=np.complex128)
+        out[:, 0, 1], out[:, 1, 0] = z, np.conj(z)
+        return out
 
     return fn
 
 
-FAMILIES: dict[str, Callable[..., Callable[[float], np.ndarray]]] = {
+FAMILIES: dict[str, Callable[..., Callable[[np.ndarray], np.ndarray]]] = {
     "constant": constant_family,
     "linear_diagonal": linear_diagonal_family,
     "step": step_family,

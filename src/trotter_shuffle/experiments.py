@@ -85,8 +85,63 @@ def _default_generator(kind: str) -> dict:
     return {"name": "two_letter", "b": "e12", "c": "e21", "order": "first_half_b"}
 
 
+_FAMILY_KEYS = {"fn", "matrix", "diag", "b", "c", "split", "scale"}
+
+# generator name -> the keys its runner reads besides "name"
+GENERATOR_KEYS = {
+    "two_letter": {"b", "c", "order", "unit_bound"},
+    "repeated": {"letters", "tail", "unit_bound"},
+    "constant": {"matrix"},
+    "spiked": {"regime", "delta", "alpha", "beta", "t", "linf", "remainder",
+               "fixed_direction"},
+    "riemann": _FAMILY_KEYS | {"mode"},
+    "multiset": {"a", "b"},
+    "family": _FAMILY_KEYS | {"s", "t", "mode"},
+}
+
+_ROW_GENERATORS = ("two_letter", "repeated", "constant", "spiked", "riemann")
+
+# kind -> (generator names it runs, keys it reads beyond the generator's own)
+_KIND_GENERATORS = {
+    "converge": (_ROW_GENERATORS, set()),
+    "tail": (_ROW_GENERATORS, {"a"}),
+    "regime": (("spiked",), {"regimes"}),
+    "words": (("multiset",), set()),
+    "evolution": (("family",), set()),
+}
+
+
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _generator_errors(kind: str, gen: dict, ns: list) -> list[str]:
+    """Errors in the generator object of a config of this kind. Runners read
+    generator keys with defaults, so a misspelt key is rejected here rather
+    than silently running the default."""
+    names, extra = _KIND_GENERATORS[kind]
+    name = gen["name"]
+    if name not in names:
+        return [f"generator.name: {name!r} is not one of {names} for kind {kind!r}"]
+    errors = []
+    allowed = GENERATOR_KEYS[name] | extra
+    unknown = set(gen) - allowed - {"name"}
+    if unknown:
+        errors.append(f"generator: unknown keys {sorted(unknown)} for {name!r}, "
+                      f"expected some of {sorted(allowed)}")
+    regimes = gen.get("regimes") or []
+    if not isinstance(regimes, list) or not all(
+            isinstance(r, dict) and set(r) <= GENERATOR_KEYS["spiked"] for r in regimes):
+        errors.append(f"generator.regimes: must be a list of objects with keys among "
+                      f"{sorted(GENERATOR_KEYS['spiked'])}")
+    if name == "two_letter" and any(_is_int(n) and n % 2 for n in ns):
+        errors.append(f"n_list: the two_letter generator needs even n, got {ns}")
+    a = gen.get("a")
+    if kind == "tail" and a is not None and (
+            not _is_int(a) or a < 1 or any(_is_int(n) and a > n for n in ns)):
+        errors.append(f"generator.a: block size must be an integer in "
+                      f"[1, min(n_list)], got {a!r}")
+    return errors
 
 
 @dataclass
@@ -131,11 +186,8 @@ class ExperimentConfig:
             errors.append(f"d: must be a positive integer, got {self.d}")
         if not isinstance(self.generator, dict) or "name" not in self.generator:
             errors.append("generator: must be an object with a 'name' field")
-        elif self.kind == "tail" and self.generator.get("a") is not None:
-            a = self.generator["a"]
-            if not _is_int(a) or a < 1 or any(_is_int(n) and a > n for n in ns):
-                errors.append(f"generator.a: block size must be an integer in "
-                              f"[1, min(n_list)], got {a!r}")
+        elif self.kind in KINDS:
+            errors.extend(_generator_errors(self.kind, self.generator, ns))
         if not self.out_path:
             errors.append("out_path: must be non-empty")
         if errors:
@@ -352,10 +404,10 @@ def _run_evolution(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     devs: dict[int, list[float]] = {}
     for n in cfg.n_list:
         target = mat_exp((t - s) * riemann_reference(fn, n))
-        for trial in range(cfg.trials):
-            spec = evo.PropagatorSpec(fn=fn, s=s, t=t, n=n, mode=mode,
-                                      seed=(cfg.seed, kid, n, trial))
-            dev = float(op_norm(evo.propagate(spec) - target))
+        spec = evo.PropagatorSpec(fn=fn, s=s, t=t, n=n, mode=mode)
+        seeds = ((cfg.seed, kid, n, trial) for trial in range(cfg.trials))
+        for trial, u in enumerate(evo.propagators(spec, seeds)):
+            dev = float(op_norm(u - target))
             records.append(dict(zip(cols, (n, trial, dev))))
             devs.setdefault(n, []).append(dev)
     summary = {str(n): _quantiles(v) for n, v in devs.items()}
@@ -363,8 +415,9 @@ def _run_evolution(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
 
 
 def riemann_reference(fn, n: int) -> np.ndarray:
-    """Time-average of the family on a grid 4x finer than the propagator's."""
-    return evo.riemann_integral(fn, 4 * n)
+    """Time-average of the family on a grid 4x finer than the propagator's:
+    the left-endpoint Riemann sum, accumulated in grid order."""
+    return fn(np.arange(4 * n) / (4 * n)).sum(axis=0) / (4 * n)
 
 
 _RUNNERS = {

@@ -343,35 +343,30 @@ def frequency_quantize(row: ArrayRow, c: int, alpha: Fraction | float) -> Quanti
                             kept_mass=kept_mass, discrepancy=disc)
 
 
-def gen_riemann(fn: Callable[[float], np.ndarray], n: int, mode: str = "ordered",
+def gen_riemann(fn: Callable[[np.ndarray], np.ndarray], n: int, mode: str = "ordered",
                 seed: int | tuple[int, ...] | np.random.Generator = 0,
                 unit_bound: bool = False) -> ArrayRow:
     """Row sampled from a matrix-valued function on [0, 1].
 
-    ordered evaluates at the left endpoints i/n, i = 0..n-1; permuted
-    evaluates the same grid through a uniform permutation; iid draws n
-    independent uniform points.
+    fn maps an array of times, shape (n,), to the stack of its values, shape
+    (n, d, d). ordered evaluates at the left endpoints i/n, i = 0..n-1;
+    permuted evaluates the same grid through a uniform permutation; iid draws
+    n independent uniform points.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if mode not in ("ordered", "permuted", "iid"):
         raise ValueError(f"unknown sampling mode {mode!r}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     if mode == "ordered":
         xs = np.arange(n) / n
     elif mode == "permuted":
         xs = rng.permutation(n) / n
     else:
         xs = rng.random(n)
-    first = as_matrix(fn(float(xs[0])), "fn value")
-    d = first.shape[0]
-    elements = np.empty((n, d, d), dtype=np.complex128)
-    elements[0] = first
-    for i in range(1, n):
-        v = as_matrix(fn(float(xs[i])), "fn value")
-        if v.shape != (d, d):
-            raise ValueError(f"fn returned inconsistent dimension {v.shape} at x={xs[i]}")
-        elements[i] = v
+    elements = np.asarray(fn(xs))
+    if elements.ndim != 3 or elements.shape[0] != n or elements.shape[1] != elements.shape[2]:
+        raise ValueError(f"fn must return shape ({n}, d, d), got {elements.shape}")
     if unit_bound:
         elements = _unit_rescale(elements)
     return ArrayRow(elements)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 from trotter_shuffle.evolution import (PropagatorSpec, cocycle_check,
                                        constant_family, linear_diagonal_family,
-                                       propagate, riemann_integral,
-                                       rotation_family, sample_row, step_family)
+                                       propagate, propagators, rotation_family,
+                                       sample_row, step_family)
+from trotter_shuffle.experiments import riemann_reference
 from trotter_shuffle.linalg import mat_exp, op_norm
 from trotter_shuffle.rows import row_stats
 
@@ -22,14 +24,57 @@ EXP_MEAN = np.array([[math.cosh(0.5), math.sinh(0.5)],
                      [math.sinh(0.5), math.cosh(0.5)]], dtype=complex)
 
 
+A2 = np.array([[0.3 - 0.2j, 1.1], [-0.7j, 0.4 + 0.9j]])
+
+# family -> (array family, its value at one time x, written per point)
+FAMILY_CASES = {
+    "constant": (constant_family(A2), lambda x: A2),
+    "linear_diagonal": (linear_diagonal_family([0.8, -0.3]),
+                        lambda x: x * np.diag([0.8 + 0j, -0.3])),
+    "step": (step_family(E12, E21, split=0.29), lambda x: E12 if x < 0.29 else E21),
+    "rotation": (rotation_family(1.3), lambda x: np.array(
+        [[0.0, 1.3 * np.exp(2j * np.pi * x)], [np.conj(1.3 * np.exp(2j * np.pi * x)), 0.0]])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_CASES))
+def test_family_arrays_match_pointwise_values(name):
+    fn, value = FAMILY_CASES[name]
+    rng = np.random.default_rng(4)
+    for xs in (np.arange(200) / 200, rng.permutation(200) / 200, rng.random(200)):
+        out = fn(xs)
+        assert out.shape == (200, 2, 2)
+        assert np.array_equal(out, np.stack([value(float(x)) for x in xs]))
+
+
 def test_riemann_integral():
     a = random_matrix(np.random.default_rng(0), 2, 1.0)
-    assert np.allclose(riemann_integral(constant_family(a), 7), a)
+    assert np.allclose(riemann_reference(constant_family(a), 7), a)
     fn = linear_diagonal_family([1.0, 2.0])
-    est = riemann_integral(fn, 1000)
+    est = riemann_reference(fn, 250)
     assert svd_norm(est - np.diag([0.5, 1.0])) <= 2.0 / 2000 + 1e-12
     step = step_family(E12, E21)
-    assert np.allclose(riemann_integral(step, 10), (E12 + E21) / 2)
+    assert np.allclose(riemann_reference(step, 3), (E12 + E21) / 2)
+    # bit for bit the sequential left-endpoint sum over the 4n-point grid
+    for fn, value in FAMILY_CASES.values():
+        for n in (7, 250):
+            acc = value(0.0).astype(complex)
+            for i in range(1, 4 * n):
+                acc = acc + value(i / (4 * n))
+            assert np.array_equal(riemann_reference(fn, n), acc / (4 * n))
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_CASES))
+@pytest.mark.parametrize("mode", ["ordered", "permuted", "iid"])
+def test_propagators_match_per_seed_propagate(name, mode):
+    fn = FAMILY_CASES[name][0]
+    seeds = [0, 3, (7, 1, 100, 2)]
+    for s, t in ((0.0, 1.0), (0.25, 0.75), (0.29, 0.58)):
+        spec = PropagatorSpec(fn=fn, s=s, t=t, n=100, mode=mode)
+        for seed, u in zip(seeds, propagators(spec, seeds), strict=True):
+            one = dataclasses.replace(spec, seed=seed)
+            assert np.array_equal(u, propagate(one))
+            assert np.array_equal(u, propagate(one, row=sample_row(one)))
 
 
 def test_propagate_constant_family():
@@ -130,7 +175,7 @@ def test_permuted_deviation_median_nonincreasing():
     fn = step_family(E12, E21)
     medians = []
     for n in (500, 2000, 8000):
-        target = mat_exp(riemann_integral(fn, 4 * n))
+        target = mat_exp(riemann_reference(fn, 4 * n))
         devs = [op_norm(propagate(PropagatorSpec(fn=fn, n=n, mode="permuted", seed=s))
                         - target)
                 for s in range(101)]

@@ -1,10 +1,15 @@
+import ast
+import importlib.util
+import itertools
 import json
+import runpy
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trotter_shuffle import experiments, products, tails
+from trotter_shuffle import evolution, experiments, products, tails
 from trotter_shuffle.cli import main
 from trotter_shuffle.experiments import (COLUMNS, ConfigError, ExperimentConfig,
                                          emit, parse_matrix, run)
@@ -158,6 +163,15 @@ def test_per_row_work_runs_once_per_row(monkeypatch):
     assert calls == {"row_stats": 2, "variance_proxy": 2}
 
 
+@pytest.mark.parametrize("mode", ["ordered", "permuted"])
+def test_evolution_factor_grid_built_once_per_n(monkeypatch, mode):
+    calls = Counter()
+    _counting(monkeypatch, calls, ((evolution,), "exp_factors"))
+    run(ExperimentConfig(kind="evolution", n_list=[40, 60], trials=5, seed=1,
+                         generator={"name": "family", "fn": "step", "mode": mode}))
+    assert calls == {"exp_factors": 2}
+
+
 def test_tail_kind_schema(tmp_path):
     cfg = ExperimentConfig(kind="tail", n_list=[200], trials=20, seed=4,
                            generator={"name": "two_letter", "a": 20},
@@ -284,3 +298,89 @@ def test_cli_runtime_error_exit_3(tmp_path, capsys):
     }))
     assert main(["regime", "--config", str(cfg)]) == 3
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, n", [("converge", "101"), ("tail", "3"), ("converge", "2,1")])
+def test_cli_two_letter_odd_n_exit_2(tmp_path, capsys, kind, n):
+    out = tmp_path / "o.csv"
+    assert main([kind, "--n", n, "--trials", "2", "--out", str(out)]) == 2
+    assert "config error: n_list: the two_letter generator needs even n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, generator, key", [
+    ("converge", {"name": "two_letter", "oder": "interleaved"}, "oder"),
+    ("converge", {"name": "two_letter", "a": 20}, "a"),
+    ("tail", {"name": "repeated", "letters": ["e12"], "tial": "repeat_first"}, "tial"),
+    ("regime", {"name": "spiked", "regime": "large_linf", "detla": 1.0}, "detla"),
+    ("regime", {"name": "spiked", "regimes": [{"regime": "large_linf", "detla": 1.0}]},
+     "generator.regimes"),
+    ("words", {"name": "multiset", "a": 2, "bb": 3}, "bb"),
+    ("evolution", {"name": "family", "fn": "step", "mdoe": "iid"}, "mdoe"),
+    ("evolution", {"name": "riemann", "fn": "step"}, "generator.name"),
+    ("converge", {"name": "family"}, "generator.name"),
+])
+def test_cli_unknown_generator_key_exit_2(tmp_path, capsys, kind, generator, key):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"kind": kind, "n_list": [400], "trials": 2,
+                               "generator": generator, "out_path": str(tmp_path / "g.csv")}))
+    assert main([kind, "--config", str(cfg)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _workload_configs():
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return {f"perfbench:{w}": dict(doc) for w, doc in mod.WORKLOADS.items()}
+
+
+def _golden_configs():
+    from test_goldens import GOLDENS
+    return {f"golden:{name}": dict(fields) for name, (fields, _, _) in GOLDENS.items()}
+
+
+def _script_configs():
+    """Keyword arguments of every ExperimentConfig(...) call in scripts/, read
+    from the source and evaluated in the script's namespace, once per value of
+    each enclosing for-loop variable."""
+    out = {}
+    for path in sorted((ROOT / "scripts").glob("*.py")):
+        names = runpy.run_path(str(path))
+
+        def visit(node, loops):
+            if isinstance(node, ast.For):
+                loops = loops + [node]
+            if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "ExperimentConfig":
+                targets = [loop.target.id for loop in loops]
+                values = [eval(compile(ast.Expression(loop.iter), str(path), "eval"), names)
+                          for loop in loops]
+                kwargs = ast.Expression(ast.Dict([ast.Constant(k.arg) for k in node.keywords],
+                                                 [k.value for k in node.keywords]))
+                code = compile(ast.fix_missing_locations(kwargs), str(path), "eval")
+                for combo in itertools.product(*values):
+                    key = f"script:{path.stem}:{node.lineno}:{','.join(map(str, combo))}"
+                    out[key] = eval(code, {**names, **dict(zip(targets, combo))})
+            for child in ast.iter_child_nodes(node):
+                visit(child, loops)
+
+        visit(ast.parse(path.read_text()), [])
+    return out
+
+
+SHIPPED_CONFIGS = {**_workload_configs(), **_golden_configs(), **_script_configs()}
+
+
+def test_shipped_configs_were_found():
+    sources = Counter(key.split(":")[0] for key in SHIPPED_CONFIGS)
+    assert sources == {"perfbench": 5, "golden": 7, "script": 7}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
+def test_shipped_configs_validate(name):
+    ExperimentConfig(**{"out_path": "x.csv", **SHIPPED_CONFIGS[name]})

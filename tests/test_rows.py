@@ -249,11 +249,11 @@ def test_frequency_quantize_rejects_non_integral_threshold():
 # -- riemann sampling --------------------------------------------------------
 
 def test_gen_riemann_modes():
-    const = lambda x: E12
+    const = lambda xs: np.broadcast_to(E12, (len(xs), 2, 2))
     row = gen_riemann(const, 5, "ordered")
     assert all(np.array_equal(row.elements[i], E12) for i in range(5))
 
-    step = lambda x: E12 if x < 0.5 else E21
+    step = lambda xs: np.where((xs < 0.5)[:, None, None], E12, E21)
     row = gen_riemann(step, 4, "ordered")
     assert np.array_equal(row.elements[0], E12)
     assert np.array_equal(row.elements[1], E12)
@@ -262,7 +262,7 @@ def test_gen_riemann_modes():
 
 
 def test_gen_riemann_permuted_multiset_and_determinism():
-    fn = lambda x: x * np.eye(2)
+    fn = lambda xs: xs[:, None, None] * np.eye(2)
     ordered = gen_riemann(fn, 64, "ordered")
     permuted = gen_riemann(fn, 64, "permuted", seed=42)
     again = gen_riemann(fn, 64, "permuted", seed=42)
@@ -276,10 +276,13 @@ def test_gen_riemann_permuted_multiset_and_determinism():
 
 def test_gen_riemann_rejects_bad_fn():
     with pytest.raises(ValueError):
-        gen_riemann(lambda x: np.full((2, 2), np.nan), 4)
-    changing = lambda x: np.eye(2) if x < 0.5 else np.eye(3)
-    with pytest.raises(ValueError):
-        gen_riemann(changing, 4)
+        gen_riemann(lambda xs: np.full((len(xs), 2, 2), np.nan), 4)
+    # a family returns one (d, d) value per time: a single matrix, a stack of
+    # the wrong length or non-square values are all rejected
+    for bad in (lambda xs: np.eye(2), lambda xs: np.zeros((len(xs) - 1, 2, 2)),
+                lambda xs: np.zeros((len(xs), 2, 3))):
+        with pytest.raises(ValueError):
+            gen_riemann(bad, 4)
 
 
 # -- serialization -----------------------------------------------------------
