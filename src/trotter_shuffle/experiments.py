@@ -23,7 +23,7 @@ from . import evolution as evo
 from .linalg import as_matrix, mat_exp, op_norm
 from .products import (BlockScheme, Permutation, choose_blocks, path_deviations,
                        uniform_permutation)
-from .rows import (ArrayRow, RegimeSpec, gen_repeated, gen_riemann, gen_spiked,
+from .rows import (REGIMES, ArrayRow, RegimeSpec, gen_repeated, gen_riemann, gen_spiked,
                    gen_two_letter, row_stats, spiked_parameters)
 from .tails import (block_bernstein_bound, block_deviation_samples, eps_grid,
                     lemma_random_bound, variance_proxy)
@@ -99,6 +99,12 @@ GENERATOR_KEYS = {
     "family": _FAMILY_KEYS | {"s", "t", "mode"},
 }
 
+# generator key -> the values its runner accepts
+GENERATOR_VALUES = {
+    "order": ("first_half_b", "interleaved"), "tail": ("identity_fill", "repeat_first"),
+    "mode": ("ordered", "permuted", "iid"), "remainder": ("random_unit", "zero"),
+    "regime": REGIMES, "fn": tuple(evo.FAMILIES)}
+
 _ROW_GENERATORS = ("two_letter", "repeated", "constant", "spiked", "riemann")
 
 # kind -> (generator names it runs, keys it reads beyond the generator's own)
@@ -134,6 +140,15 @@ def _generator_errors(kind: str, gen: dict, ns: list) -> list[str]:
             isinstance(r, dict) and set(r) <= GENERATOR_KEYS["spiked"] for r in regimes):
         errors.append(f"generator.regimes: must be a list of objects with keys among "
                       f"{sorted(GENERATOR_KEYS['spiked'])}")
+        regimes = []
+    for key, value in ((k, v) for g in [gen, *regimes] for k, v in g.items()):
+        if key in GENERATOR_VALUES and value not in GENERATOR_VALUES[key]:
+            errors.append(f"generator.{key}: {value!r} is not one of {GENERATOR_VALUES[key]}")
+        elif key in ("unit_bound", "fixed_direction") and not isinstance(value, bool):
+            errors.append(f"generator.{key}: must be true or false, got {value!r}")
+    if name == "multiset" and not all(_is_int(gen.get(k, 1)) and gen.get(k, 1) >= 1 for k in "ab"):
+        errors.append(f"generator.a, generator.b: word shape must be positive integers, "
+                      f"got a={gen.get('a', 5)!r}, b={gen.get('b', 8)!r}")
     if name == "two_letter" and any(_is_int(n) and n % 2 for n in ns):
         errors.append(f"n_list: the two_letter generator needs even n, got {ns}")
     a = gen.get("a")
@@ -375,10 +390,7 @@ def _run_regime(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
 def _run_words(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     kid = _KIND_ID[cfg.kind]
     cols = COLUMNS[cfg.kind]
-    a = int(cfg.generator.get("a", 5))
-    b = int(cfg.generator.get("b", 8))
-    if a < 1 or b < 1:
-        raise ConfigError(f"generator: word shape a={a}, b={b} must be positive")
+    a, b = cfg.generator.get("a", 5), cfg.generator.get("b", 8)
     length = a * b
     records: list[dict] = []
     taus = []

@@ -6,8 +6,6 @@ entries, kept dense and small (d is a few dozen at most in practice).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 
@@ -72,45 +70,38 @@ def _series_order(x: float, target: float) -> int:
 
 
 def mat_exp(m, tol: float = 1e-12) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a truncated power series.
-
-    The scaled matrix has norm <= 1/2; the series order is chosen so the
-    truncation error after unscaling stays below tol * e^{||m||}.
-    """
+    """Matrix exponential of one matrix: exp_stack on a stack of one, with the
+    truncation error after unscaling below tol * e^{||m||}."""
     a = as_matrix(m)
     if not (0.0 < tol <= 1e-6):
         raise ValueError(f"tol must lie in (0, 1e-6], got {tol}")
-    d = a.shape[0]
-    norm = op_norm(a)
-    s = 0 if norm <= 0.5 else max(0, math.ceil(math.log2(norm / 0.5)))
-    x = a / (2.0**s)
-    order = _series_order(0.5, tol / (4.0 * 2.0**s))
-    eye = np.eye(d, dtype=np.complex128)
-    e = eye.copy()
-    for k in range(order, 0, -1):
-        e = eye + (x / k) @ e
-    for _ in range(s):
-        e = e @ e
-    return e
+    return exp_stack(a[None], tol)[0]
 
 
 def exp_stack(batch: np.ndarray, tol: float = 1e-14) -> np.ndarray:
-    """Exponentials of a stack (k, d, d) of matrices with norms <= 1/2.
+    """Exponentials of a stack (k, d, d) by batched scaling and squaring.
 
-    Single truncated series evaluated with batched matmuls; callers scale
-    first. Falls back to per-matrix mat_exp when the norm bound fails.
+    Each matrix is scaled exactly by its own 2^-s to a Frobenius norm (an
+    upper bound on the operator norm, so no SVD) of at most 1/2. One truncated
+    series, of the order that keeps the error below tol * e^{||m||} after the
+    most squarings in the stack, runs over the whole stack; each result is
+    then squared s times.
     """
     batch = np.asarray(batch, dtype=np.complex128)
-    norms = op_norms(batch)
-    nmax = float(norms.max()) if norms.size else 0.0
-    if nmax > 0.5:
-        return np.stack([mat_exp(b, tol=min(tol, 1e-6)) for b in batch])
-    d = batch.shape[-1]
-    order = _series_order(max(nmax, 1e-3), tol)
-    eye = np.eye(d, dtype=np.complex128)
+    fro = np.linalg.norm(batch, axis=(1, 2))
+    s = np.where(fro > 0.5, np.frexp(fro)[1] + 1, 0)
+    x = batch * np.ldexp(1.0, -s)[:, None, None]
+    smax = int(s.max(initial=0))
+    order = _series_order(np.ldexp(fro, -s).max(initial=1e-3), tol / (4.0 * 2.0**smax))
+    eye = np.eye(batch.shape[-1], dtype=np.complex128)
     e = np.broadcast_to(eye, batch.shape).copy()
     for k in range(order, 0, -1):
-        e = eye + np.matmul(batch / k, e)
+        np.matmul(x, e, out=e)
+        e /= k
+        e += eye
+    for j in range(smax):
+        sel = np.flatnonzero(s > j)
+        e[sel] = np.matmul(e[sel], e[sel])
     return e
 
 

@@ -8,12 +8,13 @@ deterministic deviation bound they imply.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, exp_stack, mat_exp, op_norm, op_norms
+from .linalg import as_matrix, exp_stack, op_norm, op_norms
 from .rows import ArrayRow, RowStats, row_stats
 
 
@@ -95,16 +96,17 @@ def choose_blocks(n: int, stats: RowStats, mode: str = "sqrt_default") -> BlockS
 def exp_factors(row: ArrayRow) -> np.ndarray:
     """exp(A_i / n) for every element, shape (n, d, d).
 
-    Letters (or bit-identical repeated elements) are exponentiated once.
+    Letters (or bit-identical repeated elements) are exponentiated once;
+    elements are compared by their bytes, so 0.0 and -0.0 entries differ.
     """
     n = row.n
     if row.alphabet is not None:
         base = exp_stack(row.alphabet / n)
         return base[row.letter_of]
-    uniq, inverse = np.unique(row.elements.reshape(n, -1), axis=0, return_inverse=True)
     d = row.d
-    base = exp_stack(uniq.reshape(-1, d, d) / n)
-    return base[inverse]
+    keys = np.ascontiguousarray(row.elements).reshape(n, -1).view((np.void, 16 * d * d))
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    return exp_stack(row.elements[first] / n)[inverse]
 
 
 def prefix_products(factors: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -117,6 +119,12 @@ def prefix_products(factors: np.ndarray, order: np.ndarray) -> np.ndarray:
     the last prefix of the block before it. About 2 sqrt(n) batched matmuls
     replace n single ones. Identity padding fills the last block; the result
     is a view of the first n+1 entries.
+
+    For d = 2 the same scan runs on the entry planes p[r, c, i, j] (entry
+    (r, c) of step i of block j): a step is 8 multiplies and 4 adds on arrays
+    of length nb, at ufunc cost rather than a matmul dispatch per product;
+    the carries come from a chain of nb single 2x2 products, and one
+    broadcast pass applies them all.
     """
     factors = np.asarray(factors, dtype=np.complex128)
     n, d = len(order), factors.shape[-1]
@@ -128,10 +136,21 @@ def prefix_products(factors: np.ndarray, order: np.ndarray) -> np.ndarray:
     np.take(factors, order, axis=0, out=buf[1:n + 1])
     buf[n + 1:] = eye
     blocks = buf[1:].reshape(nb, m, d, d)
-    for i in range(1, m):
-        np.matmul(blocks[:, i - 1], blocks[:, i], out=blocks[:, i])
-    for j in range(1, nb):
-        np.matmul(blocks[j - 1, -1], blocks[j], out=blocks[j])
+    if d == 2:
+        out = blocks.transpose(2, 3, 1, 0)
+        p = out.copy()
+        for i in range(1, m):
+            p[:, :, i] = p[:, 0, i - 1, None] * p[0, :, i] + p[:, 1, i - 1, None] * p[1, :, i]
+        ends = list(itertools.accumulate(p[:, :, -1].transpose(2, 0, 1), np.matmul))
+        c = np.reshape(ends[:-1], (-1, 2, 2)).transpose(1, 2, 0)[:, :, None, None]
+        out[..., :1] = p[..., :1]
+        np.multiply(c[:, 0], p[0, ..., 1:], out=out[..., 1:])
+        out[..., 1:] += c[:, 1] * p[1, ..., 1:]
+    else:
+        for i in range(1, m):
+            np.matmul(blocks[:, i - 1], blocks[:, i], out=blocks[:, i])
+        for j in range(1, nb):
+            np.matmul(blocks[j - 1, -1], blocks[j], out=blocks[j])
     return buf[:n + 1]
 
 
@@ -149,18 +168,20 @@ def partial_products(row: ArrayRow, sigma: Permutation,
 def reference_path(target, n: int) -> np.ndarray:
     """exp(k A / n) for k = 0..n, shape (n+1, d, d).
 
-    With m = ceil(sqrt(n)), entry j m + i is anchors[j] @ powers[i]: each
-    anchor exp(j m A / n) is its own mat_exp, the powers exp(A/n)^i for
-    i < m come from the prefix scan, so accumulated round-off stays at the
-    sqrt(n) * eps scale. One batched matmul forms the whole path.
+    With m = ceil(sqrt(n)), entry j m + i is anchors[j] @ powers[i]: the
+    step exp(A/n) and every anchor exp(j m A / n) come from one exp_stack
+    call, the powers exp(A/n)^i for i < m from the prefix scan, so
+    accumulated round-off stays at the sqrt(n) * eps scale. One batched
+    matmul forms the whole path.
     """
     a = as_matrix(target, "target")
     if n < 1:
         raise ValueError("n must be >= 1")
     m = math.isqrt(n - 1) + 1
-    powers = prefix_products(mat_exp(a / n)[None], np.zeros(m - 1, dtype=np.int64))
-    anchors = np.stack([mat_exp(a * (j * m / n)) for j in range(n // m + 1)])
-    path = np.matmul(anchors[:, None], powers[None])
+    scales = np.append(1.0 / n, np.arange(n // m + 1) * m / n)
+    e = exp_stack(a * scales[:, None, None])
+    powers = prefix_products(e[:1], np.zeros(m - 1, dtype=np.int64))
+    path = np.matmul(e[1:, None], powers[None])
     return path.reshape(-1, *a.shape)[:n + 1]
 
 

@@ -154,7 +154,7 @@ def gen_repeated(letters, n: int, tail: str = "identity_fill",
     return ArrayRow(alphabet[letter_of], alphabet=alphabet, letter_of=letter_of)
 
 
-_REGIMES = ("prob_regime", "as_regime", "large_linf", "bounded_log", "intermediate")
+REGIMES = ("prob_regime", "as_regime", "large_linf", "bounded_log", "intermediate")
 
 
 @dataclass(frozen=True)
@@ -175,8 +175,8 @@ class RegimeSpec:
     linf: float | None = None
 
     def __post_init__(self):
-        if self.regime not in _REGIMES:
-            raise ValueError(f"unknown regime {self.regime!r}, expected one of {_REGIMES}")
+        if self.regime not in REGIMES:
+            raise ValueError(f"unknown regime {self.regime!r}, expected one of {REGIMES}")
         if not self.delta > 0:
             raise ValueError("delta must be positive")
         if self.regime == "intermediate":

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trotter_shuffle import evolution, experiments, products, tails
+from trotter_shuffle import evolution, experiments, linalg, products, tails
 from trotter_shuffle.cli import main
 from trotter_shuffle.experiments import (COLUMNS, ConfigError, ExperimentConfig,
                                          emit, parse_matrix, run)
@@ -161,6 +161,15 @@ def test_per_row_work_runs_once_per_row(monkeypatch):
               ((experiments, tails), "variance_proxy"))
     run(ExperimentConfig(kind="tail", n_list=[200, 300], trials=5, seed=1))
     assert calls == {"row_stats": 2, "variance_proxy": 2}
+
+
+def test_reference_path_one_exp_stack_call(monkeypatch):
+    # exp_stack counted in linalg too, so a mat_exp call would also show
+    calls = Counter()
+    _counting(monkeypatch, calls, ((products, linalg), "exp_stack"), ((linalg,), "mat_exp"))
+    for n in (1, 50, 8000):
+        products.reference_path(np.array([[0, 0.6], [0.4, 0]]), n)
+    assert calls == {"exp_stack": 3}
 
 
 @pytest.mark.parametrize("mode", ["ordered", "permuted"])
@@ -327,6 +336,46 @@ def test_cli_unknown_generator_key_exit_2(tmp_path, capsys, kind, generator, key
     assert main([kind, "--config", str(cfg)]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "g.csv").exists()
+
+
+@pytest.mark.parametrize("kind, generator, key", [
+    ("evolution", {"name": "family", "fn": "step", "mode": "shuffled"}, "generator.mode"),
+    ("evolution", {"name": "family", "fn": "sine"}, "generator.fn"),
+    ("converge", {"name": "two_letter", "order": "interleave"}, "generator.order"),
+    ("converge", {"name": "riemann", "fn": "step", "mode": "random"}, "generator.mode"),
+    ("converge", {"name": "two_letter", "unit_bound": "no"}, "generator.unit_bound"),
+    ("tail", {"name": "repeated", "letters": ["e12"], "tail": "zeros"}, "generator.tail"),
+    ("tail", {"name": "repeated", "unit_bound": 1}, "generator.unit_bound"),
+    ("regime", {"name": "spiked", "remainder": "ones"}, "generator.remainder"),
+    ("regime", {"name": "spiked", "regime": "large"}, "generator.regime"),
+    ("regime", {"name": "spiked", "regimes": [{"regime": "large_linf", "remainder": "ones"}]},
+     "generator.remainder"),
+    ("regime", {"name": "spiked", "fixed_direction": "yes"}, "generator.fixed_direction"),
+    ("words", {"name": "multiset", "a": 2.7, "b": 3}, "generator.a, generator.b"),
+    ("words", {"name": "multiset", "a": 2, "b": "3"}, "generator.a, generator.b"),
+    ("words", {"name": "multiset", "a": 0}, "generator.a, generator.b"),
+    ("words", {"name": "multiset", "b": True}, "generator.a, generator.b"),
+])
+def test_cli_bad_generator_value_exit_2(tmp_path, capsys, kind, generator, key):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"kind": kind, "n_list": [400], "trials": 2,
+                               "generator": generator, "out_path": str(tmp_path / "g.csv")}))
+    assert main([kind, "--config", str(cfg)]) == 2
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
+
+
+def test_every_accepted_generator_value_validates():
+    kinds = {"order": ("converge", "two_letter"), "tail": ("converge", "repeated"),
+             "mode": ("evolution", "family"), "remainder": ("regime", "spiked"),
+             "regime": ("regime", "spiked"), "fn": ("evolution", "family"),
+             "unit_bound": ("tail", "two_letter"), "fixed_direction": ("regime", "spiked")}
+    choices = {**experiments.GENERATOR_VALUES, "unit_bound": (False, True),
+               "fixed_direction": (False, True)}
+    for key, (kind, name) in kinds.items():
+        for value in choices[key]:
+            ExperimentConfig(kind=kind, n_list=[40], generator={"name": name, key: value})
+    ExperimentConfig(kind="converge", n_list=[40], generator={"name": "riemann", "mode": "iid"})
 
 
 ROOT = Path(__file__).resolve().parents[1]

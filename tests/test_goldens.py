@@ -21,13 +21,13 @@ from trotter_shuffle.experiments import ExperimentConfig, emit, run
 GOLDENS = {
     "converge": (
         dict(kind="converge", n_list=[40, 100], trials=2, seed=11),
-        "657b6e663f30b1e5c972cbc9985ed2b314154b3b29100db27385d461ce9d2f47",
-        "45ef68339a78f79923649e980500f80f8e2e59a69a01dfd204a1fcbc4ec89f22"),
+        "2e6d1ce7613db4afd0148a7b1ae5c5b54b40400945eeaf2799935877ec326d01",
+        "d3488dacba0b45d957ea174f5e87bc5c1ed2ca4912a8e5511a5beb891a3edf66"),
     "converge_target": (
         dict(kind="converge", n_list=[60], trials=2, seed=12,
              target=[[0, 0.6], [0.4, 0]]),
-        "cfcab00c48371cc0bfc4549daa5b3aed21030fa4812df4c0f83c457c5c7c8ad4",
-        "b47cb8e5825fb00b5856c21ac21b2c30e79371be7a0e05f5a7f32eca35f0b3a2"),
+        "c532afd0170cc11e3b0e24b8350b5c6bfc669c1543911e9f8c10b380b4b2ab5e",
+        "03348eeb7573aafa08d4ca6269604fffa96b5461b664ca5066aacc0b24a199e3"),
     "tail": (
         dict(kind="tail", n_list=[400], trials=30, seed=13,
              generator={"name": "two_letter", "b": "e12", "c": "e21", "a": 20}),
@@ -43,8 +43,8 @@ GOLDENS = {
              generator={"name": "spiked", "regimes": [
                  {"regime": "intermediate", "alpha": 0.5, "beta": 0.0, "t": 1.0},
                  {"regime": "large_linf", "delta": 1.0}]}),
-        "18b2825f7d42aacde9fa0bc60cc38705ad15f1b5c19b7ce8772bd6818f9f08c8",
-        "a38d4a3ff876bb5504c8dca9345e2043398662065deb631ce8299c117e613e25"),
+        "605a5b4ae1ac1103dee1b1991b953078830fbcb13feb3b4880dff8b186763be8",
+        "fea5ff740a1da3f1d2b7558332f8327d09489e00fbd4b57d0e846232ce423128"),
     "words": (
         dict(kind="words", trials=6, seed=16,
              generator={"name": "multiset", "a": 4, "b": 7}),
@@ -54,8 +54,8 @@ GOLDENS = {
         dict(kind="evolution", n_list=[40, 100], trials=3, seed=17,
              generator={"name": "family", "fn": "step", "b": "e12", "c": "e21",
                         "s": 0.25, "t": 0.75, "mode": "permuted"}),
-        "f2d80ea709ec78107e29b183ad02f93085272bcb50ec020443da96c01af62e04",
-        "c8c1910433a8b3124cfc8164011191eb26ab74eb3feb77a9f5bce0a76ad3bba3"),
+        "c76476b4a135e4cd1a7c1ed5aad207b16e331bf0d73dd5b2b2152424b2d6b9eb",
+        "9e056127936f23103f492cef20fff50a832d2f644719014e67b4fa64828092c0"),
 }
 
 

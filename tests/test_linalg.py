@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from trotter_shuffle.linalg import (commutator, exp_stack, hermitian_dilation,
                                     mat_exp, op_norm, op_norms)
 
-from oracles import random_matrix, series_exp, svd_norm
+from oracles import mp_exp, random_matrix, series_exp, svd_norm
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
@@ -64,11 +64,26 @@ def test_exp_stack_matches_mat_exp():
     es = exp_stack(batch)
     for i in range(20):
         assert svd_norm(es[i] - mat_exp(batch[i])) < 1e-13
-    # fallback path for norms over 1/2
     big = np.stack([random_matrix(rng, 2, 3.0) for _ in range(4)])
     eb = exp_stack(big)
     for i in range(4):
         assert svd_norm(eb[i] - mat_exp(big[i])) < 1e-11
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_exp_stack_mixed_norms_vs_mp_oracle(d):
+    # one batch: a zero matrix and norms from 1e-8 to 50, each with its own
+    # number of squarings, against the 40-digit oracle
+    rng = np.random.default_rng(40 + d)
+    norms = np.geomspace(1e-8, 50.0, 12)
+    mats = [random_matrix(rng, d, 1.0) for _ in norms]
+    batch = np.stack([np.zeros((d, d))] + [m * (t / svd_norm(m)) for m, t in zip(mats, norms)])
+    got = exp_stack(batch)
+    assert got.shape == batch.shape
+    assert np.array_equal(got[0], np.eye(d))
+    for m, e in zip(batch, got):
+        assert svd_norm(e - mp_exp(m)) <= 1e-13 * np.exp(svd_norm(m))
+    assert exp_stack(np.zeros((0, d, d))).shape == (0, d, d)
 
 
 def test_op_norm_examples():

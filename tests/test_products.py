@@ -7,15 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from trotter_shuffle.linalg import mat_exp, op_norm, op_norms
+from trotter_shuffle.evolution import rotation_family, step_family
+from trotter_shuffle.linalg import exp_stack, mat_exp, op_norm, op_norms
 from trotter_shuffle.products import (BlockScheme, Permutation,
                                       check_block_conditions, choose_blocks,
-                                      partial_products, path_deviation,
+                                      exp_factors, partial_products, path_deviation,
                                       path_deviations, prefix_products,
                                       prop_uniform_bound, reference_path,
                                       uniform_permutation)
-from trotter_shuffle.rows import (ArrayRow, gen_repeated, gen_two_letter,
-                                  random_unit_hermitians, row_stats)
+from trotter_shuffle.rows import (ArrayRow, RegimeSpec, gen_repeated, gen_riemann,
+                                  gen_spiked, gen_two_letter, random_unit_hermitians,
+                                  row_stats)
 
 from oracles import (mp_exp, mp_product_path, random_matrix, sequential_products,
                      svd_norm)
@@ -122,6 +124,45 @@ def test_prefix_products_real_factors_and_empty_order():
     path = prefix_products(np.array([[[2.0]], [[3.0]]]), np.array([0, 1, 1, 0]))
     assert path[:, 0, 0].tolist() == [1, 2, 6, 18, 36]
     assert np.array_equal(prefix_products(np.eye(3)[None], np.arange(0)), np.eye(3)[None])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 48, 49, 50, 8000])
+@pytest.mark.parametrize("real", [False, True])
+def test_prefix_products_2x2_matches_sequential_loop(n, real):
+    # the entry-plane scan at block edges (m^2 - 1, m^2, m^2 + 1 for m = 7)
+    # and at benchmark size, within n d u prod ||F_i|| (u = 2^-53)
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal((16, 2, 2)) + (0 if real else 1j) * rng.standard_normal((16, 2, 2))
+    factors = np.eye(2) + g / op_norms(g)[:, None, None] * (rng.uniform(0.0, 2.0) / n)
+    order = rng.integers(0, 16, size=n)
+    got = prefix_products(factors, order)
+    want = sequential_products(factors, order)
+    assert got.shape == want.shape == (n + 1, 2, 2)
+    assert np.array_equal(got[:2], want[:2])
+    growth = np.cumprod(op_norms(factors)[order]).max()
+    assert op_norms(got - want).max() <= n * 2 * 2.0**-53 * growth
+
+
+def _exp_factors_axis0(row):
+    # the former dedupe: np.unique over rows of the flattened elements
+    uniq, inverse = np.unique(row.elements.reshape(row.n, -1), axis=0, return_inverse=True)
+    return exp_stack(uniq.reshape(-1, row.d, row.d) / row.n)[inverse.ravel()]
+
+
+def test_exp_factors_byte_dedupe_matches_axis0_unique():
+    rows = [gen_riemann(step_family(E12, E21), 400, "permuted", seed=3),
+            gen_riemann(rotation_family(), 300, "iid", seed=4),
+            gen_spiked(500, RegimeSpec(regime="large_linf", delta=1.0),
+                       np.random.default_rng(5), d=3)]
+    signed = np.tile(np.array([[1, 0], [0, -1]], dtype=complex), (60, 1, 1))
+    signed[::3] = np.array([[1, -0.0], [0, -1]])
+    signed[1::3] = np.array([[1, 0], [complex(0, -0.0), -1]])
+    rows.append(ArrayRow(signed))
+    for row in rows:
+        got = exp_factors(row)
+        assert got.shape == (row.n, row.d, row.d)
+        # equal up to the sign of zero entries, which array_equal ignores
+        assert np.array_equal(got, _exp_factors_axis0(row))
 
 
 @pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (3, 3), (7, 2), (16, 2), (17, 3)])
