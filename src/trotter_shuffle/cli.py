@@ -45,18 +45,10 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             doc["n_list"] = [int(x) for x in args.n.split(",") if x.strip()]
         except ValueError as exc:
             raise ConfigError(f"--n: expected comma-separated integers: {exc}") from exc
-    if args.d is not None:
-        doc["d"] = args.d
-    if args.trials is not None:
-        doc["trials"] = args.trials
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.eps is not None:
-        doc["eps"] = args.eps
-    if args.sigma is not None:
-        doc["sigma_mode"] = args.sigma
-    if args.out is not None:
-        doc["out_path"] = args.out
+    for option, name in (("d", "d"), ("trials", "trials"), ("seed", "seed"), ("eps", "eps"),
+                         ("sigma", "sigma_mode"), ("out", "out_path")):
+        if getattr(args, option) is not None:
+            doc[name] = getattr(args, option)
     return ExperimentConfig.from_dict(doc)
 
 

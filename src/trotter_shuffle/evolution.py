@@ -94,8 +94,8 @@ def cocycle_check(spec: PropagatorSpec, r: float) -> float:
 # Built-in generator families for configs and experiments. Each maps an array
 # of times xs, shape (N,), to the (N, d, d) stack of its values.
 
-def constant_family(a) -> Callable[[np.ndarray], np.ndarray]:
-    m = as_matrix(a, "a")
+def constant_family(matrix) -> Callable[[np.ndarray], np.ndarray]:
+    m = as_matrix(matrix, "matrix")
     return lambda xs: np.broadcast_to(m, (len(xs),) + m.shape)
 
 

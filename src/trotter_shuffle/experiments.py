@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -74,29 +75,25 @@ def parse_matrix(spec, what: str) -> np.ndarray:
     raise ConfigError(f"{what}: expected a square matrix of numbers or [re, im] pairs")
 
 
-def _default_generator(kind: str) -> dict:
-    if kind == "regime":
-        return {"name": "spiked", "regime": "large_linf", "delta": 1.0}
-    if kind == "words":
-        return {"name": "multiset", "a": 5, "b": 8}
-    if kind == "evolution":
-        return {"name": "family", "fn": "step", "b": "e12", "c": "e21",
-                "s": 0.0, "t": 1.0, "mode": "permuted"}
-    return {"name": "two_letter", "b": "e12", "c": "e21", "order": "first_half_b"}
+# generator name -> each key its row builder reads, with its default. A
+# generator with an "fn" key also reads the keys of that family, below.
+GENERATOR_DEFAULTS = {
+    "two_letter": {"b": "e12", "c": "e21", "order": "first_half_b", "unit_bound": False},
+    "repeated": {"letters": ["e12", "e21"], "tail": "identity_fill", "unit_bound": False},
+    "constant": {"matrix": "pauli_x"},
+    "spiked": {"regime": "large_linf", "delta": 0.1, "alpha": 0.5, "beta": 0.0, "t": 1.0,
+               "linf": None, "remainder": "random_unit", "fixed_direction": False},
+    "riemann": {"fn": "step", "mode": "ordered"},
+    "multiset": {"a": 5, "b": 8},
+    "family": {"fn": "step", "s": 0.0, "t": 1.0, "mode": "permuted"},
+}
 
-
-_FAMILY_KEYS = {"fn", "matrix", "diag", "b", "c", "split", "scale"}
-
-# generator name -> the keys its runner reads besides "name"
-GENERATOR_KEYS = {
-    "two_letter": {"b", "c", "order", "unit_bound"},
-    "repeated": {"letters", "tail", "unit_bound"},
-    "constant": {"matrix"},
-    "spiked": {"regime", "delta", "alpha", "beta", "t", "linf", "remainder",
-               "fixed_direction"},
-    "riemann": _FAMILY_KEYS | {"mode"},
-    "multiset": {"a", "b"},
-    "family": _FAMILY_KEYS | {"s", "t", "mode"},
+# family fn -> each argument of its factory in evolution.FAMILIES, with its default
+FAMILY_DEFAULTS = {
+    "constant": {"matrix": "pauli_x"},
+    "linear_diagonal": {"diag": [1.0, -1.0]},
+    "step": {"b": "e12", "c": "e21", "split": 0.5},
+    "rotation": {"scale": 1.0},
 }
 
 # generator key -> the values its runner accepts
@@ -106,14 +103,18 @@ GENERATOR_VALUES = {
     "regime": REGIMES, "fn": tuple(evo.FAMILIES)}
 
 _ROW_GENERATORS = ("two_letter", "repeated", "constant", "spiked", "riemann")
+_TWO_LETTER = {"name": "two_letter", "b": "e12", "c": "e21", "order": "first_half_b"}
 
-# kind -> (generator names it runs, keys it reads beyond the generator's own)
-_KIND_GENERATORS = {
-    "converge": (_ROW_GENERATORS, set()),
-    "tail": (_ROW_GENERATORS, {"a"}),
-    "regime": (("spiked",), {"regimes"}),
-    "words": (("multiset",), set()),
-    "evolution": (("family",), set()),
+# kind -> (generator names it runs, keys it reads beyond the generator's own,
+#          the generator of a config that names none, as the sidecar echoes it)
+_KINDS = {
+    "converge": (_ROW_GENERATORS, (), _TWO_LETTER),
+    "tail": (_ROW_GENERATORS, ("a",), _TWO_LETTER),
+    "regime": (("spiked",), ("regimes",), {"name": "spiked", "regime": "large_linf",
+                                           "delta": 1.0}),
+    "words": (("multiset",), (), {"name": "multiset", "a": 5, "b": 8}),
+    "evolution": (("family",), (), {"name": "family", "fn": "step", "b": "e12", "c": "e21",
+                                    "s": 0.0, "t": 1.0, "mode": "permuted"}),
 }
 
 
@@ -121,34 +122,74 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _keys(gen: dict) -> dict:
+    """Each key the builder of a generator with a valid name reads, with its
+    default: its own, and those of its family when it has one."""
+    keys = dict(GENERATOR_DEFAULTS[gen["name"]])
+    fn = gen.get("fn", keys.get("fn"))
+    if "fn" in keys and fn in GENERATOR_VALUES["fn"]:
+        keys.update(FAMILY_DEFAULTS[fn])
+    return keys
+
+
+def _merged(gen: dict) -> dict:
+    """A valid generator over the defaults of its keys, with every number
+    whose default is a float made a float."""
+    keys = _keys(gen)
+    return {**keys, **gen,
+            **{k: float(gen[k]) for k, v in keys.items() if k in gen and isinstance(v, float)}}
+
+
+def _value_error(key: str, value, default) -> str | None:
+    """Why value cannot stand for a generator key with this default, or None."""
+    if key in GENERATOR_VALUES:
+        ok, want = value in GENERATOR_VALUES[key], f"one of {GENERATOR_VALUES[key]}"
+    elif isinstance(default, bool):
+        ok, want = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        ok, want = _is_int(value) and value >= 1, "a positive integer"
+    elif isinstance(default, float) or default is None:
+        ok, want = _is_real(value) or value is default, "a finite number"
+    elif isinstance(default, list):  # letters hold matrices, diag numbers
+        ok = isinstance(value, list) and value != [] and (
+            isinstance(default[0], str) or all(map(_is_real, value)))
+        want = "a non-empty list" + ("" if isinstance(default[0], str) else " of numbers")
+    else:
+        return None  # a matrix: parse_matrix checks it when the row is built
+    return None if ok else f"generator.{key}: {value!r} is not {want}"
+
+
 def _generator_errors(kind: str, gen: dict, ns: list) -> list[str]:
-    """Errors in the generator object of a config of this kind. Runners read
+    """Errors in the generator object of a config of this kind. Builders read
     generator keys with defaults, so a misspelt key is rejected here rather
     than silently running the default."""
-    names, extra = _KIND_GENERATORS[kind]
+    names, extra, _ = _KINDS[kind]
     name = gen["name"]
     if name not in names:
         return [f"generator.name: {name!r} is not one of {names} for kind {kind!r}"]
     errors = []
-    allowed = GENERATOR_KEYS[name] | extra
-    unknown = set(gen) - allowed - {"name"}
+    keys = _keys(gen)
+    unknown = set(gen) - set(keys) - set(extra) - {"name"}
     if unknown:
         errors.append(f"generator: unknown keys {sorted(unknown)} for {name!r}, "
-                      f"expected some of {sorted(allowed)}")
+                      f"expected some of {sorted(set(keys) | set(extra))}")
     regimes = gen.get("regimes") or []
     if not isinstance(regimes, list) or not all(
-            isinstance(r, dict) and set(r) <= GENERATOR_KEYS["spiked"] for r in regimes):
+            isinstance(r, dict) and set(r) <= set(keys) for r in regimes):
         errors.append(f"generator.regimes: must be a list of objects with keys among "
-                      f"{sorted(GENERATOR_KEYS['spiked'])}")
+                      f"{sorted(keys)}")
         regimes = []
-    for key, value in ((k, v) for g in [gen, *regimes] for k, v in g.items()):
-        if key in GENERATOR_VALUES and value not in GENERATOR_VALUES[key]:
-            errors.append(f"generator.{key}: {value!r} is not one of {GENERATOR_VALUES[key]}")
-        elif key in ("unit_bound", "fixed_direction") and not isinstance(value, bool):
-            errors.append(f"generator.{key}: must be true or false, got {value!r}")
-    if name == "multiset" and not all(_is_int(gen.get(k, 1)) and gen.get(k, 1) >= 1 for k in "ab"):
-        errors.append(f"generator.a, generator.b: word shape must be positive integers, "
-                      f"got a={gen.get('a', 5)!r}, b={gen.get('b', 8)!r}")
+    for g in [gen, *regimes]:
+        errors += filter(None, (_value_error(k, v, keys[k]) for k, v in g.items() if k in keys))
+    if name == "family" and not errors:
+        g = _merged(gen)
+        if not 0 <= g["s"] <= g["t"] <= 1:
+            errors.append(f"generator.s, generator.t: need 0 <= s <= t <= 1, "
+                          f"got s={g['s']}, t={g['t']}")
     if name == "two_letter" and any(_is_int(n) and n % 2 for n in ns):
         errors.append(f"n_list: the two_letter generator needs even n, got {ns}")
     a = gen.get("a")
@@ -174,8 +215,8 @@ class ExperimentConfig:
     target: Any = None
 
     def __post_init__(self):
-        if not self.generator:
-            self.generator = _default_generator(self.kind)
+        if not self.generator and self.kind in _KINDS:
+            self.generator = dict(_KINDS[self.kind][2])
         self.validate()
 
     def validate(self) -> None:
@@ -191,8 +232,8 @@ class ExperimentConfig:
             errors.append(f"trials: must be >= 1, got {self.trials}")
         if not _is_int(self.seed) or self.seed < 0:
             errors.append(f"seed: must be a non-negative integer, got {self.seed}")
-        if self.eps is not None and not self.eps > 0:
-            errors.append(f"eps: must be positive when given, got {self.eps}")
+        if self.eps is not None and not (_is_real(self.eps) and self.eps > 0):
+            errors.append(f"eps: must be a positive number when given, got {self.eps!r}")
         if self.sigma_mode not in ("random", "identity"):
             errors.append(f"sigma_mode: {self.sigma_mode!r} is not 'random' or 'identity'")
         if self.block_mode not in ("sqrt_default", "probability", "almost_sure"):
@@ -245,56 +286,35 @@ def _quantiles(values) -> dict:
             "p95": float(np.quantile(arr, 0.95))}
 
 
-def _build_family(gen: dict):
-    name = gen.get("fn", "step")
-    if name == "constant":
-        return evo.constant_family(parse_matrix(gen.get("matrix", "pauli_x"), "generator.matrix"))
-    if name == "linear_diagonal":
-        return evo.linear_diagonal_family(gen.get("diag", [1.0, -1.0]))
-    if name == "step":
-        return evo.step_family(parse_matrix(gen.get("b", "e12"), "generator.b"),
-                               parse_matrix(gen.get("c", "e21"), "generator.c"),
-                               split=float(gen.get("split", 0.5)))
-    if name == "rotation":
-        return evo.rotation_family(scale=float(gen.get("scale", 1.0)))
-    raise ConfigError(f"generator.fn: unknown family {name!r}, "
-                      f"expected one of {sorted(evo.FAMILIES)}")
+def _matrix(g: dict, key: str) -> np.ndarray:
+    return parse_matrix(g[key], f"generator.{key}")
 
 
-def _build_row(cfg: ExperimentConfig, n: int, rng: np.random.Generator) -> ArrayRow:
-    gen = cfg.generator
-    name = gen.get("name")
+def _family(g: dict):
+    """The family of a merged generator, its factory fed from FAMILY_DEFAULTS' keys."""
+    fn = g["fn"]
+    return evo.FAMILIES[fn](**{k: _matrix(g, k) if isinstance(v, str) else g[k]
+                               for k, v in FAMILY_DEFAULTS[fn].items()})
+
+
+def _build_row(g: dict, n: int, rng: np.random.Generator, d: int) -> ArrayRow:
+    """The row of length n of a merged generator."""
+    name = g["name"]
     if name == "two_letter":
-        return gen_two_letter(n, parse_matrix(gen.get("b", "e12"), "generator.b"),
-                              parse_matrix(gen.get("c", "e21"), "generator.c"),
-                              order=gen.get("order", "first_half_b"),
-                              unit_bound=bool(gen.get("unit_bound", False)))
+        return gen_two_letter(n, _matrix(g, "b"), _matrix(g, "c"), g["order"], g["unit_bound"])
     if name == "repeated":
-        letters = [parse_matrix(m, f"generator.letters[{i}]")
-                   for i, m in enumerate(gen.get("letters", ["e12", "e21"]))]
-        return gen_repeated(letters, n, tail=gen.get("tail", "identity_fill"),
-                            unit_bound=bool(gen.get("unit_bound", False)))
+        letters = [parse_matrix(m, f"generator.letters[{i}]") for i, m in enumerate(g["letters"])]
+        return gen_repeated(letters, n, g["tail"], g["unit_bound"])
     if name == "constant":
-        m = parse_matrix(gen.get("matrix", "pauli_x"), "generator.matrix")
-        return gen_repeated([m], n)
+        return gen_repeated([_matrix(g, "matrix")], n)
     if name == "spiked":
-        spec = _regime_spec(gen)
-        return gen_spiked(n, spec, rng, d=cfg.d,
-                          remainder=gen.get("remainder", "random_unit"),
-                          fixed_direction=bool(gen.get("fixed_direction", False)))
-    if name == "riemann":
-        return gen_riemann(_build_family(gen), n, mode=gen.get("mode", "ordered"), seed=rng)
-    raise ConfigError(f"generator.name: unknown generator {name!r}")
+        return gen_spiked(n, _regime_spec(g), rng, d, g["remainder"], g["fixed_direction"])
+    return gen_riemann(_family(g), n, g["mode"], seed=rng)
 
 
-def _regime_spec(gen: dict) -> RegimeSpec:
+def _regime_spec(g: dict) -> RegimeSpec:
     try:
-        return RegimeSpec(regime=gen.get("regime", "large_linf"),
-                          delta=float(gen.get("delta", 0.1)),
-                          alpha=float(gen.get("alpha", 0.5)),
-                          beta=float(gen.get("beta", 0.0)),
-                          t=float(gen.get("t", 1.0)),
-                          linf=(float(gen["linf"]) if gen.get("linf") is not None else None))
+        return RegimeSpec(**{f.name: g[f.name] for f in dataclasses.fields(RegimeSpec)})
     except ValueError as exc:
         raise ConfigError(f"generator: {exc}") from exc
 
@@ -309,121 +329,82 @@ def _grid_ks(n: int) -> list[int]:
     return sorted({round(m * n / 100) for m in range(101)})
 
 
-def _run_converge(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
+# Each runner yields the CSV rows of its kind as tuples in COLUMNS order.
+
+def _run_converge(cfg: ExperimentConfig, blocks: dict):
     kid = _KIND_ID[cfg.kind]
-    cols = COLUMNS[cfg.kind]
+    g = _merged(cfg.generator)
     target_user = parse_matrix(cfg.target, "target") if cfg.target is not None else None
-    records: list[dict] = []
-    sups: dict[int, list[float]] = {}
-    finals: dict[int, list[float]] = {}
     for n in cfg.n_list:
-        row = _build_row(cfg, n, _stream(cfg.seed, kid, n))
+        row = _build_row(g, n, _stream(cfg.seed, kid, n), cfg.d)
         targets = [row_stats(row).mean] + ([target_user] if target_user is not None else [])
         sigmas = (_sigma(cfg, n, _stream(cfg.seed, kid, n, trial)) for trial in range(cfg.trials))
         ks = _grid_ks(n)
         for trial, (rep, *rep_t) in enumerate(path_deviations(row, sigmas, targets)):
             for k in ks:
                 dev_t = float(rep_t[0].deviations[k]) if rep_t else None
-                records.append(dict(zip(cols, (n, trial, k, float(rep.deviations[k]), dev_t,
-                                               None, None))))
-            records.append(dict(zip(cols, (n, trial, None, None, None, rep.sup_dev, rep.slack))))
-            sups.setdefault(n, []).append(rep.sup_dev)
-            finals.setdefault(n, []).append(float(rep.deviations[-1]))
-    summary = {str(n): {"sup_dev": _quantiles(sups[n]), "final_dev": _quantiles(finals[n])}
-               for n in cfg.n_list}
-    return records, summary
+                yield n, trial, k, float(rep.deviations[k]), dev_t, None, None
+            yield n, trial, None, None, None, rep.sup_dev, rep.slack
 
 
-def _run_tail(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
+def _run_tail(cfg: ExperimentConfig, blocks: dict):
+    """Also puts the per-n block summary into blocks."""
     kid = _KIND_ID[cfg.kind]
-    cols = COLUMNS[cfg.kind]
-    records: list[dict] = []
-    summary: dict = {}
+    g = _merged(cfg.generator)
     for n in cfg.n_list:
-        row = _build_row(cfg, n, _stream(cfg.seed, kid, n))
+        row = _build_row(g, n, _stream(cfg.seed, kid, n), cfg.d)
         stats = row_stats(row)
-        a_fixed = cfg.generator.get("a")
-        if a_fixed is not None:
-            scheme = BlockScheme(a=a_fixed, b=n // a_fixed)
-        else:
-            scheme = choose_blocks(n, stats, mode=cfg.block_mode)
+        a = g.get("a")  # validated: None or an integer in [1, min(n_list)]
+        scheme = BlockScheme(a, n // a) if a else choose_blocks(n, stats, mode=cfg.block_mode)
         grid = eps_grid(stats.l1, floor=cfg.eps if cfg.eps else 0.05)
         mean_dev, _ = block_deviation_samples(row, scheme, cfg.trials, (cfg.seed, kid, n), stats)
         v = variance_proxy(row, scheme.a, stats)
-        freqs = []
-        for e in grid:
-            freq = float((mean_dev > e).mean())
-            lemma = lemma_random_bound(n, scheme.a, scheme.b, float(e), stats, row.d)
-            bern = block_bernstein_bound(row, scheme, float(e), stats=stats, v=v)
-            records.append(dict(zip(cols, (n, float(e), freq, bern, lemma, cfg.trials))))
-            freqs.append(freq)
-        summary[str(n)] = {"a": scheme.a, "b": scheme.b, "l1": stats.l1,
-                           "linf": stats.linf, "max_freq": max(freqs)}
-    return records, summary
+        freqs = [float((mean_dev > e).mean()) for e in grid]
+        for e, freq in zip(grid.tolist(), freqs):
+            yield (n, e, freq, block_bernstein_bound(row, scheme, e, stats=stats, v=v),
+                   lemma_random_bound(n, scheme.a, scheme.b, e, stats, row.d), cfg.trials)
+        blocks[str(n)] = {"a": scheme.a, "b": scheme.b, "l1": stats.l1,
+                          "linf": stats.linf, "max_freq": max(freqs)}
 
 
-def _run_regime(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
+def _run_regime(cfg: ExperimentConfig, blocks: dict):
     kid = _KIND_ID[cfg.kind]
-    cols = COLUMNS[cfg.kind]
     gen = cfg.generator
-    regimes = gen.get("regimes") or [gen]
-    records: list[dict] = []
-    sups: dict[tuple, list[float]] = {}
     for n in cfg.n_list:
-        for ri, rgen in enumerate(regimes):
-            spec = _regime_spec({**gen, **rgen})
+        for ri, rgen in enumerate(gen.get("regimes") or [gen]):
+            g = _merged({**gen, **rgen})
+            spec = _regime_spec(g)
             k_n, linf = spiked_parameters(n, spec)
-            sub = dataclasses.replace(cfg, generator={**gen, **rgen, "name": "spiked"})
-            row = _build_row(sub, n, _stream(cfg.seed, kid, n, ri))
+            row = _build_row(g, n, _stream(cfg.seed, kid, n, ri), cfg.d)
             stats = row_stats(row)
             norm_mean = op_norm(stats.mean)
             sigmas = (_sigma(cfg, n, _stream(cfg.seed, kid, n, ri, trial))
                       for trial in range(cfg.trials))
             for trial, (rep,) in enumerate(path_deviations(row, sigmas, [stats.mean])):
-                records.append(dict(zip(cols, (n, spec.regime, trial, k_n, linf, stats.l1,
-                                               norm_mean, rep.sup_dev, rep.slack))))
-                sups.setdefault((n, spec.regime), []).append(rep.sup_dev)
-    summary = {f"{n}:{reg}": _quantiles(v) for (n, reg), v in sups.items()}
-    return records, summary
+                yield (n, spec.regime, trial, k_n, linf, stats.l1, norm_mean,
+                       rep.sup_dev, rep.slack)
 
 
-def _run_words(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
+def _run_words(cfg: ExperimentConfig, blocks: dict):
     kid = _KIND_ID[cfg.kind]
-    cols = COLUMNS[cfg.kind]
-    a, b = cfg.generator.get("a", 5), cfg.generator.get("b", 8)
-    length = a * b
-    records: list[dict] = []
-    taus = []
+    g = _merged(cfg.generator)
+    a, b = g["a"], g["b"]
     for trial in range(cfg.trials):
         w = random_word(a, b, _stream(cfg.seed, kid, trial))
         tv = tau(w)
-        records.append(dict(zip(cols, (trial, tv, transposition_distance(w),
-                                       length * length * tv))))
-        taus.append(tv)
-    summary = {"tau": _quantiles(taus), "a": a, "b": b}
-    return records, summary
+        yield trial, tv, transposition_distance(w), (a * b) ** 2 * tv
 
 
-def _run_evolution(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
+def _run_evolution(cfg: ExperimentConfig, blocks: dict):
     kid = _KIND_ID[cfg.kind]
-    cols = COLUMNS[cfg.kind]
-    gen = cfg.generator
-    fn = _build_family(gen)
-    s = float(gen.get("s", 0.0))
-    t = float(gen.get("t", 1.0))
-    mode = gen.get("mode", "permuted")
-    records: list[dict] = []
-    devs: dict[int, list[float]] = {}
+    g = _merged(cfg.generator)
+    fn = _family(g)
     for n in cfg.n_list:
-        target = mat_exp((t - s) * riemann_reference(fn, n))
-        spec = evo.PropagatorSpec(fn=fn, s=s, t=t, n=n, mode=mode)
+        target = mat_exp((g["t"] - g["s"]) * riemann_reference(fn, n))
+        spec = evo.PropagatorSpec(fn=fn, s=g["s"], t=g["t"], n=n, mode=g["mode"])
         seeds = ((cfg.seed, kid, n, trial) for trial in range(cfg.trials))
         for trial, u in enumerate(evo.propagators(spec, seeds)):
-            dev = float(op_norm(u - target))
-            records.append(dict(zip(cols, (n, trial, dev))))
-            devs.setdefault(n, []).append(dev)
-    summary = {str(n): _quantiles(v) for n, v in devs.items()}
-    return records, summary
+            yield n, trial, float(op_norm(u - target))
 
 
 def riemann_reference(fn, n: int) -> np.ndarray:
@@ -441,10 +422,37 @@ _RUNNERS = {
 }
 
 
+def _quantiles_by(records: list[dict], column: str, *keys: str) -> dict:
+    """Quantiles of the filled cells of a column per value of the key columns,
+    joined by ":", in order of first appearance."""
+    groups: dict = {}
+    for rec in records:
+        if rec[column] is not None:
+            groups.setdefault(":".join(str(rec[k]) for k in keys), []).append(rec[column])
+    return {k: _quantiles(v) for k, v in groups.items()}
+
+
+def _summary(cfg: ExperimentConfig, records: list[dict], blocks: dict) -> dict:
+    """The sidecar summary, read off the records; tail's is its block summary."""
+    if cfg.kind == "tail":
+        return blocks
+    if cfg.kind == "words":
+        g = _merged(cfg.generator)
+        return {"tau": _quantiles([rec["tau"] for rec in records]), "a": g["a"], "b": g["b"]}
+    if cfg.kind == "regime":
+        return _quantiles_by(records, "sup_dev", "n", "regime")
+    if cfg.kind == "evolution":
+        return _quantiles_by(records, "deviation", "n")
+    sups = _quantiles_by(records, "sup_dev", "n")
+    finals = _quantiles_by([rec for rec in records if rec["k"] == rec["n"]], "deviation", "n")
+    return {n: {"sup_dev": sups[n], "final_dev": finals[n]} for n in sups}
+
+
 def run(cfg: ExperimentConfig) -> ExperimentReport:
     cfg.validate()
-    records, summary = _RUNNERS[cfg.kind](cfg)
-    return ExperimentReport(config=cfg, records=records, summary=summary)
+    blocks: dict = {}
+    records = [dict(zip(COLUMNS[cfg.kind], row)) for row in _RUNNERS[cfg.kind](cfg, blocks)]
+    return ExperimentReport(config=cfg, records=records, summary=_summary(cfg, records, blocks))
 
 
 def _cell(value) -> str:

@@ -1,4 +1,4 @@
-"""Dense complex matrix kernel: operator norm, matrix exponential, dilation, commutator.
+"""Dense complex matrix kernel: operator norm and matrix exponential.
 
 Everything here works on plain numpy arrays of shape (d, d) with complex128
 entries, kept dense and small (d is a few dozen at most in practice).
@@ -103,22 +103,3 @@ def exp_stack(batch: np.ndarray, tol: float = 1e-14) -> np.ndarray:
         sel = np.flatnonzero(s > j)
         e[sel] = np.matmul(e[sel], e[sel])
     return e
-
-
-def hermitian_dilation(m) -> np.ndarray:
-    """[[0, M], [M*, 0]]: Hermitian, same operator norm as M."""
-    a = as_matrix(m)
-    d = a.shape[0]
-    h = np.zeros((2 * d, 2 * d), dtype=np.complex128)
-    h[:d, d:] = a
-    h[d:, :d] = a.conj().T
-    return h
-
-
-def commutator(a, b) -> np.ndarray:
-    """AB - BA."""
-    x = as_matrix(a, "a")
-    y = as_matrix(b, "b")
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    return x @ y - y @ x

@@ -67,9 +67,6 @@ class BlockScheme:
     def covered(self) -> int:
         return self.a * self.b
 
-    def blocks(self):
-        return [range(j * self.a, (j + 1) * self.a) for j in range(self.b)]
-
 
 def choose_blocks(n: int, stats: RowStats, mode: str = "sqrt_default") -> BlockScheme:
     """Pick a block size for a row of length n.

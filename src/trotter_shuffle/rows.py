@@ -8,15 +8,13 @@ ensembles, and Riemann samples of a matrix-valued function on [0, 1].
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .linalg import as_matrix, op_norm, op_norms
+from .linalg import as_matrix, op_norms
 
 
 class InfeasibleRegimeError(ValueError):
@@ -92,8 +90,6 @@ class RowStats:
 
 
 def row_stats(row: ArrayRow) -> RowStats:
-    if row.n < 1:
-        raise ValueError("empty row")
     norms = _freeze(op_norms(row.elements))
     return RowStats(mean=_freeze(row.elements.mean(axis=0)),
                     l1=float(norms.mean()), linf=float(norms.max()), norms=norms)
@@ -273,76 +269,6 @@ def gen_spiked(n: int, spec: RegimeSpec, rng: np.random.Generator, d: int = 2,
     return ArrayRow(np.concatenate([spikes, others]))
 
 
-@dataclass(frozen=True)
-class QuantizationPlan:
-    """Outcome of trimming a letter row to near-equal letter frequencies.
-
-    kept lists the retained letter indices; new_multiplicities[j] says how
-    many virtual copies of letter j the reduced alphabet receives; a_out is
-    their total count.
-    """
-
-    c: int
-    alpha: Fraction
-    multiplicities: dict[int, int]
-    kept: tuple[int, ...]
-    new_multiplicities: dict[int, int]
-    a_out: int
-    kept_mass: int = field(default=0)
-    discrepancy: float = field(default=0.0)
-
-
-def frequency_quantize(row: ArrayRow, c: int, alpha: Fraction | float) -> QuantizationPlan:
-    """Reduce a letter row to letters of frequency >= alpha*n/c, with
-    multiplicities rounded down to multiples of that threshold.
-
-    Certifies the two counting facts the construction rests on: the kept
-    letters carry at least (1 - alpha) n of the row, and the weighted mean of
-    the reduced alphabet is within 2*alpha*max_norm of the full row mean.
-    """
-    if row.alphabet is None:
-        raise ValueError("frequency_quantize needs a row with alphabet structure")
-    alpha = Fraction(alpha)  # pass a Fraction (or "p/q" string) for exact rationals
-    if not (0 < alpha < 1):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    n = row.n
-    m = row.alphabet.shape[0]
-    if m > c:
-        raise ValueError(f"alphabet size {m} exceeds the distinct-element budget c = {c}")
-    threshold = alpha * n / c
-    if threshold.denominator != 1 or threshold <= 0:
-        raise ValueError(
-            f"alpha*n/c = {threshold} must be a positive integer (alpha={alpha}, n={n}, c={c})")
-    thr = int(threshold)
-    counts = np.bincount(row.letter_of, minlength=m)
-    multiplicities = {j: int(counts[j]) for j in range(m)}
-    kept = tuple(j for j in range(m) if counts[j] >= thr)
-    new_mult = {j: int(counts[j]) // thr for j in kept}
-    a_out = sum(new_mult.values())
-
-    kept_mass = int(sum(counts[j] for j in kept))
-    if Fraction(kept_mass) < (1 - alpha) * n:
-        raise ArithmeticError("kept letters carry less than (1 - alpha) n of the row")
-    lo = (1 - 2 * alpha) * Fraction(c) / alpha
-    if not (lo <= a_out <= Fraction(c) / alpha):
-        raise ArithmeticError(f"a_out = {a_out} escapes [{lo}, {Fraction(c)/alpha}]")
-
-    weights = np.zeros(m)
-    for j in kept:
-        weights[j] = float(Fraction(new_mult[j]) * alpha / c)
-    reduced_mean = np.einsum("j,jkl->kl", weights, row.alphabet)
-    full_mean = np.einsum("j,jkl->kl", counts / n, row.alphabet)
-    disc = op_norm(reduced_mean - full_mean)
-    max_norm = float(op_norms(row.alphabet).max())
-    if disc > 2.0 * float(alpha) * max_norm + 1e-12:
-        raise ArithmeticError(
-            f"reduced-alphabet mean discrepancy {disc} exceeds 2*alpha*max_norm")
-
-    return QuantizationPlan(c=c, alpha=alpha, multiplicities=multiplicities,
-                            kept=kept, new_multiplicities=new_mult, a_out=a_out,
-                            kept_mass=kept_mass, discrepancy=disc)
-
-
 def gen_riemann(fn: Callable[[np.ndarray], np.ndarray], n: int, mode: str = "ordered",
                 seed: int | tuple[int, ...] | np.random.Generator = 0,
                 unit_bound: bool = False) -> ArrayRow:
@@ -369,35 +295,4 @@ def gen_riemann(fn: Callable[[np.ndarray], np.ndarray], n: int, mode: str = "ord
         raise ValueError(f"fn must return shape ({n}, d, d), got {elements.shape}")
     if unit_bound:
         elements = _unit_rescale(elements)
-    return ArrayRow(elements)
-
-
-def row_to_json(row: ArrayRow) -> str:
-    """Serialize to the {n, d, elements: [[re, im] ...]} document (bit-exact)."""
-    doc = {
-        "n": row.n,
-        "d": row.d,
-        "elements": [[[[z.real, z.imag] for z in r] for r in e] for e in row.elements],
-    }
-    if row.alphabet is not None:
-        doc["alphabet"] = [[[[z.real, z.imag] for z in r] for r in a] for a in row.alphabet]
-        doc["letter_of"] = row.letter_of.tolist()
-    return json.dumps(doc)
-
-
-def row_from_json(text: str) -> ArrayRow:
-    doc = json.loads(text)
-    n, d = doc["n"], doc["d"]
-
-    def unpack(nested, count):
-        arr = np.asarray(nested, dtype=np.float64)
-        if arr.shape != (count, d, d, 2):
-            raise ValueError(f"bad element block shape {arr.shape}")
-        return (arr[..., 0] + 1j * arr[..., 1]).astype(np.complex128)
-
-    elements = unpack(doc["elements"], n)
-    if "alphabet" in doc:
-        alphabet = unpack(doc["alphabet"], len(doc["alphabet"]))
-        return ArrayRow(elements, alphabet=alphabet,
-                        letter_of=np.asarray(doc["letter_of"], dtype=np.int64))
     return ArrayRow(elements)

@@ -1,9 +1,9 @@
 """Matrix concentration tail bounds and their Monte Carlo counterparts.
 
 Implements the Bernstein-type tail bound for sums of bounded centered random
-matrices, uniform sampling without replacement, the union bound over blocks of
-a permuted row, and the empirical block-violation frequencies the bounds are
-compared against.
+matrices, the union bound over blocks of a permuted row, and the per-trial
+worst block deviations whose exceedance frequencies the bounds are compared
+against.
 """
 
 from __future__ import annotations
@@ -47,17 +47,6 @@ def bernstein_tail(q: TailQuery) -> float:
         return 0.0
     val = 2.0 * q.d * math.exp(-(q.eps * q.eps / 2.0) / denom)
     return min(max(val, 0.0), 2.0 * q.d)
-
-
-def sample_without_replacement(pool, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform ordered k-subset of the pool: the first k items of a uniform
-    permutation. With k = len(pool) this is a uniform permutation of the pool.
-    """
-    arr = np.asarray(pool)
-    m = arr.shape[0]
-    if k < 0 or k > m:
-        raise ValueError(f"cannot draw {k} items from a pool of {m}")
-    return arr[rng.permutation(m)[:k]]
 
 
 def variance_proxy(row: ArrayRow, a: int, stats: RowStats | None = None) -> float:
@@ -127,21 +116,6 @@ def block_deviation_samples(row: ArrayRow, scheme: BlockScheme, trials: int,
     return mean_dev, norm_dev
 
 
-@dataclass(frozen=True)
-class BlockTailEstimate:
-    freq_mean_cond: float
-    freq_norm_cond: float
-
-
-def empirical_block_tail(row: ArrayRow, scheme: BlockScheme, eps: float,
-                         trials: int, seed: int) -> BlockTailEstimate:
-    """Fraction of random permutations with some block mean (resp. block norm
-    average) more than eps away from the row statistic."""
-    mean_dev, norm_dev = block_deviation_samples(row, scheme, trials, seed)
-    return BlockTailEstimate(freq_mean_cond=float((mean_dev > eps).mean()),
-                             freq_norm_cond=float((norm_dev > eps).mean()))
-
-
 def block_bernstein_bound(row: ArrayRow, scheme: BlockScheme, eps: float,
                           d: int | None = None, stats: RowStats | None = None,
                           v: float | None = None) -> float:
@@ -163,12 +137,3 @@ def eps_grid(l1: float, points: int = 12, floor: float = 0.05) -> np.ndarray:
     if top <= floor:
         raise ValueError(f"3 L1 = {top} must exceed the grid floor {floor}")
     return np.geomspace(floor, top, points, endpoint=False)
-
-
-def tropp_ward_rate(n: int, stats: RowStats, norm_target: float, d: int,
-                    delta: float) -> float:
-    """Literature comparison rate: (Linf e^{||A||} / sqrt(n)) sqrt(2 e^2 log(d/delta))."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    return (stats.linf * math.exp(norm_target) / math.sqrt(n)) * math.sqrt(
-        2.0 * math.e**2 * math.log(d / delta))

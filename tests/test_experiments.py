@@ -2,6 +2,7 @@ import ast
 import importlib.util
 import itertools
 import json
+import re
 import runpy
 from collections import Counter
 from pathlib import Path
@@ -272,7 +273,8 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field, value", [("n_list", [True, 100]), ("trials", True),
-                                          ("seed", False), ("d", True)])
+                                          ("seed", False), ("d", True), ("eps", True),
+                                          ("eps", "abc")])
 def test_cli_rejects_booleans_as_integers(tmp_path, capsys, field, value):
     cfg = tmp_path / "bool.json"
     cfg.write_text(json.dumps({"kind": "converge", "n_list": [100], field: value,
@@ -328,6 +330,8 @@ def test_cli_two_letter_odd_n_exit_2(tmp_path, capsys, kind, n):
     ("evolution", {"name": "family", "fn": "step", "mdoe": "iid"}, "mdoe"),
     ("evolution", {"name": "riemann", "fn": "step"}, "generator.name"),
     ("converge", {"name": "family"}, "generator.name"),
+    ("evolution", {"name": "family", "fn": "constant", "b": "e12"}, "['b']"),
+    ("converge", {"name": "riemann", "fn": "constant", "b": "e12"}, "['b']"),
 ])
 def test_cli_unknown_generator_key_exit_2(tmp_path, capsys, kind, generator, key):
     cfg = tmp_path / "gen.json"
@@ -351,10 +355,14 @@ def test_cli_unknown_generator_key_exit_2(tmp_path, capsys, kind, generator, key
     ("regime", {"name": "spiked", "regimes": [{"regime": "large_linf", "remainder": "ones"}]},
      "generator.remainder"),
     ("regime", {"name": "spiked", "fixed_direction": "yes"}, "generator.fixed_direction"),
-    ("words", {"name": "multiset", "a": 2.7, "b": 3}, "generator.a, generator.b"),
-    ("words", {"name": "multiset", "a": 2, "b": "3"}, "generator.a, generator.b"),
-    ("words", {"name": "multiset", "a": 0}, "generator.a, generator.b"),
-    ("words", {"name": "multiset", "b": True}, "generator.a, generator.b"),
+    ("words", {"name": "multiset", "a": 2.7, "b": 3}, "generator.a"),
+    ("words", {"name": "multiset", "a": 2, "b": "3"}, "generator.b"),
+    ("words", {"name": "multiset", "a": 0}, "generator.a"),
+    ("words", {"name": "multiset", "b": True}, "generator.b"),
+    ("evolution", {"name": "family", "fn": "step", "split": "x"}, "generator.split"),
+    ("evolution", {"name": "family", "fn": "linear_diagonal", "diag": "ab"}, "generator.diag"),
+    ("evolution", {"name": "family", "s": 0.8, "t": 0.2}, "generator.s, generator.t"),
+    ("converge", {"name": "repeated", "letters": []}, "generator.letters"),
 ])
 def test_cli_bad_generator_value_exit_2(tmp_path, capsys, kind, generator, key):
     cfg = tmp_path / "gen.json"
@@ -379,6 +387,56 @@ def test_every_accepted_generator_value_validates():
 
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("name, fn", [
+    (name, fn) for name, keys in experiments.GENERATOR_DEFAULTS.items()
+    for fn in (experiments.FAMILY_DEFAULTS if "fn" in keys else [None])])
+def test_generator_defaults_validate_and_match_omitted_keys(name, fn):
+    kind = next(k for k, (names, _, _) in experiments._KINDS.items() if name in names)
+    given = {"name": name, **({"fn": fn} if fn else {})}
+    full = {**experiments.GENERATOR_DEFAULTS[name], **experiments.FAMILY_DEFAULTS.get(fn, {}),
+            **given}
+    reports = [run(ExperimentConfig(kind=kind, n_list=[40], trials=2, seed=3, generator=gen))
+               for gen in (given, full)]
+    assert reports[0].records == reports[1].records
+    assert reports[0].summary == reports[1].summary
+
+
+def _readme_section(start: str, end: str) -> str:
+    text = (ROOT / "README.md").read_text()
+    return text[text.index(start):text.index(end)]
+
+
+def _bullets(section: str) -> list[str]:
+    """The bullet items of a README section, each joined onto one line."""
+    return [" ".join(item.split()) for item in section.split("\n- ")[1:]]
+
+
+def test_readme_generators_match_the_table():
+    section = _readme_section("Generators, with the kinds", "Tail configs may fix")
+    documented = {}
+    for item in _bullets(section):
+        name, kinds, keys = re.fullmatch(r"`(\w+)` \(([^)]*)\): (.*)", item).groups()
+        keys = keys.split(". ")[0]  # the first sentence lists the keys
+        documented[name] = (set(re.findall(r"`(\w+)`", kinds)), set(re.findall(r"`(\w+)`", keys)))
+    assert documented == {
+        name: ({k for k, (names, _, _) in experiments._KINDS.items() if name in names},
+               set(keys)) for name, keys in experiments.GENERATOR_DEFAULTS.items()}
+
+    section = _readme_section("The families `fn` names", "Values are checked")
+    families = dict(re.fullmatch(r"`(\w+)`: (.*)\.", item).groups() for item in _bullets(section))
+    assert {fn: set(re.findall(r"`(\w+)`", keys)) for fn, keys in families.items()} == {
+        fn: set(keys) for fn, keys in experiments.FAMILY_DEFAULTS.items()}
+    assert tuple(experiments.FAMILY_DEFAULTS) == experiments.GENERATOR_VALUES["fn"]
+
+    section = " ".join(_readme_section("Named values are checked", "Matrices are").split())
+    clauses = section.split("exit 2. ")[1].rstrip(". ").split("; ")
+    values = {}
+    for clause in clauses:
+        key, rest = re.fullmatch(r"`(\w+)` is (.*)", clause).groups()
+        values[key] = tuple(re.findall(r"`(\w+)`", rest))
+    assert values == experiments.GENERATOR_VALUES
 
 
 def _workload_configs():

@@ -1,10 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from trotter_shuffle.linalg import (commutator, exp_stack, hermitian_dilation,
-                                    mat_exp, op_norm, op_norms)
+from trotter_shuffle.linalg import exp_stack, mat_exp, op_norm, op_norms
 
 from oracles import mp_exp, random_matrix, series_exp, svd_norm
 
@@ -134,37 +131,3 @@ def test_op_norm_delegates_to_op_norms():
     for d in (1, 2, 5):
         m = random_matrix(rng, d, 3.0)
         assert op_norm(m) == op_norms(m[None])[0]
-
-
-def test_hermitian_dilation_examples():
-    assert np.array_equal(hermitian_dilation(np.zeros((3, 3))), np.zeros((6, 6)))
-    h = hermitian_dilation(np.array([[1.0]]))
-    assert np.array_equal(h, np.array([[0, 1], [1, 0]], dtype=complex))
-    assert op_norm(h) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_hermitian_dilation_preserves_norm():
-    rng = np.random.default_rng(8)
-    for _ in range(100):
-        m = random_matrix(rng, int(rng.integers(1, 5)), 3.0)
-        h = hermitian_dilation(m)
-        assert np.array_equal(h, h.conj().T)
-        assert svd_norm(h) == pytest.approx(svd_norm(m), rel=1e-10, abs=1e-12)
-
-
-def test_commutator():
-    a = random_matrix(np.random.default_rng(9), 3, 2.0)
-    assert np.allclose(commutator(a, a), 0.0, atol=1e-14)
-    assert np.allclose(commutator(E12, E21), np.diag([1.0, -1.0]), atol=1e-15)
-    assert np.allclose(commutator(np.diag([1.0, 2]), np.diag([3.0, 4])), 0.0)
-    with pytest.raises(ValueError):
-        commutator(np.eye(2), np.eye(3))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.floats(-3, 3), min_size=8, max_size=8),
-       st.lists(st.floats(-3, 3), min_size=8, max_size=8))
-def test_commutator_norm_bound(xs, ys):
-    a = np.array(xs[:4]).reshape(2, 2) + 1j * np.array(xs[4:]).reshape(2, 2)
-    b = np.array(ys[:4]).reshape(2, 2) + 1j * np.array(ys[4:]).reshape(2, 2)
-    assert op_norm(commutator(a, b)) <= 2 * op_norm(a) * op_norm(b) + 1e-9

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,9 +7,8 @@ from hypothesis import strategies as st
 
 from trotter_shuffle.linalg import op_norm
 from trotter_shuffle.rows import (ArrayRow, InfeasibleRegimeError, RegimeSpec,
-                                  frequency_quantize, gen_repeated, gen_riemann,
-                                  gen_spiked, gen_two_letter, row_from_json,
-                                  row_stats, row_to_json, spiked_parameters)
+                                  gen_repeated, gen_riemann, gen_spiked, gen_two_letter,
+                                  row_stats, spiked_parameters)
 
 from oracles import random_matrix, svd_norm
 
@@ -186,66 +184,6 @@ def test_gen_spiked_zero_remainder_and_fixed_direction():
     assert row_stats(row).l1 == pytest.approx(k * linf / 1000, rel=1e-9)
 
 
-# -- frequency quantization --------------------------------------------------
-
-def _letter_row(counts, rng):
-    letters = np.stack([random_matrix(rng, 2, 1.0) for _ in counts])
-    letter_of = np.repeat(np.arange(len(counts)), counts)
-    return ArrayRow(letters[letter_of], alphabet=letters, letter_of=letter_of)
-
-
-def test_frequency_quantize_exact_divisibility():
-    rng = np.random.default_rng(5)
-    # c = 4 letters, each appearing n/c = 30 times; threshold alpha*n/c = 6
-    row = _letter_row([30, 30, 30, 30], rng)
-    plan = frequency_quantize(row, 4, Fraction(1, 5))
-    assert plan.kept == (0, 1, 2, 3)
-    assert plan.a_out == 4 * (30 // 6) == int(4 / Fraction(1, 5))
-    assert plan.discrepancy <= 1e-12
-
-
-def test_frequency_quantize_single_letter():
-    rng = np.random.default_rng(6)
-    row = _letter_row([120], rng)
-    plan = frequency_quantize(row, 1, Fraction(1, 4))
-    assert plan.kept == (0,)
-    assert plan.new_multiplicities[0] == 120 // 30
-
-
-def test_frequency_quantize_random_multiplicities():
-    rng = np.random.default_rng(7)
-    n, c, alpha = 1200, 6, Fraction(1, 20)
-    counts = rng.multinomial(n, np.ones(c) / c)
-    row = _letter_row(counts.tolist(), rng)
-    plan = frequency_quantize(row, c, alpha)
-    thr = int(alpha * n / c)  # = 10
-    # exhaustive recomputation with integer arithmetic
-    kept = tuple(j for j in range(c) if counts[j] >= thr)
-    assert plan.kept == kept
-    assert plan.multiplicities == {j: int(counts[j]) for j in range(c)}
-    for j in kept:
-        assert plan.new_multiplicities[j] == counts[j] // thr
-    a_out = sum(counts[j] // thr for j in kept)
-    assert plan.a_out == a_out
-    assert sum(counts[j] for j in kept) >= (1 - alpha) * n
-    assert (1 - 2 * alpha) * (c / alpha) <= a_out <= c / alpha
-    # discrepancy bound, recomputed directly
-    reduced = sum((counts[j] // thr) * row.alphabet[j] for j in kept) * float(alpha) / c
-    full = sum(int(counts[j]) * row.alphabet[j] for j in range(c)) / n
-    max_norm = max(svd_norm(row.alphabet[j]) for j in range(c))
-    assert plan.discrepancy == pytest.approx(svd_norm(reduced - full), abs=1e-12)
-    assert plan.discrepancy <= 2 * float(alpha) * max_norm + 1e-12
-
-
-def test_frequency_quantize_rejects_non_integral_threshold():
-    rng = np.random.default_rng(8)
-    row = _letter_row([10, 10], rng)
-    with pytest.raises(ValueError):
-        frequency_quantize(row, 2, Fraction(1, 3))
-    with pytest.raises(ValueError):
-        frequency_quantize(ArrayRow(row.elements), 2, Fraction(1, 5))
-
-
 # -- riemann sampling --------------------------------------------------------
 
 def test_gen_riemann_modes():
@@ -283,19 +221,3 @@ def test_gen_riemann_rejects_bad_fn():
                 lambda xs: np.zeros((len(xs), 2, 3))):
         with pytest.raises(ValueError):
             gen_riemann(bad, 4)
-
-
-# -- serialization -----------------------------------------------------------
-
-def test_row_json_round_trip_bit_exact():
-    rng = np.random.default_rng(9)
-    elems = np.stack([random_matrix(rng, 3, 2.0) for _ in range(7)])
-    row = ArrayRow(elems)
-    back = row_from_json(row_to_json(row))
-    assert np.array_equal(back.elements, row.elements)
-
-    row2 = gen_two_letter(6, E12, E21)
-    back2 = row_from_json(row_to_json(row2))
-    assert np.array_equal(back2.elements, row2.elements)
-    assert np.array_equal(back2.alphabet, row2.alphabet)
-    assert np.array_equal(back2.letter_of, row2.letter_of)
