@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Survey the spiked-norm regimes: spike counts, norms, measured L1, and (at
-desk scale) the permuted-product deviation."""
+"""Spike count k_n and spike norm linf of each spiked-norm regime at the
+paper's scale n = 10^6, from the formulas alone (no row is built).
 
-from trotter_shuffle import ExperimentConfig, RegimeSpec, emit, run, spiked_parameters
+The permuted-product deviations of these regimes at a desk-scale n come from
+`trotter-shuffle regime --config configs/regime_survey.json`.
+"""
 
-SEED = 11
-OUT = "regime_survey.csv"
+from trotter_shuffle import RegimeSpec, spiked_parameters
 
 REGIMES = [
     {"regime": "prob_regime", "delta": 0.1, "linf": 10.0},
@@ -15,31 +16,12 @@ REGIMES = [
     {"regime": "intermediate", "alpha": 0.5, "beta": 0.0, "t": 1.0},
 ]
 
-
-def main() -> None:
-    # formula values at the paper scale n = 1e6 (statistics only)
+if __name__ == "__main__":
     print("n = 1e6 formula survey:")
     for params in REGIMES:
-        spec = RegimeSpec(**{k: v for k, v in params.items()})
+        spec = RegimeSpec(**params)
         try:
             k, linf = spiked_parameters(10**6, spec)
             print(f"  {spec.regime:>13}: k_n = {k:7d}, linf = {linf:10.3f}")
         except ValueError as exc:
             print(f"  {spec.regime:>13}: infeasible ({exc})")
-
-    # product deviations at a desk-scale n
-    cfg = ExperimentConfig(
-        kind="regime", n_list=[20000], trials=11, seed=SEED, out_path=OUT,
-        generator={"name": "spiked",
-                   "regimes": [{"regime": "large_linf", "delta": 1.0},
-                               {"regime": "intermediate", "alpha": 0.5,
-                                "beta": 0.0, "t": 1.0}]})
-    report = run(cfg)
-    emit(report, cfg.out_path)
-    print(f"wrote {OUT}")
-    for key, q in report.summary.items():
-        print(f"  {key}: median sup_dev {q['median']:.4f}")
-
-
-if __name__ == "__main__":
-    main()

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .experiments import KINDS, ConfigError, ExperimentConfig, emit, run
 
@@ -39,7 +40,10 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"config: cannot read {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config: invalid JSON in {args.config}: {exc}") from exc
-    doc["kind"] = args.kind if args.kind else doc.get("kind")
+    if not isinstance(doc, dict):
+        raise ConfigError("config: expected a JSON object")
+    if doc.setdefault("kind", args.kind) != args.kind:
+        raise ConfigError(f"kind: the config is {doc['kind']!r}, the command {args.kind!r}")
     if args.n:
         try:
             doc["n_list"] = [int(x) for x in args.n.split(",") if x.strip()]
@@ -49,7 +53,11 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
                          ("sigma", "sigma_mode"), ("out", "out_path")):
         if getattr(args, option) is not None:
             doc[name] = getattr(args, option)
-    return ExperimentConfig.from_dict(doc)
+    cfg = ExperimentConfig.from_dict(doc)
+    sidecar = Path(cfg.out_path).with_suffix(".json")
+    if args.config and sidecar.resolve() == Path(args.config).resolve():
+        raise ConfigError(f"out_path: its sidecar {sidecar} would overwrite the config file")
+    return cfg
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -57,22 +57,30 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message carries field context."""
 
 
-def parse_matrix(spec, what: str) -> np.ndarray:
-    """A matrix given as a catalog name or nested lists of numbers / [re, im]."""
+def _entries(spec, what: str) -> np.ndarray:
+    """The square array of finite numbers a matrix spec names: a catalog name
+    or nested lists of numbers / [re, im] pairs."""
     if isinstance(spec, str):
         if spec not in _NAMED_MATRICES:
             raise ConfigError(f"{what}: unknown named matrix {spec!r}, "
                               f"expected one of {sorted(_NAMED_MATRICES)}")
-        return as_matrix(_NAMED_MATRICES[spec], what)
+        spec = _NAMED_MATRICES[spec]
     try:
         arr = np.asarray(spec, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{what}: cannot parse matrix: {exc}") from exc
-    if arr.ndim == 3 and arr.shape[-1] == 2 and arr.shape[0] == arr.shape[1]:
-        return as_matrix(arr[..., 0] + 1j * arr[..., 1], what)
-    if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
-        return as_matrix(arr, what)
-    raise ConfigError(f"{what}: expected a square matrix of numbers or [re, im] pairs")
+    if arr.ndim == 3 and arr.shape[-1] == 2:
+        arr = arr[..., 0] + 1j * arr[..., 1]
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
+        raise ConfigError(f"{what}: expected a square matrix of numbers or [re, im] pairs")
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{what}: has non-finite entries")
+    return arr
+
+
+def parse_matrix(spec, what: str) -> np.ndarray:
+    """A matrix given as a catalog name or nested lists of numbers / [re, im]."""
+    return as_matrix(_entries(spec, what), what)
 
 
 # generator name -> each key its row builder reads, with its default. A
@@ -159,11 +167,29 @@ def _value_error(key: str, value, default) -> str | None:
             isinstance(default[0], str) or all(map(_is_real, value)))
         want = "a non-empty list" + ("" if isinstance(default[0], str) else " of numbers")
     else:
-        return None  # a matrix: parse_matrix checks it when the row is built
+        return None  # a matrix: _matrix_errors parses it
     return None if ok else f"generator.{key}: {value!r} is not {want}"
 
 
-def _generator_errors(kind: str, gen: dict, ns: list) -> list[str]:
+def _matrix_errors(g: dict, target) -> list[str]:
+    """Errors in the matrices a merged generator and the target name: each
+    must parse, and all must have the same dimension."""
+    specs = [] if target is None else [("target", target)]
+    for key, default in _keys(g).items():
+        if isinstance(default, list) and isinstance(default[0], str):
+            specs += [(f"generator.{key}[{i}]", m) for i, m in enumerate(g[key])]
+        elif isinstance(default, str) and key not in GENERATOR_VALUES:
+            specs.append((f"generator.{key}", g[key]))
+    try:
+        dims = {what: len(_entries(spec, what)) for what, spec in specs}
+    except ConfigError as exc:
+        return [str(exc)]
+    if len(set(dims.values())) > 1:
+        return [f"{', '.join(dims)}: matrices must have the same dimension, got {dims}"]
+    return []
+
+
+def _generator_errors(kind: str, gen: dict, ns: list, target) -> list[str]:
     """Errors in the generator object of a config of this kind. Builders read
     generator keys with defaults, so a misspelt key is rejected here rather
     than silently running the default."""
@@ -185,6 +211,8 @@ def _generator_errors(kind: str, gen: dict, ns: list) -> list[str]:
         regimes = []
     for g in [gen, *regimes]:
         errors += filter(None, (_value_error(k, v, keys[k]) for k, v in g.items() if k in keys))
+    if not errors:
+        errors += _matrix_errors(_merged(gen), target)
     if name == "family" and not errors:
         g = _merged(gen)
         if not 0 <= g["s"] <= g["t"] <= 1:
@@ -243,9 +271,9 @@ class ExperimentConfig:
         if not isinstance(self.generator, dict) or "name" not in self.generator:
             errors.append("generator: must be an object with a 'name' field")
         elif self.kind in KINDS:
-            errors.extend(_generator_errors(self.kind, self.generator, ns))
-        if not self.out_path:
-            errors.append("out_path: must be non-empty")
+            errors.extend(_generator_errors(self.kind, self.generator, ns, self.target))
+        if not isinstance(self.out_path, str) or not self.out_path:
+            errors.append(f"out_path: must be a non-empty string, got {self.out_path!r}")
         if errors:
             raise ConfigError("; ".join(errors))
 

@@ -137,18 +137,14 @@ def apply_transpositions(letters: np.ndarray, swaps: list[int]) -> np.ndarray:
     return out
 
 
-def tau_tail_bound(a: int, b: int, p: float, exact: bool = True) -> float:
-    """Tail bound for tau exceeding p / sqrt(b) over uniform random words.
-
-    exact: 2 a^2 C(2b, ceil(b - p sqrt(b) + 1)) / C(2b, b).
-    asymptotic surrogate: 2 a^2 e^{-p^2}. Needs p sqrt(b) <= b + 1.
+def tau_tail_bound(a: int, b: int, p: float) -> float:
+    """Tail bound for tau exceeding p / sqrt(b) over uniform random words:
+    2 a^2 C(2b, ceil(b - p sqrt(b) + 1)) / C(2b, b). Needs p sqrt(b) <= b + 1.
     """
     if a < 1 or b < 1 or p <= 0:
         raise ValueError("need a, b >= 1 and p > 0")
     if p * math.sqrt(b) > b + 1:
         raise ValueError(f"p sqrt(b) = {p * math.sqrt(b):.6g} exceeds b + 1 = {b + 1}")
-    if not exact:
-        return 2.0 * a * a * math.exp(-p * p)
     m = math.ceil(b - p * math.sqrt(b) + 1)
     if m < 0:
         return 0.0

@@ -175,7 +175,7 @@ def test_criterion_7_word_layer():
     trials = 10**5
     for p in (0.75, 1.2, 1.65, 2.1, 2.55, 3.0):
         emp = tau_tail_empirical(a, b, p, trials=trials, seed=1071)
-        bound = min(1.0, tau_tail_bound(a, b, p, exact=True))
+        bound = min(1.0, tau_tail_bound(a, b, p))
         ok = ok and emp <= bound + 3 * math.sqrt(0.25 / trials)
     # exhaustive uniformity of induced words at a = b = 2
     import itertools

@@ -164,16 +164,8 @@ def test_tau_tail_bound_values():
     p = 1 / math.sqrt(b)
     assert tau_tail_bound(3, b, p) == pytest.approx(18.0, rel=1e-12)
     assert tau_tail_bound(2, 4, 1.0) == pytest.approx(2 * 4 * (56 / 70), rel=1e-12)
-    assert tau_tail_bound(2, 4, 1.0, exact=False) == pytest.approx(8 * math.exp(-1))
     with pytest.raises(ValueError):
         tau_tail_bound(2, 4, 3.6)  # p sqrt(b) > b + 1
-
-
-def test_tau_tail_bound_exact_vs_asymptotic():
-    for b in (100, 1000, 10000):
-        exact = tau_tail_bound(2, b, 1.5, exact=True)
-        asym = tau_tail_bound(2, b, 1.5, exact=False)
-        assert 0.5 < exact / asym < 2.0
 
 
 def test_tau_tail_empirical_zero_at_max_p():
@@ -198,5 +190,5 @@ def test_tau_tail_empirical_dominated_by_exact_bound():
     trials = 20000
     for p in (1.0, 1.6, 2.2, 2.8):
         emp = tau_tail_empirical(5, 8, p, trials=trials, seed=6)
-        bound = min(1.0, tau_tail_bound(5, 8, p, exact=True))
+        bound = min(1.0, tau_tail_bound(5, 8, p))
         assert emp <= bound + 3 * math.sqrt(0.25 / trials)
