@@ -21,7 +21,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=KINDS, help="experiment kind")
     p.add_argument("--config", metavar="PATH", help="JSON config file")
     p.add_argument("--n", metavar="N[,N...]", help="override n_list (comma-separated)")
-    p.add_argument("--d", type=int, help="override matrix dimension")
+    p.add_argument("--d", type=int, help="override d, the dimension every matrix must have")
     p.add_argument("--trials", type=int, help="override trial count")
     p.add_argument("--seed", type=int, help="override master seed")
     p.add_argument("--eps", type=float, help="override deviation threshold")

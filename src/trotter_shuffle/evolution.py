@@ -8,14 +8,14 @@ function in time order, in permuted order, or i.i.d. from its distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .linalg import as_matrix, op_norm
 from .products import exp_factors, prefix_products
-from .rows import ArrayRow, gen_riemann
+from .rows import gen_riemann
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,6 @@ class PropagatorSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
-def sample_row(spec: PropagatorSpec) -> ArrayRow:
-    return gen_riemann(spec.fn, spec.n, mode=spec.mode, seed=spec.seed)
-
-
 def _grid_index(x: float, n: int) -> int:
     """floor(x n), snapped to the nearest integer when x n lies within 1e-9
     relative of it: 0.29 * 100 is 28.999999999999996 in floating point."""
@@ -48,16 +44,11 @@ def _grid_index(x: float, n: int) -> int:
     return k if abs(xn - k) <= 1e-9 * max(1.0, xn) else math.floor(xn)
 
 
-def propagate(spec: PropagatorSpec, row: ArrayRow | None = None) -> np.ndarray:
+def propagate(spec: PropagatorSpec) -> np.ndarray:
     """Product of exp(A_i/n) over grid positions [s n] .. [t n] - 1 (0-based),
     the discrete propagator from time s to time t; identity when the slice is
-    empty. A prebuilt row (from sample_row) can be reused across calls."""
-    if row is None:
-        return next(propagators(spec, [spec.seed]))
-    if row.n != spec.n:
-        raise ValueError("supplied row length differs from spec.n")
-    i0, i1 = _grid_index(spec.s, spec.n), _grid_index(spec.t, spec.n)
-    return prefix_products(exp_factors(row), np.arange(i0, i1))[-1].copy()
+    empty."""
+    return next(propagators(spec, [spec.seed]))
 
 
 def propagators(spec: PropagatorSpec, seeds):
@@ -82,13 +73,8 @@ def cocycle_check(spec: PropagatorSpec, r: float) -> float:
         raise ValueError(f"r = {r} outside [{spec.s}, {spec.t}]")
     if spec.mode != "ordered":
         raise ValueError("cocycle check is defined for the ordered mode")
-    row = sample_row(spec)
-    n = spec.n
-    i0, im, i1 = (_grid_index(x, n) for x in (spec.s, r, spec.t))
-    factors = exp_factors(row)
-    left, right, whole = (prefix_products(factors, np.arange(a, b))[-1]
-                          for a, b in ((i0, im), (im, i1), (i0, i1)))
-    return op_norm(left @ right - whole)
+    left, right = propagate(replace(spec, t=r)), propagate(replace(spec, s=r))
+    return op_norm(left @ right - propagate(spec))
 
 
 # Built-in generator families for configs and experiments. Each maps an array

@@ -171,17 +171,23 @@ def _value_error(key: str, value, default) -> str | None:
     return None if ok else f"generator.{key}: {value!r} is not {want}"
 
 
-def _matrix_errors(g: dict, target) -> list[str]:
+def _matrix_errors(g: dict, target, d) -> list[str]:
     """Errors in the matrices a merged generator and the target name: each
-    must parse, and all must have the same dimension."""
+    must parse, and all must have the same dimension, which is also that of
+    a diag list and the config's d (the spiked generator's only size)."""
     specs = [] if target is None else [("target", target)]
+    sizes = {}
     for key, default in _keys(g).items():
         if isinstance(default, list) and isinstance(default[0], str):
             specs += [(f"generator.{key}[{i}]", m) for i, m in enumerate(g[key])]
+        elif isinstance(default, list):
+            sizes[f"generator.{key}"] = len(g[key])
         elif isinstance(default, str) and key not in GENERATOR_VALUES:
             specs.append((f"generator.{key}", g[key]))
+    if _is_int(d) and d >= 1 and g["name"] != "multiset":
+        sizes["d"] = d
     try:
-        dims = {what: len(_entries(spec, what)) for what, spec in specs}
+        dims = {what: len(_entries(spec, what)) for what, spec in specs} | sizes
     except ConfigError as exc:
         return [str(exc)]
     if len(set(dims.values())) > 1:
@@ -189,7 +195,7 @@ def _matrix_errors(g: dict, target) -> list[str]:
     return []
 
 
-def _generator_errors(kind: str, gen: dict, ns: list, target) -> list[str]:
+def _generator_errors(kind: str, gen: dict, ns: list, target, d) -> list[str]:
     """Errors in the generator object of a config of this kind. Builders read
     generator keys with defaults, so a misspelt key is rejected here rather
     than silently running the default."""
@@ -212,7 +218,7 @@ def _generator_errors(kind: str, gen: dict, ns: list, target) -> list[str]:
     for g in [gen, *regimes]:
         errors += filter(None, (_value_error(k, v, keys[k]) for k, v in g.items() if k in keys))
     if not errors:
-        errors += _matrix_errors(_merged(gen), target)
+        errors += _matrix_errors(_merged(gen), target, d)
     if name == "family" and not errors:
         g = _merged(gen)
         if not 0 <= g["s"] <= g["t"] <= 1:
@@ -271,7 +277,7 @@ class ExperimentConfig:
         if not isinstance(self.generator, dict) or "name" not in self.generator:
             errors.append("generator: must be an object with a 'name' field")
         elif self.kind in KINDS:
-            errors.extend(_generator_errors(self.kind, self.generator, ns, self.target))
+            errors.extend(_generator_errors(self.kind, self.generator, ns, self.target, self.d))
         if not isinstance(self.out_path, str) or not self.out_path:
             errors.append(f"out_path: must be a non-empty string, got {self.out_path!r}")
         if errors:

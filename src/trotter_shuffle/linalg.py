@@ -69,13 +69,10 @@ def _series_order(x: float, target: float) -> int:
             return k
 
 
-def mat_exp(m, tol: float = 1e-12) -> np.ndarray:
+def mat_exp(m) -> np.ndarray:
     """Matrix exponential of one matrix: exp_stack on a stack of one, with the
-    truncation error after unscaling below tol * e^{||m||}."""
-    a = as_matrix(m)
-    if not (0.0 < tol <= 1e-6):
-        raise ValueError(f"tol must lie in (0, 1e-6], got {tol}")
-    return exp_stack(a[None], tol)[0]
+    truncation error after unscaling below 1e-12 * e^{||m||}."""
+    return exp_stack(as_matrix(m)[None], 1e-12)[0]
 
 
 def exp_stack(batch: np.ndarray, tol: float = 1e-14) -> np.ndarray:

@@ -270,8 +270,7 @@ def gen_spiked(n: int, spec: RegimeSpec, rng: np.random.Generator, d: int = 2,
 
 
 def gen_riemann(fn: Callable[[np.ndarray], np.ndarray], n: int, mode: str = "ordered",
-                seed: int | tuple[int, ...] | np.random.Generator = 0,
-                unit_bound: bool = False) -> ArrayRow:
+                seed: int | tuple[int, ...] | np.random.Generator = 0) -> ArrayRow:
     """Row sampled from a matrix-valued function on [0, 1].
 
     fn maps an array of times, shape (n,), to the stack of its values, shape
@@ -293,6 +292,4 @@ def gen_riemann(fn: Callable[[np.ndarray], np.ndarray], n: int, mode: str = "ord
     elements = np.asarray(fn(xs))
     if elements.ndim != 3 or elements.shape[0] != n or elements.shape[1] != elements.shape[2]:
         raise ValueError(f"fn must return shape ({n}, d, d), got {elements.shape}")
-    if unit_bound:
-        elements = _unit_rescale(elements)
     return ArrayRow(elements)

@@ -9,7 +9,6 @@ against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,35 +17,21 @@ from .products import BlockScheme, block_gaps
 from .rows import ArrayRow, RowStats, row_stats
 
 
-@dataclass(frozen=True)
-class TailQuery:
-    """Parameters of one tail evaluation: threshold eps, summand bound L,
-    variance proxy v (sum of expected squared norms over the k summands),
-    ambient dimension d, sample count k."""
-
-    eps: float
-    L: float
-    v: float
-    d: int
-    k: int
-
-    def __post_init__(self):
-        if min(self.eps, self.L, self.v) < 0 or self.d < 1 or self.k < 0:
-            raise ValueError("tail query fields must be non-negative with d >= 1")
-
-
-def bernstein_tail(q: TailQuery) -> float:
-    """2 d exp(-(eps^2/2) / (v + L eps / 3)), clamped to [0, 2d].
+def bernstein_tail(eps: float, L: float, v: float, d: int) -> float:
+    """2 d exp(-(eps^2/2) / (v + L eps / 3)), clamped to [0, 2d]: the tail of
+    a sum of centered matrices of dimension d, each of norm at most L, whose
+    variance proxy (sum of expected squared norms) is v.
 
     A zero denominator with eps > 0 means the sum is deterministic: returns 0.
     """
-    denom = q.v + q.L * q.eps / 3.0
-    if q.eps == 0.0:
-        return 2.0 * q.d
+    if min(eps, L, v) < 0 or d < 1:
+        raise ValueError("eps, L, v must be non-negative and d >= 1")
+    denom = v + L * eps / 3.0
+    if eps == 0.0:
+        return 2.0 * d
     if denom == 0.0:
         return 0.0
-    val = 2.0 * q.d * math.exp(-(q.eps * q.eps / 2.0) / denom)
-    return min(max(val, 0.0), 2.0 * q.d)
+    return min(max(2.0 * d * math.exp(-(eps * eps / 2.0) / denom), 0.0), 2.0 * d)
 
 
 def variance_proxy(row: ArrayRow, a: int, stats: RowStats | None = None) -> float:
@@ -64,31 +49,16 @@ def variance_proxy(row: ArrayRow, a: int, stats: RowStats | None = None) -> floa
     return v
 
 
-def lemma_random_bound(n: int, a: int, b: int, eps: float, stats: RowStats,
-                       d: int, rescaled: bool = False) -> float:
+def lemma_random_bound(n: int, a: int, b: int, eps: float, stats: RowStats, d: int) -> float:
     """Union tail bound for some block mean straying more than eps from A_n:
-
-        b * 2d * exp(-(a eps^2 / 12) / (L1 Linf))            (rescaled=False)
-        b * 2d * exp(-(a eps^2 / 12) / (L1 Linf e^{2 L1}))   (rescaled=True)
-
-    The raw form needs eps < 3 L1; the rescaled form (for thresholds carrying
-    the e^{L1} weight of the block conditions) needs eps e^{-L1} < 3 L1.
-    """
+    b * 2d * exp(-(a eps^2 / 12) / (L1 Linf)), valid for eps < 3 L1."""
     if min(n, a, b) < 1 or d < 1:
         raise ValueError("n, a, b, d must be >= 1")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if not rescaled:
-        if not eps < 3.0 * stats.l1:
-            raise ValueError(f"precondition eps < 3 L1 violated: {eps} >= {3.0 * stats.l1}")
-        scale = stats.l1 * stats.linf
-    else:
-        if not eps * math.exp(-stats.l1) < 3.0 * stats.l1:
-            raise ValueError(
-                f"precondition eps e^(-L1) < 3 L1 violated: "
-                f"{eps * math.exp(-stats.l1)} >= {3.0 * stats.l1}")
-        scale = stats.l1 * stats.linf * math.exp(2.0 * stats.l1)
-    return b * 2.0 * d * math.exp(-(a * eps * eps / 12.0) / scale)
+    if not eps < 3.0 * stats.l1:
+        raise ValueError(f"precondition eps < 3 L1 violated: {eps} >= {3.0 * stats.l1}")
+    return b * 2.0 * d * math.exp(-(a * eps * eps / 12.0) / (stats.l1 * stats.linf))
 
 
 def block_deviation_samples(row: ArrayRow, scheme: BlockScheme, trials: int,
@@ -117,23 +87,17 @@ def block_deviation_samples(row: ArrayRow, scheme: BlockScheme, trials: int,
 
 
 def block_bernstein_bound(row: ArrayRow, scheme: BlockScheme, eps: float,
-                          d: int | None = None, stats: RowStats | None = None,
-                          v: float | None = None) -> float:
+                          stats: RowStats, v: float) -> float:
     """Union-over-blocks Bernstein bound before the L1 Linf simplifications:
     b * tail(a*eps) with summand bound 2 Linf and the row's variance proxy.
-    stats and v, when given, are row_stats(row) and
-    variance_proxy(row, scheme.a), computed once for many eps."""
-    stats = stats or row_stats(row)
-    if v is None:
-        v = variance_proxy(row, scheme.a, stats)
-    q = TailQuery(eps=scheme.a * eps, L=2.0 * stats.linf, v=v,
-                  d=d if d is not None else row.d, k=scheme.a)
-    return scheme.b * bernstein_tail(q)
+    stats and v are row_stats(row) and variance_proxy(row, scheme.a),
+    computed once for many eps."""
+    return scheme.b * bernstein_tail(scheme.a * eps, 2.0 * stats.linf, v, row.d)
 
 
-def eps_grid(l1: float, points: int = 12, floor: float = 0.05) -> np.ndarray:
-    """Geometric grid over [floor, 3 L1), the validity range of the block bound."""
+def eps_grid(l1: float, floor: float = 0.05) -> np.ndarray:
+    """12 geometric points over [floor, 3 L1), the validity range of the block bound."""
     top = 3.0 * l1
     if top <= floor:
         raise ValueError(f"3 L1 = {top} must exceed the grid floor {floor}")
-    return np.geomspace(floor, top, points, endpoint=False)
+    return np.geomspace(floor, top, 12, endpoint=False)

@@ -118,7 +118,8 @@ def transposition_distance(w: Word) -> int:
 def transpositions_to_standard(w: Word) -> list[int]:
     """Explicit swap schedule: swapping positions (p, p+1) for each listed p,
     in order, transforms the word into the standard word. Its length equals
-    transposition_distance(w)."""
+    transposition_distance(w). Insertion sort: O(L^2) time and a list of up to
+    L(L-1)/2 swaps for a word of length L = a*b."""
     ranks = _target_ranks(w).tolist()
     swaps: list[int] = []
     for i in range(1, len(ranks)):
@@ -152,8 +153,10 @@ def tau_tail_bound(a: int, b: int, p: float) -> float:
     return 2.0 * a * a * float(ratio)
 
 
-def tau_tail_empirical(a: int, b: int, p: float, trials: int, seed: int,
-                       _chunk: int = 4096) -> float:
+_TRIAL_CHUNK = 4096  # random words drawn per batch in tau_tail_empirical
+
+
+def tau_tail_empirical(a: int, b: int, p: float, trials: int, seed: int) -> float:
     """Frequency of tau(w) > p / sqrt(b) over uniform random words."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -163,7 +166,7 @@ def tau_tail_empirical(a: int, b: int, p: float, trials: int, seed: int,
     hits = 0
     done = 0
     while done < trials:
-        c = min(_chunk, trials - done)
+        c = min(_TRIAL_CHUNK, trials - done)
         keys = rng.random((c, length))
         perm = np.argsort(keys, axis=1)
         letters = base[perm]  # each row a uniform multiset arrangement

@@ -7,10 +7,11 @@ import pytest
 from trotter_shuffle.evolution import (PropagatorSpec, cocycle_check,
                                        constant_family, linear_diagonal_family,
                                        propagate, propagators, rotation_family,
-                                       sample_row, step_family)
+                                       step_family)
 from trotter_shuffle.experiments import riemann_reference
 from trotter_shuffle.linalg import mat_exp, op_norm
-from trotter_shuffle.rows import row_stats
+from trotter_shuffle.products import exp_factors, prefix_products
+from trotter_shuffle.rows import gen_riemann, row_stats
 
 from oracles import random_matrix, svd_norm
 
@@ -69,12 +70,17 @@ def test_riemann_integral():
 def test_propagators_match_per_seed_propagate(name, mode):
     fn = FAMILY_CASES[name][0]
     seeds = [0, 3, (7, 1, 100, 2)]
-    for s, t in ((0.0, 1.0), (0.25, 0.75), (0.29, 0.58)):
+    # grid slices [s n, t n) at n = 100, written out: 0.29 * 100 < 29 in floating point
+    for (s, t), (i0, i1) in zip(((0.0, 1.0), (0.25, 0.75), (0.29, 0.58)),
+                                ((0, 100), (25, 75), (29, 58))):
         spec = PropagatorSpec(fn=fn, s=s, t=t, n=100, mode=mode)
         for seed, u in zip(seeds, propagators(spec, seeds), strict=True):
             one = dataclasses.replace(spec, seed=seed)
             assert np.array_equal(u, propagate(one))
-            assert np.array_equal(u, propagate(one, row=sample_row(one)))
+            # independent of the shared grid: the row this seed samples, scanned in place
+            row = gen_riemann(fn, 100, mode, seed)
+            ref = prefix_products(exp_factors(row), np.arange(i0, i1))[-1]
+            assert np.array_equal(u, ref)
 
 
 def test_propagate_constant_family():
@@ -118,10 +124,10 @@ def test_propagate_interval_and_empty_slice():
     # commuting family on an aligned subinterval: product = exp(mean * length)
     fn2 = linear_diagonal_family([1.0, -0.5])
     spec2 = PropagatorSpec(fn=fn2, s=0.25, t=0.75, n=400, mode="ordered")
-    row = sample_row(spec2)
+    row = gen_riemann(fn2, 400, "ordered", spec2.seed)
     i0, i1 = 100, 300
     mean = row.elements[i0:i1].mean(axis=0)
-    u = propagate(spec2, row=row)
+    u = propagate(spec2)
     assert svd_norm(u - mat_exp(0.5 * mean)) <= 1e-8 * math.e
 
 
@@ -129,17 +135,15 @@ def test_propagate_commuting_family_all_modes():
     fn = linear_diagonal_family([0.8, -0.3])
     for mode in ("ordered", "permuted", "iid"):
         spec = PropagatorSpec(fn=fn, n=500, mode=mode, seed=11)
-        row = sample_row(spec)
-        mean = row.elements.mean(axis=0)
-        u = propagate(spec, row=row)
+        mean = gen_riemann(fn, 500, mode, 11).elements.mean(axis=0)
+        u = propagate(spec)
         assert svd_norm(u - mat_exp(mean)) <= 1e-8 * math.exp(1.0)
 
 
 def test_sampled_linf_never_exceeds_family_sup():
     fn = rotation_family(scale=1.7)
     for mode in ("permuted", "iid"):
-        spec = PropagatorSpec(fn=fn, n=256, mode=mode, seed=5)
-        stats = row_stats(sample_row(spec))
+        stats = row_stats(gen_riemann(fn, 256, mode, 5))
         assert stats.linf <= 1.7 + 1e-12
 
 
@@ -159,6 +163,17 @@ def test_cocycle_check():
         cocycle_check(spec, 1.5)
     with pytest.raises(ValueError):
         cocycle_check(PropagatorSpec(fn=fn, n=400, mode="permuted"), 0.5)
+
+
+@pytest.mark.parametrize("r, im", [(0.29, 29), (0.5, 50), (0.58, 58)])
+def test_cocycle_check_matches_three_slice_construction(r, im):
+    # U(0, r) U(r, 1) - U(0, 1) built from one ordered row at n = 100
+    fn = step_family(E12, E21, split=0.29)
+    factors = exp_factors(gen_riemann(fn, 100, "ordered"))
+    left, right, whole = (prefix_products(factors, np.arange(a, b))[-1]
+                          for a, b in ((0, im), (im, 100), (0, 100)))
+    spec = PropagatorSpec(fn=fn, n=100, mode="ordered")
+    assert cocycle_check(spec, r) == op_norm(left @ right - whole)
 
 
 def test_propagator_spec_validation():

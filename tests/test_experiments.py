@@ -296,6 +296,11 @@ MATRIX_3X3 = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
      "generator.letters[0], generator.letters[1]"),
     ("converge", {"target": MATRIX_3X3}, "target, generator.b, generator.c"),
     ("converge", {"target": [[0, float("inf")], [0, 0]]}, "target"),
+    # d is the dimension of every matrix too, not only of spiked rows
+    ("converge", {"d": 3}, "generator.b, generator.c, d"),
+    ("converge", {"generator": {"name": "spiked"}, "target": MATRIX_3X3}, "target, d"),
+    ("converge", {"generator": {"name": "riemann", "fn": "linear_diagonal", "diag": [1, 2, 3]},
+                  "target": "e12"}, "target, generator.diag, d"),
 ])
 def test_cli_invalid_field_exit_2(tmp_path, capsys, kind, fields, key):
     cfg = tmp_path / "cfg.json"

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from trotter_shuffle.products import BlockScheme
 from trotter_shuffle.rows import ArrayRow, gen_two_letter, row_stats
-from trotter_shuffle.tails import (TailQuery, bernstein_tail, block_deviation_samples,
-                                   eps_grid, lemma_random_bound, variance_proxy)
+from trotter_shuffle.tails import (bernstein_tail, block_deviation_samples, eps_grid,
+                                   lemma_random_bound, variance_proxy)
 
 from oracles import random_matrix, svd_norm
 
@@ -18,22 +18,28 @@ E21 = np.array([[0, 0], [1, 0]], dtype=complex)
 
 
 def test_bernstein_vacuous_at_zero_eps():
-    assert bernstein_tail(TailQuery(eps=0.0, L=1.0, v=1.0, d=3, k=5)) == 6.0
+    assert bernstein_tail(0.0, 1.0, 1.0, 3) == 6.0
 
 
 def test_bernstein_value():
-    q = TailQuery(eps=1.0, L=1.0, v=1.0, d=2, k=5)
-    assert bernstein_tail(q) == pytest.approx(4 * math.exp(-0.375), rel=1e-12)
+    assert bernstein_tail(1.0, 1.0, 1.0, 2) == pytest.approx(4 * math.exp(-0.375), rel=1e-12)
 
 
 def test_bernstein_deterministic_sum():
-    assert bernstein_tail(TailQuery(eps=0.5, L=0.0, v=0.0, d=2, k=5)) == 0.0
+    assert bernstein_tail(0.5, 0.0, 0.0, 2) == 0.0
+
+
+@pytest.mark.parametrize("eps, L, v, d", [(-0.1, 1.0, 1.0, 2), (1.0, -1.0, 1.0, 2),
+                                          (1.0, 1.0, -1.0, 2), (1.0, 1.0, 1.0, 0)])
+def test_bernstein_rejects_negative_input(eps, L, v, d):
+    with pytest.raises(ValueError, match="non-negative"):
+        bernstein_tail(eps, L, v, d)
 
 
 def test_bernstein_eps_doubling_with_pure_l_term():
     # with v = 0 the exponent magnitude is linear in eps
-    q1 = bernstein_tail(TailQuery(eps=1.0, L=1.0, v=0.0, d=1, k=1))
-    q2 = bernstein_tail(TailQuery(eps=2.0, L=1.0, v=0.0, d=1, k=1))
+    q1 = bernstein_tail(1.0, 1.0, 0.0, 1)
+    q2 = bernstein_tail(2.0, 1.0, 0.0, 1)
     e1 = -math.log(q1 / 2.0)
     e2 = -math.log(q2 / 2.0)
     assert e2 == pytest.approx(2 * e1, rel=1e-12)
@@ -42,12 +48,12 @@ def test_bernstein_eps_doubling_with_pure_l_term():
 @settings(max_examples=60, deadline=None)
 @given(st.floats(0.01, 5), st.floats(0.01, 5), st.floats(0, 5), st.integers(1, 8))
 def test_bernstein_monotonicity(eps, L, v, d):
-    base = bernstein_tail(TailQuery(eps=eps, L=L, v=v, d=d, k=3))
+    base = bernstein_tail(eps, L, v, d)
     assert 0.0 <= base <= 2 * d
-    assert bernstein_tail(TailQuery(eps=eps * 1.5, L=L, v=v, d=d, k=3)) <= base
-    assert bernstein_tail(TailQuery(eps=eps, L=L * 1.5, v=v, d=d, k=3)) >= base
-    assert bernstein_tail(TailQuery(eps=eps, L=L, v=v + 1, d=d, k=3)) >= base
-    assert bernstein_tail(TailQuery(eps=eps, L=L, v=v, d=d + 1, k=3)) >= base
+    assert bernstein_tail(eps * 1.5, L, v, d) <= base
+    assert bernstein_tail(eps, L * 1.5, v, d) >= base
+    assert bernstein_tail(eps, L, v + 1, d) >= base
+    assert bernstein_tail(eps, L, v, d + 1) >= base
 
 
 def test_variance_proxy_constant_row():
@@ -86,12 +92,6 @@ def test_lemma_random_bound_values_and_errors():
     assert lemma_random_bound(10**4, 200, 100, 1.0, stats, 2) < val
     with pytest.raises(ValueError, match="3 L1"):
         lemma_random_bound(10**4, 100, 100, 3.0, stats, 2)
-    # rescaled variant swaps the scale and the precondition
-    val_r = lemma_random_bound(10**4, 100, 100, 1.0, stats, 2, rescaled=True)
-    assert val_r == pytest.approx(400 * math.exp(-100 / (12 * math.e**2)), rel=1e-12)
-    with pytest.raises(ValueError, match="e"):
-        lemma_random_bound(10**4, 100, 100, 3.0 * math.exp(1.0) + 0.1, stats, 2,
-                           rescaled=True)
 
 
 def test_empirical_block_tail_constant_row():
