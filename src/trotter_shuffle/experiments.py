@@ -28,7 +28,7 @@ from .rows import (REGIMES, ArrayRow, RegimeSpec, gen_repeated, gen_riemann, gen
                    gen_two_letter, row_stats, spiked_parameters)
 from .tails import (block_bernstein_bound, block_deviation_samples, eps_grid,
                     lemma_random_bound, variance_proxy)
-from .words import random_word, tau, transposition_distance
+from .words import random_word, word_statistics
 
 PACKAGE_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
@@ -104,6 +104,9 @@ FAMILY_DEFAULTS = {
     "rotation": {"scale": 1.0},
 }
 
+# family fn -> the dimension of its matrices, for a family whose keys do not set it
+FAMILY_DIMS = {"rotation": 2}
+
 # generator key -> the values its runner accepts
 GENERATOR_VALUES = {
     "order": ("first_half_b", "interleaved"), "tail": ("identity_fill", "repeat_first"),
@@ -172,9 +175,9 @@ def _value_error(key: str, value, default) -> str | None:
 
 
 def _matrix_errors(g: dict, target, d) -> list[str]:
-    """Errors in the matrices a merged generator and the target name: each
-    must parse, and all must have the same dimension, which is also that of
-    a diag list and the config's d (the spiked generator's only size)."""
+    """Errors in the matrices a merged generator and the target name: each must
+    parse, and all must have the same dimension, which is also that of a diag
+    list, a FAMILY_DIMS family and the config's d (the spiked generator's size)."""
     specs = [] if target is None else [("target", target)]
     sizes = {}
     for key, default in _keys(g).items():
@@ -184,6 +187,8 @@ def _matrix_errors(g: dict, target, d) -> list[str]:
             sizes[f"generator.{key}"] = len(g[key])
         elif isinstance(default, str) and key not in GENERATOR_VALUES:
             specs.append((f"generator.{key}", g[key]))
+    if g.get("fn") in FAMILY_DIMS:
+        sizes["generator.fn"] = FAMILY_DIMS[g["fn"]]
     if _is_int(d) and d >= 1 and g["name"] != "multiset":
         sizes["d"] = d
     try:
@@ -424,9 +429,8 @@ def _run_words(cfg: ExperimentConfig, blocks: dict):
     g = _merged(cfg.generator)
     a, b = g["a"], g["b"]
     for trial in range(cfg.trials):
-        w = random_word(a, b, _stream(cfg.seed, kid, trial))
-        tv = tau(w)
-        yield trial, tv, transposition_distance(w), (a * b) ** 2 * tv
+        tv, distance = word_statistics(random_word(a, b, _stream(cfg.seed, kid, trial)))
+        yield trial, tv, distance, (a * b) ** 2 * tv
 
 
 def _run_evolution(cfg: ExperimentConfig, blocks: dict):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix, exp_stack, op_norm, op_norms
-from .rows import ArrayRow, RowStats, row_stats
+from .rows import ArrayRow, RowStats
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,18 +223,41 @@ def path_deviation(row: ArrayRow, sigma: Permutation, target) -> PathReport:
     return next(path_deviations(row, [sigma], [target]))[0]
 
 
-def block_gaps(row: ArrayRow, stats: RowStats, order: np.ndarray,
-               scheme: BlockScheme) -> tuple[float, float]:
-    """Largest ||block mean - A_n|| and largest |block norm-mean - L1| over the
-    b consecutive blocks of the row read in the given order.
+_CHUNK_BLOCKS = 4096  # block means per op_norms call in block_gaps (whole trials, at least one)
 
-    stats is row_stats(row); positions past a*b are ignored.
+
+def block_gaps(row: ArrayRow, stats: RowStats, orders,
+               scheme: BlockScheme) -> tuple[np.ndarray, np.ndarray]:
+    """Largest ||block mean - A_n|| and largest |block norm-mean - L1| over the
+    b consecutive blocks of the row read in each order of the iterable
+    orders; two arrays with one entry per order.
+
+    stats is row_stats(row); positions past a*b are ignored. Each order is
+    reduced as it arrives to the (b, 2d^2 + 1) block sums of entries and
+    norms: letter counts per block (one bincount) times the alphabet and its
+    norms on a letter row, else an add.reduceat of the permuted entries. The
+    complex sums are divided by a as mean() does, and the block means of up
+    to _CHUNK_BLOCKS share one op_norms call.
     """
-    idx = order[: scheme.covered]
-    blocks = row.elements[idx].reshape(scheme.b, scheme.a, row.d, row.d)
-    mean_gap = float(op_norms(blocks.mean(axis=1) - stats.mean).max())
-    norms = stats.norms[idx].reshape(scheme.b, scheme.a)
-    return mean_gap, float(np.abs(norms.mean(axis=1) - stats.l1).max())
+    a, b, d, letters = scheme.a, scheme.b, row.d, row.alphabet
+    src = row.elements if letters is None else letters
+    table = np.column_stack([src.reshape(len(src), -1).view(np.float64),
+                             stats.norms if letters is None else op_norms(letters)])
+    offsets = np.repeat(len(src) * np.arange(b), a)  # a letter's bin in its block
+
+    def block_sums(idx):
+        if letters is None:
+            return np.add.reduceat(np.take(table, idx, axis=0), np.arange(0, a * b, a))
+        counts = np.bincount(np.take(row.letter_of, idx) + offsets, minlength=len(src) * b)
+        return counts.reshape(b, -1) @ table
+
+    orders, per_chunk, gaps = iter(orders), max(1, _CHUNK_BLOCKS // b), []
+    while chunk := [block_sums(o[:a * b]) for o in itertools.islice(orders, per_chunk)]:
+        sums = np.stack(chunk)
+        means = np.ascontiguousarray(sums[..., :-1]).view(np.complex128).reshape(-1, b, d, d) / a
+        gaps.append((op_norms(means - stats.mean).max(axis=1),
+                     np.abs(sums[..., -1] / a - stats.l1).max(axis=1)))
+    return tuple(map(np.concatenate, zip(*gaps)))
 
 
 @dataclass(frozen=True)
@@ -245,21 +268,20 @@ class BlockConditionReport:
 
 
 def check_block_conditions(row: ArrayRow, sigma: Permutation, scheme: BlockScheme,
-                           eps: float) -> BlockConditionReport:
+                           eps: float, stats: RowStats) -> BlockConditionReport:
     """Worst block-average gaps of the permuted row, in the e^{L1}-weighted form.
 
     worst_mean_gap  = max_j ||mean_{i in V_j} A_{sigma(i)} - A_n|| e^{L1}
     worst_norm_gap  = max_j |mean_{i in V_j} ||A_{sigma(i)}|| - L1| e^{L1}
     ok means both are <= eps. Positions past a*b are ignored here (the path
-    bound handles them as a separate tail).
+    bound handles them as a separate tail). stats is row_stats(row).
     """
     if sigma.n != row.n:
         raise ValueError("permutation size mismatch")
     if scheme.covered > row.n:
         raise ValueError(f"scheme covers {scheme.covered} > n = {row.n}")
-    stats = row_stats(row)
-    scale = math.exp(stats.l1)
-    mean_gap, norm_gap = (g * scale for g in block_gaps(row, stats, sigma.order, scheme))
+    gaps = block_gaps(row, stats, [sigma.order], scheme)
+    mean_gap, norm_gap = (float(g[0]) * math.exp(stats.l1) for g in gaps)
     return BlockConditionReport(ok=(mean_gap <= eps and norm_gap <= eps),
                                 worst_mean_gap=mean_gap, worst_norm_gap=norm_gap)
 

@@ -77,13 +77,8 @@ def block_deviation_samples(row: ArrayRow, scheme: BlockScheme, trials: int,
     if scheme.covered > row.n:
         raise ValueError("scheme does not fit the row")
     key = (seed,) if isinstance(seed, int) else tuple(seed)
-    stats = stats or row_stats(row)
-    mean_dev = np.empty(trials)
-    norm_dev = np.empty(trials)
-    for t in range(trials):
-        order = np.random.default_rng([*key, t]).permutation(row.n)
-        mean_dev[t], norm_dev[t] = block_gaps(row, stats, order, scheme)
-    return mean_dev, norm_dev
+    orders = (np.random.default_rng([*key, t]).permutation(row.n) for t in range(trials))
+    return block_gaps(row, stats or row_stats(row), orders, scheme)
 
 
 def block_bernstein_bound(row: ArrayRow, scheme: BlockScheme, eps: float,

@@ -72,10 +72,11 @@ def restrict_word(sigma: Permutation, n: int, a: int, b: int) -> Word:
 def _prefix_counts(letters: np.ndarray, a: int) -> np.ndarray:
     """Prefix counts along the last axis of a (..., L) batch of letter rows:
     out[..., i, j] = occurrences of letter i among the first j letters;
-    shape (..., a, L+1)."""
+    shape (..., a, L+1). int32: a count is at most the multiplicity b, and
+    numpy sums int32 arrays in int64."""
     onehot = letters[..., None, :] == np.arange(a)[:, None]
-    out = np.zeros(letters.shape[:-1] + (a, letters.shape[-1] + 1), dtype=np.int64)
-    np.cumsum(onehot, axis=-1, out=out[..., 1:])
+    out = np.zeros(letters.shape[:-1] + (a, letters.shape[-1] + 1), dtype=np.int32)
+    np.cumsum(onehot, axis=-1, dtype=np.int32, out=out[..., 1:])
     return out
 
 
@@ -85,11 +86,15 @@ def prefix_counts(w: Word) -> np.ndarray:
     return _prefix_counts(w.letters, w.alphabet_size)
 
 
+def _tau(pc: np.ndarray, b: int):
+    """(max prefix-count discrepancy between letters + 1) / b of each
+    (a, L+1) prefix-count array in a (..., a, L+1) batch."""
+    return ((pc.max(axis=-2) - pc.min(axis=-2)).max(axis=-1) + 1) / b
+
+
 def tau(w: Word) -> float:
     """(max prefix-count discrepancy between letters + 1) / b."""
-    pc = prefix_counts(w)
-    disc = int((pc.max(axis=0) - pc.min(axis=0)).max())
-    return (disc + 1) / w.multiplicity
+    return float(_tau(prefix_counts(w), w.multiplicity))
 
 
 def _target_ranks(w: Word) -> np.ndarray:
@@ -108,11 +113,17 @@ def transposition_distance(w: Word) -> int:
     m' = m and l' > l. With c occurrences of l' so far, that makes
     max(0, c - m - [l' < l]) inversions.
     """
-    before = prefix_counts(w)[:, :-1]
+    return word_statistics(w)[1]
+
+
+def word_statistics(w: Word) -> tuple[float, int]:
+    """(tau(w), transposition_distance(w)), read off one prefix-count array."""
+    pc = prefix_counts(w)
+    before = pc[:, :-1]
     m = before[w.letters, np.arange(w.length)]
     gap = before - m
     gap -= np.arange(w.alphabet_size)[:, None] < w.letters
-    return int(np.maximum(gap, 0, out=gap).sum())
+    return float(_tau(pc, w.multiplicity)), int(np.maximum(gap, 0, out=gap).sum())
 
 
 def transpositions_to_standard(w: Word) -> list[int]:
@@ -170,9 +181,7 @@ def tau_tail_empirical(a: int, b: int, p: float, trials: int, seed: int) -> floa
         keys = rng.random((c, length))
         perm = np.argsort(keys, axis=1)
         letters = base[perm]  # each row a uniform multiset arrangement
-        pc = _prefix_counts(letters, a)
-        disc = (pc.max(axis=-2) - pc.min(axis=-2)).max(axis=-1)
-        taus = (disc + 1) / b
+        taus = _tau(_prefix_counts(letters, a), b)
         hits += int((taus > p / math.sqrt(b)).sum())
         done += c
     return hits / trials

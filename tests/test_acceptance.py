@@ -118,7 +118,7 @@ def test_criterion_5_prop_uniform_consistency():
         stats = row_stats(row)
         scheme = BlockScheme(a, b)
         sigma = uniform_permutation(n, rng)
-        rep = check_block_conditions(row, sigma, scheme, np.inf)
+        rep = check_block_conditions(row, sigma, scheme, np.inf, stats)
         eps = max(rep.worst_mean_gap, rep.worst_norm_gap)
         assert (stats.l1**2) * math.exp(stats.l1) <= b / 10
         sup = path_deviation(row, sigma, stats.mean).sup_dev

@@ -301,6 +301,11 @@ MATRIX_3X3 = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
     ("converge", {"generator": {"name": "spiked"}, "target": MATRIX_3X3}, "target, d"),
     ("converge", {"generator": {"name": "riemann", "fn": "linear_diagonal", "diag": [1, 2, 3]},
                   "target": "e12"}, "target, generator.diag, d"),
+    # the rotation family is 2x2 though no key of it names a matrix
+    ("converge", {"d": 3, "generator": {"name": "riemann", "fn": "rotation"},
+                  "target": MATRIX_3X3}, "target, generator.fn, d"),
+    ("evolution", {"d": 3, "generator": {"name": "family", "fn": "rotation"}},
+     "generator.fn, d"),
 ])
 def test_cli_invalid_field_exit_2(tmp_path, capsys, kind, fields, key):
     cfg = tmp_path / "cfg.json"

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from trotter_shuffle import products
 from trotter_shuffle.evolution import rotation_family, step_family
 from trotter_shuffle.linalg import exp_stack, mat_exp, op_norm, op_norms
-from trotter_shuffle.products import (BlockScheme, Permutation,
+from trotter_shuffle.products import (BlockScheme, Permutation, block_gaps,
                                       check_block_conditions, choose_blocks,
                                       exp_factors, partial_products, path_deviation,
                                       path_deviations, prefix_products,
@@ -19,8 +20,8 @@ from trotter_shuffle.rows import (ArrayRow, RegimeSpec, gen_repeated, gen_rieman
                                   gen_spiked, gen_two_letter, random_unit_hermitians,
                                   row_stats)
 
-from oracles import (mp_exp, mp_product_path, random_matrix, sequential_products,
-                     svd_norm)
+from oracles import (gathered_block_gaps, mp_exp, mp_product_path, random_matrix,
+                     sequential_products, svd_norm)
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
@@ -239,7 +240,8 @@ def test_check_block_conditions_standard_layout_exact_zero():
     # power-of-two sizes make the block and row means bit-identical
     letters = [E12, E21, E12 + E21, np.eye(2, dtype=complex)]
     row = gen_repeated(letters, 32)
-    rep = check_block_conditions(row, Permutation.identity(32), BlockScheme(4, 8), 0.0)
+    rep = check_block_conditions(row, Permutation.identity(32), BlockScheme(4, 8), 0.0,
+                                 row_stats(row))
     assert rep.ok
     assert rep.worst_mean_gap == 0.0
     assert rep.worst_norm_gap == 0.0
@@ -249,7 +251,7 @@ def test_check_block_conditions_constant_row():
     a = random_matrix(np.random.default_rng(7), 2, 1.0)
     row = gen_repeated([a], 24)
     sigma = uniform_permutation(24, np.random.default_rng(8))
-    rep = check_block_conditions(row, sigma, BlockScheme(4, 6), 1e-12)
+    rep = check_block_conditions(row, sigma, BlockScheme(4, 6), 1e-12, row_stats(row))
     assert rep.ok
 
 
@@ -260,8 +262,8 @@ def test_check_block_conditions_against_resummation():
     row = ArrayRow(elems)
     sigma = uniform_permutation(n, rng)
     scheme = BlockScheme(a, n // a)
-    rep = check_block_conditions(row, sigma, scheme, 0.3)
     stats = row_stats(row)
+    rep = check_block_conditions(row, sigma, scheme, 0.3, stats)
     scale = math.exp(stats.l1)
     mean_gap = norm_gap = 0.0
     for j in range(scheme.b):
@@ -272,6 +274,77 @@ def test_check_block_conditions_against_resummation():
         norm_gap = max(norm_gap, abs(bnorm - stats.l1) * scale)
     assert rep.worst_mean_gap == pytest.approx(mean_gap, abs=1e-12)
     assert rep.worst_norm_gap == pytest.approx(norm_gap, abs=1e-12)
+
+
+def _orders(n, trials, seed):
+    return [np.random.default_rng([seed, t]).permutation(n) for t in range(trials)]
+
+
+def _gathered(row, stats, orders, scheme):
+    return np.array([gathered_block_gaps(row, stats, o, scheme) for o in orders]).T
+
+
+# Integer entries and integer letter norms make every block sum exact in both
+# paths, so the letter counts must reproduce the gathered means bit for bit.
+@pytest.mark.parametrize("row", [
+    gen_two_letter(600, E12, E21, "first_half_b"),
+    gen_two_letter(600, E12, E21, "interleaved"),
+    gen_repeated([E12, E21, 2 * np.eye(2), E12 + E21], 603, "identity_fill"),
+    gen_repeated([2 * np.eye(2), E12, -3 * E21], 602, "repeat_first"),
+], ids=["first_half_b", "interleaved", "identity_fill", "repeat_first"])
+@pytest.mark.parametrize("a", [1, 7, 25])
+def test_block_gaps_letter_counts_match_gathered_means_exactly(row, a):
+    stats = row_stats(row)
+    scheme = BlockScheme(a, row.n // a - 1)  # a*b < n leaves an ignored tail
+    orders = _orders(row.n, 40, a)
+    got = block_gaps(row, stats, orders, scheme)
+    want = _gathered(row, stats, orders, scheme)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def _complex_letters(n):
+    rng = np.random.default_rng(31)
+    alphabet = np.stack([random_matrix(rng, 2, 2.0) for _ in range(3)])
+    letter_of = rng.integers(0, 3, size=n)
+    return ArrayRow(alphabet[letter_of], alphabet=alphabet, letter_of=letter_of)
+
+
+def _riemann(n):
+    return gen_riemann(rotation_family(0.7), n, "permuted", seed=4)
+
+
+def _spiked(n):
+    return gen_spiked(n, RegimeSpec("large_linf", delta=1.0), np.random.default_rng(5), d=3)
+
+
+# Sums taken in another order move the gaps by a few roundings of Linf (at most
+# 3.1 u Linf at this block size and these seeds).
+@pytest.mark.parametrize("make", [_complex_letters, _riemann, _spiked])
+def test_block_gaps_match_gathered_means_to_roundoff(make):
+    row = make(1200)
+    stats = row_stats(row)
+    scheme = BlockScheme(30, 40)
+    orders = _orders(row.n, 60, 2)
+    got = block_gaps(row, stats, orders, scheme)
+    want = _gathered(row, stats, orders, scheme)
+    tol = 4 * (np.finfo(float).eps / 2) * stats.linf
+    assert np.abs(got[0] - want[0]).max() <= tol
+    assert np.abs(got[1] - want[1]).max() <= tol
+
+
+@pytest.mark.parametrize("make", [_complex_letters, _spiked])
+def test_block_gaps_chunks_equal_per_trial_calls(make):
+    row = make(400)
+    stats = row_stats(row)
+    scheme = BlockScheme(10, 40)
+    chunk = products._CHUNK_BLOCKS // scheme.b
+    for trials in (1, chunk, chunk + 1, 2 * chunk + 3):
+        orders = _orders(row.n, trials, trials)
+        got = block_gaps(row, stats, iter(orders), scheme)
+        one = [block_gaps(row, stats, [o], scheme) for o in orders]
+        assert got[0].shape == got[1].shape == (trials,)
+        assert np.array_equal(got[0], np.concatenate([m for m, _ in one]))
+        assert np.array_equal(got[1], np.concatenate([g for _, g in one]))
 
 
 def test_prop_uniform_bound_values():
@@ -345,7 +418,7 @@ def test_block_conditions_imply_uniform_bound():
     stats = row_stats(row)
     scheme = choose_blocks(n, stats, mode="sqrt_default")
     sigma = uniform_permutation(n, rng)
-    rep = check_block_conditions(row, sigma, scheme, np.inf)
+    rep = check_block_conditions(row, sigma, scheme, np.inf, stats)
     eps = max(rep.worst_mean_gap, rep.worst_norm_gap)
     assert (stats.l1**2) * math.exp(stats.l1) <= scheme.b / 10
     sup = path_deviation(row, sigma, stats.mean).sup_dev

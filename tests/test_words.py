@@ -13,7 +13,7 @@ from trotter_shuffle.words import (Word, apply_transpositions, prefix_counts,
                                    random_word, restrict_word, standard_word,
                                    tau, tau_tail_bound, tau_tail_empirical,
                                    transposition_distance,
-                                   transpositions_to_standard)
+                                   transpositions_to_standard, word_statistics)
 
 
 def brute_inversions(ranks):
@@ -134,6 +134,14 @@ def test_transposition_distance_vs_quadratic_oracle_and_replay(a, b):
         swaps = transpositions_to_standard(w)
         assert len(swaps) == dist
         assert np.array_equal(apply_transpositions(w.letters, swaps), std)
+
+
+@pytest.mark.parametrize("a, b", [(1, 6), (6, 1), (5, 8), (3, 40)])
+def test_word_statistics_vs_quadratic_oracle(a, b):
+    rng = np.random.default_rng(4)
+    for _ in range(100):
+        w = random_word(a, b, rng)
+        assert word_statistics(w) == (tau(w), brute_distance(w))
 
 
 def test_single_transposition_product_perturbation():
