@@ -24,7 +24,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, help="override d, the dimension every matrix must have")
     p.add_argument("--trials", type=int, help="override trial count")
     p.add_argument("--seed", type=int, help="override master seed")
-    p.add_argument("--eps", type=float, help="override deviation threshold")
+    p.add_argument("--eps", type=float, help="tail only: floor of the eps grid (default 0.05)")
     p.add_argument("--sigma", choices=("random", "identity"), help="permutation mode")
     p.add_argument("--out", metavar="PATH.csv", help="override output CSV path")
     return p

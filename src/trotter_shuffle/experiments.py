@@ -25,9 +25,8 @@ from .linalg import as_matrix, mat_exp, op_norm
 from .products import (BlockScheme, Permutation, choose_blocks, path_deviations,
                        uniform_permutation)
 from .rows import (REGIMES, ArrayRow, RegimeSpec, gen_repeated, gen_riemann, gen_spiked,
-                   gen_two_letter, row_stats, spiked_parameters)
-from .tails import (block_bernstein_bound, block_deviation_samples, eps_grid,
-                    lemma_random_bound, variance_proxy)
+                   gen_two_letter, spiked_parameters)
+from .tails import block_bernstein_bound, block_deviation_samples, eps_grid, lemma_random_bound
 from .words import random_word, word_statistics
 
 PACKAGE_VERSION = "0.1.0"
@@ -127,6 +126,10 @@ _KINDS = {
     "evolution": (("family",), (), {"name": "family", "fn": "step", "b": "e12", "c": "e21",
                                     "s": 0.0, "t": 1.0, "mode": "permuted"}),
 }
+
+# top-level field -> the kinds that read it; any other kind needs its default
+_FIELD_KINDS = {"target": ("converge",), "eps": ("tail",), "sigma_mode": ("converge", "regime"),
+                "block_mode": ("tail",)}
 
 
 def _is_int(x) -> bool:
@@ -232,6 +235,8 @@ def _generator_errors(kind: str, gen: dict, ns: list, target, d) -> list[str]:
     if name == "two_letter" and any(_is_int(n) and n % 2 for n in ns):
         errors.append(f"n_list: the two_letter generator needs even n, got {ns}")
     a = gen.get("a")
+    if kind == "tail" and a is None and any(_is_int(n) and n < 4 for n in ns):
+        errors.append(f"n_list: the tail kind needs n >= 4 without generator.a, got {ns}")
     if kind == "tail" and a is not None and (
             not _is_int(a) or a < 1 or any(_is_int(n) and a > n for n in ns)):
         errors.append(f"generator.a: block size must be an integer in "
@@ -285,6 +290,11 @@ class ExperimentConfig:
             errors.extend(_generator_errors(self.kind, self.generator, ns, self.target, self.d))
         if not isinstance(self.out_path, str) or not self.out_path:
             errors.append(f"out_path: must be a non-empty string, got {self.out_path!r}")
+        for name, kinds in _FIELD_KINDS.items():
+            value, default = getattr(self, name), self.__dataclass_fields__[name].default
+            if self.kind in KINDS and self.kind not in kinds and (
+                    value is not None if default is None else value != default):
+                errors.append(f"{name}: the {self.kind} kind does not read it, got {value!r}")
         if errors:
             raise ConfigError("; ".join(errors))
 
@@ -376,7 +386,7 @@ def _run_converge(cfg: ExperimentConfig, blocks: dict):
     target_user = parse_matrix(cfg.target, "target") if cfg.target is not None else None
     for n in cfg.n_list:
         row = _build_row(g, n, _stream(cfg.seed, kid, n), cfg.d)
-        targets = [row_stats(row).mean] + ([target_user] if target_user is not None else [])
+        targets = [row.stats.mean] + ([target_user] if target_user is not None else [])
         sigmas = (_sigma(cfg, n, _stream(cfg.seed, kid, n, trial)) for trial in range(cfg.trials))
         ks = _grid_ks(n)
         for trial, (rep, *rep_t) in enumerate(path_deviations(row, sigmas, targets)):
@@ -392,16 +402,15 @@ def _run_tail(cfg: ExperimentConfig, blocks: dict):
     g = _merged(cfg.generator)
     for n in cfg.n_list:
         row = _build_row(g, n, _stream(cfg.seed, kid, n), cfg.d)
-        stats = row_stats(row)
+        stats = row.stats
         a = g.get("a")  # validated: None or an integer in [1, min(n_list)]
         scheme = BlockScheme(a, n // a) if a else choose_blocks(n, stats, mode=cfg.block_mode)
-        grid = eps_grid(stats.l1, floor=cfg.eps if cfg.eps else 0.05)
-        mean_dev, _ = block_deviation_samples(row, scheme, cfg.trials, (cfg.seed, kid, n), stats)
-        v = variance_proxy(row, scheme.a, stats)
+        grid = eps_grid(stats.l1, floor=cfg.eps if cfg.eps else 0.05).tolist()
+        mean_dev, _ = block_deviation_samples(row, scheme, cfg.trials, (cfg.seed, kid, n))
         freqs = [float((mean_dev > e).mean()) for e in grid]
-        for e, freq in zip(grid.tolist(), freqs):
-            yield (n, e, freq, block_bernstein_bound(row, scheme, e, stats=stats, v=v),
-                   lemma_random_bound(n, scheme.a, scheme.b, e, stats, row.d), cfg.trials)
+        for e, freq, bound in zip(grid, freqs, block_bernstein_bound(row, scheme, grid)):
+            yield (n, e, freq, bound, lemma_random_bound(n, scheme.a, scheme.b, e, stats, row.d),
+                   cfg.trials)
         blocks[str(n)] = {"a": scheme.a, "b": scheme.b, "l1": stats.l1,
                           "linf": stats.linf, "max_freq": max(freqs)}
 
@@ -415,12 +424,11 @@ def _run_regime(cfg: ExperimentConfig, blocks: dict):
             spec = _regime_spec(g)
             k_n, linf = spiked_parameters(n, spec)
             row = _build_row(g, n, _stream(cfg.seed, kid, n, ri), cfg.d)
-            stats = row_stats(row)
-            norm_mean = op_norm(stats.mean)
+            norm_mean = op_norm(row.stats.mean)
             sigmas = (_sigma(cfg, n, _stream(cfg.seed, kid, n, ri, trial))
                       for trial in range(cfg.trials))
-            for trial, (rep,) in enumerate(path_deviations(row, sigmas, [stats.mean])):
-                yield (n, spec.regime, trial, k_n, linf, stats.l1, norm_mean,
+            for trial, (rep,) in enumerate(path_deviations(row, sigmas, [row.stats.mean])):
+                yield (n, spec.regime, trial, k_n, linf, row.stats.l1, norm_mean,
                        rep.sup_dev, rep.slack)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix, exp_stack, op_norm, op_norms
-from .rows import ArrayRow, RowStats
+from .rows import ArrayRow, RowStats, _own
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,9 +25,7 @@ class Permutation:
     order: np.ndarray
 
     def __post_init__(self):
-        o = np.ascontiguousarray(np.asarray(self.order, dtype=np.int64))
-        if o is self.order:
-            o = o.copy()
+        o = _own(self.order, np.int64)
         if o.ndim != 1 or o.size < 1:
             raise ValueError("permutation must be a non-empty 1-d index array")
         counts = np.bincount(o, minlength=o.size) if o.min() >= 0 else None
@@ -91,19 +89,11 @@ def choose_blocks(n: int, stats: RowStats, mode: str = "sqrt_default") -> BlockS
 
 
 def exp_factors(row: ArrayRow) -> np.ndarray:
-    """exp(A_i / n) for every element, shape (n, d, d).
-
-    Letters (or bit-identical repeated elements) are exponentiated once;
-    elements are compared by their bytes, so 0.0 and -0.0 entries differ.
-    """
-    n = row.n
-    if row.alphabet is not None:
-        base = exp_stack(row.alphabet / n)
-        return base[row.letter_of]
-    d = row.d
-    keys = np.ascontiguousarray(row.elements).reshape(n, -1).view((np.void, 16 * d * d))
-    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-    return exp_stack(row.elements[first] / n)[inverse]
+    """exp(A_i / n) for every element, shape (n, d, d): each of row.letters()
+    is exponentiated once."""
+    alphabet, letter_of = row.letters()
+    alphabet = alphabet / row.n  # rebound: a general row's deduped copy is freed
+    return exp_stack(alphabet)[letter_of]
 
 
 def prefix_products(factors: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -151,15 +141,15 @@ def prefix_products(factors: np.ndarray, order: np.ndarray) -> np.ndarray:
     return buf[:n + 1]
 
 
-def partial_products(row: ArrayRow, sigma: Permutation,
-                     factors: np.ndarray | None = None) -> np.ndarray:
-    """P_0 = I, P_k = P_{k-1} exp(A_{sigma(k)}/n); shape (n+1, d, d).
-
-    factors, when given, is exp_factors(row), computed once for many sigmas.
-    """
+def _check_size(row: ArrayRow, sigma: Permutation) -> None:
     if sigma.n != row.n:
         raise ValueError(f"permutation size {sigma.n} != row length {row.n}")
-    return prefix_products(exp_factors(row) if factors is None else factors, sigma.order)
+
+
+def partial_products(row: ArrayRow, sigma: Permutation) -> np.ndarray:
+    """P_0 = I, P_k = P_{k-1} exp(A_{sigma(k)}/n); shape (n+1, d, d)."""
+    _check_size(row, sigma)
+    return prefix_products(exp_factors(row), sigma.order)
 
 
 def reference_path(target, n: int) -> np.ndarray:
@@ -209,7 +199,8 @@ def path_deviations(row: ArrayRow, sigmas, targets):
     refs = [reference_path(t, row.n) for t in tgts]
     slacks = [nt * math.exp(nt) / row.n for nt in map(op_norm, tgts)]
     for sigma in sigmas:
-        prods = partial_products(row, sigma, factors)
+        _check_size(row, sigma)
+        prods = prefix_products(factors, sigma.order)
         reports = []
         for ref, slack in zip(refs, slacks):
             devs = op_norms(prods - ref)
@@ -226,29 +217,32 @@ def path_deviation(row: ArrayRow, sigma: Permutation, target) -> PathReport:
 _CHUNK_BLOCKS = 4096  # block means per op_norms call in block_gaps (whole trials, at least one)
 
 
-def block_gaps(row: ArrayRow, stats: RowStats, orders,
-               scheme: BlockScheme) -> tuple[np.ndarray, np.ndarray]:
+def block_gaps(row: ArrayRow, orders, scheme: BlockScheme) -> tuple[np.ndarray, np.ndarray]:
     """Largest ||block mean - A_n|| and largest |block norm-mean - L1| over the
     b consecutive blocks of the row read in each order of the iterable
     orders; two arrays with one entry per order.
 
-    stats is row_stats(row); positions past a*b are ignored. Each order is
-    reduced as it arrives to the (b, 2d^2 + 1) block sums of entries and
-    norms: letter counts per block (one bincount) times the alphabet and its
-    norms on a letter row, else an add.reduceat of the permuted entries. The
-    complex sums are divided by a as mean() does, and the block means of up
-    to _CHUNK_BLOCKS share one op_norms call.
+    Positions past a*b are ignored. Each order is reduced as it arrives to
+    the (b, 2d^2 + 1) block sums of entries and norms, from one table of the
+    row's letters and their norms: per-block letter counts (one bincount)
+    times the table when there are at most a letters, else an add.reduceat
+    of the permuted table rows. The complex sums are divided by a as mean()
+    does, and the block means of up to _CHUNK_BLOCKS share one op_norms call.
     """
-    a, b, d, letters = scheme.a, scheme.b, row.d, row.alphabet
-    src = row.elements if letters is None else letters
-    table = np.column_stack([src.reshape(len(src), -1).view(np.float64),
-                             stats.norms if letters is None else op_norms(letters)])
-    offsets = np.repeat(len(src) * np.arange(b), a)  # a letter's bin in its block
+    if scheme.covered > row.n:
+        raise ValueError(f"scheme covers {scheme.covered} > n = {row.n}")
+    a, b, d, stats = scheme.a, scheme.b, row.d, row.stats
+    alphabet, letter_of = row.letters()
+    m = len(alphabet)
+    table = np.column_stack([alphabet.reshape(m, -1).view(np.float64), op_norms(alphabet)])
+    if m > a:
+        table = table[letter_of]  # one row per element, summed by reduceat
+    offsets = np.repeat(m * np.arange(b), a)  # a letter's bin in its block
 
     def block_sums(idx):
-        if letters is None:
+        if m > a:
             return np.add.reduceat(np.take(table, idx, axis=0), np.arange(0, a * b, a))
-        counts = np.bincount(np.take(row.letter_of, idx) + offsets, minlength=len(src) * b)
+        counts = np.bincount(np.take(letter_of, idx) + offsets, minlength=m * b)
         return counts.reshape(b, -1) @ table
 
     orders, per_chunk, gaps = iter(orders), max(1, _CHUNK_BLOCKS // b), []
@@ -268,20 +262,17 @@ class BlockConditionReport:
 
 
 def check_block_conditions(row: ArrayRow, sigma: Permutation, scheme: BlockScheme,
-                           eps: float, stats: RowStats) -> BlockConditionReport:
+                           eps: float) -> BlockConditionReport:
     """Worst block-average gaps of the permuted row, in the e^{L1}-weighted form.
 
     worst_mean_gap  = max_j ||mean_{i in V_j} A_{sigma(i)} - A_n|| e^{L1}
     worst_norm_gap  = max_j |mean_{i in V_j} ||A_{sigma(i)}|| - L1| e^{L1}
     ok means both are <= eps. Positions past a*b are ignored here (the path
-    bound handles them as a separate tail). stats is row_stats(row).
+    bound handles them as a separate tail).
     """
-    if sigma.n != row.n:
-        raise ValueError("permutation size mismatch")
-    if scheme.covered > row.n:
-        raise ValueError(f"scheme covers {scheme.covered} > n = {row.n}")
-    gaps = block_gaps(row, stats, [sigma.order], scheme)
-    mean_gap, norm_gap = (float(g[0]) * math.exp(stats.l1) for g in gaps)
+    _check_size(row, sigma)
+    gaps = block_gaps(row, [sigma.order], scheme)
+    mean_gap, norm_gap = (float(g[0]) * math.exp(row.stats.l1) for g in gaps)
     return BlockConditionReport(ok=(mean_gap <= eps and norm_gap <= eps),
                                 worst_mean_gap=mean_gap, worst_norm_gap=norm_gap)
 

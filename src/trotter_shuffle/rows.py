@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -33,6 +34,17 @@ def _own(a, dtype) -> np.ndarray:
     if arr is a:
         arr = arr.copy()
     return arr
+
+
+@dataclass(frozen=True, eq=False)
+class RowStats:
+    """Row mean, per-element operator norms (n,), and the two norm
+    statistics: L1 = mean norm, Linf = max norm."""
+
+    mean: np.ndarray
+    l1: float
+    linf: float
+    norms: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,22 +89,21 @@ class ArrayRow:
     def d(self) -> int:
         return self.elements.shape[1]
 
+    @cached_property
+    def stats(self) -> RowStats:
+        norms = _freeze(op_norms(self.elements))
+        return RowStats(mean=_freeze(self.elements.mean(axis=0)),
+                        l1=float(norms.mean()), linf=float(norms.max()), norms=norms)
 
-@dataclass(frozen=True, eq=False)
-class RowStats:
-    """Row mean, per-element operator norms (n,), and the two norm
-    statistics: L1 = mean norm, Linf = max norm."""
-
-    mean: np.ndarray
-    l1: float
-    linf: float
-    norms: np.ndarray
-
-
-def row_stats(row: ArrayRow) -> RowStats:
-    norms = _freeze(op_norms(row.elements))
-    return RowStats(mean=_freeze(row.elements.mean(axis=0)),
-                    l1=float(norms.mean()), linf=float(norms.max()), norms=norms)
+    def letters(self) -> tuple[np.ndarray, np.ndarray]:
+        """(alphabet, letter_of) with elements == alphabet[letter_of] bit for bit:
+        the builder's, else the distinct elements by their bytes (0.0 and -0.0
+        differ), found anew on each call. len(alphabet) is the count c_n."""
+        if self.alphabet is not None:
+            return self.alphabet, self.letter_of
+        keys = self.elements.reshape(self.n, -1).view((np.void, 16 * self.d ** 2))
+        _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+        return self.elements[first], inverse
 
 
 def _unit_rescale(letters: np.ndarray) -> np.ndarray:

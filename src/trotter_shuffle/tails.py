@@ -14,7 +14,7 @@ import numpy as np
 
 from .linalg import op_norms
 from .products import BlockScheme, block_gaps
-from .rows import ArrayRow, RowStats, row_stats
+from .rows import ArrayRow, RowStats
 
 
 def bernstein_tail(eps: float, L: float, v: float, d: int) -> float:
@@ -34,16 +34,14 @@ def bernstein_tail(eps: float, L: float, v: float, d: int) -> float:
     return min(max(2.0 * d * math.exp(-(eps * eps / 2.0) / denom), 0.0), 2.0 * d)
 
 
-def variance_proxy(row: ArrayRow, a: int, stats: RowStats | None = None) -> float:
+def variance_proxy(row: ArrayRow, a: int) -> float:
     """v = (a/n) sum_i ||A_i - A_n||^2, the centered second-moment scale of a
-    size-a block; always at most 4 a L1 Linf. stats, when given, is
-    row_stats(row)."""
+    size-a block; always at most 4 a L1 Linf."""
     if a < 0 or a > row.n:
         raise ValueError(f"block size {a} out of range for row of length {row.n}")
-    stats = stats or row_stats(row)
-    sq = op_norms(row.elements - stats.mean) ** 2
+    sq = op_norms(row.elements - row.stats.mean) ** 2
     v = float(a / row.n * sq.sum())
-    cap = 4.0 * a * stats.l1 * stats.linf
+    cap = 4.0 * a * row.stats.l1 * row.stats.linf
     if v > cap * (1.0 + 1e-9) + 1e-12:
         raise ArithmeticError(f"variance proxy {v} exceeds its cap {cap}")
     return v
@@ -62,32 +60,27 @@ def lemma_random_bound(n: int, a: int, b: int, eps: float, stats: RowStats, d: i
 
 
 def block_deviation_samples(row: ArrayRow, scheme: BlockScheme, trials: int,
-                            seed: int | tuple[int, ...],
-                            stats: RowStats | None = None) -> tuple[np.ndarray, np.ndarray]:
+                            seed: int | tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial worst block deviations under fresh uniform permutations.
 
     Returns (max_mean_dev, max_norm_dev), each of shape (trials,): the largest
     ||block mean - A_n|| and the largest |block norm-mean - L1| over the b
     blocks, one independent permutation per trial (stream seeded by
-    (seed, trial) so trials are order-independent). stats, when given, is
-    row_stats(row).
+    (seed, trial) so trials are order-independent).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if scheme.covered > row.n:
-        raise ValueError("scheme does not fit the row")
     key = (seed,) if isinstance(seed, int) else tuple(seed)
     orders = (np.random.default_rng([*key, t]).permutation(row.n) for t in range(trials))
-    return block_gaps(row, stats or row_stats(row), orders, scheme)
+    return block_gaps(row, orders, scheme)
 
 
-def block_bernstein_bound(row: ArrayRow, scheme: BlockScheme, eps: float,
-                          stats: RowStats, v: float) -> float:
-    """Union-over-blocks Bernstein bound before the L1 Linf simplifications:
-    b * tail(a*eps) with summand bound 2 Linf and the row's variance proxy.
-    stats and v are row_stats(row) and variance_proxy(row, scheme.a),
-    computed once for many eps."""
-    return scheme.b * bernstein_tail(scheme.a * eps, 2.0 * stats.linf, v, row.d)
+def block_bernstein_bound(row: ArrayRow, scheme: BlockScheme, eps) -> list[float]:
+    """Union-over-blocks Bernstein bound before the L1 Linf simplifications,
+    one per entry of the eps grid: b * tail(a*eps) with summand bound 2 Linf
+    and the row's variance proxy, computed once for the grid."""
+    v, linf = variance_proxy(row, scheme.a), row.stats.linf
+    return [scheme.b * bernstein_tail(scheme.a * e, 2.0 * linf, v, row.d) for e in eps]
 
 
 def eps_grid(l1: float, floor: float = 0.05) -> np.ndarray:

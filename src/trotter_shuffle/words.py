@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .products import Permutation
+from .rows import _own
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,9 +27,7 @@ class Word:
     multiplicity: int
 
     def __post_init__(self):
-        w = np.ascontiguousarray(np.asarray(self.letters, dtype=np.int64))
-        if w is self.letters:
-            w = w.copy()
+        w = _own(self.letters, np.int64)
         a, b = self.alphabet_size, self.multiplicity
         if a < 1 or b < 1 or w.shape != (a * b,):
             raise ValueError(f"word must have length a*b = {a}*{b}, got shape {w.shape}")
@@ -53,19 +52,16 @@ def random_word(a: int, b: int, rng: np.random.Generator) -> Word:
     return Word(rng.permutation(np.tile(np.arange(a), b)), alphabet_size=a, multiplicity=b)
 
 
-def restrict_word(sigma: Permutation, n: int, a: int, b: int) -> Word:
+def restrict_word(sigma: Permutation, a: int, b: int) -> Word:
     """Word induced by a permutation on the periodic row layout.
 
     The row is laid out with letter p mod a at position p for p < a*b; scanning
     positions sigma(1), ..., sigma(n) and keeping those below a*b yields the
     word. Uniform permutations induce uniform words.
     """
-    if a * b > n:
-        raise ValueError(f"a*b = {a * b} exceeds n = {n}")
-    if sigma.n != n:
-        raise ValueError("permutation size mismatch")
-    imgs = sigma.order
-    kept = imgs[imgs < a * b]
+    if a * b > sigma.n:
+        raise ValueError(f"a*b = {a * b} exceeds n = {sigma.n}")
+    kept = sigma.order[sigma.order < a * b]
     return Word(kept % a, alphabet_size=a, multiplicity=b)
 
 

@@ -17,7 +17,7 @@ from trotter_shuffle.products import (BlockScheme, Permutation,
                                       uniform_permutation)
 from trotter_shuffle.rows import (ArrayRow, RegimeSpec, gen_repeated,
                                   gen_spiked, gen_two_letter,
-                                  random_unit_hermitians, row_stats,
+                                  random_unit_hermitians,
                                   spiked_parameters)
 from trotter_shuffle.tails import block_deviation_samples, eps_grid, lemma_random_bound
 from trotter_shuffle.words import (apply_transpositions, prefix_counts,
@@ -68,7 +68,7 @@ def test_criterion_2_commuting_exactness():
     worst = 0.0
     ok = True
     for row in rows:
-        mean = row_stats(row).mean
+        mean = row.stats.mean
         for _ in range(50):
             rep = path_deviation(row, uniform_permutation(n, rng), mean)
             excess = rep.sup_dev - rep.slack
@@ -94,7 +94,7 @@ def test_criterion_4_randomized_convergence():
     medians = []
     for n in (500, 2000, 8000):
         row = gen_two_letter(n, E12, E21, "first_half_b")
-        mean = row_stats(row).mean
+        mean = row.stats.mean
         sups = []
         for trial in range(101):
             sigma = uniform_permutation(n, np.random.default_rng([104, n, trial]))
@@ -115,10 +115,10 @@ def test_criterion_5_prop_uniform_consistency():
     for _ in range(50):
         scales = rng.uniform(0.2, 0.6, size=(n, 1, 1))
         row = ArrayRow(random_unit_hermitians(n, 2, rng) * scales)
-        stats = row_stats(row)
+        stats = row.stats
         scheme = BlockScheme(a, b)
         sigma = uniform_permutation(n, rng)
-        rep = check_block_conditions(row, sigma, scheme, np.inf, stats)
+        rep = check_block_conditions(row, sigma, scheme, np.inf)
         eps = max(rep.worst_mean_gap, rep.worst_norm_gap)
         assert (stats.l1**2) * math.exp(stats.l1) <= b / 10
         sup = path_deviation(row, sigma, stats.mean).sup_dev
@@ -139,7 +139,7 @@ def test_criterion_6_tail_domination():
     ok = True
     worst_gap = np.inf
     for idx, row in enumerate(cases):
-        stats = row_stats(row)
+        stats = row.stats
         scheme = BlockScheme(a, n // a)
         mean_dev, norm_dev = block_deviation_samples(row, scheme, trials, (106, idx))
         for eps in eps_grid(stats.l1):
@@ -181,7 +181,7 @@ def test_criterion_7_word_layer():
     import itertools
     counts = {}
     for perm in itertools.permutations(range(4)):
-        w = restrict_word(Permutation(np.array(perm)), 4, 2, 2)
+        w = restrict_word(Permutation(np.array(perm)), 2, 2)
         key = tuple(w.letters.tolist())
         counts[key] = counts.get(key, 0) + 1
     ok = ok and len(counts) == 6 and all(c == 4 for c in counts.values())
@@ -235,7 +235,7 @@ def test_criterion_9_regime_feasibility():
         k, linf = spiked_parameters(n, spec)
         ok = ok and k == k_expect and abs(linf - linf_expect) <= 1e-9 * linf_expect
         row = gen_spiked(n, spec, rng)
-        stats = row_stats(row)
+        stats = row.stats
         predicted = k / n * linf
         ok = ok and predicted / 2 <= stats.l1 <= 2 * predicted + 1
     assert _verdict(9, "spiked regimes reproduce their formulas at n = 1e6", ok, t0)

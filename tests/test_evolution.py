@@ -11,7 +11,7 @@ from trotter_shuffle.evolution import (PropagatorSpec, cocycle_check,
 from trotter_shuffle.experiments import riemann_reference
 from trotter_shuffle.linalg import mat_exp, op_norm
 from trotter_shuffle.products import exp_factors, prefix_products
-from trotter_shuffle.rows import gen_riemann, row_stats
+from trotter_shuffle.rows import gen_riemann
 
 from oracles import random_matrix, svd_norm
 
@@ -143,7 +143,7 @@ def test_propagate_commuting_family_all_modes():
 def test_sampled_linf_never_exceeds_family_sup():
     fn = rotation_family(scale=1.7)
     for mode in ("permuted", "iid"):
-        stats = row_stats(gen_riemann(fn, 256, mode, 5))
+        stats = gen_riemann(fn, 256, mode, 5).stats
         assert stats.linf <= 1.7 + 1e-12
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trotter_shuffle import evolution, experiments, linalg, products, tails
+from trotter_shuffle import evolution, experiments, linalg, products, rows, tails
 from trotter_shuffle.cli import main
 from trotter_shuffle.experiments import (COLUMNS, ConfigError, ExperimentConfig,
                                          emit, parse_matrix, run)
@@ -155,10 +155,10 @@ def test_per_row_work_runs_once_per_row(monkeypatch):
                          target="pauli_x"))
     assert calls == {"exp_factors": 2, "reference_path": 4}  # 2 rows x 2 targets
     calls.clear()
-    _counting(monkeypatch, calls, ((experiments, tails), "row_stats"),
-              ((experiments, tails), "variance_proxy"))
+    # the row statistics (one op_norms call in rows) are computed once per row
+    _counting(monkeypatch, calls, ((rows,), "op_norms"), ((tails,), "variance_proxy"))
     run(ExperimentConfig(kind="tail", n_list=[200, 300], trials=5, seed=1))
-    assert calls == {"row_stats": 2, "variance_proxy": 2}
+    assert calls == {"op_norms": 2, "variance_proxy": 2}
 
 
 def test_reference_path_one_exp_stack_call(monkeypatch):
@@ -306,6 +306,19 @@ MATRIX_3X3 = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
                   "target": MATRIX_3X3}, "target, generator.fn, d"),
     ("evolution", {"d": 3, "generator": {"name": "family", "fn": "rotation"}},
      "generator.fn, d"),
+    # without generator.a the tail kind picks a block size, which needs n >= 4
+    ("tail", {"n_list": [2]}, "n_list"),
+    # a top-level field the kind never reads must keep its default
+    ("tail", {"sigma_mode": "identity"}, "sigma_mode"),
+    ("converge", {"eps": 5}, "eps"),
+    ("regime", {"block_mode": "probability"}, "block_mode"),
+    ("evolution", {"target": "e12"}, "target"),
+    pytest.param("words", {"target": "e12", "block_mode": "probability",
+                           "sigma_mode": "identity", "eps": 0.1},
+                 "target: the words kind does not read it, got 'e12'; eps: the words kind "
+                 "does not read it, got 0.1; sigma_mode: the words kind does not read it, "
+                 "got 'identity'; block_mode: the words kind does not read it, got "
+                 "'probability'", id="words-four-unread-fields"),
 ])
 def test_cli_invalid_field_exit_2(tmp_path, capsys, kind, fields, key):
     cfg = tmp_path / "cfg.json"

@@ -17,8 +17,7 @@ from trotter_shuffle.products import (BlockScheme, Permutation, block_gaps,
                                       prop_uniform_bound, reference_path,
                                       uniform_permutation)
 from trotter_shuffle.rows import (ArrayRow, RegimeSpec, gen_repeated, gen_riemann,
-                                  gen_spiked, gen_two_letter, random_unit_hermitians,
-                                  row_stats)
+                                  gen_spiked, gen_two_letter, random_unit_hermitians)
 
 from oracles import (gathered_block_gaps, mp_exp, mp_product_path, random_matrix,
                      sequential_products, svd_norm)
@@ -150,7 +149,8 @@ def _exp_factors_axis0(row):
     return exp_stack(uniq.reshape(-1, row.d, row.d) / row.n)[inverse.ravel()]
 
 
-def test_exp_factors_byte_dedupe_matches_axis0_unique():
+def _general_rows():
+    # rows without a builder alphabet, with 2, 300, 500 and 3 distinct elements
     rows = [gen_riemann(step_family(E12, E21), 400, "permuted", seed=3),
             gen_riemann(rotation_family(), 300, "iid", seed=4),
             gen_spiked(500, RegimeSpec(regime="large_linf", delta=1.0),
@@ -158,8 +158,22 @@ def test_exp_factors_byte_dedupe_matches_axis0_unique():
     signed = np.tile(np.array([[1, 0], [0, -1]], dtype=complex), (60, 1, 1))
     signed[::3] = np.array([[1, -0.0], [0, -1]])
     signed[1::3] = np.array([[1, 0], [complex(0, -0.0), -1]])
-    rows.append(ArrayRow(signed))
-    for row in rows:
+    return rows + [ArrayRow(signed)]
+
+
+def test_letters_are_the_builders_or_the_distinct_elements_by_bytes():
+    row = gen_repeated([E12, E21, E12 + E21], 10, "identity_fill")
+    alphabet, letter_of = row.letters()
+    assert alphabet is row.alphabet and letter_of is row.letter_of
+    for row, distinct in zip(_general_rows(), (2, 300, 500, 3)):
+        alphabet, letter_of = row.letters()
+        assert alphabet[letter_of].tobytes() == row.elements.tobytes()
+        # one letter per byte pattern, so 0.0 and -0.0 entries stay apart
+        assert len({m.tobytes() for m in alphabet}) == len(alphabet) == distinct
+
+
+def test_exp_factors_byte_dedupe_matches_axis0_unique():
+    for row in _general_rows():
         got = exp_factors(row)
         assert got.shape == (row.n, row.d, row.d)
         # equal up to the sign of zero entries, which array_equal ignores
@@ -180,7 +194,7 @@ def test_path_deviations_share_one_scan_per_permutation():
     n = 300
     row = gen_two_letter(n, E12, E21)
     sigmas = [uniform_permutation(n, np.random.default_rng(s)) for s in range(3)]
-    targets = [row_stats(row).mean, np.array([[0, 0.6], [0.4, 0]])]
+    targets = [row.stats.mean, np.array([[0, 0.6], [0.4, 0]])]
     reports = list(path_deviations(row, sigmas, targets))
     assert len(reports) == 3
     for sigma, reps in zip(sigmas, reports):
@@ -240,8 +254,7 @@ def test_check_block_conditions_standard_layout_exact_zero():
     # power-of-two sizes make the block and row means bit-identical
     letters = [E12, E21, E12 + E21, np.eye(2, dtype=complex)]
     row = gen_repeated(letters, 32)
-    rep = check_block_conditions(row, Permutation.identity(32), BlockScheme(4, 8), 0.0,
-                                 row_stats(row))
+    rep = check_block_conditions(row, Permutation.identity(32), BlockScheme(4, 8), 0.0)
     assert rep.ok
     assert rep.worst_mean_gap == 0.0
     assert rep.worst_norm_gap == 0.0
@@ -251,7 +264,7 @@ def test_check_block_conditions_constant_row():
     a = random_matrix(np.random.default_rng(7), 2, 1.0)
     row = gen_repeated([a], 24)
     sigma = uniform_permutation(24, np.random.default_rng(8))
-    rep = check_block_conditions(row, sigma, BlockScheme(4, 6), 1e-12, row_stats(row))
+    rep = check_block_conditions(row, sigma, BlockScheme(4, 6), 1e-12)
     assert rep.ok
 
 
@@ -262,8 +275,8 @@ def test_check_block_conditions_against_resummation():
     row = ArrayRow(elems)
     sigma = uniform_permutation(n, rng)
     scheme = BlockScheme(a, n // a)
-    stats = row_stats(row)
-    rep = check_block_conditions(row, sigma, scheme, 0.3, stats)
+    stats = row.stats
+    rep = check_block_conditions(row, sigma, scheme, 0.3)
     scale = math.exp(stats.l1)
     mean_gap = norm_gap = 0.0
     for j in range(scheme.b):
@@ -280,8 +293,8 @@ def _orders(n, trials, seed):
     return [np.random.default_rng([seed, t]).permutation(n) for t in range(trials)]
 
 
-def _gathered(row, stats, orders, scheme):
-    return np.array([gathered_block_gaps(row, stats, o, scheme) for o in orders]).T
+def _gathered(row, orders, scheme):
+    return np.array([gathered_block_gaps(row, o, scheme) for o in orders]).T
 
 
 # Integer entries and integer letter norms make every block sum exact in both
@@ -294,11 +307,10 @@ def _gathered(row, stats, orders, scheme):
 ], ids=["first_half_b", "interleaved", "identity_fill", "repeat_first"])
 @pytest.mark.parametrize("a", [1, 7, 25])
 def test_block_gaps_letter_counts_match_gathered_means_exactly(row, a):
-    stats = row_stats(row)
     scheme = BlockScheme(a, row.n // a - 1)  # a*b < n leaves an ignored tail
     orders = _orders(row.n, 40, a)
-    got = block_gaps(row, stats, orders, scheme)
-    want = _gathered(row, stats, orders, scheme)
+    got = block_gaps(row, orders, scheme)
+    want = _gathered(row, orders, scheme)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
@@ -322,11 +334,11 @@ def _spiked(n):
 @pytest.mark.parametrize("make", [_complex_letters, _riemann, _spiked])
 def test_block_gaps_match_gathered_means_to_roundoff(make):
     row = make(1200)
-    stats = row_stats(row)
+    stats = row.stats
     scheme = BlockScheme(30, 40)
     orders = _orders(row.n, 60, 2)
-    got = block_gaps(row, stats, orders, scheme)
-    want = _gathered(row, stats, orders, scheme)
+    got = block_gaps(row, orders, scheme)
+    want = _gathered(row, orders, scheme)
     tol = 4 * (np.finfo(float).eps / 2) * stats.linf
     assert np.abs(got[0] - want[0]).max() <= tol
     assert np.abs(got[1] - want[1]).max() <= tol
@@ -335,16 +347,17 @@ def test_block_gaps_match_gathered_means_to_roundoff(make):
 @pytest.mark.parametrize("make", [_complex_letters, _spiked])
 def test_block_gaps_chunks_equal_per_trial_calls(make):
     row = make(400)
-    stats = row_stats(row)
     scheme = BlockScheme(10, 40)
     chunk = products._CHUNK_BLOCKS // scheme.b
     for trials in (1, chunk, chunk + 1, 2 * chunk + 3):
         orders = _orders(row.n, trials, trials)
-        got = block_gaps(row, stats, iter(orders), scheme)
-        one = [block_gaps(row, stats, [o], scheme) for o in orders]
+        got = block_gaps(row, iter(orders), scheme)
+        one = [block_gaps(row, [o], scheme) for o in orders]
         assert got[0].shape == got[1].shape == (trials,)
         assert np.array_equal(got[0], np.concatenate([m for m, _ in one]))
         assert np.array_equal(got[1], np.concatenate([g for _, g in one]))
+    with pytest.raises(ValueError, match="covers 410 > n = 400"):
+        block_gaps(row, _orders(row.n, 1, 0), BlockScheme(10, 41))
 
 
 def test_prop_uniform_bound_values():
@@ -368,7 +381,7 @@ def test_prop_uniform_bound_values():
 
 
 def test_choose_blocks():
-    stats = row_stats(gen_two_letter(10, E12, E21))
+    stats = gen_two_letter(10, E12, E21).stats
     scheme = choose_blocks(10000, stats, mode="sqrt_default")
     assert (scheme.a, scheme.b) == (100, 100)
     scheme = choose_blocks(10**6, stats, mode="probability")
@@ -386,7 +399,7 @@ def test_commuting_row_endpoint_independent_of_sigma():
     rng = np.random.default_rng(10)
     diag = np.stack([np.diag(rng.uniform(-1, 1, size=2)).astype(complex) for _ in range(30)])
     row = ArrayRow(diag)
-    stats = row_stats(row)
+    stats = row.stats
     ends = []
     for seed in range(5):
         sigma = uniform_permutation(30, np.random.default_rng(seed))
@@ -403,7 +416,7 @@ def test_standard_ordering_deviation_bound():
     n = a * b
     letters = random_unit_hermitians(a, 2, rng)
     row = gen_repeated(list(letters), n)
-    stats = row_stats(row)
+    stats = row.stats
     rep = path_deviation(row, Permutation.identity(n), stats.mean)
     assert rep.sup_dev <= 6 * math.e / b + rep.slack + 1e-6
 
@@ -415,10 +428,10 @@ def test_block_conditions_imply_uniform_bound():
     n = 400
     elems = random_unit_hermitians(n, 2, rng) * rng.uniform(0.2, 0.5, size=(n, 1, 1))
     row = ArrayRow(elems)
-    stats = row_stats(row)
+    stats = row.stats
     scheme = choose_blocks(n, stats, mode="sqrt_default")
     sigma = uniform_permutation(n, rng)
-    rep = check_block_conditions(row, sigma, scheme, np.inf, stats)
+    rep = check_block_conditions(row, sigma, scheme, np.inf)
     eps = max(rep.worst_mean_gap, rep.worst_norm_gap)
     assert (stats.l1**2) * math.exp(stats.l1) <= scheme.b / 10
     sup = path_deviation(row, sigma, stats.mean).sup_dev

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from trotter_shuffle.linalg import op_norm
 from trotter_shuffle.rows import (ArrayRow, InfeasibleRegimeError, RegimeSpec,
                                   gen_repeated, gen_riemann, gen_spiked, gen_two_letter,
-                                  row_stats, spiked_parameters)
+                                  spiked_parameters)
 
 from oracles import random_matrix, svd_norm
 
@@ -29,7 +29,7 @@ def test_row_validation():
 def test_row_stats_constant_row():
     a = random_matrix(np.random.default_rng(0), 2, 2.0)
     row = gen_repeated([a], 11)
-    stats = row_stats(row)
+    stats = row.stats
     assert np.allclose(stats.mean, a)
     assert stats.l1 == pytest.approx(op_norm(a), rel=1e-12)
     assert stats.linf == pytest.approx(op_norm(a), rel=1e-12)
@@ -37,7 +37,7 @@ def test_row_stats_constant_row():
 
 def test_row_stats_two_letters():
     row = gen_two_letter(10, E12, E21, "interleaved")
-    stats = row_stats(row)
+    stats = row.stats
     assert np.allclose(stats.mean, (E12 + E21) / 2)
     assert stats.l1 == pytest.approx(1.0)
     assert stats.linf == pytest.approx(1.0)
@@ -46,7 +46,7 @@ def test_row_stats_two_letters():
 def test_row_stats_against_resummation():
     rng = np.random.default_rng(1)
     elems = np.stack([random_matrix(rng, 2, 3.0) for _ in range(10)])
-    stats = row_stats(ArrayRow(elems))
+    stats = ArrayRow(elems).stats
     mean = sum(elems[i] for i in range(10)) / 10
     l1 = sum(svd_norm(elems[i]) for i in range(10)) / 10
     linf = max(svd_norm(elems[i]) for i in range(10))
@@ -92,7 +92,7 @@ def test_gen_repeated_occurrence_counts():
 
 def test_unit_bound_rescale():
     row = gen_two_letter(6, 3 * E12, 2 * E21, unit_bound=True)
-    assert row_stats(row).linf <= 1.0 + 1e-12
+    assert row.stats.linf <= 1.0 + 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -100,7 +100,7 @@ def test_unit_bound_rescale():
 def test_stats_chain_inequality(a, reps, seed):
     rng = np.random.default_rng(seed)
     elems = np.stack([random_matrix(rng, 2, 3.0) for _ in range(a)] * reps)
-    stats = row_stats(ArrayRow(elems))
+    stats = ArrayRow(elems).stats
     assert op_norm(stats.mean) <= stats.l1 + 1e-12
     assert stats.l1 <= stats.linf + 1e-12
 
@@ -161,7 +161,7 @@ def test_gen_spiked_structure():
     k, linf = spiked_parameters(n, spec)
     row = gen_spiked(n, spec, rng)
     assert row.n == n
-    stats = row_stats(row)
+    stats = row.stats
     assert stats.linf == pytest.approx(linf, rel=1e-9)
     # spikes first, then unit-norm remainder
     assert svd_norm(row.elements[0]) == pytest.approx(linf, rel=1e-9)
@@ -181,7 +181,7 @@ def test_gen_spiked_zero_remainder_and_fixed_direction():
     k, linf = spiked_parameters(1000, spec)
     assert np.array_equal(row.elements[0], linf * np.diag([1.0, -1.0]).astype(complex))
     assert np.array_equal(row.elements[-1], np.zeros((2, 2)))
-    assert row_stats(row).l1 == pytest.approx(k * linf / 1000, rel=1e-9)
+    assert row.stats.l1 == pytest.approx(k * linf / 1000, rel=1e-9)
 
 
 # -- riemann sampling --------------------------------------------------------

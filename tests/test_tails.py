@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trotter_shuffle.products import BlockScheme
-from trotter_shuffle.rows import ArrayRow, gen_two_letter, row_stats
-from trotter_shuffle.tails import (bernstein_tail, block_deviation_samples, eps_grid,
-                                   lemma_random_bound, variance_proxy)
+from trotter_shuffle.rows import ArrayRow, gen_two_letter
+from trotter_shuffle.tails import (bernstein_tail, block_bernstein_bound,
+                                   block_deviation_samples, eps_grid, lemma_random_bound,
+                                   variance_proxy)
 
 from oracles import random_matrix, svd_norm
 
@@ -73,7 +74,7 @@ def test_variance_proxy_cap_and_linearity():
     for _ in range(100):
         elems = np.stack([random_matrix(rng, 2, 2.0) for _ in range(8)])
         row = ArrayRow(elems)
-        stats = row_stats(row)
+        stats = row.stats
         v = variance_proxy(row, 4)
         direct = 0.5 * sum(svd_norm(elems[i] - stats.mean) ** 2 for i in range(8))
         assert v == pytest.approx(direct, rel=1e-10)
@@ -83,7 +84,7 @@ def test_variance_proxy_cap_and_linearity():
 
 
 def test_lemma_random_bound_values_and_errors():
-    stats = row_stats(gen_two_letter(10, E12, E21))
+    stats = gen_two_letter(10, E12, E21).stats
     val = lemma_random_bound(10**4, 100, 100, 1.0, stats, 2)
     assert val == pytest.approx(400 * math.exp(-100 / 12), rel=1e-12)
     # eps -> 0+ gives the vacuous b*2d
@@ -107,7 +108,7 @@ def test_empirical_block_tail_eps_above_2linf():
     # a block mean and the row mean both have norm <= Linf, so no gap exceeds 2 Linf
     row = gen_two_letter(40, E12, E21)
     mean_dev, norm_dev = block_deviation_samples(row, BlockScheme(10, 4), 200, seed=2)
-    linf = row_stats(row).linf
+    linf = row.stats.linf
     assert mean_dev.max() <= 2 * linf and norm_dev.max() <= 2 * linf
 
 
@@ -152,7 +153,7 @@ def test_domination_small_scale():
     # Monte Carlo frequencies stay under the union tail bound on the eps grid
     rng = np.random.default_rng(10)
     row = gen_two_letter(400, E12, E21)
-    stats = row_stats(row)
+    stats = row.stats
     scheme = BlockScheme(20, 20)
     trials = 2000
     mean_dev, norm_dev = block_deviation_samples(row, scheme, trials, seed=11)
@@ -164,6 +165,16 @@ def test_domination_small_scale():
         assert (norm_dev > eps).mean() <= min(1.0, lemma_random_bound(
             400, 20, 20, float(eps), stats, 1)) + slack
     del rng
+
+
+def test_block_bernstein_bound_grid_equals_scalar_formula():
+    rng = np.random.default_rng(12)
+    row = ArrayRow(np.stack([random_matrix(rng, 2, 1.0) for _ in range(400)]))
+    scheme = BlockScheme(25, 16)
+    grid = eps_grid(row.stats.l1)
+    v = variance_proxy(row, 25)
+    want = [16 * bernstein_tail(25 * e, 2 * row.stats.linf, v, 2) for e in grid]
+    assert block_bernstein_bound(row, scheme, grid) == want
 
 
 def test_eps_grid():

@@ -42,37 +42,37 @@ def test_word_validation():
 
 def test_restrict_word_identity_gives_standard():
     sigma = Permutation.identity(12)
-    w = restrict_word(sigma, 12, 3, 4)
+    w = restrict_word(sigma, 3, 4)
     assert np.array_equal(w.letters, standard_word(3, 4).letters)
 
 
 def test_restrict_word_reversal():
     sigma = Permutation(np.arange(11, -1, -1))
-    w = restrict_word(sigma, 12, 3, 4)
+    w = restrict_word(sigma, 3, 4)
     assert np.array_equal(w.letters, standard_word(3, 4).letters[::-1])
 
 
 def test_restrict_word_drops_leftovers():
     # n = 6, a*b = 4: positions 4, 5 are dropped during restriction
     sigma = Permutation(np.array([4, 0, 5, 1, 2, 3]))
-    w = restrict_word(sigma, 6, 2, 2)
+    w = restrict_word(sigma, 2, 2)
     assert np.array_equal(w.letters, [0, 1, 0, 1])
     with pytest.raises(ValueError):
-        restrict_word(sigma, 6, 3, 3)
+        restrict_word(sigma, 3, 3)
 
 
 def test_restrict_word_uniform_from_uniform_permutations():
     # exhaustive: each of the 6 words arises from exactly 4 of the 24 sigmas
     counts = {}
     for perm in itertools.permutations(range(4)):
-        w = restrict_word(Permutation(np.array(perm)), 4, 2, 2)
+        w = restrict_word(Permutation(np.array(perm)), 2, 2)
         counts[tuple(w.letters.tolist())] = counts.get(tuple(w.letters.tolist()), 0) + 1
     assert len(counts) == 6
     assert all(c == 4 for c in counts.values())
     # with leftovers: n = 5, each word from (b!)^a n!/(ab)! = 20 permutations
     counts5 = {}
     for perm in itertools.permutations(range(5)):
-        w = restrict_word(Permutation(np.array(perm)), 5, 2, 2)
+        w = restrict_word(Permutation(np.array(perm)), 2, 2)
         counts5[tuple(w.letters.tolist())] = counts5.get(tuple(w.letters.tolist()), 0) + 1
     assert all(c == 20 for c in counts5.values())
 
