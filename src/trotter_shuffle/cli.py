@@ -64,10 +64,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         report = run(cfg)
         path = emit(report, cfg.out_path)
     except ConfigError as exc:

@@ -128,8 +128,9 @@ _KINDS = {
 }
 
 # top-level field -> the kinds that read it; any other kind needs its default
+_SIZED = ("converge", "tail", "regime", "evolution")  # the kinds with rows of n_list and d
 _FIELD_KINDS = {"target": ("converge",), "eps": ("tail",), "sigma_mode": ("converge", "regime"),
-                "block_mode": ("tail",)}
+                "block_mode": ("tail",), "n_list": _SIZED, "d": _SIZED}
 
 
 def _is_int(x) -> bool:
@@ -291,7 +292,8 @@ class ExperimentConfig:
         if not isinstance(self.out_path, str) or not self.out_path:
             errors.append(f"out_path: must be a non-empty string, got {self.out_path!r}")
         for name, kinds in _FIELD_KINDS.items():
-            value, default = getattr(self, name), self.__dataclass_fields__[name].default
+            value, f = getattr(self, name), self.__dataclass_fields__[name]
+            default = f.default_factory() if f.default is dataclasses.MISSING else f.default
             if self.kind in KINDS and self.kind not in kinds and (
                     value is not None if default is None else value != default):
                 errors.append(f"{name}: the {self.kind} kind does not read it, got {value!r}")
@@ -329,10 +331,8 @@ def _stream(*key: int) -> np.random.Generator:
 
 
 def _quantiles(values) -> dict:
-    arr = np.asarray(values, dtype=float)
-    return {"p05": float(np.quantile(arr, 0.05)),
-            "median": float(np.quantile(arr, 0.5)),
-            "p95": float(np.quantile(arr, 0.95))}
+    q = np.quantile(np.asarray(values, dtype=float), [0.05, 0.5, 0.95])
+    return dict(zip(("p05", "median", "p95"), q.tolist()))
 
 
 def _matrix(g: dict, key: str) -> np.ndarray:
@@ -374,10 +374,6 @@ def _sigma(cfg: ExperimentConfig, n: int, rng: np.random.Generator) -> Permutati
     return uniform_permutation(n, rng)
 
 
-def _grid_ks(n: int) -> list[int]:
-    return sorted({round(m * n / 100) for m in range(101)})
-
-
 # Each runner yields the CSV rows of its kind as tuples in COLUMNS order.
 
 def _run_converge(cfg: ExperimentConfig, blocks: dict):
@@ -388,11 +384,10 @@ def _run_converge(cfg: ExperimentConfig, blocks: dict):
         row = _build_row(g, n, _stream(cfg.seed, kid, n), cfg.d)
         targets = [row.stats.mean] + ([target_user] if target_user is not None else [])
         sigmas = (_sigma(cfg, n, _stream(cfg.seed, kid, n, trial)) for trial in range(cfg.trials))
-        ks = _grid_ks(n)
         for trial, (rep, *rep_t) in enumerate(path_deviations(row, sigmas, targets)):
-            for k in ks:
-                dev_t = float(rep_t[0].deviations[k]) if rep_t else None
-                yield n, trial, k, float(rep.deviations[k]), dev_t, None, None
+            devs_t = rep_t[0].deviations.tolist() if rep_t else [None] * len(rep.ks)
+            for k, dev, dev_t in zip(rep.ks.tolist(), rep.deviations.tolist(), devs_t):
+                yield n, trial, k, dev, dev_t, None, None
             yield n, trial, None, None, None, rep.sup_dev, rep.slack
 
 
@@ -459,13 +454,7 @@ def riemann_reference(fn, n: int) -> np.ndarray:
     return fn(np.arange(4 * n) / (4 * n)).sum(axis=0) / (4 * n)
 
 
-_RUNNERS = {
-    "converge": _run_converge,
-    "tail": _run_tail,
-    "regime": _run_regime,
-    "words": _run_words,
-    "evolution": _run_evolution,
-}
+_RUNNERS = dict(zip(KINDS, (_run_converge, _run_tail, _run_regime, _run_words, _run_evolution)))
 
 
 def _quantiles_by(records: list[dict], column: str, *keys: str) -> dict:

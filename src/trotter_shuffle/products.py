@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, exp_stack, op_norm, op_norms
-from .rows import ArrayRow, RowStats, _own
+from .linalg import as_matrix, exp_stack, max_op_norm, op_norm, op_norms
+from .rows import ArrayRow, RowStats, _freeze, _own
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,13 +174,15 @@ def reference_path(target, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PathReport:
-    """Per-step deviations ||P_k - exp(k A/n)|| and their certified supremum.
+    """Deviations ||P_k - exp(k A/n)|| on the grid ks of 101 evenly spaced
+    steps (0 and n among them) and the certified supremum over all k.
 
     sup_dev = max_k deviation + slack, where slack = ||A|| e^{||A||} / n covers
     the motion of exp(t A) inside one grid cell, so sup_dev upper-bounds the
     deviation at every continuous time t in [0, 1].
     """
 
+    ks: np.ndarray
     deviations: np.ndarray
     sup_dev: float
     slack: float
@@ -192,22 +194,19 @@ def path_deviations(row: ArrayRow, sigmas, targets):
 
     exp_factors(row) and each target's reference path are built once and
     shared by every permutation; each permutation's path is scanned once for
-    all targets. A generator, so those arrays live only while it runs.
+    all targets, each difference stack freed once its report is built. A
+    generator, so those arrays live only while it runs.
     """
     tgts = [as_matrix(t, "target") for t in targets]
     factors = exp_factors(row)
     refs = [reference_path(t, row.n) for t in tgts]
     slacks = [nt * math.exp(nt) / row.n for nt in map(op_norm, tgts)]
+    ks = _freeze(np.array(sorted({round(m * row.n / 100) for m in range(101)})))
     for sigma in sigmas:
         _check_size(row, sigma)
         prods = prefix_products(factors, sigma.order)
-        reports = []
-        for ref, slack in zip(refs, slacks):
-            devs = op_norms(prods - ref)
-            devs.setflags(write=False)
-            reports.append(PathReport(deviations=devs, sup_dev=float(devs.max()) + slack,
-                                      slack=slack))
-        yield tuple(reports)
+        yield tuple(PathReport(ks, _freeze(op_norms(diff[ks])), max_op_norm(diff) + slack, slack)
+                    for diff, slack in zip((prods - ref for ref in refs), slacks))
 
 
 def path_deviation(row: ArrayRow, sigma: Permutation, target) -> PathReport:

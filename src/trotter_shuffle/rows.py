@@ -53,7 +53,8 @@ class ArrayRow:
 
     elements has shape (n, d, d). When the row is built from a small alphabet
     of letters, alphabet (m, d, d) and letter_of (n,) record the structure and
-    elements[i] == alphabet[letter_of[i]] bit-exactly.
+    elements[i] == alphabet[letter_of[i]] bit-exactly; a letter given twice
+    (same bytes) is kept once, at its first place.
     """
 
     elements: np.ndarray
@@ -78,6 +79,11 @@ class ArrayRow:
                 raise ValueError("letter_of must map positions into the alphabet")
             if not np.array_equal(e, al[lo]):
                 raise ValueError("elements do not match alphabet[letter_of]")
+            seen = {}  # bytes of a letter -> its first place
+            first = [seen.setdefault(m.tobytes(), i) for i, m in enumerate(al)]
+            if len(seen) < len(al):
+                keep = np.array(first) == np.arange(len(al))
+                al, lo = al[keep], (np.cumsum(keep) - 1)[first][lo]
             object.__setattr__(self, "alphabet", _freeze(al))
             object.__setattr__(self, "letter_of", _freeze(lo))
 

@@ -319,14 +319,26 @@ MATRIX_3X3 = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
                  "does not read it, got 0.1; sigma_mode: the words kind does not read it, "
                  "got 'identity'; block_mode: the words kind does not read it, got "
                  "'probability'", id="words-four-unread-fields"),
+    # words takes its size from the generator
+    ("words", {"n_list": [7]}, "n_list: the words kind does not read it, got [7]"),
+    ("words", {"d": 5}, "d: the words kind does not read it, got 5"),
 ])
 def test_cli_invalid_field_exit_2(tmp_path, capsys, kind, fields, key):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"kind": kind, "n_list": [400], "trials": 2,
+    sized = {} if kind == "words" else {"n_list": [400]}
+    cfg.write_text(json.dumps({"kind": kind, **sized, "trials": 2,
                                "out_path": str(tmp_path / "f.csv"), **fields}))
     assert main([kind, "--config", str(cfg)]) == 2
     assert f"config error: {key}" in capsys.readouterr().err
     assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize("option, value, key", [("--n", "7", "n_list"), ("--d", "5", "d")])
+def test_cli_words_rejects_size_options(tmp_path, capsys, option, value, key):
+    out = tmp_path / "w.csv"
+    assert main(["words", option, value, "--out", str(out)]) == 2
+    assert f"config error: {key}: the words kind does not read it" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field, value", [("n_list", [True, 100]), ("trials", True),
@@ -392,7 +404,8 @@ def test_cli_two_letter_odd_n_exit_2(tmp_path, capsys, kind, n):
 ])
 def test_cli_unknown_generator_key_exit_2(tmp_path, capsys, kind, generator, key):
     cfg = tmp_path / "gen.json"
-    cfg.write_text(json.dumps({"kind": kind, "n_list": [400], "trials": 2,
+    sized = {} if kind == "words" else {"n_list": [400]}
+    cfg.write_text(json.dumps({"kind": kind, **sized, "trials": 2,
                                "generator": generator, "out_path": str(tmp_path / "g.csv")}))
     assert main([kind, "--config", str(cfg)]) == 2
     assert key in capsys.readouterr().err
@@ -423,7 +436,8 @@ def test_cli_unknown_generator_key_exit_2(tmp_path, capsys, kind, generator, key
 ])
 def test_cli_bad_generator_value_exit_2(tmp_path, capsys, kind, generator, key):
     cfg = tmp_path / "gen.json"
-    cfg.write_text(json.dumps({"kind": kind, "n_list": [400], "trials": 2,
+    sized = {} if kind == "words" else {"n_list": [400]}
+    cfg.write_text(json.dumps({"kind": kind, **sized, "trials": 2,
                                "generator": generator, "out_path": str(tmp_path / "g.csv")}))
     assert main([kind, "--config", str(cfg)]) == 2
     assert f"config error: {key}" in capsys.readouterr().err
@@ -454,7 +468,8 @@ def test_generator_defaults_validate_and_match_omitted_keys(name, fn):
     given = {"name": name, **({"fn": fn} if fn else {})}
     full = {**experiments.GENERATOR_DEFAULTS[name], **experiments.FAMILY_DEFAULTS.get(fn, {}),
             **given}
-    reports = [run(ExperimentConfig(kind=kind, n_list=[40], trials=2, seed=3, generator=gen))
+    sized = {} if kind == "words" else {"n_list": [40]}  # words reads no n_list
+    reports = [run(ExperimentConfig(kind=kind, trials=2, seed=3, generator=gen, **sized))
                for gen in (given, full)]
     assert reports[0].records == reports[1].records
     assert reports[0].summary == reports[1].summary
@@ -535,6 +550,7 @@ def test_shipped_config_runs_through_cli(tmp_path, path):
     doc = json.loads(path.read_text())
     assert doc["out_path"] == f"{path.stem}.csv"
     out = tmp_path / "o.csv"
-    assert main([doc["kind"], "--config", str(path), "--n", "200", "--trials", "2",
+    sized = [] if doc["kind"] == "words" else ["--n", "200"]  # words reads no n_list
+    assert main([doc["kind"], "--config", str(path), *sized, "--trials", "2",
                  "--out", str(out)]) == 0
     assert out.exists() and out.with_suffix(".json").exists()

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from trotter_shuffle.linalg import exp_stack, mat_exp, op_norm, op_norms
+from trotter_shuffle import linalg
+from trotter_shuffle.linalg import exp_stack, mat_exp, max_op_norm, op_norm, op_norms
 
 from oracles import mp_exp, random_matrix, series_exp, svd_norm
 
@@ -127,3 +128,54 @@ def test_op_norm_delegates_to_op_norms():
     for d in (1, 2, 5):
         m = random_matrix(rng, d, 3.0)
         assert op_norm(m) == op_norms(m[None])[0]
+
+
+def _same_max(batch) -> bool:
+    return max_op_norm(batch) == float(op_norms(batch).max())
+
+
+def _rank_one(rng, k, d, scales):
+    u = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
+    v = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
+    return np.asarray(scales)[:, None, None] * u[:, :, None] * v[:, None, :].conj()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+def test_max_op_norm_is_the_svd_max_bit_for_bit(d, scale):
+    rng = np.random.default_rng(d)
+    g = rng.standard_normal((600, d, d)) + 1j * rng.standard_normal((600, d, d))
+    g *= rng.uniform(0.9, 1.1, size=(600, 1, 1)) * scale
+    g[0] = 0.0  # the k = 0 difference of a path
+    g[100:300] = _rank_one(rng, 200, d, rng.uniform(0.5, 3.0, 200) * scale)
+    assert _same_max(g)
+    assert _same_max(g[100:300])  # rank one only
+    assert _same_max(np.zeros((5, d, d)))
+    assert _same_max(np.broadcast_to(g[7], (700, d, d)))  # a tie everywhere: all kept
+    ties = g.copy()
+    ties[::50] = g[np.argmax(op_norms(g))]
+    assert _same_max(ties)
+
+
+def test_max_op_norm_margin_keeps_near_ties_of_tight_brackets():
+    # A rank-one matrix has a tight upper bound, a multiple of the identity
+    # a tight lower bound; with their norms a few ulps apart, rounding in the
+    # bracket alone could order them wrongly and drop the larger one.
+    rng = np.random.default_rng(0)
+    for d in (3, 8):
+        for _ in range(64):
+            r = _rank_one(rng, 1, d, [1.0])[0]
+            r /= op_norms(r)
+            for k in range(-6, 7):
+                c = (1.0 + k * np.spacing(1.0)) * np.eye(d)
+                assert _same_max(np.stack([r, c])) and _same_max(np.stack([c, r]))
+
+
+def test_max_op_norm_svds_only_the_screened_matrices(monkeypatch):
+    rng = np.random.default_rng(9)
+    g = rng.standard_normal((2001, 8, 8)) + 1j * rng.standard_normal((2001, 8, 8))
+    want = float(op_norms(g).max())
+    seen = []
+    monkeypatch.setattr(linalg, "op_norms", lambda b: seen.append(len(b)) or op_norms(b))
+    assert max_op_norm(g) == want
+    assert seen and seen[-1] < len(g) // 2

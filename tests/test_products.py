@@ -172,6 +172,21 @@ def test_letters_are_the_builders_or_the_distinct_elements_by_bytes():
         assert len({m.tobytes() for m in alphabet}) == len(alphabet) == distinct
 
 
+def test_builder_letters_given_twice_are_exponentiated_once(monkeypatch):
+    row = gen_two_letter(4, E12, E12)
+    alphabet, letter_of = row.letters()
+    assert alphabet.tobytes() == E12.tobytes() and letter_of.tolist() == [0, 0, 0, 0]
+    stacks = []
+    monkeypatch.setattr(products, "exp_stack", lambda b: stacks.append(b.shape) or exp_stack(b))
+    exp_factors(row)
+    assert stacks == [(1, 2, 2)]
+    # first occurrences keep their order; distinct letters are left as given
+    row = gen_repeated([E21, E12, E21, E12 + E21], 8, "identity_fill")
+    assert row.alphabet.tobytes() == np.stack([E21, E12, E12 + E21]).tobytes()
+    assert row.letter_of.tolist() == [0, 1, 0, 2, 0, 1, 0, 2]
+    assert gen_repeated([E12, E21], 5).letter_of.tolist() == [0, 1, 0, 1, 2]
+
+
 def test_exp_factors_byte_dedupe_matches_axis0_unique():
     for row in _general_rows():
         got = exp_factors(row)
@@ -202,6 +217,23 @@ def test_path_deviations_share_one_scan_per_permutation():
             one = path_deviation(row, sigma, target)
             assert np.array_equal(rep.deviations, one.deviations)
             assert (rep.sup_dev, rep.slack) == (one.sup_dev, one.slack)
+
+
+@pytest.mark.parametrize("row", [
+    gen_two_letter(300, random_matrix(np.random.default_rng(1), 3, 1.0),
+                   random_matrix(np.random.default_rng(2), 3, 1.0), "interleaved"),
+    gen_spiked(301, RegimeSpec(regime="large_linf", delta=1.0), np.random.default_rng(3), d=3),
+], ids=["two_letter", "spiked"])
+def test_path_deviations_d3_grid_and_sup_match_all_step_norms(row):
+    n = row.n
+    sigma = uniform_permutation(n, np.random.default_rng(4))
+    target = row.stats.mean
+    (rep,), = path_deviations(row, [sigma], [target])
+    every = op_norms(partial_products(row, sigma) - reference_path(target, n))
+    ks = sorted({round(m * n / 100) for m in range(101)})
+    assert rep.ks.tolist() == ks and ks[0] == 0 and ks[-1] == n
+    assert rep.deviations.tobytes() == every[ks].tobytes()
+    assert rep.sup_dev == float(every.max()) + rep.slack
 
 
 def test_reference_path():
