@@ -297,6 +297,10 @@ class ExperimentConfig:
             if self.kind in KINDS and self.kind not in kinds and (
                     value is not None if default is None else value != default):
                 errors.append(f"{name}: the {self.kind} kind does not read it, got {value!r}")
+        if self.kind == "tail" and self.block_mode != "sqrt_default" and isinstance(
+                self.generator, dict) and self.generator.get("a") is not None:
+            errors.append(f"block_mode: the tail kind reads it only without generator.a, "
+                          f"got {self.block_mode!r}")
         if errors:
             raise ConfigError("; ".join(errors))
 

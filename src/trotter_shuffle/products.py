@@ -92,7 +92,7 @@ def exp_factors(row: ArrayRow) -> np.ndarray:
     """exp(A_i / n) for every element, shape (n, d, d): each of row.letters()
     is exponentiated once."""
     alphabet, letter_of = row.letters()
-    alphabet = alphabet / row.n  # rebound: a general row's deduped copy is freed
+    alphabet = alphabet / row.n  # rebound: the copy letters() made is freed
     return exp_stack(alphabet)[letter_of]
 
 

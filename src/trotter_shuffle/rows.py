@@ -38,28 +38,19 @@ def _own(a, dtype) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RowStats:
-    """Row mean, per-element operator norms (n,), and the two norm
-    statistics: L1 = mean norm, Linf = max norm."""
+    """Row mean and the two norm statistics: L1 = mean element operator norm,
+    Linf = max element operator norm."""
 
     mean: np.ndarray
     l1: float
     linf: float
-    norms: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class ArrayRow:
-    """One row of a triangular array.
-
-    elements has shape (n, d, d). When the row is built from a small alphabet
-    of letters, alphabet (m, d, d) and letter_of (n,) record the structure and
-    elements[i] == alphabet[letter_of[i]] bit-exactly; a letter given twice
-    (same bytes) is kept once, at its first place.
-    """
+    """One row of a triangular array: elements has shape (n, d, d)."""
 
     elements: np.ndarray
-    alphabet: np.ndarray | None = None
-    letter_of: np.ndarray | None = None
 
     def __post_init__(self):
         e = _own(self.elements, np.complex128)
@@ -68,24 +59,6 @@ class ArrayRow:
         if not np.isfinite(e).all():
             raise ValueError("row has non-finite entries")
         object.__setattr__(self, "elements", _freeze(e))
-        if (self.alphabet is None) != (self.letter_of is None):
-            raise ValueError("alphabet and letter_of must be given together")
-        if self.alphabet is not None:
-            al = _own(self.alphabet, np.complex128)
-            lo = _own(self.letter_of, np.int64)
-            if al.ndim != 3 or al.shape[1:] != e.shape[1:]:
-                raise ValueError("alphabet shape inconsistent with elements")
-            if lo.shape != (e.shape[0],) or lo.min() < 0 or lo.max() >= al.shape[0]:
-                raise ValueError("letter_of must map positions into the alphabet")
-            if not np.array_equal(e, al[lo]):
-                raise ValueError("elements do not match alphabet[letter_of]")
-            seen = {}  # bytes of a letter -> its first place
-            first = [seen.setdefault(m.tobytes(), i) for i, m in enumerate(al)]
-            if len(seen) < len(al):
-                keep = np.array(first) == np.arange(len(al))
-                al, lo = al[keep], (np.cumsum(keep) - 1)[first][lo]
-            object.__setattr__(self, "alphabet", _freeze(al))
-            object.__setattr__(self, "letter_of", _freeze(lo))
 
     @property
     def n(self) -> int:
@@ -97,19 +70,27 @@ class ArrayRow:
 
     @cached_property
     def stats(self) -> RowStats:
-        norms = _freeze(op_norms(self.elements))
+        norms = op_norms(self.elements)
         return RowStats(mean=_freeze(self.elements.mean(axis=0)),
-                        l1=float(norms.mean()), linf=float(norms.max()), norms=norms)
+                        l1=float(norms.mean()), linf=float(norms.max()))
 
     def letters(self) -> tuple[np.ndarray, np.ndarray]:
         """(alphabet, letter_of) with elements == alphabet[letter_of] bit for bit:
-        the builder's, else the distinct elements by their bytes (0.0 and -0.0
-        differ), found anew on each call. len(alphabet) is the count c_n."""
-        if self.alphabet is not None:
-            return self.alphabet, self.letter_of
-        keys = self.elements.reshape(self.n, -1).view((np.void, 16 * self.d ** 2))
-        _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-        return self.elements[first], inverse
+        the distinct elements by their bytes (0.0 and -0.0 differ), in order of
+        first occurrence, found anew on each call. len(alphabet) is the count c_n.
+
+        Only the first element of each run of byte-equal neighbours is sorted,
+        so a row whose equal elements sit together costs O(n) and a sort of
+        its few runs."""
+        words = self.elements.reshape(self.n, -1).view(np.uint64)
+        heads = np.flatnonzero(np.r_[True, (words[1:] != words[:-1]).any(axis=1)])
+        keys = words[heads].view((np.void, 16 * self.d ** 2)).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # sorted-bytes label -> first-occurrence label
+        label = np.empty_like(order)
+        label[order] = np.arange(len(order))
+        runs = np.diff(np.r_[heads, self.n])
+        return self.elements[heads[first[order]]], np.repeat(label[inverse], runs)
 
 
 def _unit_rescale(letters: np.ndarray) -> np.ndarray:
@@ -135,7 +116,7 @@ def gen_two_letter(n: int, b, c, order: str = "first_half_b",
         letter_of = np.tile(np.array([0, 1]), n // 2)
     else:
         raise ValueError(f"unknown order {order!r}")
-    return ArrayRow(alphabet[letter_of], alphabet=alphabet, letter_of=letter_of)
+    return ArrayRow(alphabet[letter_of])
 
 
 def gen_repeated(letters, n: int, tail: str = "identity_fill",
@@ -164,7 +145,7 @@ def gen_repeated(letters, n: int, tail: str = "identity_fill",
         else:
             raise ValueError(f"unknown tail mode {tail!r}")
         letter_of = np.concatenate([letter_of, fill])
-    return ArrayRow(alphabet[letter_of], alphabet=alphabet, letter_of=letter_of)
+    return ArrayRow(alphabet[letter_of])
 
 
 REGIMES = ("prob_regime", "as_regime", "large_linf", "bounded_log", "intermediate")

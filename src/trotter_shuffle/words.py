@@ -164,19 +164,17 @@ _TRIAL_CHUNK = 4096  # random words drawn per batch in tau_tail_empirical
 
 
 def tau_tail_empirical(a: int, b: int, p: float, trials: int, seed: int) -> float:
-    """Frequency of tau(w) > p / sqrt(b) over uniform random words."""
+    """Frequency of tau(w) > p / sqrt(b) over trials successive random_word
+    draws from default_rng(seed), drawn _TRIAL_CHUNK at a time."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     base = np.tile(np.arange(a), b)
-    length = a * b
     hits = 0
     done = 0
     while done < trials:
         c = min(_TRIAL_CHUNK, trials - done)
-        keys = rng.random((c, length))
-        perm = np.argsort(keys, axis=1)
-        letters = base[perm]  # each row a uniform multiset arrangement
+        letters = rng.permuted(np.tile(base, (c, 1)), axis=1)  # row i: the i-th random_word
         taus = _tau(_prefix_counts(letters, a), b)
         hits += int((taus > p / math.sqrt(b)).sum())
         done += c

@@ -116,5 +116,5 @@ def gathered_block_gaps(row, order, scheme) -> tuple[float, float]:
     idx, stats = order[: scheme.covered], row.stats
     blocks = row.elements[idx].reshape(scheme.b, scheme.a, row.d, row.d)
     mean_gap = float(op_norms(blocks.mean(axis=1) - stats.mean).max())
-    norms = stats.norms[idx].reshape(scheme.b, scheme.a)
+    norms = op_norms(row.elements)[idx].reshape(scheme.b, scheme.a)
     return mean_gap, float(np.abs(norms.mean(axis=1) - stats.l1).max())

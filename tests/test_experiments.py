@@ -322,6 +322,9 @@ MATRIX_3X3 = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
     # words takes its size from the generator
     ("words", {"n_list": [7]}, "n_list: the words kind does not read it, got [7]"),
     ("words", {"d": 5}, "d: the words kind does not read it, got 5"),
+    # a tail with a fixed block size never chooses one
+    ("tail", {"block_mode": "almost_sure", "generator": {"name": "two_letter", "a": 20}},
+     "block_mode"),
 ])
 def test_cli_invalid_field_exit_2(tmp_path, capsys, kind, fields, key):
     cfg = tmp_path / "cfg.json"

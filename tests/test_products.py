@@ -164,12 +164,40 @@ def _general_rows():
 def test_letters_are_the_builders_or_the_distinct_elements_by_bytes():
     row = gen_repeated([E12, E21, E12 + E21], 10, "identity_fill")
     alphabet, letter_of = row.letters()
-    assert alphabet is row.alphabet and letter_of is row.letter_of
+    assert alphabet.tobytes() == np.stack([E12, E21, E12 + E21, np.zeros_like(E12)]).tobytes()
+    assert letter_of.tolist() == [0, 1, 2, 0, 1, 2, 0, 1, 2, 3]
     for row, distinct in zip(_general_rows(), (2, 300, 500, 3)):
         alphabet, letter_of = row.letters()
         assert alphabet[letter_of].tobytes() == row.elements.tobytes()
         # one letter per byte pattern, so 0.0 and -0.0 entries stay apart
         assert len({m.tobytes() for m in alphabet}) == len(alphabet) == distinct
+        # first-occurrence order: the letters first seen are 0, 1, 2, ...
+        _, first = np.unique(letter_of, return_index=True)
+        assert letter_of[np.sort(first)].tolist() == list(range(distinct))
+
+
+def test_letters_keep_adjacent_runs_of_signed_zeros_apart():
+    # the run of +0.0 matrices ends where the -0.0 run starts: equal by value,
+    # not by bytes, so a run check by value would merge them into one letter
+    row = ArrayRow(np.concatenate([np.zeros((3, 2, 2)), np.full((4, 2, 2), -0.0)]))
+    alphabet, letter_of = row.letters()
+    assert len(alphabet) == 2 and letter_of.tolist() == [0, 0, 0, 1, 1, 1, 1]
+    assert alphabet[letter_of].tobytes() == row.elements.tobytes()
+
+
+def test_letters_do_not_depend_on_the_arrangement():
+    rng = np.random.default_rng(8)
+    b, c = random_matrix(rng, 2, 1.0), random_matrix(rng, 2, 1.0)
+    contiguous = gen_two_letter(40, b, c)
+    rows = [contiguous, gen_two_letter(40, b, c, "interleaved"),
+            ArrayRow(contiguous.elements[rng.permutation(40)])]
+    spiked = _general_rows()[2]
+    rows += [spiked, ArrayRow(spiked.elements[rng.permutation(spiked.n)])]
+    for group in (rows[:3], rows[3:]):
+        alphabets = [row.letters()[0] for row in group]
+        sets = [{m.tobytes() for m in alphabet} for alphabet in alphabets]
+        # the same letters, each listed once, so the same c_n
+        assert all(s == sets[0] and len(al) == len(s) for s, al in zip(sets, alphabets))
 
 
 def test_builder_letters_given_twice_are_exponentiated_once(monkeypatch):
@@ -182,9 +210,10 @@ def test_builder_letters_given_twice_are_exponentiated_once(monkeypatch):
     assert stacks == [(1, 2, 2)]
     # first occurrences keep their order; distinct letters are left as given
     row = gen_repeated([E21, E12, E21, E12 + E21], 8, "identity_fill")
-    assert row.alphabet.tobytes() == np.stack([E21, E12, E12 + E21]).tobytes()
-    assert row.letter_of.tolist() == [0, 1, 0, 2, 0, 1, 0, 2]
-    assert gen_repeated([E12, E21], 5).letter_of.tolist() == [0, 1, 0, 1, 2]
+    alphabet, letter_of = row.letters()
+    assert alphabet.tobytes() == np.stack([E21, E12, E12 + E21]).tobytes()
+    assert letter_of.tolist() == [0, 1, 0, 2, 0, 1, 0, 2]
+    assert gen_repeated([E12, E21], 5).letters()[1].tolist() == [0, 1, 0, 1, 2]
 
 
 def test_exp_factors_byte_dedupe_matches_axis0_unique():
@@ -350,7 +379,7 @@ def _complex_letters(n):
     rng = np.random.default_rng(31)
     alphabet = np.stack([random_matrix(rng, 2, 2.0) for _ in range(3)])
     letter_of = rng.integers(0, 3, size=n)
-    return ArrayRow(alphabet[letter_of], alphabet=alphabet, letter_of=letter_of)
+    return ArrayRow(alphabet[letter_of])
 
 
 def _riemann(n):

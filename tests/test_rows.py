@@ -21,9 +21,6 @@ def test_row_validation():
         ArrayRow(np.zeros((0, 2, 2)))
     with pytest.raises(ValueError):
         ArrayRow(np.full((3, 2, 2), np.nan))
-    with pytest.raises(ValueError):
-        ArrayRow(np.zeros((3, 2, 2)), alphabet=np.ones((1, 2, 2)),
-                 letter_of=np.zeros(3, dtype=int))
 
 
 def test_row_stats_constant_row():
@@ -57,9 +54,9 @@ def test_row_stats_against_resummation():
 
 def test_gen_two_letter_orders():
     row = gen_two_letter(4, E12, E21, "first_half_b")
-    assert np.array_equal(row.letter_of, [0, 0, 1, 1])
+    assert np.array_equal(row.letters()[1], [0, 0, 1, 1])
     row = gen_two_letter(4, E12, E21, "interleaved")
-    assert np.array_equal(row.letter_of, [0, 1, 0, 1])
+    assert np.array_equal(row.letters()[1], [0, 1, 0, 1])
     with pytest.raises(ValueError):
         gen_two_letter(5, E12, E21)
     with pytest.raises(ValueError):
@@ -68,12 +65,12 @@ def test_gen_two_letter_orders():
 
 def test_gen_repeated_layout_and_tail():
     row = gen_repeated([E12, E21], 5, tail="repeat_first")
-    assert np.array_equal(row.letter_of, [0, 1, 0, 1, 0])
+    assert np.array_equal(row.letters()[1], [0, 1, 0, 1, 0])
     row = gen_repeated([E12], 7)
-    assert np.array_equal(row.letter_of, np.zeros(7, dtype=int))
+    assert np.array_equal(row.letters()[1], np.zeros(7, dtype=int))
     row = gen_repeated([E12, E21, np.eye(2)], 10, tail="identity_fill")
     # first a*b = 9 slots are periodic, leftover slot holds the zero matrix
-    assert np.array_equal(row.letter_of[:9] % 3, np.arange(9) % 3)
+    assert np.array_equal(row.letters()[1][:9] % 3, np.arange(9) % 3)
     assert np.array_equal(row.elements[9], np.zeros((2, 2)))
     with pytest.raises(ValueError):
         gen_repeated([E12] * 5, 3)

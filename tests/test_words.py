@@ -194,6 +194,15 @@ def test_tau_tail_empirical_matches_enumeration():
     assert abs(emp - exact) < 0.01
 
 
+def test_tau_tail_empirical_is_the_frequency_over_successive_random_words():
+    # 5,000 trials cross the 4,096-word chunk boundary of tau_tail_empirical
+    a, b, p, trials, seed = 3, 4, 1.5, 5000, 11
+    rng = np.random.default_rng(seed)
+    hits = sum(tau(random_word(a, b, rng)) > p / math.sqrt(b) for _ in range(trials))
+    assert 0 < hits < trials
+    assert tau_tail_empirical(a, b, p, trials, seed) == hits / trials
+
+
 def test_tau_tail_empirical_dominated_by_exact_bound():
     trials = 20000
     for p in (1.0, 1.6, 2.2, 2.8):
