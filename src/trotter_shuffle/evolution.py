@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import as_matrix, op_norm
-from .products import exp_factors, prefix_products
+from .products import _scans, exp_factors
 from .rows import gen_riemann
 
 
@@ -61,10 +61,13 @@ def propagators(spec: PropagatorSpec, seeds):
     n, mode = spec.n, spec.mode
     i0, i1 = _grid_index(spec.s, n), _grid_index(spec.t, n)
     grid = None if mode == "iid" else exp_factors(gen_riemann(spec.fn, n, "ordered"))
-    for seed in seeds:
+
+    def pair(seed):
         factors = grid if grid is not None else exp_factors(gen_riemann(spec.fn, n, mode, seed))
         order = np.random.default_rng(seed).permutation(n) if mode == "permuted" else np.arange(n)
-        yield prefix_products(factors, order[i0:i1])[-1].copy()
+        return factors, order[i0:i1]
+
+    yield from (prods[-1].copy() for prods in _scans(map(pair, seeds)))
 
 
 def cocycle_check(spec: PropagatorSpec, r: float) -> float:

@@ -33,30 +33,37 @@ def op_norms(batch: np.ndarray) -> np.ndarray:
     non-negative terms, so nothing cancels; each matrix is first scaled
     exactly, by a power of two, to a largest entry modulus in [1/2, 1), so
     that squaring neither overflows nor loses the leading terms to underflow.
-    Larger d uses batched SVD.
+    Larger d uses batched SVD; the closed form runs in chunks of _NORM_CHUNK.
     """
     batch = np.asarray(batch, dtype=np.complex128)
     d = batch.shape[-1]
     if d == 1:
         return np.abs(batch[..., 0, 0])
-    if d == 2:
-        mod = np.abs(batch)
-        top = np.maximum(np.maximum(mod[..., 0, 0], mod[..., 0, 1]),
-                         np.maximum(mod[..., 1, 0], mod[..., 1, 1]))
-        e = np.frexp(top)[1]
-        shift = -e[..., None, None]
-        m = np.ldexp(batch.real, shift) + 1j * np.ldexp(batch.imag, shift)
-        sq = np.ldexp(mod, shift) ** 2
-        c0 = sq[..., 0, 0] + sq[..., 1, 0]
-        c1 = sq[..., 0, 1] + sq[..., 1, 1]
-        x = np.abs(m[..., 0, 0].conj() * m[..., 0, 1] + m[..., 1, 0].conj() * m[..., 1, 1])
-        return np.ldexp(np.sqrt((c0 + c1) / 2.0 + np.hypot((c0 - c1) / 2.0, x)), e)
-    return np.linalg.svd(batch, compute_uv=False)[..., 0]
+    if d > 2:
+        return np.linalg.svd(batch, compute_uv=False)[..., 0]
+    flat = batch.reshape(-1, 2, 2)
+    chunks = (flat[i:i + _NORM_CHUNK] for i in range(0, max(len(flat), 1), _NORM_CHUNK))
+    return np.concatenate(list(map(_norms_2x2, chunks))).reshape(batch.shape[:-2])
 
 
+def _norms_2x2(batch: np.ndarray) -> np.ndarray:
+    mod = np.abs(batch)
+    top = np.maximum(np.maximum(mod[:, 0, 0], mod[:, 0, 1]),
+                     np.maximum(mod[:, 1, 0], mod[:, 1, 1]))
+    e = np.frexp(top)[1]
+    shift = -e[:, None, None]
+    m = np.ldexp(batch.real, shift) + 1j * np.ldexp(batch.imag, shift)
+    sq = np.ldexp(mod, shift) ** 2
+    c0 = sq[:, 0, 0] + sq[:, 1, 0]
+    c1 = sq[:, 0, 1] + sq[:, 1, 1]
+    x = np.abs(m[:, 0, 0].conj() * m[:, 0, 1] + m[:, 1, 0].conj() * m[:, 1, 1])
+    return np.ldexp(np.sqrt((c0 + c1) / 2.0 + np.hypot((c0 - c1) / 2.0, x)), e)
+
+
+_NORM_CHUNK = 1024  # matrices per pass of the 2x2 closed form: 64 KB temporaries
 _SCREEN_Q = 4  # max_op_norm brackets by the Schatten norm of order 2^(q+1)
 _SCREEN_MARGIN = 1e-8  # relative; far above the O(d eps) roundoff of bracket and SVD
-_SCREEN_CHUNK = 256  # matrices per screening pass
+_SCREEN_BYTES = 1 << 16  # bytes of matrices per screening pass
 
 
 def max_op_norm(batch: np.ndarray) -> float:
@@ -72,9 +79,9 @@ def max_op_norm(batch: np.ndarray) -> float:
     d = batch.shape[-1]
     if d <= 2:
         return float(op_norms(batch).max())
-    upper = np.empty(len(batch))
-    for i in range(0, len(batch), _SCREEN_CHUNK):
-        m = batch[i:i + _SCREEN_CHUNK]
+    upper, step = np.empty(len(batch)), max(1, _SCREEN_BYTES // (16 * d * d))
+    for i in range(0, len(batch), step):
+        m = batch[i:i + step]
         top = np.abs(m).max(axis=(1, 2))
         y = m / np.where(top > 0, top, 1.0)[:, None, None]
         h = y.conj().transpose(0, 2, 1) @ y

@@ -111,45 +111,60 @@ def prefix_products(factors: np.ndarray, order: np.ndarray) -> np.ndarray:
     (r, c) of step i of block j): a step is 8 multiplies and 4 adds on arrays
     of length nb, at ufunc cost rather than a matmul dispatch per product;
     the carries come from a chain of nb single 2x2 products, and one
-    broadcast pass applies them all.
+    broadcast pass applies them all. Out-of-range indexes raise IndexError.
     """
-    factors = np.asarray(factors, dtype=np.complex128)
-    n, d = len(order), factors.shape[-1]
-    m = math.isqrt(n - 1) + 1 if n > 1 else 1
-    nb = -(-n // m)
-    eye = np.eye(d, dtype=np.complex128)
-    buf = np.empty((1 + nb * m, d, d), dtype=np.complex128)
-    buf[0] = eye
-    np.take(factors, order, axis=0, out=buf[1:n + 1])
-    buf[n + 1:] = eye
-    blocks = buf[1:].reshape(nb, m, d, d)
-    if d == 2:
-        out = blocks.transpose(2, 3, 1, 0)
-        p = out.copy()
-        for i in range(1, m):
-            p[:, :, i] = p[:, 0, i - 1, None] * p[0, :, i] + p[:, 1, i - 1, None] * p[1, :, i]
-        ends = list(itertools.accumulate(p[:, :, -1].transpose(2, 0, 1), np.matmul))
-        c = np.reshape(ends[:-1], (-1, 2, 2)).transpose(1, 2, 0)[:, :, None, None]
-        out[..., :1] = p[..., :1]
-        np.multiply(c[:, 0], p[0, ..., 1:], out=out[..., 1:])
-        out[..., 1:] += c[:, 1] * p[1, ..., 1:]
-    else:
-        for i in range(1, m):
-            np.matmul(blocks[:, i - 1], blocks[:, i], out=blocks[:, i])
-        for j in range(1, nb):
-            np.matmul(blocks[j - 1, -1], blocks[j], out=blocks[j])
-    return buf[:n + 1]
+    return next(_scans([(factors, order)]))
 
 
-def _check_size(row: ArrayRow, sigma: Permutation) -> None:
+def _scans(pairs):
+    """prefix_products(factors, order) for each (factors, order) of pairs, all
+    written into one workspace kept while len(order) and d hold: a result is
+    valid only until the next is drawn."""
+    shape = None
+    for factors, order in pairs:
+        factors = np.asarray(factors, dtype=np.complex128)
+        n, k, d = len(order), len(factors), factors.shape[-1]
+        if n and not -k <= np.min(order) <= np.max(order) < k:
+            raise IndexError(f"order indexes outside the {k} factors")
+        if shape != (n, d):
+            shape, m = (n, d), math.isqrt(n - 1) + 1 if n > 1 else 1
+            nb = -(-n // m)
+            buf = np.empty((1 + nb * m, d, d), dtype=np.complex128)
+            buf[0] = np.eye(d)
+            blocks = buf[1:].reshape(nb, m, d, d)
+            p = np.empty((2, 2, m, nb), dtype=np.complex128) if d == 2 else None
+        np.take(factors, order, axis=0, out=buf[1:n + 1], mode="wrap")  # "raise" buffers out
+        buf[n + 1:] = np.eye(d)  # the last scan overwrote the padding: keep it finite
+        if d == 2:
+            out = blocks.transpose(2, 3, 1, 0)
+            np.copyto(p, out)
+            for i in range(1, m):
+                p[:, :, i] = p[:, 0, i - 1, None] * p[0, :, i] + p[:, 1, i - 1, None] * p[1, :, i]
+            ends = list(itertools.accumulate(p[:, :, -1].transpose(2, 0, 1), np.matmul))
+            c = np.reshape(ends[:-1], (-1, 2, 2)).transpose(1, 2, 0)[:, :, None, None]
+            out[..., :1] = p[..., :1]
+            np.multiply(c[:, 0], p[0, ..., 1:], out=out[..., 1:])
+            # the second terms go into the plane rows just read: p[r] = c[r, 1] p[1]
+            np.multiply(c[0, 1], p[1, ..., 1:], out=p[0, ..., 1:])
+            p[1, ..., 1:] *= c[1, 1]
+            out[..., 1:] += p[..., 1:]
+        else:
+            for i in range(1, m):
+                np.matmul(blocks[:, i - 1], blocks[:, i], out=blocks[:, i])
+            for j in range(1, nb):
+                np.matmul(blocks[j - 1, -1], blocks[j], out=blocks[j])
+        yield buf[:n + 1]
+
+
+def _order_of(row: ArrayRow, sigma: Permutation) -> np.ndarray:
     if sigma.n != row.n:
         raise ValueError(f"permutation size {sigma.n} != row length {row.n}")
+    return sigma.order
 
 
 def partial_products(row: ArrayRow, sigma: Permutation) -> np.ndarray:
     """P_0 = I, P_k = P_{k-1} exp(A_{sigma(k)}/n); shape (n+1, d, d)."""
-    _check_size(row, sigma)
-    return prefix_products(exp_factors(row), sigma.order)
+    return prefix_products(exp_factors(row), _order_of(row, sigma))
 
 
 def reference_path(target, n: int) -> np.ndarray:
@@ -194,19 +209,20 @@ def path_deviations(row: ArrayRow, sigmas, targets):
 
     exp_factors(row) and each target's reference path are built once and
     shared by every permutation; each permutation's path is scanned once for
-    all targets, each difference stack freed once its report is built. A
-    generator, so those arrays live only while it runs.
+    all targets. The scan workspace and one difference stack are allocated
+    once and rewritten by every permutation. A generator, so those arrays
+    live only while it runs.
     """
     tgts = [as_matrix(t, "target") for t in targets]
     factors = exp_factors(row)
     refs = [reference_path(t, row.n) for t in tgts]
     slacks = [nt * math.exp(nt) / row.n for nt in map(op_norm, tgts)]
     ks = _freeze(np.array(sorted({round(m * row.n / 100) for m in range(101)})))
-    for sigma in sigmas:
-        _check_size(row, sigma)
-        prods = prefix_products(factors, sigma.order)
-        yield tuple(PathReport(ks, _freeze(op_norms(diff[ks])), max_op_norm(diff) + slack, slack)
-                    for diff, slack in zip((prods - ref for ref in refs), slacks))
+    diff = np.empty((row.n + 1, row.d, row.d), dtype=np.complex128)
+    for prods in _scans((factors, _order_of(row, sigma)) for sigma in sigmas):
+        devs = (np.subtract(prods, ref, out=diff) for ref in refs)  # read before the next one
+        yield tuple(PathReport(ks, _freeze(op_norms(dev[ks])), max_op_norm(dev) + slack, slack)
+                    for dev, slack in zip(devs, slacks))
 
 
 def path_deviation(row: ArrayRow, sigma: Permutation, target) -> PathReport:
@@ -269,8 +285,7 @@ def check_block_conditions(row: ArrayRow, sigma: Permutation, scheme: BlockSchem
     ok means both are <= eps. Positions past a*b are ignored here (the path
     bound handles them as a separate tail).
     """
-    _check_size(row, sigma)
-    gaps = block_gaps(row, [sigma.order], scheme)
+    gaps = block_gaps(row, [_order_of(row, sigma)], scheme)
     mean_gap, norm_gap = (float(g[0]) * math.exp(row.stats.l1) for g in gaps)
     return BlockConditionReport(ok=(mean_gap <= eps and norm_gap <= eps),
                                 worst_mean_gap=mean_gap, worst_norm_gap=norm_gap)

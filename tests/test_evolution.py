@@ -83,6 +83,18 @@ def test_propagators_match_per_seed_propagate(name, mode):
             assert np.array_equal(u, ref)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["ordered", "permuted", "iid"])
+def test_propagators_reused_workspace_keeps_no_state(mode, d):
+    rng = np.random.default_rng(d)
+    fn = step_family(random_matrix(rng, d, 1.0), random_matrix(rng, d, 1.0), split=0.4)
+    # slices of 49, 50 and 8000 steps; each pads the last block of the scan
+    for n, s, t in [(98, 0.0, 0.5), (100, 0.25, 0.75), (8000, 0.0, 1.0)]:
+        spec = PropagatorSpec(fn=fn, s=s, t=t, n=n, mode=mode)
+        for seed, u in zip([1, 2, 1], propagators(spec, [1, 2, 1]), strict=True):
+            assert u.tobytes() == propagate(dataclasses.replace(spec, seed=seed)).tobytes()
+
+
 def test_propagate_constant_family():
     a = random_matrix(np.random.default_rng(1), 2, 1.5)
     for mode in ("ordered", "permuted", "iid"):

@@ -123,6 +123,21 @@ def test_op_norms_closed_form_2x2_matches_svd(scale):
     assert op_norms(np.zeros((3, 2, 2))).tolist() == [0.0, 0.0, 0.0]
 
 
+def test_op_norms_chunk_boundaries_are_invisible():
+    rng = np.random.default_rng(13)
+    c = linalg._NORM_CHUNK
+    g = rng.standard_normal((c + 1, 2, 2)) + 1j * rng.standard_normal((c + 1, 2, 2))
+    g *= 10.0 ** rng.integers(-200, 150, size=(c + 1, 1, 1))
+    one = np.array([op_norms(m) for m in g])
+    for k in (c - 1, c, c + 1):
+        assert op_norms(g[:k]).tobytes() == one[:k].tobytes()
+    t = g[:c].reshape(2, c // 2, 2, 2)  # a (T, b, 2, 2) stack, as block_gaps passes
+    got = op_norms(np.concatenate([t, t[:, :3]], axis=1))
+    assert got.shape == (2, c // 2 + 3)
+    assert got[:, :c // 2].tobytes() == one[:c].reshape(2, -1).tobytes()
+    assert got[:, c // 2:].tobytes() == one[:c].reshape(2, -1)[:, :3].tobytes()
+
+
 def test_op_norm_delegates_to_op_norms():
     rng = np.random.default_rng(12)
     for d in (1, 2, 5):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,17 +236,77 @@ def test_reference_path_vs_mp_oracle(n, d):
 
 
 def test_path_deviations_share_one_scan_per_permutation():
-    n = 300
-    row = gen_two_letter(n, E12, E21)
-    sigmas = [uniform_permutation(n, np.random.default_rng(s)) for s in range(3)]
-    targets = [row.stats.mean, np.array([[0, 0.6], [0.4, 0]])]
-    reports = list(path_deviations(row, sigmas, targets))
-    assert len(reports) == 3
-    for sigma, reps in zip(sigmas, reports):
-        for target, rep in zip(targets, reps):
-            one = path_deviation(row, sigma, target)
-            assert np.array_equal(rep.deviations, one.deviations)
-            assert (rep.sup_dev, rep.slack) == (one.sup_dev, one.slack)
+    for n in (300, 3000):  # 3001 > the closed-form norm chunk of op_norms
+        row = gen_two_letter(n, E12, E21)
+        sigmas = [uniform_permutation(n, np.random.default_rng(s)) for s in range(3)]
+        targets = [row.stats.mean, np.array([[0, 0.6], [0.4, 0]])]
+        reports = list(path_deviations(row, sigmas, targets))
+        assert len(reports) == 3
+        for sigma, reps in zip(sigmas, reports):
+            for target, rep in zip(targets, reps):
+                one = path_deviation(row, sigma, target)
+                assert np.array_equal(rep.deviations, one.deviations)
+                assert (rep.sup_dev, rep.slack) == (one.sup_dev, one.slack)
+
+
+def _other_target(d):
+    return random_matrix(np.random.default_rng(d), d, 1.0)
+
+
+@pytest.mark.parametrize("n, d", [(49, 1), (49, 2), (49, 3), (50, 1), (50, 2), (50, 3),
+                                  (8000, 1), (8000, 2), (8000, 3)])
+def test_path_deviations_reused_workspace_keeps_no_state(n, d):
+    # n = 49, 50 and 8000 pad the last block with identities, which each scan
+    # overwrites; every trial reads the same workspace as a fresh call would
+    row = gen_spiked(n, RegimeSpec(regime="large_linf", delta=1.0), np.random.default_rng(n), d=d)
+    a, b = (uniform_permutation(n, np.random.default_rng(s)) for s in (1, 2))
+    targets = [row.stats.mean, _other_target(d)]
+    for sigma, reps in zip([a, b, a], path_deviations(row, [a, b, a], targets), strict=True):
+        for fresh, rep in zip(next(path_deviations(row, [sigma], targets)), reps, strict=True):
+            assert rep.deviations.tobytes() == fresh.deviations.tobytes()
+            assert (rep.sup_dev, rep.slack) == (fresh.sup_dev, fresh.slack)
+
+
+@pytest.mark.parametrize("row", [
+    gen_two_letter(8000, E12, E21),
+    gen_spiked(2000, RegimeSpec(regime="large_linf", delta=1.0), np.random.default_rng(5), d=8),
+], ids=["two_letter_d2", "spiked_d8"])
+def test_a_trial_allocates_less_than_one_product_stack(row):
+    n, d = row.n, row.d
+    sigmas = [uniform_permutation(n, np.random.default_rng(s)) for s in range(4)]
+    trials = path_deviations(row, sigmas, [row.stats.mean, _other_target(d)])
+    tracemalloc.start()
+    try:
+        next(trials)
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        for _ in range(3):
+            next(trials)
+        rise = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert rise < (n + 1) * d * d * 16, rise / ((n + 1) * d * d * 16)
+
+
+def test_scans_reused_across_changing_lengths_and_d_match_fresh_scans():
+    rng = np.random.default_rng(0)
+    f2, f3 = (exp_stack(np.stack([random_matrix(rng, d, 1.0) for _ in range(60)]) / 10)
+              for d in (2, 3))
+    pairs = [(f2, rng.permutation(49)), (f2, rng.permutation(60)), (f3, rng.permutation(50)),
+             (f2, rng.permutation(49)), (f2, rng.permutation(49)), (f3, rng.permutation(50))]
+    for (factors, order), got in zip(pairs, products._scans(pairs), strict=True):
+        assert got.tobytes() == prefix_products(factors, order).tobytes()
+
+
+def test_prefix_products_range_check_survives_the_unbuffered_take():
+    factors = exp_stack(np.stack([E12, E21, E12 + E21]) / 3)
+    with pytest.raises(IndexError):
+        prefix_products(factors, np.array([0, 1, 3]))
+    with pytest.raises(IndexError):
+        prefix_products(factors, np.array([-4, 1, 2]))
+    # a negative index counts from the end, as numpy indexing does
+    assert np.array_equal(prefix_products(factors, np.array([0, -1])),
+                          prefix_products(factors, np.array([0, 2])))
 
 
 @pytest.mark.parametrize("row", [
