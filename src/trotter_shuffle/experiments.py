@@ -159,6 +159,14 @@ def _merged(gen: dict) -> dict:
             **{k: float(gen[k]) for k, v in keys.items() if k in gen and isinstance(v, float)}}
 
 
+def _regimes(gen: dict) -> list[tuple[str, dict]]:
+    """(where, merged generator) of each regime a valid spiked generator runs:
+    each of its regimes over its own keys, or itself."""
+    regimes = gen.get("regimes")
+    return [(f"generator.regimes[{i}]" if regimes else "generator", _merged({**gen, **r}))
+            for i, r in enumerate(regimes or [{}])]
+
+
 def _value_error(key: str, value, default) -> str | None:
     """Why value cannot stand for a generator key with this default, or None."""
     if key in GENERATOR_VALUES:
@@ -233,6 +241,11 @@ def _generator_errors(kind: str, gen: dict, ns: list, target, d) -> list[str]:
         if not 0 <= g["s"] <= g["t"] <= 1:
             errors.append(f"generator.s, generator.t: need 0 <= s <= t <= 1, "
                           f"got s={g['s']}, t={g['t']}")
+    for where, g in _regimes(gen) if name == "spiked" and not errors else ():
+        try:
+            _regime_spec(g)
+        except ValueError as exc:
+            errors.append(f"{where}: {exc}")
     if name == "two_letter" and any(_is_int(n) and n % 2 for n in ns):
         errors.append(f"n_list: the two_letter generator needs even n, got {ns}")
     a = gen.get("a")
@@ -271,8 +284,8 @@ class ExperimentConfig:
         ns = self.n_list if isinstance(self.n_list, list) else []
         if not ns:
             errors.append("n_list: must be a non-empty list")
-        elif not all(_is_int(n) and n >= 1 for n in ns):
-            errors.append(f"n_list: entries must be positive integers, got {self.n_list}")
+        elif not all(_is_int(n) and n >= 1 for n in ns) or len(set(ns)) < len(ns):
+            errors.append(f"n_list: entries must be distinct positive integers, got {self.n_list}")
         if not _is_int(self.trials) or self.trials < 1:
             errors.append(f"trials: must be >= 1, got {self.trials}")
         if not _is_int(self.seed) or self.seed < 0:
@@ -366,37 +379,40 @@ def _build_row(g: dict, n: int, rng: np.random.Generator, d: int) -> ArrayRow:
 
 
 def _regime_spec(g: dict) -> RegimeSpec:
-    try:
-        return RegimeSpec(**{f.name: g[f.name] for f in dataclasses.fields(RegimeSpec)})
-    except ValueError as exc:
-        raise ConfigError(f"generator: {exc}") from exc
+    return RegimeSpec(**{f.name: g[f.name] for f in dataclasses.fields(RegimeSpec)})
 
 
-def _sigma(cfg: ExperimentConfig, n: int, rng: np.random.Generator) -> Permutation:
-    if cfg.sigma_mode == "identity":
-        return Permutation.identity(n)
-    return uniform_permutation(n, rng)
+def _paths(cfg: ExperimentConfig, g: dict, n: int, *cell: int, targets=()):
+    """The row of length n of a merged generator, drawn from the stream keyed
+    (seed, kind, n, *cell), and the PathReports of each trial's permutation (the
+    identity, or uniform from that key + (trial,)) against the row mean and targets."""
+    key = (cfg.seed, _KIND_ID[cfg.kind], n, *cell)
+    row = _build_row(g, n, _stream(*key), cfg.d)
+    sigmas = (Permutation.identity(n) if cfg.sigma_mode == "identity"
+              else uniform_permutation(n, _stream(*key, trial)) for trial in range(cfg.trials))
+    return row, path_deviations(row, sigmas, [row.stats.mean, *targets])
 
 
-# Each runner yields the CSV rows of its kind as tuples in COLUMNS order.
+# Each runner yields the CSV rows of its kind as tuples in COLUMNS order and
+# puts the sidecar summary of its kind into summary.
 
-def _run_converge(cfg: ExperimentConfig, blocks: dict):
-    kid = _KIND_ID[cfg.kind]
+def _run_converge(cfg: ExperimentConfig, summary: dict):
     g = _merged(cfg.generator)
-    target_user = parse_matrix(cfg.target, "target") if cfg.target is not None else None
+    targets = [] if cfg.target is None else [parse_matrix(cfg.target, "target")]
     for n in cfg.n_list:
-        row = _build_row(g, n, _stream(cfg.seed, kid, n), cfg.d)
-        targets = [row.stats.mean] + ([target_user] if target_user is not None else [])
-        sigmas = (_sigma(cfg, n, _stream(cfg.seed, kid, n, trial)) for trial in range(cfg.trials))
-        for trial, (rep, *rep_t) in enumerate(path_deviations(row, sigmas, targets)):
+        sups, finals = [], []
+        _, reports = _paths(cfg, g, n, targets=targets)
+        for trial, (rep, *rep_t) in enumerate(reports):
             devs_t = rep_t[0].deviations.tolist() if rep_t else [None] * len(rep.ks)
             for k, dev, dev_t in zip(rep.ks.tolist(), rep.deviations.tolist(), devs_t):
                 yield n, trial, k, dev, dev_t, None, None
             yield n, trial, None, None, None, rep.sup_dev, rep.slack
+            sups.append(rep.sup_dev)
+            finals.append(rep.deviations[-1])  # k = n, the last grid point
+        summary[str(n)] = {"sup_dev": _quantiles(sups), "final_dev": _quantiles(finals)}
 
 
-def _run_tail(cfg: ExperimentConfig, blocks: dict):
-    """Also puts the per-n block summary into blocks."""
+def _run_tail(cfg: ExperimentConfig, summary: dict):
     kid = _KIND_ID[cfg.kind]
     g = _merged(cfg.generator)
     for n in cfg.n_list:
@@ -410,37 +426,36 @@ def _run_tail(cfg: ExperimentConfig, blocks: dict):
         for e, freq, bound in zip(grid, freqs, block_bernstein_bound(row, scheme, grid)):
             yield (n, e, freq, bound, lemma_random_bound(n, scheme.a, scheme.b, e, stats, row.d),
                    cfg.trials)
-        blocks[str(n)] = {"a": scheme.a, "b": scheme.b, "l1": stats.l1,
-                          "linf": stats.linf, "max_freq": max(freqs)}
+        summary[str(n)] = {"a": scheme.a, "b": scheme.b, "l1": stats.l1,
+                           "linf": stats.linf, "max_freq": max(freqs)}
 
 
-def _run_regime(cfg: ExperimentConfig, blocks: dict):
-    kid = _KIND_ID[cfg.kind]
-    gen = cfg.generator
+def _run_regime(cfg: ExperimentConfig, summary: dict):
+    sups: dict = {}  # regimes that share a name pool their trials
     for n in cfg.n_list:
-        for ri, rgen in enumerate(gen.get("regimes") or [gen]):
-            g = _merged({**gen, **rgen})
+        for ri, (_, g) in enumerate(_regimes(cfg.generator)):
             spec = _regime_spec(g)
             k_n, linf = spiked_parameters(n, spec)
-            row = _build_row(g, n, _stream(cfg.seed, kid, n, ri), cfg.d)
+            row, reports = _paths(cfg, g, n, ri)
             norm_mean = op_norm(row.stats.mean)
-            sigmas = (_sigma(cfg, n, _stream(cfg.seed, kid, n, ri, trial))
-                      for trial in range(cfg.trials))
-            for trial, (rep,) in enumerate(path_deviations(row, sigmas, [row.stats.mean])):
+            for trial, (rep,) in enumerate(reports):
                 yield (n, spec.regime, trial, k_n, linf, row.stats.l1, norm_mean,
                        rep.sup_dev, rep.slack)
+                sups.setdefault(f"{n}:{spec.regime}", []).append(rep.sup_dev)
+    summary.update((key, _quantiles(v)) for key, v in sups.items())
 
 
-def _run_words(cfg: ExperimentConfig, blocks: dict):
+def _run_words(cfg: ExperimentConfig, summary: dict):
     kid = _KIND_ID[cfg.kind]
     g = _merged(cfg.generator)
     a, b = g["a"], g["b"]
-    for trial in range(cfg.trials):
-        tv, distance = word_statistics(random_word(a, b, _stream(cfg.seed, kid, trial)))
-        yield trial, tv, distance, (a * b) ** 2 * tv
+    stats = [word_statistics(random_word(a, b, _stream(cfg.seed, kid, trial)))
+             for trial in range(cfg.trials)]
+    yield from ((trial, tv, dist, (a * b) ** 2 * tv) for trial, (tv, dist) in enumerate(stats))
+    summary.update(tau=_quantiles([tv for tv, _ in stats]), a=a, b=b)
 
 
-def _run_evolution(cfg: ExperimentConfig, blocks: dict):
+def _run_evolution(cfg: ExperimentConfig, summary: dict):
     kid = _KIND_ID[cfg.kind]
     g = _merged(cfg.generator)
     fn = _family(g)
@@ -448,8 +463,9 @@ def _run_evolution(cfg: ExperimentConfig, blocks: dict):
         target = mat_exp((g["t"] - g["s"]) * riemann_reference(fn, n))
         spec = evo.PropagatorSpec(fn=fn, s=g["s"], t=g["t"], n=n, mode=g["mode"])
         seeds = ((cfg.seed, kid, n, trial) for trial in range(cfg.trials))
-        for trial, u in enumerate(evo.propagators(spec, seeds)):
-            yield n, trial, float(op_norm(u - target))
+        devs = [float(op_norm(u - target)) for u in evo.propagators(spec, seeds)]
+        yield from ((n, trial, dev) for trial, dev in enumerate(devs))
+        summary[str(n)] = _quantiles(devs)
 
 
 def riemann_reference(fn, n: int) -> np.ndarray:
@@ -461,37 +477,11 @@ def riemann_reference(fn, n: int) -> np.ndarray:
 _RUNNERS = dict(zip(KINDS, (_run_converge, _run_tail, _run_regime, _run_words, _run_evolution)))
 
 
-def _quantiles_by(records: list[dict], column: str, *keys: str) -> dict:
-    """Quantiles of the filled cells of a column per value of the key columns,
-    joined by ":", in order of first appearance."""
-    groups: dict = {}
-    for rec in records:
-        if rec[column] is not None:
-            groups.setdefault(":".join(str(rec[k]) for k in keys), []).append(rec[column])
-    return {k: _quantiles(v) for k, v in groups.items()}
-
-
-def _summary(cfg: ExperimentConfig, records: list[dict], blocks: dict) -> dict:
-    """The sidecar summary, read off the records; tail's is its block summary."""
-    if cfg.kind == "tail":
-        return blocks
-    if cfg.kind == "words":
-        g = _merged(cfg.generator)
-        return {"tau": _quantiles([rec["tau"] for rec in records]), "a": g["a"], "b": g["b"]}
-    if cfg.kind == "regime":
-        return _quantiles_by(records, "sup_dev", "n", "regime")
-    if cfg.kind == "evolution":
-        return _quantiles_by(records, "deviation", "n")
-    sups = _quantiles_by(records, "sup_dev", "n")
-    finals = _quantiles_by([rec for rec in records if rec["k"] == rec["n"]], "deviation", "n")
-    return {n: {"sup_dev": sups[n], "final_dev": finals[n]} for n in sups}
-
-
 def run(cfg: ExperimentConfig) -> ExperimentReport:
     cfg.validate()
-    blocks: dict = {}
-    records = [dict(zip(COLUMNS[cfg.kind], row)) for row in _RUNNERS[cfg.kind](cfg, blocks)]
-    return ExperimentReport(config=cfg, records=records, summary=_summary(cfg, records, blocks))
+    summary: dict = {}
+    records = [dict(zip(COLUMNS[cfg.kind], row)) for row in _RUNNERS[cfg.kind](cfg, summary)]
+    return ExperimentReport(config=cfg, records=records, summary=summary)
 
 
 def _cell(value) -> str:

@@ -102,18 +102,18 @@ def _target_ranks(w: Word) -> np.ndarray:
 
 def transposition_distance(w: Word) -> int:
     """Adjacent transpositions needed to reach the standard word under stable
-    matching of equal letters: the inversion count of the rank sequence.
-
-    Read off the prefix counts: the m-th occurrence of letter l is outranked
-    by an earlier occurrence of l' when that is the m'-th with m' > m, or
-    m' = m and l' > l. With c occurrences of l' so far, that makes
-    max(0, c - m - [l' < l]) inversions.
-    """
+    matching of equal letters: the inversion count of the rank sequence."""
     return word_statistics(w)[1]
 
 
 def word_statistics(w: Word) -> tuple[float, int]:
-    """(tau(w), transposition_distance(w)), read off one prefix-count array."""
+    """(tau(w), transposition_distance(w)), read off one prefix-count array.
+
+    The distance counts inversions from the prefix counts: the m-th occurrence
+    of letter l is outranked by an earlier occurrence of l' when that is the
+    m'-th with m' > m, or m' = m and l' > l. With c occurrences of l' so far,
+    that makes max(0, c - m - [l' < l]) inversions.
+    """
     pc = prefix_counts(w)
     before = pc[:, :-1]
     m = before[w.letters, np.arange(w.length)]
@@ -154,8 +154,6 @@ def tau_tail_bound(a: int, b: int, p: float) -> float:
     if p * math.sqrt(b) > b + 1:
         raise ValueError(f"p sqrt(b) = {p * math.sqrt(b):.6g} exceeds b + 1 = {b + 1}")
     m = math.ceil(b - p * math.sqrt(b) + 1)
-    if m < 0:
-        return 0.0
     ratio = Fraction(math.comb(2 * b, m), math.comb(2 * b, b))
     return 2.0 * a * a * float(ratio)
 

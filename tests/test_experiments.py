@@ -30,6 +30,8 @@ def test_config_validation_messages():
         ExperimentConfig.from_dict({"kind": "converge", "bogus": 1})
     with pytest.raises(ConfigError, match="kind"):
         ExperimentConfig.from_dict({"n_list": [10]})
+    with pytest.raises(ConfigError, match="config: expected a JSON object"):
+        ExperimentConfig.from_dict([{"kind": "converge"}])
 
 
 def test_parse_matrix():
@@ -207,6 +209,61 @@ def test_regime_kind_runs_all_default_regimes():
         assert rec["sup_dev"] > 0
 
 
+def test_summary_is_the_summary_of_the_records():
+    """Each runner's sidecar summary holds the quantiles of its own CSV rows;
+    regimes that share a name pool their trials under one key."""
+    def by(records, column, *keys):
+        groups = {}
+        for rec in records:
+            if rec[column] is not None:
+                groups.setdefault(":".join(str(rec[k]) for k in keys), []).append(rec[column])
+        return {k: experiments._quantiles(v) for k, v in groups.items()}
+
+    report = run(ExperimentConfig(kind="converge", n_list=[40, 60], trials=3, seed=1))
+    finals = by([r for r in report.records if r["k"] == r["n"]], "deviation", "n")
+    assert report.summary == {n: {"sup_dev": q, "final_dev": finals[n]}
+                              for n, q in by(report.records, "sup_dev", "n").items()}
+    regimes = [{"regime": "large_linf", "delta": 1.0}, {"regime": "intermediate"},
+               {"regime": "large_linf", "delta": 2.0}]
+    report = run(ExperimentConfig(kind="regime", n_list=[400, 600], trials=2, seed=2,
+                                  generator={"name": "spiked", "regimes": regimes}))
+    assert report.summary == by(report.records, "sup_dev", "n", "regime")
+    assert sorted(report.summary) == ["400:intermediate", "400:large_linf",
+                                      "600:intermediate", "600:large_linf"]
+    report = run(ExperimentConfig(kind="evolution", n_list=[40, 60], trials=3, seed=3))
+    assert report.summary == by(report.records, "deviation", "n")
+    report = run(ExperimentConfig(kind="words", trials=5, seed=4))
+    assert report.summary == {"tau": by(report.records, "tau")[""], "a": 5, "b": 8}
+
+
+BAD_REGIMES = [{"regime": "large_linf", "delta": 1.0}, {"regime": "intermediate", "alpha": 1.5}]
+
+
+@pytest.mark.parametrize("kind, generator, key", [
+    ("regime", {"name": "spiked", "regimes": BAD_REGIMES},
+     "generator.regimes[1]: intermediate regime needs"),
+    ("regime", {"name": "spiked", "delta": -1}, "generator: delta must be positive"),
+    ("regime", {"name": "spiked", "linf": -2.0}, "generator: linf must be positive"),
+    ("regime", {"name": "spiked", "delta": -1, "regimes": [{"regime": "large_linf"},
+                                                         {"regime": "as_regime", "delta": 1}]},
+     "generator.regimes[0]: delta must be positive"),
+    ("converge", {"name": "spiked", "delta": -1}, "generator: delta must be positive"),
+])
+def test_regime_spec_checked_before_any_cell_runs(tmp_path, capsys, monkeypatch, kind,
+                                                  generator, key):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        ExperimentConfig(kind=kind, n_list=[400], generator=generator)
+    calls = Counter()
+    _counting(monkeypatch, calls, ((experiments, products), "path_deviations"))
+    cfg = tmp_path / "spec.json"
+    out = tmp_path / "s.csv"
+    cfg.write_text(json.dumps({"kind": kind, "n_list": [400, 800], "trials": 2,
+                               "generator": generator, "out_path": str(out)}))
+    assert main([kind, "--config", str(cfg)]) == 2
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert not out.exists() and not calls
+
+
 def test_regime_infeasible_surfaces_error():
     cfg = ExperimentConfig(kind="regime", n_list=[10**6], trials=1, seed=6,
                            generator={"name": "spiked", "regime": "bounded_log",
@@ -322,9 +379,16 @@ MATRIX_3X3 = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
     # words takes its size from the generator
     ("words", {"n_list": [7]}, "n_list: the words kind does not read it, got [7]"),
     ("words", {"d": 5}, "d: the words kind does not read it, got 5"),
+    # a multiset has no matrices, so a target is unread, not of the wrong dimension
+    ("words", {"target": MATRIX_3X3}, "target: the words kind does not read it"),
     # a tail with a fixed block size never chooses one
     ("tail", {"block_mode": "almost_sure", "generator": {"name": "two_letter", "a": 20}},
      "block_mode"),
+    ("tail", {"block_mode": "sqrt"}, "block_mode: unknown mode 'sqrt'"),
+    ("converge", {"target": [["x"]]}, "target: cannot parse matrix"),
+    # copies of an n would draw the same streams and repeat the same cells
+    ("converge", {"n_list": [40, 40]}, "n_list: entries must be distinct"),
+    ("evolution", {"n_list": [40, 60, 40]}, "n_list: entries must be distinct"),
 ])
 def test_cli_invalid_field_exit_2(tmp_path, capsys, kind, fields, key):
     cfg = tmp_path / "cfg.json"
@@ -334,6 +398,20 @@ def test_cli_invalid_field_exit_2(tmp_path, capsys, kind, fields, key):
     assert main([kind, "--config", str(cfg)]) == 2
     assert f"config error: {key}" in capsys.readouterr().err
     assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize("args, key", [
+    (["--config", "missing.json"], "config: cannot read missing.json"),
+    (["--config", "list.json"], "config: expected a JSON object"),
+    (["--n", "1,x"], "--n: expected comma-separated integers"),
+    (["--n", "40,40"], "n_list: entries must be distinct positive integers, got [40, 40]"),
+])
+def test_cli_bad_input_exit_2(tmp_path, capsys, monkeypatch, args, key):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "list.json").write_text(json.dumps([{"kind": "converge"}]))
+    assert main(["converge", *args, "--out", "c.csv"]) == 2
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
 
 
 @pytest.mark.parametrize("option, value, key", [("--n", "7", "n_list"), ("--d", "5", "d")])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trotter_shuffle.linalg import op_norm
+from trotter_shuffle.linalg import op_norm, op_norms
 from trotter_shuffle.rows import (ArrayRow, InfeasibleRegimeError, RegimeSpec,
                                   gen_repeated, gen_riemann, gen_spiked, gen_two_letter,
                                   spiked_parameters)
@@ -90,6 +90,19 @@ def test_gen_repeated_occurrence_counts():
 def test_unit_bound_rescale():
     row = gen_two_letter(6, 3 * E12, 2 * E21, unit_bound=True)
     assert row.stats.linf <= 1.0 + 1e-12
+
+
+def test_gen_repeated_unit_bound():
+    rng = np.random.default_rng(5)
+    letters = [random_matrix(rng, 2, 3.0) for _ in range(3)] + [4 * E12]
+    top = float(op_norms(np.stack(letters)).max())
+    row = gen_repeated(letters, 10, unit_bound=True)
+    assert top > 1.0 and row.stats.linf == pytest.approx(1.0, abs=1e-15)
+    assert np.array_equal(row.elements, gen_repeated([m / top for m in letters], 10).elements)
+    # letters already inside the unit ball are kept as they are
+    small = [0.5 * E12, 0.25 * E21]
+    assert np.array_equal(gen_repeated(small, 6, unit_bound=True).elements,
+                          gen_repeated(small, 6).elements)
 
 
 @settings(max_examples=30, deadline=None)
