@@ -379,8 +379,6 @@ MATRIX_3X3 = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
     # words takes its size from the generator
     ("words", {"n_list": [7]}, "n_list: the words kind does not read it, got [7]"),
     ("words", {"d": 5}, "d: the words kind does not read it, got 5"),
-    # a multiset has no matrices, so a target is unread, not of the wrong dimension
-    ("words", {"target": MATRIX_3X3}, "target: the words kind does not read it"),
     # a tail with a fixed block size never chooses one
     ("tail", {"block_mode": "almost_sure", "generator": {"name": "two_letter", "a": 20}},
      "block_mode"),
@@ -389,6 +387,8 @@ MATRIX_3X3 = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
     # copies of an n would draw the same streams and repeat the same cells
     ("converge", {"n_list": [40, 40]}, "n_list: entries must be distinct"),
     ("evolution", {"n_list": [40, 60, 40]}, "n_list: entries must be distinct"),
+    # a multiset has no matrices, so a target is unread, not of the wrong dimension
+    ("words", {"target": MATRIX_3X3}, "target: the words kind does not read it"),
 ])
 def test_cli_invalid_field_exit_2(tmp_path, capsys, kind, fields, key):
     cfg = tmp_path / "cfg.json"
