@@ -432,16 +432,16 @@ def _run_tail(cfg: ExperimentConfig, summary: dict):
 
 def _run_regime(cfg: ExperimentConfig, summary: dict):
     sups: dict = {}  # regimes that share a name pool their trials
-    for n in cfg.n_list:
-        for ri, (_, g) in enumerate(_regimes(cfg.generator)):
-            spec = _regime_spec(g)
-            k_n, linf = spiked_parameters(n, spec)
-            row, reports = _paths(cfg, g, n, ri)
-            norm_mean = op_norm(row.stats.mean)
-            for trial, (rep,) in enumerate(reports):
-                yield (n, spec.regime, trial, k_n, linf, row.stats.l1, norm_mean,
-                       rep.sup_dev, rep.slack)
-                sups.setdefault(f"{n}:{spec.regime}", []).append(rep.sup_dev)
+    cells = [(n, ri, g, _regime_spec(g)) for n in cfg.n_list
+             for ri, (_, g) in enumerate(_regimes(cfg.generator))]
+    params = [spiked_parameters(n, spec) for n, _, _, spec in cells]  # raises before any trial
+    for (n, ri, g, spec), (k_n, linf) in zip(cells, params):
+        row, reports = _paths(cfg, g, n, ri)
+        norm_mean = op_norm(row.stats.mean)
+        for trial, (rep,) in enumerate(reports):
+            yield (n, spec.regime, trial, k_n, linf, row.stats.l1, norm_mean,
+                   rep.sup_dev, rep.slack)
+            sups.setdefault(f"{n}:{spec.regime}", []).append(rep.sup_dev)
     summary.update((key, _quantiles(v)) for key, v in sups.items())
 
 

@@ -139,21 +139,79 @@ def _scans(pairs):
             out = blocks.transpose(2, 3, 1, 0)
             np.copyto(p, out)
             for i in range(1, m):
-                p[:, :, i] = p[:, 0, i - 1, None] * p[0, :, i] + p[:, 1, i - 1, None] * p[1, :, i]
+                p[:, :, i] = _plane_product(p[:, :, i - 1], p[:, :, i])
             ends = list(itertools.accumulate(p[:, :, -1].transpose(2, 0, 1), np.matmul))
             c = np.reshape(ends[:-1], (-1, 2, 2)).transpose(1, 2, 0)[:, :, None, None]
             out[..., :1] = p[..., :1]
-            np.multiply(c[:, 0], p[0, ..., 1:], out=out[..., 1:])
-            # the second terms go into the plane rows just read: p[r] = c[r, 1] p[1]
-            np.multiply(c[0, 1], p[1, ..., 1:], out=p[0, ..., 1:])
-            p[1, ..., 1:] *= c[1, 1]
-            out[..., 1:] += p[..., 1:]
+            _carry(c, p[..., 1:], out[..., 1:])
         else:
             for i in range(1, m):
                 np.matmul(blocks[:, i - 1], blocks[:, i], out=blocks[:, i])
             for j in range(1, nb):
                 np.matmul(blocks[j - 1, -1], blocks[j], out=blocks[j])
         yield buf[:n + 1]
+
+
+def _plane_product(a, b):
+    """a @ b on 2x2 entry planes (a[r, c] is entry (r, c) of every matrix)."""
+    return a[:, 0, None] * b[0] + a[:, 1, None] * b[1]
+
+
+def _carry(c, p, out):
+    """out = c @ p on 2x2 entry planes, c with a unit axis for p[0]'s columns.
+    The second terms go into p's rows once read, so row 1 is p[1] * c[1, 1]:
+    complex multiply does not commute in the last bit."""
+    np.multiply(c[:, 0], p[0], out=out)
+    np.multiply(c[0, 1], p[1], out=p[0])
+    p[1] *= c[1, 1]
+    out += p
+
+
+_PRODUCT_STEPS = 1 << 15  # order positions per pass of _products (whole orders, at least one)
+
+
+def _products(factors, orders, n: int):
+    """prefix_products(factors, order)[-1], bit for bit, for each order of the
+    iterable orders, all of length n: the blocks of _scans with one running
+    product each, stepped together for all orders of a pass (one gather and one
+    plane product or batched matmul per position; memory O(_PRODUCT_STEPS)),
+    then the carry of each order's chained block ends on its last block alone."""
+    factors = np.asarray(factors, dtype=np.complex128)
+    k, d = len(factors), factors.shape[-1]
+    m = math.isqrt(max(n - 1, 0)) + 1
+    nb, last = max(1, -(-n // m)), (n - 1) % m  # blocks (n = 0: one of padding); step of n - 1
+    table = np.concatenate([factors, np.eye(d)[None]])  # entry k pads the last block
+    step, axis = np.matmul, 0
+    if d == 2:  # gather and step entry planes: entries on the first two axes, matrices last
+        table, step, axis = table.transpose(1, 2, 0).copy(), _plane_product, 2
+
+    def one_pass(chunk):  # its arrays are freed before the next chunk is drawn
+        idx, col = np.empty((m, len(chunk), nb), dtype=np.intp), np.full(nb * m, k)
+        for q, o in enumerate(chunk):  # idx[i, q, j]: step i of block j of order q
+            if n and not -k <= np.min(o) <= np.max(o) < k:
+                raise IndexError(f"order indexes outside the {k} factors")
+            np.remainder(o, k, out=col[:n])
+            idx[:, q] = col.reshape(nb, m).T
+        tail = acc = np.take(table, idx[0], axis=axis)
+        for i in range(1, m):
+            acc = step(acc, np.take(table, idx[i], axis=axis))
+            if i == last:
+                tail = acc
+        if d == 2:  # (orders, blocks, 2, 2) views of the planes
+            acc, tail = (np.moveaxis(a, (0, 1), (2, 3)) for a in (acc, tail))
+        if nb == 1:
+            return tail[:, -1].copy()
+        *_, carry = itertools.accumulate(acc[:, :-1].swapaxes(0, 1), np.matmul)  # as _scans
+        if d != 2:
+            return np.matmul(carry, tail[:, -1])
+        out = np.empty((len(chunk), 2, 2), dtype=np.complex128)
+        c = np.moveaxis(carry, 0, -1).copy()  # as a view of acc (nb = 2) numpy would skip FMA
+        _carry(c[:, :, None], np.moveaxis(tail[:, -1], 0, -1), np.moveaxis(out, 0, -1))
+        return out
+
+    orders = iter(orders)
+    while chunk := list(itertools.islice(orders, max(1, _PRODUCT_STEPS // max(n, 1)))):
+        yield from one_pass(chunk)
 
 
 def _order_of(row: ArrayRow, sigma: Permutation) -> np.ndarray:

@@ -11,6 +11,7 @@ from trotter_shuffle import evolution, experiments, linalg, products, rows, tail
 from trotter_shuffle.cli import main
 from trotter_shuffle.experiments import (COLUMNS, ConfigError, ExperimentConfig,
                                          emit, parse_matrix, run)
+from trotter_shuffle.rows import InfeasibleRegimeError, RegimeSpec, spiked_parameters
 
 V_STAR = 0.1293935159197811
 
@@ -270,6 +271,24 @@ def test_regime_infeasible_surfaces_error():
                                       "delta": 1.0})
     with pytest.raises(Exception, match="bounded_log"):
         run(cfg)
+
+
+def test_regime_infeasible_pair_raises_before_any_cell_runs(tmp_path, capsys, monkeypatch):
+    # large_linf is feasible at n = 400 and comes first; bounded_log is not
+    with pytest.raises(InfeasibleRegimeError) as exc:
+        spiked_parameters(400, RegimeSpec(regime="bounded_log", delta=1.0))
+    calls = Counter()
+    _counting(monkeypatch, calls, ((experiments, products), "path_deviations"))
+    cfg = tmp_path / "reg.json"
+    out = tmp_path / "r.csv"
+    cfg.write_text(json.dumps({
+        "kind": "regime", "n_list": [400], "trials": 2, "out_path": str(out),
+        "generator": {"name": "spiked", "regimes": [{"regime": "large_linf", "delta": 1.0},
+                                                    {"regime": "bounded_log", "delta": 1.0}]},
+    }))
+    assert main(["regime", "--config", str(cfg)]) == 3
+    assert f"error: {exc.value}" in capsys.readouterr().err
+    assert not out.exists() and not calls
 
 
 def test_words_kind_records():

@@ -309,6 +309,54 @@ def test_prefix_products_range_check_survives_the_unbuffered_take():
                           prefix_products(factors, np.array([0, 2])))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_products_are_the_last_prefix_bit_for_bit(monkeypatch, d):
+    # n = 9 and 4 fill their last block, 10, 17, 101 and 3 pad it, 2 and 1 are one block
+    rng = np.random.default_rng(d)
+    k = 128
+    factors = exp_stack((rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))) / 4)
+    for n in [0, 1, 2, 3, 4, 9, 10, 17, 101]:
+        orders = [rng.permutation(k)[:n], rng.integers(-k, k, n), rng.integers(0, 3, n),
+                  rng.permutation(k)[:n], rng.integers(0, k, n)]
+        # one pass; passes of two orders and a last one; one order per pass
+        for steps in [products._PRODUCT_STEPS, 2 * n + 1, 1]:
+            monkeypatch.setattr(products, "_PRODUCT_STEPS", steps)
+            got = products._products(factors, (o for o in orders), n)  # read once
+            for order, u in zip(orders, got, strict=True):
+                assert u.tobytes() == prefix_products(factors, order)[-1].tobytes()
+
+
+def test_products_range_check_and_empty_orders():
+    factors = exp_stack(np.stack([E12, E21, E12 + E21]) / 3)
+    for bad in ([0, 1, 3], [-4, 1, 2]):
+        with pytest.raises(IndexError):
+            list(products._products(factors, [np.array([0, 1, 2]), np.array(bad)], 3))
+    assert list(products._products(factors, [], 5)) == []
+    empty = list(products._products(factors[:0], [np.arange(0)] * 2, 0))
+    assert [u.tobytes() for u in empty] == [np.eye(2, dtype=complex).tobytes()] * 2
+
+
+def test_products_memory_is_one_pass_not_the_order_count():
+    factors = exp_stack(np.stack([1j * (E12 + E21), E12 - E21, np.diag([1j, -1j])]) / 3)  # unitary
+    n = 8000
+    per_pass = products._PRODUCT_STEPS // n
+
+    def peak(count):
+        orders = (np.random.default_rng(i).integers(0, 3, n) for i in range(count))
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in products._products(factors, orders, n)) == count
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # first calls allocate numpy's own caches
+    one = peak(per_pass)
+    assert peak(10 * per_pass) < 1.1 * one
+    # the pass's orders and their (m, orders * blocks) index table, 8 bytes a position each
+    assert one < 32 * products._PRODUCT_STEPS, one / products._PRODUCT_STEPS
+
+
 @pytest.mark.parametrize("row", [
     gen_two_letter(300, random_matrix(np.random.default_rng(1), 3, 1.0),
                    random_matrix(np.random.default_rng(2), 3, 1.0), "interleaved"),
