@@ -56,6 +56,25 @@ GOLDENS = {
                         "s": 0.25, "t": 0.75, "mode": "permuted"}),
         "c76476b4a135e4cd1a7c1ed5aad207b16e331bf0d73dd5b2b2152424b2d6b9eb",
         "9e056127936f23103f492cef20fff50a832d2f644719014e67b4fa64828092c0"),
+    # real rows with generic entries, which the e12/e21 rows above are not: an
+    # interleaved two-letter row against a complex target, and a d = 3 periodic row
+    # with its zero fill. n is no power of two, so A / n rounds, and the reference
+    # paths of their real row means round differently if exp_stack divides by k
+    "converge_real_target": (
+        dict(kind="converge", n_list=[70, 150], trials=2, seed=18,
+             generator={"name": "two_letter", "b": [[-0.1, -0.5], [-0.2, -0.8]],
+                        "c": [[0.95, -0.55], [0.35, -0.4]], "order": "interleaved"},
+             target=[[[0.1, 0.2], [0.5, 0]], [[-0.3, 0], [0.05, -0.4]]]),
+        "279ced38b9867df89e9832031b6731ddf091fc988a53ba387fcd1893a0550405",
+        "4b259f719a643a82118b56d805cb2a8e14da0b31eabe13fd61c521eff888a289"),
+    "converge_repeated_d3": (
+        dict(kind="converge", n_list=[50, 121], trials=2, seed=19, d=3,
+             generator={"name": "repeated", "letters": [
+                 [[0.8, 0.75, -0.95], [0.4, -1.0, 0.0], [-0.15, -0.6, -0.35]],
+                 [[0.6, -0.35, -0.7], [0.4, -0.1, 0.6], [-0.55, -0.35, 0.6]],
+                 [[0.0, 0.0, -0.55], [-0.95, 0.85, -0.85], [0.7, -0.25, 0.9]]]}),
+        "6d5ef2656308a696c40422a4925e9cc736209eb6f2ad5680fd0964695762c3d2",
+        "760a5a8c60bedaf4c8d14af1092f9fe60f7b6261f7efb1d05f30c8ddb47fb523"),
 }
 
 
