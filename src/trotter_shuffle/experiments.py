@@ -288,6 +288,12 @@ class ExperimentConfig:
             errors.append(f"n_list: entries must be distinct positive integers, got {self.n_list}")
         if not _is_int(self.trials) or self.trials < 1:
             errors.append(f"trials: must be >= 1, got {self.trials}")
+        elif self.trials > 1 and (
+                self.sigma_mode == "identity" and self.kind in _FIELD_KINDS["sigma_mode"]
+                or self.kind == "evolution" and isinstance(self.generator, dict)
+                and self.generator.get("mode") == "ordered"):
+            errors.append(f"trials: every trial of an identity sigma_mode or an ordered evolution "
+                          f"is the same computation, so trials must be 1, got {self.trials}")
         if not _is_int(self.seed) or self.seed < 0:
             errors.append(f"seed: must be a non-negative integer, got {self.seed}")
         if self.eps is not None and not (_is_real(self.eps) and self.eps > 0):

@@ -1,7 +1,8 @@
-"""Dense complex matrix kernel: operator norm and matrix exponential.
+"""Dense matrix kernel: operator norm and matrix exponential.
 
-Everything here works on plain numpy arrays of shape (d, d) with complex128
-entries, kept dense and small (d is a few dozen at most in practice).
+Plain numpy arrays of shape (d, d), dense and small (d is a few dozen at most).
+Each kernel keeps the dtype it is given, float64 or complex128 (kernel_array),
+and a float64 input gets the bits of its complex128 copy.
 """
 
 from __future__ import annotations
@@ -19,6 +20,14 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def kernel_array(a, real_if_exact: bool = False) -> np.ndarray:
+    """a as float64 if it is float64, else as complex128; with real_if_exact
+    the data picks: float64 also when every imaginary part is exactly zero."""
+    a = np.asarray(a)
+    a = a if a.dtype == np.float64 else a.astype(np.complex128, copy=False)
+    return a.real.copy() if real_if_exact and not a.imag.any() else a
+
+
 def op_norm(m) -> float:
     """Operator (spectral) norm: the largest singular value."""
     return float(op_norms(as_matrix(m)))
@@ -33,14 +42,15 @@ def op_norms(batch: np.ndarray) -> np.ndarray:
     non-negative terms, so nothing cancels; each matrix is first scaled
     exactly, by a power of two, to a largest entry modulus in [1/2, 1), so
     that squaring neither overflows nor loses the leading terms to underflow.
-    Larger d uses batched SVD; the closed form runs in chunks of _NORM_CHUNK.
+    Larger d uses batched SVD in complex128 even for a float64 stack (real
+    LAPACK rounds otherwise); the closed form runs in chunks of _NORM_CHUNK.
     """
-    batch = np.asarray(batch, dtype=np.complex128)
+    batch = kernel_array(batch)
     d = batch.shape[-1]
     if d == 1:
         return np.abs(batch[..., 0, 0])
     if d > 2:
-        return np.linalg.svd(batch, compute_uv=False)[..., 0]
+        return np.linalg.svd(batch.astype(np.complex128, copy=False), compute_uv=False)[..., 0]
     flat = batch.reshape(-1, 2, 2)
     chunks = (flat[i:i + _NORM_CHUNK] for i in range(0, max(len(flat), 1), _NORM_CHUNK))
     return np.concatenate(list(map(_norms_2x2, chunks))).reshape(batch.shape[:-2])
@@ -52,7 +62,8 @@ def _norms_2x2(batch: np.ndarray) -> np.ndarray:
                      np.maximum(mod[:, 1, 0], mod[:, 1, 1]))
     e = np.frexp(top)[1]
     shift = -e[:, None, None]
-    m = np.ldexp(batch.real, shift) + 1j * np.ldexp(batch.imag, shift)
+    m = np.ldexp(batch.real, shift)
+    m = m + 1j * np.ldexp(batch.imag, shift) if np.iscomplexobj(batch) else m
     sq = np.ldexp(mod, shift) ** 2
     c0 = sq[:, 0, 0] + sq[:, 1, 0]
     c1 = sq[:, 0, 1] + sq[:, 1, 1]
@@ -75,11 +86,11 @@ def max_op_norm(batch: np.ndarray) -> float:
     of Y*Y is in [1, d^2]: no overflow). Only the matrices whose upper bound,
     widened by the margin, reaches the largest lower bound get the SVD.
     """
-    batch = np.asarray(batch, dtype=np.complex128)
+    batch = kernel_array(batch)
     d = batch.shape[-1]
     if d <= 2:
         return float(op_norms(batch).max())
-    upper, step = np.empty(len(batch)), max(1, _SCREEN_BYTES // (16 * d * d))
+    upper, step = np.empty(len(batch)), max(1, _SCREEN_BYTES // (batch.itemsize * d * d))
     for i in range(0, len(batch), step):
         m = batch[i:i + step]
         top = np.abs(m).max(axis=(1, 2))
@@ -120,19 +131,19 @@ def exp_stack(batch: np.ndarray, tol: float = 1e-14) -> np.ndarray:
     upper bound on the operator norm, so no SVD) of at most 1/2. One truncated
     series, of the order that keeps the error below tol * e^{||m||} after the
     most squarings in the stack, runs over the whole stack; each result is
-    then squared s times.
+    then squared s times. The result has the dtype of kernel_array(batch).
     """
-    batch = np.asarray(batch, dtype=np.complex128)
+    batch = kernel_array(batch)
     fro = np.linalg.norm(batch, axis=(1, 2))
     s = np.where(fro > 0.5, np.frexp(fro)[1] + 1, 0)
     x = batch * np.ldexp(1.0, -s)[:, None, None]
     smax = int(s.max(initial=0))
     order = _series_order(np.ldexp(fro, -s).max(initial=1e-3), tol / (4.0 * 2.0**smax))
-    eye = np.eye(batch.shape[-1], dtype=np.complex128)
+    eye = np.eye(batch.shape[-1], dtype=batch.dtype)
     e = np.broadcast_to(eye, batch.shape).copy()
     for k in range(order, 0, -1):
         np.matmul(x, e, out=e)
-        e /= k
+        e *= 1.0 / k  # as complex128 divides by a real k, so float64 gets its bits
         e += eye
     for j in range(smax):
         sel = np.flatnonzero(s > j)

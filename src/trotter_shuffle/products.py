@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, exp_stack, max_op_norm, op_norm, op_norms
+from .linalg import as_matrix, exp_stack, kernel_array, max_op_norm, op_norm, op_norms
 from .rows import ArrayRow, RowStats, _freeze, _own
 
 
@@ -90,9 +90,9 @@ def choose_blocks(n: int, stats: RowStats, mode: str = "sqrt_default") -> BlockS
 
 def exp_factors(row: ArrayRow) -> np.ndarray:
     """exp(A_i / n) for every element, shape (n, d, d): each of row.letters()
-    is exponentiated once."""
+    is exponentiated once. float64 when every A_i is real, else complex128."""
     alphabet, letter_of = row.letters()
-    alphabet = alphabet / row.n  # rebound: the copy letters() made is freed
+    alphabet = kernel_array(alphabet / row.n, True)  # after the division, as complex128 rounds
     return exp_stack(alphabet)[letter_of]
 
 
@@ -111,28 +111,29 @@ def prefix_products(factors: np.ndarray, order: np.ndarray) -> np.ndarray:
     (r, c) of step i of block j): a step is 8 multiplies and 4 adds on arrays
     of length nb, at ufunc cost rather than a matmul dispatch per product;
     the carries come from a chain of nb single 2x2 products, and one
-    broadcast pass applies them all. Out-of-range indexes raise IndexError.
+    broadcast pass applies them all. The path keeps the dtype of the factors
+    (float64 or complex128). Out-of-range indexes raise IndexError.
     """
     return next(_scans([(factors, order)]))
 
 
 def _scans(pairs):
     """prefix_products(factors, order) for each (factors, order) of pairs, all
-    written into one workspace kept while len(order) and d hold: a result is
-    valid only until the next is drawn."""
+    written into one workspace kept while len(order), d and the dtype hold: a
+    result is valid only until the next is drawn."""
     shape = None
     for factors, order in pairs:
-        factors = np.asarray(factors, dtype=np.complex128)
+        factors = kernel_array(factors)
         n, k, d = len(order), len(factors), factors.shape[-1]
         if n and not -k <= np.min(order) <= np.max(order) < k:
             raise IndexError(f"order indexes outside the {k} factors")
-        if shape != (n, d):
-            shape, m = (n, d), math.isqrt(n - 1) + 1 if n > 1 else 1
+        if shape != (n, d, factors.dtype):
+            shape, m = (n, d, factors.dtype), math.isqrt(n - 1) + 1 if n > 1 else 1
             nb = -(-n // m)
-            buf = np.empty((1 + nb * m, d, d), dtype=np.complex128)
+            buf = np.empty((1 + nb * m, d, d), dtype=factors.dtype)
             buf[0] = np.eye(d)
             blocks = buf[1:].reshape(nb, m, d, d)
-            p = np.empty((2, 2, m, nb), dtype=np.complex128) if d == 2 else None
+            p = np.empty((2, 2, m, nb), dtype=factors.dtype) if d == 2 else None
         np.take(factors, order, axis=0, out=buf[1:n + 1], mode="wrap")  # "raise" buffers out
         buf[n + 1:] = np.eye(d)  # the last scan overwrote the padding: keep it finite
         if d == 2:
@@ -176,7 +177,7 @@ def _products(factors, orders, n: int):
     product each, stepped together for all orders of a pass (one gather and one
     plane product or batched matmul per position; memory O(_PRODUCT_STEPS)),
     then the carry of each order's chained block ends on its last block alone."""
-    factors = np.asarray(factors, dtype=np.complex128)
+    factors = kernel_array(factors)
     k, d = len(factors), factors.shape[-1]
     m = math.isqrt(max(n - 1, 0)) + 1
     nb, last = max(1, -(-n // m)), (n - 1) % m  # blocks (n = 0: one of padding); step of n - 1
@@ -204,7 +205,7 @@ def _products(factors, orders, n: int):
         *_, carry = itertools.accumulate(acc[:, :-1].swapaxes(0, 1), np.matmul)  # as _scans
         if d != 2:
             return np.matmul(carry, tail[:, -1])
-        out = np.empty((len(chunk), 2, 2), dtype=np.complex128)
+        out = np.empty((len(chunk), 2, 2), dtype=factors.dtype)
         c = np.moveaxis(carry, 0, -1).copy()  # as a view of acc (nb = 2) numpy would skip FMA
         _carry(c[:, :, None], np.moveaxis(tail[:, -1], 0, -1), np.moveaxis(out, 0, -1))
         return out
@@ -232,9 +233,9 @@ def reference_path(target, n: int) -> np.ndarray:
     step exp(A/n) and every anchor exp(j m A / n) come from one exp_stack
     call, the powers exp(A/n)^i for i < m from the prefix scan, so
     accumulated round-off stays at the sqrt(n) * eps scale. One batched
-    matmul forms the whole path.
+    matmul forms the whole path. float64 when the target is real, else complex128.
     """
-    a = as_matrix(target, "target")
+    a = kernel_array(as_matrix(target, "target"), True)
     if n < 1:
         raise ValueError("n must be >= 1")
     m = math.isqrt(n - 1) + 1
@@ -276,7 +277,7 @@ def path_deviations(row: ArrayRow, sigmas, targets):
     refs = [reference_path(t, row.n) for t in tgts]
     slacks = [nt * math.exp(nt) / row.n for nt in map(op_norm, tgts)]
     ks = _freeze(np.array(sorted({round(m * row.n / 100) for m in range(101)})))
-    diff = np.empty((row.n + 1, row.d, row.d), dtype=np.complex128)
+    diff = np.empty((row.n + 1, row.d, row.d), dtype=np.result_type(factors, *refs))
     for prods in _scans((factors, _order_of(row, sigma)) for sigma in sigmas):
         devs = (np.subtract(prods, ref, out=diff) for ref in refs)  # read before the next one
         yield tuple(PathReport(ks, _freeze(op_norms(dev[ks])), max_op_norm(dev) + slack, slack)

@@ -177,7 +177,9 @@ def test_reference_path_one_exp_stack_call(monkeypatch):
 def test_evolution_factor_grid_built_once_per_n(monkeypatch, mode):
     calls = Counter()
     _counting(monkeypatch, calls, ((evolution,), "exp_factors"))
-    run(ExperimentConfig(kind="evolution", n_list=[40, 60], trials=5, seed=1,
+    # an ordered evolution repeats one computation, so it takes one trial
+    run(ExperimentConfig(kind="evolution", n_list=[40, 60], seed=1,
+                         trials=1 if mode == "ordered" else 5,
                          generator={"name": "family", "fn": "step", "mode": mode}))
     assert calls == {"exp_factors": 2}
 
@@ -408,6 +410,10 @@ MATRIX_3X3 = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
     ("evolution", {"n_list": [40, 60, 40]}, "n_list: entries must be distinct"),
     # a multiset has no matrices, so a target is unread, not of the wrong dimension
     ("words", {"target": MATRIX_3X3}, "target: the words kind does not read it"),
+    # trials that cannot differ: every one would be the same computation
+    ("converge", {"sigma_mode": "identity"}, "trials: every trial of an identity sigma_mode"),
+    ("regime", {"sigma_mode": "identity"}, "trials"),
+    ("evolution", {"generator": {"name": "family", "mode": "ordered"}}, "trials"),
 ])
 def test_cli_invalid_field_exit_2(tmp_path, capsys, kind, fields, key):
     cfg = tmp_path / "cfg.json"
@@ -651,6 +657,7 @@ def test_shipped_config_runs_through_cli(tmp_path, path):
     assert doc["out_path"] == f"{path.stem}.csv"
     out = tmp_path / "o.csv"
     sized = [] if doc["kind"] == "words" else ["--n", "200"]  # words reads no n_list
-    assert main([doc["kind"], "--config", str(path), *sized, "--trials", "2",
+    trials = str(min(doc["trials"], 2))  # a config of one trial may allow no more
+    assert main([doc["kind"], "--config", str(path), *sized, "--trials", trials,
                  "--out", str(out)]) == 0
     assert out.exists() and out.with_suffix(".json").exists()

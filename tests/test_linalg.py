@@ -194,3 +194,28 @@ def test_max_op_norm_svds_only_the_screened_matrices(monkeypatch):
     monkeypatch.setattr(linalg, "op_norms", lambda b: seen.append(len(b)) or op_norms(b))
     assert max_op_norm(g) == want
     assert seen and seen[-1] < len(g) // 2
+
+
+def _real_stack(rng, k, d):
+    """k real d x d matrices with entries that are no dyadic fractions, at
+    norms from 1e-2 to 5 (the exponential scales some and squares them back)."""
+    return rng.standard_normal((k, d, d)) * rng.choice([0.01, 0.3, 1.0, 5.0], (k, 1, 1))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_real_kernels_are_the_complex_kernels_bit_for_bit(d):
+    # float64 in, float64 out, with the bits of the complex128 result on the
+    # same data: exp_stack divides by k as complex128 does (by 1/k), and the
+    # SVD of d >= 3 runs in complex arithmetic either way
+    rng = np.random.default_rng(40 + d)
+    x = _real_stack(rng, 300, d)
+    e, ez = exp_stack(x), exp_stack(x.astype(complex))
+    assert (e.dtype, ez.dtype) == (np.float64, np.complex128)
+    assert e.tobytes() == ez.real.tobytes() and not ez.imag.any()
+    g = _real_stack(rng, 3000, d)  # more than one chunk of the 2x2 closed form
+    g[:100] *= 1e-200
+    g[100:200] *= 1e150
+    g[200] = 0.0
+    assert op_norms(g).tobytes() == op_norms(g.astype(complex)).tobytes()
+    for batch in (g[300:], g[:100], g[100:200], e):
+        assert max_op_norm(batch) == max_op_norm(batch.astype(complex))

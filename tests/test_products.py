@@ -326,6 +326,42 @@ def test_products_are_the_last_prefix_bit_for_bit(monkeypatch, d):
                 assert u.tobytes() == prefix_products(factors, order)[-1].tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_real_scans_are_the_complex_scans_bit_for_bit(d):
+    # float64 factors scan in float64 with the bits of the complex128 scan, in
+    # the path-keeping scan and in the last-prefix products alike
+    rng = np.random.default_rng(d)
+    factors = exp_stack(rng.standard_normal((64, d, d)) / 7)
+    assert factors.dtype == np.float64
+    for n in (1, 50, 1000):
+        orders = [rng.integers(0, 64, n) for _ in range(3)]
+        for order in orders:
+            path = prefix_products(factors, order)
+            want = prefix_products(factors.astype(complex), order)
+            assert path.dtype == np.float64 and path.tobytes() == want.real.tobytes()
+        got = products._products(factors, orders, n)
+        want = products._products(factors.astype(complex), orders, n)
+        for u, w in zip(got, want, strict=True):
+            assert u.dtype == np.float64 and u.tobytes() == w.real.tobytes()
+
+
+def test_the_data_picks_the_dtype():
+    # float64 when every imaginary part is exactly zero, else complex128
+    n, target = 60, np.array([[0, 0.6], [0.4j, 0]])
+    real, spiked = gen_two_letter(n, E12, E21), _spiked(n)
+    assert exp_factors(real).dtype == np.float64
+    assert exp_factors(spiked).dtype == np.complex128
+    assert reference_path(real.stats.mean, n).dtype == np.float64
+    assert reference_path(target, n).dtype == np.complex128
+    # a complex target against a real row: the difference is complex, and the
+    # deviations are those of the all-complex computation
+    sigma = uniform_permutation(n, np.random.default_rng(3))
+    rep = path_deviation(real, sigma, target)
+    prods = prefix_products(exp_factors(real).astype(complex), sigma.order)
+    want = op_norms((prods - reference_path(target, n))[rep.ks])
+    assert rep.deviations.tobytes() == want.tobytes()
+
+
 def test_products_range_check_and_empty_orders():
     factors = exp_stack(np.stack([E12, E21, E12 + E21]) / 3)
     for bad in ([0, 1, 3], [-4, 1, 2]):
