@@ -92,7 +92,7 @@ def exp_factors(row: ArrayRow) -> np.ndarray:
     """exp(A_i / n) for every element, shape (n, d, d): each of row.letters()
     is exponentiated once. float64 when every A_i is real, else complex128."""
     alphabet, letter_of = row.letters()
-    alphabet = kernel_array(alphabet / row.n, True)  # after the division, as complex128 rounds
+    alphabet = kernel_array(alphabet / row.n, True)  # after A / n: complex128 computes A * (1/n)
     return exp_stack(alphabet)[letter_of]
 
 
