@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import as_matrix, op_norm
-from .products import _products, exp_factors
+from .products import _blocked, exp_factors
 from .rows import gen_riemann
 
 
@@ -56,18 +56,18 @@ def propagators(spec: PropagatorSpec, seeds):
 
     A permuted row is the ordered grid row read through a permutation, so in
     the ordered and permuted modes exp_factors of the grid row is built once
-    and _products multiplies it in every seed's order; iid builds a row per seed.
+    and _blocked multiplies it in every seed's order; iid builds a row per seed.
     """
     n, mode = spec.n, spec.mode
     i0, i1 = _grid_index(spec.s, n), _grid_index(spec.t, n)
     if mode == "iid":
         for seed in seeds:
             row = gen_riemann(spec.fn, n, mode, seed)
-            yield from _products(exp_factors(row), [np.arange(i0, i1)], i1 - i0)
+            yield from _blocked(exp_factors(row), [np.arange(i0, i1)], i1 - i0)
         return
     orders = (np.random.default_rng(seed).permutation(n)[i0:i1] if mode == "permuted"
               else np.arange(i0, i1) for seed in seeds)
-    yield from _products(exp_factors(gen_riemann(spec.fn, n, "ordered")), orders, i1 - i0)
+    yield from _blocked(exp_factors(gen_riemann(spec.fn, n, "ordered")), orders, i1 - i0)
 
 
 def cocycle_check(spec: PropagatorSpec, r: float) -> float:

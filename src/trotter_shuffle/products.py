@@ -97,60 +97,9 @@ def exp_factors(row: ArrayRow) -> np.ndarray:
 
 
 def prefix_products(factors: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """P_0 = I, P_k = P_{k-1} factors[order[k-1]]; shape (len(order)+1, d, d).
-
-    A ceil(sqrt(n))-blocked scan (Blelloch 1990): the permuted factors are
-    taken into the output buffer, each block of m consecutive positions is
-    scanned in place, sequentially over the m steps and batched across the
-    blocks, and one pass over the blocks then left-multiplies each block by
-    the last prefix of the block before it. About 2 sqrt(n) batched matmuls
-    replace n single ones. Identity padding fills the last block; the result
-    is a view of the first n+1 entries.
-
-    For d = 2 the same scan runs on the entry planes p[r, c, i, j] (entry
-    (r, c) of step i of block j): a step is 8 multiplies and 4 adds on arrays
-    of length nb, at ufunc cost rather than a matmul dispatch per product;
-    the carries come from a chain of nb single 2x2 products, and one
-    broadcast pass applies them all. The path keeps the dtype of the factors
-    (float64 or complex128). Out-of-range indexes raise IndexError.
-    """
-    return next(_scans([(factors, order)]))
-
-
-def _scans(pairs):
-    """prefix_products(factors, order) for each (factors, order) of pairs, all
-    written into one workspace kept while len(order), d and the dtype hold: a
-    result is valid only until the next is drawn."""
-    shape = None
-    for factors, order in pairs:
-        factors = kernel_array(factors)
-        n, k, d = len(order), len(factors), factors.shape[-1]
-        if n and not -k <= np.min(order) <= np.max(order) < k:
-            raise IndexError(f"order indexes outside the {k} factors")
-        if shape != (n, d, factors.dtype):
-            shape, m = (n, d, factors.dtype), math.isqrt(n - 1) + 1 if n > 1 else 1
-            nb = -(-n // m)
-            buf = np.empty((1 + nb * m, d, d), dtype=factors.dtype)
-            buf[0] = np.eye(d)
-            blocks = buf[1:].reshape(nb, m, d, d)
-            p = np.empty((2, 2, m, nb), dtype=factors.dtype) if d == 2 else None
-        np.take(factors, order, axis=0, out=buf[1:n + 1], mode="wrap")  # "raise" buffers out
-        buf[n + 1:] = np.eye(d)  # the last scan overwrote the padding: keep it finite
-        if d == 2:
-            out = blocks.transpose(2, 3, 1, 0)
-            np.copyto(p, out)
-            for i in range(1, m):
-                p[:, :, i] = _plane_product(p[:, :, i - 1], p[:, :, i])
-            ends = list(itertools.accumulate(p[:, :, -1].transpose(2, 0, 1), np.matmul))
-            c = np.reshape(ends[:-1], (-1, 2, 2)).transpose(1, 2, 0)[:, :, None, None]
-            out[..., :1] = p[..., :1]
-            _carry(c, p[..., 1:], out[..., 1:])
-        else:
-            for i in range(1, m):
-                np.matmul(blocks[:, i - 1], blocks[:, i], out=blocks[:, i])
-            for j in range(1, nb):
-                np.matmul(blocks[j - 1, -1], blocks[j], out=blocks[j])
-        yield buf[:n + 1]
+    """P_0 = I, P_k = P_{k-1} factors[order[k-1]]; shape (len(order)+1, d, d), in
+    the dtype of the factors. An index outside the factors raises IndexError."""
+    return next(_blocked(factors, [order], len(order), True))
 
 
 def _plane_product(a, b):
@@ -168,47 +117,78 @@ def _carry(c, p, out):
     out += p
 
 
-_PRODUCT_STEPS = 1 << 15  # order positions per pass of _products (whole orders, at least one)
+_PRODUCT_STEPS = 1 << 15  # order positions per pass without paths (whole orders, at least one)
 
 
-def _products(factors, orders, n: int):
-    """prefix_products(factors, order)[-1], bit for bit, for each order of the
-    iterable orders, all of length n: the blocks of _scans with one running
-    product each, stepped together for all orders of a pass (one gather and one
-    plane product or batched matmul per position; memory O(_PRODUCT_STEPS)),
-    then the carry of each order's chained block ends on its last block alone."""
+def _blocked(factors, orders, n: int, paths: bool = False):
+    """prefix_products(factors, order), or with paths false its last entry, bit
+    for bit, for each order of the iterable orders, all of length n.
+
+    A ceil(sqrt(n))-blocked scan (Blelloch 1990): the m steps of the nb blocks
+    of consecutive positions run batched across the blocks, then the chained
+    block ends carry each block onto the next. For d = 2 the steps run on the
+    entry planes p[r, c, i, j] (entry (r, c) of step i of block j). With paths,
+    a pass scans one order in place in a buffer allocated once per call (valid
+    until the next is drawn). Without, a pass steps whole orders, up to
+    _PRODUCT_STEPS positions, with one gather per step and one running product
+    per block, and carries the last block at step n - 1 alone.
+    """
     factors = kernel_array(factors)
     k, d = len(factors), factors.shape[-1]
     m = math.isqrt(max(n - 1, 0)) + 1
     nb, last = max(1, -(-n // m)), (n - 1) % m  # blocks (n = 0: one of padding); step of n - 1
-    table = np.concatenate([factors, np.eye(d)[None]])  # entry k pads the last block
-    step, axis = np.matmul, 0
-    if d == 2:  # gather and step entry planes: entries on the first two axes, matrices last
-        table, step, axis = table.transpose(1, 2, 0).copy(), _plane_product, 2
+    step, axis = (_plane_product, 2) if d == 2 else (np.matmul, 0)  # d = 2: entries first
+
+    def checked(o):  # o range-checked, a negative index counted from the end
+        if n and not -k <= (lo := np.min(o)) <= np.max(o) < k:
+            raise IndexError(f"order indexes outside the {k} factors")
+        return o % k if n and lo < 0 else o
+
+    def matrices(planes):  # a view with the matrices last
+        return np.moveaxis(planes, (0, 1), (-2, -1)) if d == 2 else planes
+
+    if paths:
+        buf = np.zeros((1 + nb * m, d, d), dtype=factors.dtype)  # zero pads: no prefix reads them
+        buf[0] = np.eye(d)
+        blocks = buf[1:].reshape(nb, m, d, d)
+        out = blocks.transpose(2, 3, 1, 0)  # for d = 2, the entry planes of the path
+        p = np.empty((2, 2, m, nb), dtype=factors.dtype) if d == 2 else blocks.swapaxes(0, 1)
+        steps = np.moveaxis(p, axis, 0)
+        for o in orders:
+            np.take(factors, checked(o), axis=0, out=buf[1:n + 1], mode="clip")  # "raise" buffers
+            if d == 2:
+                np.copyto(p, out)
+            for i in range(1, m):
+                steps[i] = step(steps[i - 1], steps[i])
+            if d == 2:  # the chained block ends, applied in one broadcast pass
+                ends = list(itertools.accumulate(matrices(steps[-1])[:-1], np.matmul))
+                c = np.reshape(ends, (-1, 2, 2)).transpose(1, 2, 0)[:, :, None, None]
+                out[..., :1] = p[..., :1]
+                _carry(c, p[..., 1:], out[..., 1:])
+            else:  # block by block after the one before: a matmul over the stack would copy it
+                for j in range(1, nb):
+                    np.matmul(blocks[j - 1, -1], blocks[j], out=blocks[j])
+            yield buf[:n + 1]
+        return
+    table = np.ascontiguousarray(np.moveaxis(np.concatenate([factors, np.eye(d)[None]]), 0, axis))
 
     def one_pass(chunk):  # its arrays are freed before the next chunk is drawn
-        idx, col = np.empty((m, len(chunk), nb), dtype=np.intp), np.full(nb * m, k)
-        for q, o in enumerate(chunk):  # idx[i, q, j]: step i of block j of order q
-            if n and not -k <= np.min(o) <= np.max(o) < k:
-                raise IndexError(f"order indexes outside the {k} factors")
-            np.remainder(o, k, out=col[:n])
-            idx[:, q] = col.reshape(nb, m).T
+        idx = np.empty((m, len(chunk), nb), dtype=np.intp)  # step i of block j of order q
+        for q, o in enumerate(chunk):  # k, the identity last in the table, pads the last block
+            idx[:, q] = np.concatenate([checked(o), np.full(nb * m - n, k)]).reshape(nb, m).T
         tail = acc = np.take(table, idx[0], axis=axis)
         for i in range(1, m):
             acc = step(acc, np.take(table, idx[i], axis=axis))
-            if i == last:
-                tail = acc
-        if d == 2:  # (orders, blocks, 2, 2) views of the planes
-            acc, tail = (np.moveaxis(a, (0, 1), (2, 3)) for a in (acc, tail))
+            tail = acc if i == last else tail
         if nb == 1:
-            return tail[:, -1].copy()
-        *_, carry = itertools.accumulate(acc[:, :-1].swapaxes(0, 1), np.matmul)  # as _scans
+            return matrices(tail)[:, -1].copy()
+        *_, carry = itertools.accumulate(matrices(acc).swapaxes(0, 1)[:-1], np.matmul)
         if d != 2:
             return np.matmul(carry, tail[:, -1])
-        out = np.empty((len(chunk), 2, 2), dtype=factors.dtype)
+        res = np.empty((len(chunk), 2, 2), dtype=factors.dtype)
         c = np.moveaxis(carry, 0, -1).copy()  # as a view of acc (nb = 2) numpy would skip FMA
-        _carry(c[:, :, None], np.moveaxis(tail[:, -1], 0, -1), np.moveaxis(out, 0, -1))
-        return out
+        _carry(c[:, :, None], tail[..., -1], np.moveaxis(res, 0, -1))
+        return res
 
     orders = iter(orders)
     while chunk := list(itertools.islice(orders, max(1, _PRODUCT_STEPS // max(n, 1)))):
@@ -278,7 +258,7 @@ def path_deviations(row: ArrayRow, sigmas, targets):
     slacks = [nt * math.exp(nt) / row.n for nt in map(op_norm, tgts)]
     ks = _freeze(np.array(sorted({round(m * row.n / 100) for m in range(101)})))
     diff = np.empty((row.n + 1, row.d, row.d), dtype=np.result_type(factors, *refs))
-    for prods in _scans((factors, _order_of(row, sigma)) for sigma in sigmas):
+    for prods in _blocked(factors, (_order_of(row, sigma) for sigma in sigmas), row.n, True):
         devs = (np.subtract(prods, ref, out=diff) for ref in refs)  # read before the next one
         yield tuple(PathReport(ks, _freeze(op_norms(dev[ks])), max_op_norm(dev) + slack, slack)
                     for dev, slack in zip(devs, slacks))

@@ -288,14 +288,26 @@ def test_a_trial_allocates_less_than_one_product_stack(row):
     assert rise < (n + 1) * d * d * 16, rise / ((n + 1) * d * d * 16)
 
 
-def test_scans_reused_across_changing_lengths_and_d_match_fresh_scans():
-    rng = np.random.default_rng(0)
-    f2, f3 = (exp_stack(np.stack([random_matrix(rng, d, 1.0) for _ in range(60)]) / 10)
-              for d in (2, 3))
-    pairs = [(f2, rng.permutation(49)), (f2, rng.permutation(60)), (f3, rng.permutation(50)),
-             (f2, rng.permutation(49)), (f2, rng.permutation(49)), (f3, rng.permutation(50))]
-    for (factors, order), got in zip(pairs, products._scans(pairs), strict=True):
-        assert got.tobytes() == prefix_products(factors, order).tobytes()
+@pytest.mark.parametrize("real", [False, True], ids=["complex128", "float64"])
+@pytest.mark.parametrize("d", [3, 8])
+def test_a_path_pass_allocates_one_product_stack(d, real):
+    # the steps are scanned and the blocks carried in the path buffer itself: a
+    # separate step workspace, or a carry whose output overlaps its input,
+    # would hold a second (n + 1, d, d) stack
+    rng = np.random.default_rng(d)
+    factors = exp_stack(rng.standard_normal((64, d, d)) / 7)
+    factors = factors if real else factors.astype(complex)
+    for n in (2000, 3001, 4000):
+        order = rng.integers(0, 64, n)
+        prefix_products(factors, order)  # first calls allocate numpy's own caches
+        tracemalloc.start()
+        try:
+            prefix_products(factors, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stack = (n + 1) * d * d * factors.itemsize
+        assert peak <= 1.25 * stack, (n, peak / stack)
 
 
 def test_prefix_products_range_check_survives_the_unbuffered_take():
@@ -321,7 +333,7 @@ def test_products_are_the_last_prefix_bit_for_bit(monkeypatch, d):
         # one pass; passes of two orders and a last one; one order per pass
         for steps in [products._PRODUCT_STEPS, 2 * n + 1, 1]:
             monkeypatch.setattr(products, "_PRODUCT_STEPS", steps)
-            got = products._products(factors, (o for o in orders), n)  # read once
+            got = products._blocked(factors, (o for o in orders), n)  # read once
             for order, u in zip(orders, got, strict=True):
                 assert u.tobytes() == prefix_products(factors, order)[-1].tobytes()
 
@@ -339,8 +351,8 @@ def test_real_scans_are_the_complex_scans_bit_for_bit(d):
             path = prefix_products(factors, order)
             want = prefix_products(factors.astype(complex), order)
             assert path.dtype == np.float64 and path.tobytes() == want.real.tobytes()
-        got = products._products(factors, orders, n)
-        want = products._products(factors.astype(complex), orders, n)
+        got = products._blocked(factors, orders, n)
+        want = products._blocked(factors.astype(complex), orders, n)
         for u, w in zip(got, want, strict=True):
             assert u.dtype == np.float64 and u.tobytes() == w.real.tobytes()
 
@@ -366,9 +378,9 @@ def test_products_range_check_and_empty_orders():
     factors = exp_stack(np.stack([E12, E21, E12 + E21]) / 3)
     for bad in ([0, 1, 3], [-4, 1, 2]):
         with pytest.raises(IndexError):
-            list(products._products(factors, [np.array([0, 1, 2]), np.array(bad)], 3))
-    assert list(products._products(factors, [], 5)) == []
-    empty = list(products._products(factors[:0], [np.arange(0)] * 2, 0))
+            list(products._blocked(factors, [np.array([0, 1, 2]), np.array(bad)], 3))
+    assert list(products._blocked(factors, [], 5)) == []
+    empty = list(products._blocked(factors[:0], [np.arange(0)] * 2, 0))
     assert [u.tobytes() for u in empty] == [np.eye(2, dtype=complex).tobytes()] * 2
 
 
@@ -381,7 +393,7 @@ def test_products_memory_is_one_pass_not_the_order_count():
         orders = (np.random.default_rng(i).integers(0, 3, n) for i in range(count))
         tracemalloc.start()
         try:
-            assert sum(1 for _ in products._products(factors, orders, n)) == count
+            assert sum(1 for _ in products._blocked(factors, orders, n)) == count
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
