@@ -15,7 +15,7 @@ import numpy as np
 
 from .linalg import as_matrix, op_norm
 from .products import _blocked, exp_factors
-from .rows import gen_riemann
+from .rows import _alphabet, gen_riemann
 
 
 @dataclass(frozen=True)
@@ -96,10 +96,7 @@ def linear_diagonal_family(diag) -> Callable[[np.ndarray], np.ndarray]:
 
 def step_family(b, c, split: float = 0.5) -> Callable[[np.ndarray], np.ndarray]:
     """fn = b on [0, split), c on [split, 1]."""
-    bm = as_matrix(b, "b")
-    cm = as_matrix(c, "c")
-    if bm.shape != cm.shape:
-        raise ValueError("b and c must have the same dimension")
+    bm, cm = _alphabet([b, c])
     return lambda xs: np.where((xs < split)[:, None, None], bm, cm)
 
 

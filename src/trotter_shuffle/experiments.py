@@ -10,6 +10,7 @@ changing a byte of the output.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import math
@@ -248,6 +249,10 @@ def _generator_errors(kind: str, gen: dict, ns: list, target, d) -> list[str]:
             errors.append(f"{where}: {exc}")
     if name == "two_letter" and any(_is_int(n) and n % 2 for n in ns):
         errors.append(f"n_list: the two_letter generator needs even n, got {ns}")
+    letters = gen.get("letters", keys["letters"]) if name == "repeated" else []
+    if isinstance(letters, list) and any(_is_int(n) and n < len(letters) for n in ns):
+        errors.append(f"n_list: the repeated generator needs every n >= its "
+                      f"{len(letters)} letters, got {ns}")
     a = gen.get("a")
     if kind == "tail" and a is None and any(_is_int(n) and n < 4 for n in ns):
         errors.append(f"n_list: the tail kind needs n >= 4 without generator.a, got {ns}")
@@ -310,6 +315,8 @@ class ExperimentConfig:
             errors.extend(_generator_errors(self.kind, self.generator, ns, self.target, self.d))
         if not isinstance(self.out_path, str) or not self.out_path:
             errors.append(f"out_path: must be a non-empty string, got {self.out_path!r}")
+        elif Path(self.out_path).suffix.lower() == ".json":  # its sidecar's suffix, in any case
+            errors.append(f"out_path: {self.out_path!r} ends in .json, so it is its own sidecar")
         for name, kinds in _FIELD_KINDS.items():
             value, f = getattr(self, name), self.__dataclass_fields__[name]
             default = f.default_factory() if f.default is dataclasses.MISSING else f.default
@@ -490,21 +497,16 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(config=cfg, records=records, summary=summary)
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)  # shortest round-trip decimal
-    return str(value)
-
-
 def emit(report: ExperimentReport, out_path: str | Path) -> Path:
     """Write the CSV (UTF-8, LF) and a sibling .json sidecar; returns the CSV path.
 
     Both files are written to temporary files in the same directory and then
     moved over the targets, so a failed write leaves any previous report intact.
+    An out_path that ends in .json is a ConfigError before anything is written.
     """
     path = Path(out_path)
+    if path.suffix.lower() == ".json":
+        raise ConfigError(f"out_path: {str(out_path)!r} ends in .json, so it is its own sidecar")
     cfg = report.config
     columns = COLUMNS[cfg.kind]
     sidecar = path.with_suffix(".json")
@@ -513,9 +515,9 @@ def emit(report: ExperimentReport, out_path: str | Path) -> Path:
     temps = [p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in (path, sidecar)]
     try:
         with open(temps[0], "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(columns) + "\n")
-            for rec in report.records:
-                fh.write(",".join(_cell(rec[c]) for c in columns) + "\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows([rec[c] for c in columns] for rec in report.records)
         with open(temps[1], "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -93,9 +93,12 @@ class ArrayRow:
         return self.elements[heads[first[order]]], np.repeat(label[inverse], runs)
 
 
-def _unit_rescale(letters: np.ndarray) -> np.ndarray:
-    top = float(op_norms(letters).max())
-    return letters / top if top > 1.0 else letters
+def _alphabet(matrices, unit_bound: bool = False) -> np.ndarray:
+    """The letters as one stack (np.stack rejects letters of different shapes);
+    with unit_bound, divided by their largest operator norm when it is above 1."""
+    alphabet = np.stack([as_matrix(m, "letter") for m in matrices])
+    top = float(op_norms(alphabet).max()) if unit_bound else 0.0
+    return alphabet / top if top > 1.0 else alphabet
 
 
 def gen_two_letter(n: int, b, c, order: str = "first_half_b",
@@ -103,20 +106,11 @@ def gen_two_letter(n: int, b, c, order: str = "first_half_b",
     """Row with two letters, n/2 copies each, either contiguous or interleaved."""
     if n % 2 != 0 or n < 2:
         raise ValueError(f"n must be a positive even integer, got {n}")
-    bm = as_matrix(b, "b")
-    cm = as_matrix(c, "c")
-    if bm.shape != cm.shape:
-        raise ValueError("b and c must have the same dimension")
-    alphabet = np.stack([bm, cm])
-    if unit_bound:
-        alphabet = _unit_rescale(alphabet)
-    if order == "first_half_b":
-        letter_of = np.repeat(np.array([0, 1]), n // 2)
-    elif order == "interleaved":
-        letter_of = np.tile(np.array([0, 1]), n // 2)
-    else:
+    if order not in ("first_half_b", "interleaved"):
         raise ValueError(f"unknown order {order!r}")
-    return ArrayRow(alphabet[letter_of])
+    pair = _alphabet([b, c], unit_bound)
+    return ArrayRow(np.repeat(pair, n // 2, axis=0) if order == "first_half_b"
+                    else np.tile(pair, (n // 2, 1, 1)))
 
 
 def gen_repeated(letters, n: int, tail: str = "identity_fill",
@@ -127,25 +121,15 @@ def gen_repeated(letters, n: int, tail: str = "identity_fill",
     the exponential factor is then the identity) or with letters[0]
     (repeat_first).
     """
-    alphabet = np.stack([as_matrix(m, "letter") for m in letters])
-    a = alphabet.shape[0]
+    if tail not in ("identity_fill", "repeat_first"):
+        raise ValueError(f"unknown tail mode {tail!r}")
+    alphabet = _alphabet(letters, unit_bound)
+    a = len(alphabet)
     if a > n:
         raise ValueError(f"more letters ({a}) than row slots ({n})")
-    if unit_bound:
-        alphabet = _unit_rescale(alphabet)
-    b = n // a
-    letter_of = np.tile(np.arange(a), b)
-    rest = n - a * b
-    if rest > 0:
-        if tail == "identity_fill":
-            alphabet = np.concatenate([alphabet, np.zeros((1,) + alphabet.shape[1:])])
-            fill = np.full(rest, a)
-        elif tail == "repeat_first":
-            fill = np.zeros(rest, dtype=np.int64)
-        else:
-            raise ValueError(f"unknown tail mode {tail!r}")
-        letter_of = np.concatenate([letter_of, fill])
-    return ArrayRow(alphabet[letter_of])
+    fill = a if tail == "identity_fill" else 0  # a: the zero letter appended below
+    alphabet = np.concatenate([alphabet, np.zeros_like(alphabet[:1])])
+    return ArrayRow(alphabet[np.r_[np.tile(np.arange(a), n // a), np.full(n % a, fill)]])
 
 
 REGIMES = ("prob_regime", "as_regime", "large_linf", "bounded_log", "intermediate")
@@ -206,6 +190,8 @@ def spiked_parameters(n: int, spec: RegimeSpec) -> tuple[int, float]:
         else:
             k_raw = (n / (3.0 * linf)) * (lr - lln - (3.0 + delta) * llr)
     elif spec.regime == "large_linf":
+        if lln <= 0:  # a power 3 + 2 delta of a negative number is complex
+            raise InfeasibleRegimeError(f"large_linf needs log log n > 0, so n >= 3, got n = {n}")
         scale = ln * lln ** (3.0 + 2.0 * delta)
         linf = n / scale
         k_raw = scale / 3.0

@@ -1,8 +1,10 @@
+import csv
 import importlib.util
 import json
 import re
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import pytest
 from trotter_shuffle import evolution, experiments, linalg, products, rows, tails
 from trotter_shuffle.cli import main
 from trotter_shuffle.experiments import (COLUMNS, ConfigError, ExperimentConfig,
-                                         emit, parse_matrix, run)
+                                         ExperimentReport, emit, parse_matrix, run)
 from trotter_shuffle.rows import InfeasibleRegimeError, RegimeSpec, spiked_parameters
 
 V_STAR = 0.1293935159197811
@@ -109,6 +111,32 @@ def test_emit_byte_identical_and_sidecar(tmp_path):
     assert doc["schema_version"] == 1
 
 
+def test_emit_cell_formats(tmp_path):
+    """None is an empty cell, ints and strings are written with str, and floats,
+    numpy float scalars among them, as repr: the shortest round-trip decimal."""
+    cells = [None, 7, -0.0, 5e-324, 1e16, float("nan"), "large_linf", np.float64(0.1), 2 / 3]
+    report = ExperimentReport(ExperimentConfig(kind="regime", n_list=[400]),
+                              [dict(zip(COLUMNS["regime"], cells))], {})
+    emit(report, tmp_path / "c.csv")
+    assert (tmp_path / "c.csv").read_bytes() == (
+        ",".join(COLUMNS["regime"]) + "\n"
+        ",7,-0.0,5e-324,1e+16,nan,large_linf,0.1,0.6666666666666666\n").encode()
+
+
+@pytest.mark.parametrize("name", ["t.json", "t.JSON"])
+def test_json_out_path_is_a_config_error(tmp_path, capsys, monkeypatch, name):
+    # the CSV would be its own sidecar: refused before any cell runs or any file is written
+    monkeypatch.chdir(tmp_path)
+    calls = Counter()
+    _counting(monkeypatch, calls, ((experiments, tails), "block_deviation_samples"))
+    assert main(["tail", "--n", "40", "--out", name]) == 2
+    assert f"config error: out_path: {name!r} ends in .json" in capsys.readouterr().err
+    report = run(ExperimentConfig(kind="words", trials=2, seed=1))
+    with pytest.raises(ConfigError, match="out_path"):
+        emit(report, name)
+    assert not calls and not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("stage", ["csv", "sidecar"])
 def test_emit_failure_leaves_previous_report_intact(tmp_path, monkeypatch, stage):
     cfg = ExperimentConfig(kind="words", trials=8, seed=1, out_path="w.csv")
@@ -128,8 +156,10 @@ def test_emit_failure_leaves_previous_report_intact(tmp_path, monkeypatch, stage
             return real(*args, **kwargs)
         return fn
 
-    if stage == "csv":  # fail after a few cells have been written
-        monkeypatch.setattr(experiments, "_cell", failing(experiments._cell, 10))
+    if stage == "csv":  # fail after a few rows have been written
+        writer = csv.writer
+        monkeypatch.setattr(experiments.csv, "writer", lambda fh, **kwargs: writer(
+            SimpleNamespace(write=failing(fh.write, 3)), **kwargs))
     else:
         monkeypatch.setattr(experiments.json, "dump", failing(json.dump, 0))
     other = ExperimentConfig(kind="words", trials=5, seed=2, out_path="w.csv")
@@ -492,6 +522,21 @@ def test_cli_two_letter_odd_n_exit_2(tmp_path, capsys, kind, n):
     assert main([kind, "--n", n, "--trials", "2", "--out", str(out)]) == 2
     assert "config error: n_list: the two_letter generator needs even n" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_repeated_letters_above_n_exit_2(tmp_path, capsys, monkeypatch):
+    # a repeated row holds each of its letters at least once, at every n
+    calls = Counter()
+    _counting(monkeypatch, calls, ((experiments, products), "path_deviations"))
+    cfg = tmp_path / "rep.json"
+    out = tmp_path / "r.csv"
+    cfg.write_text(json.dumps({"kind": "converge", "n_list": [40, 2], "out_path": str(out),
+                               "generator": {"name": "repeated",
+                                             "letters": ["e12", "e21", "pauli_x"]}}))
+    assert main(["converge", "--config", str(cfg)]) == 2
+    assert ("config error: n_list: the repeated generator needs every n >= its 3 letters, "
+            "got [40, 2]") in capsys.readouterr().err
+    assert not out.exists() and not calls
 
 
 @pytest.mark.parametrize("kind, generator, key", [

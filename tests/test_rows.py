@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trotter_shuffle.evolution import step_family
 from trotter_shuffle.linalg import op_norm, op_norms
 from trotter_shuffle.rows import (ArrayRow, InfeasibleRegimeError, RegimeSpec,
                                   gen_repeated, gen_riemann, gen_spiked, gen_two_letter,
@@ -74,6 +75,18 @@ def test_gen_repeated_layout_and_tail():
     assert np.array_equal(row.elements[9], np.zeros((2, 2)))
     with pytest.raises(ValueError):
         gen_repeated([E12] * 5, 3)
+
+
+def test_gen_repeated_checks_tail_without_leftover_slots():
+    with pytest.raises(ValueError, match="unknown tail mode"):
+        gen_repeated([E12, E21], 4, tail="zeros")
+
+
+@pytest.mark.parametrize("build", [lambda b, c: gen_repeated([b, c], 4), step_family],
+                         ids=["repeated", "step_family"])
+def test_letter_builders_reject_mixed_shapes(build):
+    with pytest.raises(ValueError):
+        build(E12, np.eye(3))
 
 
 def test_gen_repeated_occurrence_counts():
@@ -152,6 +165,13 @@ def test_spiked_infeasible_cases():
     # spike count above n
     with pytest.raises(InfeasibleRegimeError):
         spiked_parameters(10**6, RegimeSpec("prob_regime", delta=0.01, linf=0.5))
+
+
+@pytest.mark.parametrize("delta", [0.1, 1.0])
+def test_large_linf_infeasible_at_n_2(delta):
+    # log log 2 < 0, and its power 3 + 2 delta is complex unless 2 delta is an integer
+    with pytest.raises(InfeasibleRegimeError, match="large_linf needs log log n > 0"):
+        spiked_parameters(2, RegimeSpec("large_linf", delta=delta))
 
 
 def test_regime_spec_validation():
