@@ -10,7 +10,7 @@ import json
 import sys
 from pathlib import Path
 
-from .experiments import KINDS, ConfigError, ExperimentConfig, emit, run
+from .experiments import KINDS, ConfigError, ExperimentConfig, _sidecar_path, emit, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,7 +54,7 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         if getattr(args, option) is not None:
             doc[name] = getattr(args, option)
     cfg = ExperimentConfig.from_dict(doc)
-    sidecar = Path(cfg.out_path).with_suffix(".json")
+    sidecar = _sidecar_path(cfg.out_path)
     if args.config and sidecar.resolve() == Path(args.config).resolve():
         raise ConfigError(f"out_path: its sidecar {sidecar} would overwrite the config file")
     return cfg
@@ -72,7 +72,7 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - runtime failures map to exit 3
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    print(f"wrote {path} and {path.with_suffix('.json')}")
+    print(f"wrote {path} and {_sidecar_path(path)}")
     for key, val in report.summary.items():
         print(f"  {key}: {val}")
     return 0

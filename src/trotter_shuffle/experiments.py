@@ -57,6 +57,13 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message carries field context."""
 
 
+def _sidecar_path(out_path) -> Path:
+    """The JSON sidecar of the CSV at out_path; a ConfigError if it ends in .json."""
+    if (path := Path(out_path)).suffix.lower() == ".json":  # in any case
+        raise ConfigError(f"out_path: {str(out_path)!r} ends in .json, so it is its own sidecar")
+    return path.with_suffix(".json")
+
+
 def _entries(spec, what: str) -> np.ndarray:
     """The square array of finite numbers a matrix spec names: a catalog name
     or nested lists of numbers / [re, im] pairs."""
@@ -315,8 +322,11 @@ class ExperimentConfig:
             errors.extend(_generator_errors(self.kind, self.generator, ns, self.target, self.d))
         if not isinstance(self.out_path, str) or not self.out_path:
             errors.append(f"out_path: must be a non-empty string, got {self.out_path!r}")
-        elif Path(self.out_path).suffix.lower() == ".json":  # its sidecar's suffix, in any case
-            errors.append(f"out_path: {self.out_path!r} ends in .json, so it is its own sidecar")
+        else:
+            try:
+                _sidecar_path(self.out_path)
+            except ConfigError as exc:
+                errors.append(str(exc))
         for name, kinds in _FIELD_KINDS.items():
             value, f = getattr(self, name), self.__dataclass_fields__[name]
             default = f.default_factory() if f.default is dataclasses.MISSING else f.default
@@ -504,12 +514,9 @@ def emit(report: ExperimentReport, out_path: str | Path) -> Path:
     moved over the targets, so a failed write leaves any previous report intact.
     An out_path that ends in .json is a ConfigError before anything is written.
     """
-    path = Path(out_path)
-    if path.suffix.lower() == ".json":
-        raise ConfigError(f"out_path: {str(out_path)!r} ends in .json, so it is its own sidecar")
+    path, sidecar = Path(out_path), _sidecar_path(out_path)
     cfg = report.config
     columns = COLUMNS[cfg.kind]
-    sidecar = path.with_suffix(".json")
     doc = {"config": cfg.to_dict(), "seed": cfg.seed, "package_version": PACKAGE_VERSION,
            "schema_version": SCHEMA_VERSION, "columns": columns, "summary": report.summary}
     temps = [p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in (path, sidecar)]

@@ -73,34 +73,38 @@ def _norms_2x2(batch: np.ndarray) -> np.ndarray:
 
 _NORM_CHUNK = 1024  # matrices per pass of the 2x2 closed form: 64 KB temporaries
 _SCREEN_Q = 4  # max_op_norm brackets by the Schatten norm of order 2^(q+1)
-_SCREEN_MARGIN = 1e-8  # relative; far above the O(d eps) roundoff of bracket and SVD
+_SCREEN_MARGIN, _SCREEN_FLOOR = 1e-8, 1e-300  # relative (>> O(d eps)), absolute (subnormals)
 _SCREEN_BYTES = 1 << 16  # bytes of matrices per screening pass
 
 
 def max_op_norm(batch: np.ndarray) -> float:
     """float(op_norms(batch).max()) for a stack (k, d, d), bit for bit.
 
-    For d >= 3 a Schatten-norm bracket (Bhatia, Matrix Analysis, ch. IV)
-    spares most SVDs: with Y = M / max|m_ij|, p = 2^q and H = (Y*Y)^(p/2),
-    S = ||H||_F^(1/p) puts sigma_max(Y) in [S d^(-1/2p), S] (the top eigenvalue
-    of Y*Y is in [1, d^2]: no overflow). Only the matrices whose upper bound,
-    widened by the margin, reaches the largest lower bound get the SVD.
+    Upper bounds screen the stack: for d <= 2 the Frobenius norm after one exact
+    power-of-two scale per pass, for d >= 3 the Schatten bracket ||H||_F^(1/p) >=
+    sigma_max(Y), Y = M / max|m_ij|, p = 2^q, H = (Y*Y)^(p/2) (Bhatia, Matrix
+    Analysis, ch. IV; no overflow: Y*Y has eigenvalues in [0, d^2]). The exact norm
+    of the largest bound's matrix bounds the maximum from below; only the matrices
+    whose bound, widened by the margins (roundoff, subnormals), reaches it get theirs.
     """
     batch = kernel_array(batch)
     d = batch.shape[-1]
-    if d <= 2:
-        return float(op_norms(batch).max())
     upper, step = np.empty(len(batch)), max(1, _SCREEN_BYTES // (batch.itemsize * d * d))
     for i in range(0, len(batch), step):
         m = batch[i:i + step]
+        if d <= 2:
+            y = m.reshape(len(m), -1).view(np.float64)
+            y = np.ldexp(y, -(e := np.frexp(np.abs(y).max())[1]))
+            upper[i:i + len(m)] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", y, y)), e)
+            continue
         top = np.abs(m).max(axis=(1, 2))
         y = m / np.where(top > 0, top, 1.0)[:, None, None]
         h = y.conj().transpose(0, 2, 1) @ y
         for _ in range(_SCREEN_Q - 1):
             h = h @ h
         upper[i:i + len(m)] = top * np.linalg.norm(h, axis=(1, 2)) ** (0.5 ** _SCREEN_Q)
-    lower = upper.max() * d ** -(0.5 ** (_SCREEN_Q + 1))
-    return float(op_norms(batch[upper * (1.0 + _SCREEN_MARGIN) >= lower]).max())
+    lower = op_norms(batch[upper.argmax(), None])  # a NaN bound or norm keeps its matrices
+    return float(op_norms(batch[~(upper * (1.0 + _SCREEN_MARGIN) + _SCREEN_FLOOR < lower)]).max())
 
 
 def _series_order(x: float, target: float) -> int:

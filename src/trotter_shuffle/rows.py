@@ -28,12 +28,9 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _own(a, dtype) -> np.ndarray:
-    """Contiguous array of the right dtype that this object owns outright
-    (never aliases caller storage, so freezing it cannot leak)."""
-    arr = np.ascontiguousarray(np.asarray(a, dtype=dtype))
-    if arr is a:
-        arr = arr.copy()
-    return arr
+    """A contiguous copy of the right dtype, owned outright (it never aliases
+    caller storage, so freezing it cannot leak)."""
+    return np.array(a, dtype=dtype, order="C")
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,18 +67,22 @@ class ArrayRow:
 
     @cached_property
     def stats(self) -> RowStats:
-        norms = op_norms(self.elements)
+        alphabet, letter_of = self.letters()
+        norms = op_norms(alphabet)[letter_of]  # each the norm of a byte-equal element
         return RowStats(mean=_freeze(self.elements.mean(axis=0)),
                         l1=float(norms.mean()), linf=float(norms.max()))
 
     def letters(self) -> tuple[np.ndarray, np.ndarray]:
         """(alphabet, letter_of) with elements == alphabet[letter_of] bit for bit:
         the distinct elements by their bytes (0.0 and -0.0 differ), in order of
-        first occurrence, found anew on each call. len(alphabet) is the count c_n.
+        first occurrence, gathered on each call from the cached _letter_index.
+        len(alphabet) is the count c_n."""
+        return self.elements[self._letter_index[0]], self._letter_index[1]
 
-        Only the first element of each run of byte-equal neighbours is sorted,
-        so a row whose equal elements sit together costs O(n) and a sort of
-        its few runs."""
+    @cached_property
+    def _letter_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(first positions, letter_of), read-only. Only the first element of each
+        run of byte-equal neighbours is sorted: O(n) and a sort of the runs."""
         words = self.elements.reshape(self.n, -1).view(np.uint64)
         heads = np.flatnonzero(np.r_[True, (words[1:] != words[:-1]).any(axis=1)])
         keys = words[heads].view((np.void, 16 * self.d ** 2)).ravel()
@@ -90,7 +91,7 @@ class ArrayRow:
         label = np.empty_like(order)
         label[order] = np.arange(len(order))
         runs = np.diff(np.r_[heads, self.n])
-        return self.elements[heads[first[order]]], np.repeat(label[inverse], runs)
+        return _freeze(heads[first[order]]), _freeze(np.repeat(label[inverse], runs))
 
 
 def _alphabet(matrices, unit_bound: bool = False) -> np.ndarray:

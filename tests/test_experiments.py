@@ -168,6 +168,12 @@ def test_emit_failure_leaves_previous_report_intact(tmp_path, monkeypatch, stage
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+def _pinned(cases):
+    """The cases (id, *values) as pytest params, each with its id written out:
+    a case added or removed anywhere in a table renames no other."""
+    return [pytest.param(*values, id=case_id) for case_id, *values in cases]
+
+
 def _counting(monkeypatch, calls, *targets):
     """Count calls of each (module, name), patched in every module given."""
     for mods, name in targets:
@@ -272,16 +278,21 @@ def test_summary_is_the_summary_of_the_records():
 BAD_REGIMES = [{"regime": "large_linf", "delta": 1.0}, {"regime": "intermediate", "alpha": 1.5}]
 
 
-@pytest.mark.parametrize("kind, generator, key", [
-    ("regime", {"name": "spiked", "regimes": BAD_REGIMES},
+@pytest.mark.parametrize("kind, generator, key", _pinned([
+    ("regime-generator0-generator.regimes[1]: intermediate regime needs",
+     "regime", {"name": "spiked", "regimes": BAD_REGIMES},
      "generator.regimes[1]: intermediate regime needs"),
-    ("regime", {"name": "spiked", "delta": -1}, "generator: delta must be positive"),
-    ("regime", {"name": "spiked", "linf": -2.0}, "generator: linf must be positive"),
-    ("regime", {"name": "spiked", "delta": -1, "regimes": [{"regime": "large_linf"},
+    ("regime-generator1-generator: delta must be positive",
+     "regime", {"name": "spiked", "delta": -1}, "generator: delta must be positive"),
+    ("regime-generator2-generator: linf must be positive",
+     "regime", {"name": "spiked", "linf": -2.0}, "generator: linf must be positive"),
+    ("regime-generator3-generator.regimes[0]: delta must be positive",
+     "regime", {"name": "spiked", "delta": -1, "regimes": [{"regime": "large_linf"},
                                                          {"regime": "as_regime", "delta": 1}]},
      "generator.regimes[0]: delta must be positive"),
-    ("converge", {"name": "spiked", "delta": -1}, "generator: delta must be positive"),
-])
+    ("converge-generator4-generator: delta must be positive",
+     "converge", {"name": "spiked", "delta": -1}, "generator: delta must be positive"),
+]))
 def test_regime_spec_checked_before_any_cell_runs(tmp_path, capsys, monkeypatch, kind,
                                                   generator, key):
     with pytest.raises(ConfigError, match=re.escape(key)):
@@ -394,57 +405,85 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
 MATRIX_3X3 = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
 
 
-@pytest.mark.parametrize("kind, fields, key", [
-    ("converge", {"out_path": 5}, "out_path"),
-    ("converge", {"generator": {"name": "two_letter", "b": MATRIX_3X3, "c": "e21"}},
+@pytest.mark.parametrize("kind, fields, key", _pinned([
+    ("converge-fields0-out_path",
+     "converge", {"out_path": 5}, "out_path"),
+    ("converge-fields1-generator.b, generator.c",
+     "converge", {"generator": {"name": "two_letter", "b": MATRIX_3X3, "c": "e21"}},
      "generator.b, generator.c"),
-    ("evolution", {"generator": {"name": "family", "fn": "step", "b": MATRIX_3X3}},
+    ("evolution-fields2-generator.b, generator.c",
+     "evolution", {"generator": {"name": "family", "fn": "step", "b": MATRIX_3X3}},
      "generator.b, generator.c"),
-    ("tail", {"generator": {"name": "repeated", "letters": ["e12", MATRIX_3X3]}},
+    ("tail-fields3-generator.letters[0], generator.letters[1]",
+     "tail", {"generator": {"name": "repeated", "letters": ["e12", MATRIX_3X3]}},
      "generator.letters[0], generator.letters[1]"),
-    ("converge", {"target": MATRIX_3X3}, "target, generator.b, generator.c"),
-    ("converge", {"target": [[0, float("inf")], [0, 0]]}, "target"),
+    ("converge-fields4-target, generator.b, generator.c",
+     "converge", {"target": MATRIX_3X3}, "target, generator.b, generator.c"),
+    ("converge-fields5-target",
+     "converge", {"target": [[0, float("inf")], [0, 0]]}, "target"),
     # d is the dimension of every matrix too, not only of spiked rows
-    ("converge", {"d": 3}, "generator.b, generator.c, d"),
-    ("converge", {"generator": {"name": "spiked"}, "target": MATRIX_3X3}, "target, d"),
-    ("converge", {"generator": {"name": "riemann", "fn": "linear_diagonal", "diag": [1, 2, 3]},
+    ("converge-fields6-generator.b, generator.c, d",
+     "converge", {"d": 3}, "generator.b, generator.c, d"),
+    ("converge-fields7-target, d",
+     "converge", {"generator": {"name": "spiked"}, "target": MATRIX_3X3}, "target, d"),
+    ("converge-fields8-target, generator.diag, d",
+     "converge", {"generator": {"name": "riemann", "fn": "linear_diagonal", "diag": [1, 2, 3]},
                   "target": "e12"}, "target, generator.diag, d"),
     # the rotation family is 2x2 though no key of it names a matrix
-    ("converge", {"d": 3, "generator": {"name": "riemann", "fn": "rotation"},
+    ("converge-fields9-target, generator.fn, d",
+     "converge", {"d": 3, "generator": {"name": "riemann", "fn": "rotation"},
                   "target": MATRIX_3X3}, "target, generator.fn, d"),
-    ("evolution", {"d": 3, "generator": {"name": "family", "fn": "rotation"}},
+    ("evolution-fields10-generator.fn, d",
+     "evolution", {"d": 3, "generator": {"name": "family", "fn": "rotation"}},
      "generator.fn, d"),
     # without generator.a the tail kind picks a block size, which needs n >= 4
-    ("tail", {"n_list": [2]}, "n_list"),
+    ("tail-fields11-n_list",
+     "tail", {"n_list": [2]}, "n_list"),
     # a top-level field the kind never reads must keep its default
-    ("tail", {"sigma_mode": "identity"}, "sigma_mode"),
-    ("converge", {"eps": 5}, "eps"),
-    ("regime", {"block_mode": "probability"}, "block_mode"),
-    ("evolution", {"target": "e12"}, "target"),
-    pytest.param("words", {"target": "e12", "block_mode": "probability",
-                           "sigma_mode": "identity", "eps": 0.1},
-                 "target: the words kind does not read it, got 'e12'; eps: the words kind "
-                 "does not read it, got 0.1; sigma_mode: the words kind does not read it, "
-                 "got 'identity'; block_mode: the words kind does not read it, got "
-                 "'probability'", id="words-four-unread-fields"),
+    ("tail-fields12-sigma_mode",
+     "tail", {"sigma_mode": "identity"}, "sigma_mode"),
+    ("converge-fields13-eps",
+     "converge", {"eps": 5}, "eps"),
+    ("regime-fields14-block_mode",
+     "regime", {"block_mode": "probability"}, "block_mode"),
+    ("evolution-fields15-target",
+     "evolution", {"target": "e12"}, "target"),
+    ("words-four-unread-fields",
+     "words", {"target": "e12", "block_mode": "probability", "sigma_mode": "identity",
+               "eps": 0.1},
+     "target: the words kind does not read it, got 'e12'; eps: the words kind "
+     "does not read it, got 0.1; sigma_mode: the words kind does not read it, "
+     "got 'identity'; block_mode: the words kind does not read it, got "
+     "'probability'"),
     # words takes its size from the generator
-    ("words", {"n_list": [7]}, "n_list: the words kind does not read it, got [7]"),
-    ("words", {"d": 5}, "d: the words kind does not read it, got 5"),
+    ("words-fields17-n_list: the words kind does not read it, got [7]",
+     "words", {"n_list": [7]}, "n_list: the words kind does not read it, got [7]"),
+    ("words-fields18-d: the words kind does not read it, got 5",
+     "words", {"d": 5}, "d: the words kind does not read it, got 5"),
     # a tail with a fixed block size never chooses one
-    ("tail", {"block_mode": "almost_sure", "generator": {"name": "two_letter", "a": 20}},
+    ("tail-fields19-block_mode",
+     "tail", {"block_mode": "almost_sure", "generator": {"name": "two_letter", "a": 20}},
      "block_mode"),
-    ("tail", {"block_mode": "sqrt"}, "block_mode: unknown mode 'sqrt'"),
-    ("converge", {"target": [["x"]]}, "target: cannot parse matrix"),
+    ("tail-fields20-block_mode: unknown mode 'sqrt'",
+     "tail", {"block_mode": "sqrt"}, "block_mode: unknown mode 'sqrt'"),
+    ("converge-fields21-target: cannot parse matrix",
+     "converge", {"target": [["x"]]}, "target: cannot parse matrix"),
     # copies of an n would draw the same streams and repeat the same cells
-    ("converge", {"n_list": [40, 40]}, "n_list: entries must be distinct"),
-    ("evolution", {"n_list": [40, 60, 40]}, "n_list: entries must be distinct"),
+    ("converge-fields22-n_list: entries must be distinct",
+     "converge", {"n_list": [40, 40]}, "n_list: entries must be distinct"),
+    ("evolution-fields23-n_list: entries must be distinct",
+     "evolution", {"n_list": [40, 60, 40]}, "n_list: entries must be distinct"),
     # a multiset has no matrices, so a target is unread, not of the wrong dimension
-    ("words", {"target": MATRIX_3X3}, "target: the words kind does not read it"),
+    ("words-fields24-target: the words kind does not read it",
+     "words", {"target": MATRIX_3X3}, "target: the words kind does not read it"),
     # trials that cannot differ: every one would be the same computation
-    ("converge", {"sigma_mode": "identity"}, "trials: every trial of an identity sigma_mode"),
-    ("regime", {"sigma_mode": "identity"}, "trials"),
-    ("evolution", {"generator": {"name": "family", "mode": "ordered"}}, "trials"),
-])
+    ("converge-fields25-trials: every trial of an identity sigma_mode",
+     "converge", {"sigma_mode": "identity"}, "trials: every trial of an identity sigma_mode"),
+    ("regime-fields26-trials",
+     "regime", {"sigma_mode": "identity"}, "trials"),
+    ("evolution-fields27-trials",
+     "evolution", {"generator": {"name": "family", "mode": "ordered"}}, "trials"),
+]))
 def test_cli_invalid_field_exit_2(tmp_path, capsys, kind, fields, key):
     cfg = tmp_path / "cfg.json"
     sized = {} if kind == "words" else {"n_list": [400]}
@@ -455,12 +494,16 @@ def test_cli_invalid_field_exit_2(tmp_path, capsys, kind, fields, key):
     assert not (tmp_path / "f.csv").exists()
 
 
-@pytest.mark.parametrize("args, key", [
-    (["--config", "missing.json"], "config: cannot read missing.json"),
-    (["--config", "list.json"], "config: expected a JSON object"),
-    (["--n", "1,x"], "--n: expected comma-separated integers"),
-    (["--n", "40,40"], "n_list: entries must be distinct positive integers, got [40, 40]"),
-])
+@pytest.mark.parametrize("args, key", _pinned([
+    ("args0-config: cannot read missing.json",
+     ["--config", "missing.json"], "config: cannot read missing.json"),
+    ("args1-config: expected a JSON object",
+     ["--config", "list.json"], "config: expected a JSON object"),
+    ("args2---n: expected comma-separated integers",
+     ["--n", "1,x"], "--n: expected comma-separated integers"),
+    ("args3-n_list: entries must be distinct positive integers, got [40, 40]",
+     ["--n", "40,40"], "n_list: entries must be distinct positive integers, got [40, 40]"),
+]))
 def test_cli_bad_input_exit_2(tmp_path, capsys, monkeypatch, args, key):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "list.json").write_text(json.dumps([{"kind": "converge"}]))
@@ -539,20 +582,31 @@ def test_cli_repeated_letters_above_n_exit_2(tmp_path, capsys, monkeypatch):
     assert not out.exists() and not calls
 
 
-@pytest.mark.parametrize("kind, generator, key", [
-    ("converge", {"name": "two_letter", "oder": "interleaved"}, "oder"),
-    ("converge", {"name": "two_letter", "a": 20}, "a"),
-    ("tail", {"name": "repeated", "letters": ["e12"], "tial": "repeat_first"}, "tial"),
-    ("regime", {"name": "spiked", "regime": "large_linf", "detla": 1.0}, "detla"),
-    ("regime", {"name": "spiked", "regimes": [{"regime": "large_linf", "detla": 1.0}]},
+@pytest.mark.parametrize("kind, generator, key", _pinned([
+    ("converge-generator0-oder",
+     "converge", {"name": "two_letter", "oder": "interleaved"}, "oder"),
+    ("converge-generator1-a",
+     "converge", {"name": "two_letter", "a": 20}, "a"),
+    ("tail-generator2-tial",
+     "tail", {"name": "repeated", "letters": ["e12"], "tial": "repeat_first"}, "tial"),
+    ("regime-generator3-detla",
+     "regime", {"name": "spiked", "regime": "large_linf", "detla": 1.0}, "detla"),
+    ("regime-generator4-generator.regimes",
+     "regime", {"name": "spiked", "regimes": [{"regime": "large_linf", "detla": 1.0}]},
      "generator.regimes"),
-    ("words", {"name": "multiset", "a": 2, "bb": 3}, "bb"),
-    ("evolution", {"name": "family", "fn": "step", "mdoe": "iid"}, "mdoe"),
-    ("evolution", {"name": "riemann", "fn": "step"}, "generator.name"),
-    ("converge", {"name": "family"}, "generator.name"),
-    ("evolution", {"name": "family", "fn": "constant", "b": "e12"}, "['b']"),
-    ("converge", {"name": "riemann", "fn": "constant", "b": "e12"}, "['b']"),
-])
+    ("words-generator5-bb",
+     "words", {"name": "multiset", "a": 2, "bb": 3}, "bb"),
+    ("evolution-generator6-mdoe",
+     "evolution", {"name": "family", "fn": "step", "mdoe": "iid"}, "mdoe"),
+    ("evolution-generator7-generator.name",
+     "evolution", {"name": "riemann", "fn": "step"}, "generator.name"),
+    ("converge-generator8-generator.name",
+     "converge", {"name": "family"}, "generator.name"),
+    ("evolution-generator9-['b']",
+     "evolution", {"name": "family", "fn": "constant", "b": "e12"}, "['b']"),
+    ("converge-generator10-['b']",
+     "converge", {"name": "riemann", "fn": "constant", "b": "e12"}, "['b']"),
+]))
 def test_cli_unknown_generator_key_exit_2(tmp_path, capsys, kind, generator, key):
     cfg = tmp_path / "gen.json"
     sized = {} if kind == "words" else {"n_list": [400]}
@@ -563,28 +617,47 @@ def test_cli_unknown_generator_key_exit_2(tmp_path, capsys, kind, generator, key
     assert not (tmp_path / "g.csv").exists()
 
 
-@pytest.mark.parametrize("kind, generator, key", [
-    ("evolution", {"name": "family", "fn": "step", "mode": "shuffled"}, "generator.mode"),
-    ("evolution", {"name": "family", "fn": "sine"}, "generator.fn"),
-    ("converge", {"name": "two_letter", "order": "interleave"}, "generator.order"),
-    ("converge", {"name": "riemann", "fn": "step", "mode": "random"}, "generator.mode"),
-    ("converge", {"name": "two_letter", "unit_bound": "no"}, "generator.unit_bound"),
-    ("tail", {"name": "repeated", "letters": ["e12"], "tail": "zeros"}, "generator.tail"),
-    ("tail", {"name": "repeated", "unit_bound": 1}, "generator.unit_bound"),
-    ("regime", {"name": "spiked", "remainder": "ones"}, "generator.remainder"),
-    ("regime", {"name": "spiked", "regime": "large"}, "generator.regime"),
-    ("regime", {"name": "spiked", "regimes": [{"regime": "large_linf", "remainder": "ones"}]},
+@pytest.mark.parametrize("kind, generator, key", _pinned([
+    ("evolution-generator0-generator.mode",
+     "evolution", {"name": "family", "fn": "step", "mode": "shuffled"}, "generator.mode"),
+    ("evolution-generator1-generator.fn",
+     "evolution", {"name": "family", "fn": "sine"}, "generator.fn"),
+    ("converge-generator2-generator.order",
+     "converge", {"name": "two_letter", "order": "interleave"}, "generator.order"),
+    ("converge-generator3-generator.mode",
+     "converge", {"name": "riemann", "fn": "step", "mode": "random"}, "generator.mode"),
+    ("converge-generator4-generator.unit_bound",
+     "converge", {"name": "two_letter", "unit_bound": "no"}, "generator.unit_bound"),
+    ("tail-generator5-generator.tail",
+     "tail", {"name": "repeated", "letters": ["e12"], "tail": "zeros"}, "generator.tail"),
+    ("tail-generator6-generator.unit_bound",
+     "tail", {"name": "repeated", "unit_bound": 1}, "generator.unit_bound"),
+    ("regime-generator7-generator.remainder",
+     "regime", {"name": "spiked", "remainder": "ones"}, "generator.remainder"),
+    ("regime-generator8-generator.regime",
+     "regime", {"name": "spiked", "regime": "large"}, "generator.regime"),
+    ("regime-generator9-generator.remainder",
+     "regime", {"name": "spiked", "regimes": [{"regime": "large_linf", "remainder": "ones"}]},
      "generator.remainder"),
-    ("regime", {"name": "spiked", "fixed_direction": "yes"}, "generator.fixed_direction"),
-    ("words", {"name": "multiset", "a": 2.7, "b": 3}, "generator.a"),
-    ("words", {"name": "multiset", "a": 2, "b": "3"}, "generator.b"),
-    ("words", {"name": "multiset", "a": 0}, "generator.a"),
-    ("words", {"name": "multiset", "b": True}, "generator.b"),
-    ("evolution", {"name": "family", "fn": "step", "split": "x"}, "generator.split"),
-    ("evolution", {"name": "family", "fn": "linear_diagonal", "diag": "ab"}, "generator.diag"),
-    ("evolution", {"name": "family", "s": 0.8, "t": 0.2}, "generator.s, generator.t"),
-    ("converge", {"name": "repeated", "letters": []}, "generator.letters"),
-])
+    ("regime-generator10-generator.fixed_direction",
+     "regime", {"name": "spiked", "fixed_direction": "yes"}, "generator.fixed_direction"),
+    ("words-generator11-generator.a",
+     "words", {"name": "multiset", "a": 2.7, "b": 3}, "generator.a"),
+    ("words-generator12-generator.b",
+     "words", {"name": "multiset", "a": 2, "b": "3"}, "generator.b"),
+    ("words-generator13-generator.a",
+     "words", {"name": "multiset", "a": 0}, "generator.a"),
+    ("words-generator14-generator.b",
+     "words", {"name": "multiset", "b": True}, "generator.b"),
+    ("evolution-generator15-generator.split",
+     "evolution", {"name": "family", "fn": "step", "split": "x"}, "generator.split"),
+    ("evolution-generator16-generator.diag",
+     "evolution", {"name": "family", "fn": "linear_diagonal", "diag": "ab"}, "generator.diag"),
+    ("evolution-generator17-generator.s, generator.t",
+     "evolution", {"name": "family", "s": 0.8, "t": 0.2}, "generator.s, generator.t"),
+    ("converge-generator18-generator.letters",
+     "converge", {"name": "repeated", "letters": []}, "generator.letters"),
+]))
 def test_cli_bad_generator_value_exit_2(tmp_path, capsys, kind, generator, key):
     cfg = tmp_path / "gen.json"
     sized = {} if kind == "words" else {"n_list": [400]}

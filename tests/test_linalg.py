@@ -3,6 +3,8 @@ import pytest
 
 from trotter_shuffle import linalg
 from trotter_shuffle.linalg import exp_stack, mat_exp, max_op_norm, op_norm, op_norms
+from trotter_shuffle.products import exp_factors, prefix_products, reference_path
+from trotter_shuffle.rows import RegimeSpec, gen_spiked, gen_two_letter
 
 from oracles import mp_exp, random_matrix, series_exp, svd_norm
 
@@ -173,11 +175,13 @@ def test_max_op_norm_is_the_svd_max_bit_for_bit(d, scale):
 
 
 def test_max_op_norm_margin_keeps_near_ties_of_tight_brackets():
-    # A rank-one matrix has a tight upper bound, a multiple of the identity
-    # a tight lower bound; with their norms a few ulps apart, rounding in the
-    # bracket alone could order them wrongly and drop the larger one.
+    # A rank-one matrix has a tight upper bound and the identity a loose one,
+    # so at norms a few ulps apart the identity has the larger bound and gives
+    # the exact lower bound: rounding in the bound alone could then drop the
+    # rank-one matrix when it is the larger. At d = 2 the bound is the
+    # Frobenius norm, at d >= 3 the Schatten bracket.
     rng = np.random.default_rng(0)
-    for d in (3, 8):
+    for d in (2, 3, 8):
         for _ in range(64):
             r = _rank_one(rng, 1, d, [1.0])[0]
             r /= op_norms(r)
@@ -186,14 +190,64 @@ def test_max_op_norm_margin_keeps_near_ties_of_tight_brackets():
                 assert _same_max(np.stack([r, c])) and _same_max(np.stack([c, r]))
 
 
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_max_op_norm_largest_bound_need_not_be_the_maximum(monkeypatch, d):
+    # the identity's bound is sqrt(2) (d = 2) or d^(1/32) (d >= 3) times its
+    # norm 1, above the bound of a rank-one matrix of norm 1.01: the lower
+    # bound comes from the identity and the maximum from the screen
+    rng = np.random.default_rng(30 + d)
+    r = _rank_one(rng, 3, d, [1.0, 1.0, 1.0])
+    r *= (np.array([0.5, 1.01, 0.9]) / op_norms(r))[:, None, None]
+    batch = np.concatenate([r, np.eye(d)[None]])
+    want, top = float(op_norms(batch).max()), int(op_norms(batch).argmax())
+    seen = []
+    monkeypatch.setattr(linalg, "op_norms", lambda b: seen.append(b) or op_norms(b))
+    assert max_op_norm(batch) == want and top == 1
+    assert np.array_equal(seen[0], np.eye(d)[None])  # the largest bound's matrix: the lower bound
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_max_op_norm_one_2x2_pass_spans_the_exponent_range(dtype):
+    # one screening pass, one power-of-two scale: the 1e-200 entries vanish
+    # when squared, and the 1e150 ones neither overflow nor lose the maximum
+    rng = np.random.default_rng(2)
+
+    def stack(k, scales):
+        g = rng.standard_normal((k, 2, 2)).astype(dtype)
+        g += 1j * rng.standard_normal((k, 2, 2)) if dtype is complex else 0.0
+        return g * scales[:, None, None]
+
+    g = stack(700, 10.0 ** rng.uniform(-200, 150, 700))
+    g[np.argsort(op_norms(g))[-5:]] = g[op_norms(g).argmax()]  # a tie at the top
+    assert g.nbytes <= linalg._SCREEN_BYTES and _same_max(g)
+    assert _same_max(g[op_norms(g) < 1e-100])  # only the small ones
+    for scale in (1e-170, 1e200):  # squares that under- or overflow unless scaled
+        assert _same_max(stack(700, rng.uniform(0.5, 2.0, 700) * scale))
+
+
+def _deviation_stack(row, seed):
+    """P_k - exp(k A_n / n) for k = 0..n along one seeded uniform order."""
+    order = np.random.default_rng(seed).permutation(row.n)
+    return prefix_products(exp_factors(row), order) - reference_path(row.stats.mean, row.n)
+
+
 def test_max_op_norm_svds_only_the_screened_matrices(monkeypatch):
     rng = np.random.default_rng(9)
     g = rng.standard_normal((2001, 8, 8)) + 1j * rng.standard_normal((2001, 8, 8))
-    want = float(op_norms(g).max())
+    letters = _deviation_stack(gen_two_letter(8000, E12, E21), 11)
+    spiked = _deviation_stack(gen_spiked(2000, RegimeSpec("large_linf", delta=1.0),
+                                         np.random.default_rng(12), d=8), 13)
+    want = [float(op_norms(b).max()) for b in (g, letters, spiked)]
     seen = []
     monkeypatch.setattr(linalg, "op_norms", lambda b: seen.append(len(b)) or op_norms(b))
-    assert max_op_norm(g) == want
+    assert max_op_norm(g) == want[0]
     assert seen and seen[-1] < len(g) // 2
+    seen.clear()
+    assert max_op_norm(letters) == want[1]
+    assert sum(seen) < len(letters) / 3  # the 2x2 closed form on under a third of the path
+    seen.clear()
+    assert max_op_norm(spiked) == want[2]
+    assert sum(seen) < 20  # SVDs of a d = 8 path of 2001 matrices
 
 
 def _real_stack(rng, k, d):

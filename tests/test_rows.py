@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trotter_shuffle import rows
 from trotter_shuffle.evolution import step_family
 from trotter_shuffle.linalg import op_norm, op_norms
+from trotter_shuffle.products import BlockScheme, block_gaps, exp_factors
 from trotter_shuffle.rows import (ArrayRow, InfeasibleRegimeError, RegimeSpec,
                                   gen_repeated, gen_riemann, gen_spiked, gen_two_letter,
                                   spiked_parameters)
+from trotter_shuffle.tails import variance_proxy
 
 from oracles import random_matrix, svd_norm
 
@@ -129,6 +132,50 @@ def test_stats_chain_inequality(a, reps, seed):
 
 
 # -- spiked regimes ----------------------------------------------------------
+
+def _letter_rows():
+    """A spiked d = 3 row (every element its own letter), an interleaved
+    two-letter row, and a repeated row with a -0.0 letter beside a 0.0 one."""
+    rng = np.random.default_rng(21)
+    spiked = gen_spiked(300, RegimeSpec("large_linf", delta=1.0), rng, d=3)
+    pair = gen_two_letter(300, random_matrix(rng, 2, 3.0), random_matrix(rng, 2, 3.0),
+                          "interleaved")
+    zero = np.zeros((2, 2))
+    signed = gen_repeated([zero, -zero, random_matrix(rng, 2, 3.0)], 301)
+    return {"spiked": (spiked, 300), "interleaved": (pair, 2), "signed_zeros": (signed, 3)}
+
+
+@pytest.mark.parametrize("name", ["spiked", "interleaved", "signed_zeros"])
+def test_letter_stats_are_the_elementwise_formulas_bit_for_bit(name):
+    row, c_n = _letter_rows()[name]
+    assert len(row.letters()[0]) == c_n
+    norms = op_norms(row.elements)  # one norm per element, summed in row order
+    mean = row.elements.mean(axis=0)
+    assert row.stats.mean.tobytes() == mean.tobytes()
+    assert (row.stats.l1, row.stats.linf) == (float(norms.mean()), float(norms.max()))
+    for a in (1, 17, row.n):
+        want = float(a / row.n * (op_norms(row.elements - mean) ** 2).sum())
+        assert variance_proxy(row, a) == want
+
+
+def test_letters_come_from_one_cached_read_only_index(monkeypatch):
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(rows.np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+    for row, _ in _letter_rows().values():
+        calls.clear()
+        (alphabet, letter_of), again = row.letters(), row.letters()
+        assert np.array_equal(alphabet, again[0]) and np.array_equal(letter_of, again[1])
+        assert not np.shares_memory(alphabet, again[0])  # gathered anew, not kept
+        assert row.elements[row._letter_index[0]].tobytes() == alphabet.tobytes()
+        for index in row._letter_index:
+            assert not index.flags.writeable
+            with pytest.raises(ValueError):
+                index[0] = 1
+        row.stats, exp_factors(row), variance_proxy(row, 10)
+        block_gaps(row, [np.arange(row.n)], BlockScheme(10, row.n // 10))
+        assert len(calls) == 1  # the letter search ran once for this row
+
 
 def test_spiked_parameters_match_formulas():
     n = 10**6
