@@ -43,14 +43,16 @@ def op_norms(batch: np.ndarray) -> np.ndarray:
     exactly, by a power of two, to a largest entry modulus in [1/2, 1), so
     that squaring neither overflows nor loses the leading terms to underflow.
     Larger d uses batched SVD in complex128 even for a float64 stack (real
-    LAPACK rounds otherwise); the closed form runs in chunks of _NORM_CHUNK.
+    LAPACK rounds otherwise); the closed form runs in chunks of _NORM_CHUNK. d <= 2
+    runs on a contiguous copy: numpy's complex abs rounds a negative stride apart.
     """
     batch = kernel_array(batch)
     d = batch.shape[-1]
-    if d == 1:
-        return np.abs(batch[..., 0, 0])
     if d > 2:
         return np.linalg.svd(batch.astype(np.complex128, copy=False), compute_uv=False)[..., 0]
+    batch = np.ascontiguousarray(batch)
+    if d == 1:
+        return np.abs(batch[..., 0, 0])
     flat = batch.reshape(-1, 2, 2)
     chunks = (flat[i:i + _NORM_CHUNK] for i in range(0, max(len(flat), 1), _NORM_CHUNK))
     return np.concatenate(list(map(_norms_2x2, chunks))).reshape(batch.shape[:-2])
@@ -77,34 +79,47 @@ _SCREEN_MARGIN, _SCREEN_FLOOR = 1e-8, 1e-300  # relative (>> O(d eps)), absolute
 _SCREEN_BYTES = 1 << 16  # bytes of matrices per screening pass
 
 
-def max_op_norm(batch: np.ndarray) -> float:
+def max_op_norm(batch: np.ndarray, at=None, norms=None) -> float:
     """float(op_norms(batch).max()) for a stack (k, d, d), bit for bit.
 
-    Upper bounds screen the stack: for d <= 2 the Frobenius norm after one exact
-    power-of-two scale per pass, for d >= 3 the Schatten bracket ||H||_F^(1/p) >=
-    sigma_max(Y), Y = M / max|m_ij|, p = 2^q, H = (Y*Y)^(p/2) (Bhatia, Matrix
-    Analysis, ch. IV; no overflow: Y*Y has eigenvalues in [0, d^2]). The exact norm
-    of the largest bound's matrix bounds the maximum from below; only the matrices
-    whose bound, widened by the margins (roundoff, subnormals), reaches it get theirs.
+    Upper bounds screen the stack: _fro at d <= 2, _bracket at d >= 3, where anchors
+    (indices at, norms = op_norms(batch[at])) first bound each M by sigma(A) +
+    ||M - A||_F, A its nearest anchor, and only the bounds that reach max(norms) get
+    a bracket. The exact norm of the largest bound's matrix is the lower bound; only
+    the matrices whose bound reaches it get theirs. A bound reaches a norm unless,
+    widened by the margins (roundoff, subnormals), it is below it: a NaN keeps its matrix.
     """
     batch = kernel_array(batch)
     d = batch.shape[-1]
-    upper, step = np.empty(len(batch)), max(1, _SCREEN_BYTES // (batch.itemsize * d * d))
-    for i in range(0, len(batch), step):
-        m = batch[i:i + step]
-        if d <= 2:
-            y = m.reshape(len(m), -1).view(np.float64)
-            y = np.ldexp(y, -(e := np.frexp(np.abs(y).max())[1]))
-            upper[i:i + len(m)] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", y, y)), e)
-            continue
-        top = np.abs(m).max(axis=(1, 2))
-        y = m / np.where(top > 0, top, 1.0)[:, None, None]
-        h = y.conj().transpose(0, 2, 1) @ y
-        for _ in range(_SCREEN_Q - 1):
-            h = h @ h
-        upper[i:i + len(m)] = top * np.linalg.norm(h, axis=(1, 2)) ** (0.5 ** _SCREEN_Q)
-    lower = op_norms(batch[upper.argmax(), None])  # a NaN bound or norm keeps its matrices
-    return float(op_norms(batch[~(upper * (1.0 + _SCREEN_MARGIN) + _SCREEN_FLOOR < lower)]).max())
+    step, idx = max(1, _SCREEN_BYTES // (batch.itemsize * d * d)), np.arange(len(batch))
+    if d > 2 and at is not None and len(at):
+        near = np.searchsorted((at[1:] + at[:-1]) / 2, idx)
+        e = np.frexp(lower := norms.max())[1]  # overflow gives inf (kept), underflow << lower
+        bound = np.concatenate([norms[near[i:i + step]] + _fro(
+            batch[i:i + step] - batch[at[near[i:i + step]]], e) for i in range(0, len(idx), step)])
+        idx = idx[~(bound * (1.0 + _SCREEN_MARGIN) + _SCREEN_FLOOR < lower)]
+    upper = np.concatenate([_fro(batch[i:i + step]) if d <= 2 else _bracket(batch[idx[i:i + step]])
+                            for i in range(0, len(idx), step)])
+    lower = op_norms(batch[idx[upper.argmax()], None])
+    keep = idx[~(upper * (1.0 + _SCREEN_MARGIN) + _SCREEN_FLOOR < lower)]
+    return float(op_norms(batch[keep]).max())
+
+
+def _fro(m: np.ndarray, e=None) -> np.ndarray:
+    """Frobenius norms of a pass (j, d, d), squared after one exact scale by 2^-e
+    (by default e of the pass's largest entry: no overflow, no lost maximum)."""
+    y = m.reshape(len(m), -1).view(np.float64)
+    y = np.ldexp(y, -(e := np.frexp(np.abs(y).max())[1] if e is None else e))
+    return np.ldexp(np.sqrt(np.einsum("ij,ij->i", y, y)), e)
+
+
+def _bracket(m: np.ndarray) -> np.ndarray:
+    """Bounds ||H||_F^(1/p) >= sigma_max(Y) of a pass (j, d, d), Y = M / max|m_ij|, p = 2^q,
+    H = (Y*Y)^(p/2) (Bhatia, ch. IV; no overflow: Y*Y has eigenvalues in [0, d^2])."""
+    top = np.abs(m).max(axis=(1, 2))
+    y = m / np.where(top > 0, top, 1.0)[:, None, None]
+    h = np.linalg.matrix_power(y.conj().transpose(0, 2, 1) @ y, 2 ** (_SCREEN_Q - 1))
+    return top * np.linalg.norm(h, axis=(1, 2)) ** (0.5 ** _SCREEN_Q)
 
 
 def _series_order(x: float, target: float) -> int:

@@ -260,8 +260,8 @@ def path_deviations(row: ArrayRow, sigmas, targets):
     diff = np.empty((row.n + 1, row.d, row.d), dtype=np.result_type(factors, *refs))
     for prods in _blocked(factors, (_order_of(row, sigma) for sigma in sigmas), row.n, True):
         devs = (np.subtract(prods, ref, out=diff) for ref in refs)  # read before the next one
-        yield tuple(PathReport(ks, _freeze(op_norms(dev[ks])), max_op_norm(dev) + slack, slack)
-                    for dev, slack in zip(devs, slacks))
+        yield tuple(PathReport(ks, g := _freeze(op_norms(dev[ks])), max_op_norm(dev, ks, g) + s, s)
+                    for dev, s in zip(devs, slacks))
 
 
 def path_deviation(row: ArrayRow, sigma: Permutation, target) -> PathReport:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -147,8 +149,28 @@ def test_op_norm_delegates_to_op_norms():
         assert op_norm(m) == op_norms(m[None])[0]
 
 
-def _same_max(batch) -> bool:
-    return max_op_norm(batch) == float(op_norms(batch).max())
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_op_norms_do_not_depend_on_the_layout_bit_for_bit(d):
+    # numpy's complex abs rounds differently on a negative stride
+    rng = np.random.default_rng(60 + d)
+    g = rng.standard_normal((3000, d, d)) + 1j * rng.standard_normal((3000, d, d))
+    want = op_norms(g).tobytes()
+    assert op_norms(g[::-1])[::-1].tobytes() == want
+    assert op_norms(g.swapaxes(1, 2).copy().swapaxes(1, 2)).tobytes() == want  # each matrix F-ordered
+
+
+def _same_max(batch, at=None) -> bool:
+    """max_op_norm, anchored at the indices at if given, is the SVD max; anchored,
+    it is also the un-anchored max_op_norm."""
+    want = float(op_norms(batch).max())
+    if at is None:
+        return max_op_norm(batch) == want
+    return max_op_norm(batch, at, op_norms(batch[at])) == want == max_op_norm(batch)
+
+
+def _grid(k):
+    """The anchors path_deviations passes for a path of k matrices: its 101-point grid."""
+    return np.array(sorted({round(m * (k - 1) / 100) for m in range(101)}))
 
 
 def _rank_one(rng, k, d, scales):
@@ -157,21 +179,54 @@ def _rank_one(rng, k, d, scales):
     return np.asarray(scales)[:, None, None] * u[:, :, None] * v[:, None, :].conj()
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 8])
-@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
-def test_max_op_norm_is_the_svd_max_bit_for_bit(d, scale):
+def _screen_stacks(d, scale):
+    """Random with the zero k = 0 difference of a path, rank one only, zeros, a tie
+    everywhere (all kept) and ties every 50."""
     rng = np.random.default_rng(d)
     g = rng.standard_normal((600, d, d)) + 1j * rng.standard_normal((600, d, d))
     g *= rng.uniform(0.9, 1.1, size=(600, 1, 1)) * scale
-    g[0] = 0.0  # the k = 0 difference of a path
+    g[0] = 0.0
     g[100:300] = _rank_one(rng, 200, d, rng.uniform(0.5, 3.0, 200) * scale)
-    assert _same_max(g)
-    assert _same_max(g[100:300])  # rank one only
-    assert _same_max(np.zeros((5, d, d)))
-    assert _same_max(np.broadcast_to(g[7], (700, d, d)))  # a tie everywhere: all kept
     ties = g.copy()
     ties[::50] = g[np.argmax(op_norms(g))]
-    assert _same_max(ties)
+    return [g, g[100:300], np.zeros((5, d, d)), np.broadcast_to(g[7], (700, d, d)), ties]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+def test_max_op_norm_is_the_svd_max_bit_for_bit(d, scale):
+    for batch in _screen_stacks(d, scale):
+        assert _same_max(batch)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+def test_max_op_norm_anchored_is_the_svd_max_bit_for_bit(d, scale):
+    stacks = _screen_stacks(d, scale)
+    for batch in stacks:
+        k = len(batch)
+        for at in (_grid(k), np.array([0, k - 1]), np.arange(k)):
+            assert _same_max(batch, at)
+    between = stacks[0].copy()
+    between[5] = 2.0 * between[np.argmax(op_norms(between))]
+    for tiny in (1.0, 1e-20):  # at 1e-170 the squared differences underflow unless scaled
+        assert _same_max(between * tiny, np.arange(0, 600, 10))  # the maximum between anchors
+
+
+@pytest.mark.parametrize("d", [3, 8])
+def test_max_op_norm_margin_keeps_near_ties_of_tight_anchor_bounds(d):
+    # sigma(A) + ||M - A||_F is tight for M = cA, A of rank one: M, a few ulps
+    # from the anchor A at 0, can tie the other anchor, c I at 2, and rounding
+    # in the bound alone could then drop M when it is the larger
+    rng = np.random.default_rng(50 + d)
+    at = np.array([0, 2])
+    for _ in range(16):
+        r = _rank_one(rng, 1, d, [1.0])[0]
+        r /= op_norms(r)
+        for j in range(-4, 5):
+            for k in range(-4, 5):
+                c = (1.0 + k * np.spacing(1.0)) * np.eye(d)
+                assert _same_max(np.stack([r, (1.0 + j * np.spacing(1.0)) * r, c]), at)
 
 
 def test_max_op_norm_margin_keeps_near_ties_of_tight_brackets():
@@ -248,6 +303,31 @@ def test_max_op_norm_svds_only_the_screened_matrices(monkeypatch):
     seen.clear()
     assert max_op_norm(spiked) == want[2]
     assert sum(seen) < 20  # SVDs of a d = 8 path of 2001 matrices
+    # anchored on its grid's exact norms, under a quarter of the path gets a bracket
+    ks = _grid(len(spiked))
+    norms, bracketed = op_norms(spiked[ks]), []
+    bracket = linalg._bracket
+    monkeypatch.setattr(linalg, "_bracket", lambda m: bracketed.append(len(m)) or bracket(m))
+    seen.clear()
+    assert max_op_norm(spiked, ks, norms) == want[2]
+    assert 0 < sum(bracketed) < len(spiked) / 4 and sum(seen) < 20
+
+
+def test_max_op_norm_anchored_builds_no_stack_sized_temporary():
+    # passes of _SCREEN_BYTES and O(k) bounds and indices: a difference of the
+    # whole stack from its anchors would alone take the stack's 2 MB
+    spiked = _deviation_stack(gen_spiked(2000, RegimeSpec("large_linf", delta=1.0),
+                                         np.random.default_rng(12), d=8), 13)
+    ks = _grid(len(spiked))
+    norms = op_norms(spiked[ks])
+    max_op_norm(spiked, ks, norms)  # first calls allocate numpy's own caches
+    tracemalloc.start()
+    try:
+        max_op_norm(spiked, ks, norms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spiked.nbytes == 2001 * 8 * 8 * 16 and peak < spiked.nbytes / 4, peak
 
 
 def _real_stack(rng, k, d):
