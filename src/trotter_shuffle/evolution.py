@@ -1,6 +1,6 @@
 """Evolution families on [0, 1] as limits of ordered exponential products.
 
-propagate approximates the two-parameter family U(s, t) by the product of
+propagators approximates the two-parameter family U(s, t) by the product of
 exp(A_i/n) over the grid slice, with the generators read off a matrix-valued
 function in time order, in permuted order, or i.i.d. from its distribution.
 """
@@ -25,7 +25,6 @@ class PropagatorSpec:
     t: float = 1.0
     n: int = 1000
     mode: str = "ordered"
-    seed: int | tuple[int, ...] = 0
 
     def __post_init__(self):
         if not (0.0 <= self.s <= self.t <= 1.0):
@@ -44,15 +43,10 @@ def _grid_index(x: float, n: int) -> int:
     return k if abs(xn - k) <= 1e-9 * max(1.0, xn) else math.floor(xn)
 
 
-def propagate(spec: PropagatorSpec) -> np.ndarray:
-    """Product of exp(A_i/n) over grid positions [s n] .. [t n] - 1 (0-based),
-    the discrete propagator from time s to time t; identity when the slice is
-    empty."""
-    return next(propagators(spec, [spec.seed]))
-
-
 def propagators(spec: PropagatorSpec, seeds):
-    """propagate(spec) with spec.seed set to each of seeds, in turn.
+    """For each of seeds, in turn, the product of exp(A_i/n) over grid positions
+    [s n] .. [t n] - 1 (0-based), the discrete propagator from time s to time t;
+    identity when the slice is empty. The ordered mode reads no seed.
 
     A permuted row is the ordered grid row read through a permutation, so in
     the ordered and permuted modes exp_factors of the grid row is built once
@@ -76,8 +70,9 @@ def cocycle_check(spec: PropagatorSpec, r: float) -> float:
         raise ValueError(f"r = {r} outside [{spec.s}, {spec.t}]")
     if spec.mode != "ordered":
         raise ValueError("cocycle check is defined for the ordered mode")
-    left, right = propagate(replace(spec, t=r)), propagate(replace(spec, s=r))
-    return op_norm(left @ right - propagate(spec))
+    left, right, whole = (next(propagators(p, [0])) for p in
+                          (replace(spec, t=r), replace(spec, s=r), spec))
+    return op_norm(left @ right - whole)
 
 
 # Built-in generator families for configs and experiments. Each maps an array

@@ -23,8 +23,7 @@ import numpy as np
 
 from . import evolution as evo
 from .linalg import as_matrix, mat_exp, op_norm
-from .products import (BlockScheme, Permutation, choose_blocks, path_deviations,
-                       uniform_permutation)
+from .products import BlockScheme, Permutation, choose_blocks, path_deviations
 from .rows import (REGIMES, ArrayRow, RegimeSpec, gen_repeated, gen_riemann, gen_spiked,
                    gen_two_letter, spiked_parameters)
 from .tails import block_bernstein_bound, block_deviation_samples, eps_grid, lemma_random_bound
@@ -58,8 +57,11 @@ class ConfigError(ValueError):
 
 
 def _sidecar_path(out_path) -> Path:
-    """The JSON sidecar of the CSV at out_path; a ConfigError if it ends in .json."""
-    if (path := Path(out_path)).suffix.lower() == ".json":  # in any case
+    """The JSON sidecar of the CSV at out_path; a ConfigError if it ends in .json
+    or names no file (".", "/", "..")."""
+    if (path := Path(out_path)).name in ("", ".."):
+        raise ConfigError(f"out_path: {str(out_path)!r} names no file")
+    if path.suffix.lower() == ".json":  # in any case
         raise ConfigError(f"out_path: {str(out_path)!r} ends in .json, so it is its own sidecar")
     return path.with_suffix(".json")
 
@@ -411,8 +413,8 @@ def _paths(cfg: ExperimentConfig, g: dict, n: int, *cell: int, targets=()):
     identity, or uniform from that key + (trial,)) against the row mean and targets."""
     key = (cfg.seed, _KIND_ID[cfg.kind], n, *cell)
     row = _build_row(g, n, _stream(*key), cfg.d)
-    sigmas = (Permutation.identity(n) if cfg.sigma_mode == "identity"
-              else uniform_permutation(n, _stream(*key, trial)) for trial in range(cfg.trials))
+    sigmas = (Permutation(np.arange(n) if cfg.sigma_mode == "identity"
+                          else _stream(*key, trial).permutation(n)) for trial in range(cfg.trials))
     return row, path_deviations(row, sigmas, [row.stats.mean, *targets])
 
 

@@ -28,8 +28,8 @@ class Permutation:
         o = _own(self.order, np.int64)
         if o.ndim != 1 or o.size < 1:
             raise ValueError("permutation must be a non-empty 1-d index array")
-        counts = np.bincount(o, minlength=o.size) if o.min() >= 0 else None
-        if counts is None or counts.size != o.size or not (counts == 1).all():
+        # the range first: bincount allocates a bin for every index up to the largest
+        if not (0 <= o.min() and o.max() < o.size and (np.bincount(o) == 1).all()):
             raise ValueError("not a bijection of 0..n-1")
         o.setflags(write=False)
         object.__setattr__(self, "order", o)
@@ -37,17 +37,6 @@ class Permutation:
     @property
     def n(self) -> int:
         return self.order.size
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(np.arange(n))
-
-
-def uniform_permutation(n: int, rng: np.random.Generator) -> Permutation:
-    """Uniformly random permutation (Fisher-Yates), deterministic in the stream."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return Permutation(rng.permutation(n))
 
 
 @dataclass(frozen=True)
@@ -201,11 +190,6 @@ def _order_of(row: ArrayRow, sigma: Permutation) -> np.ndarray:
     return sigma.order
 
 
-def partial_products(row: ArrayRow, sigma: Permutation) -> np.ndarray:
-    """P_0 = I, P_k = P_{k-1} exp(A_{sigma(k)}/n); shape (n+1, d, d)."""
-    return prefix_products(exp_factors(row), _order_of(row, sigma))
-
-
 def reference_path(target, n: int) -> np.ndarray:
     """exp(k A / n) for k = 0..n, shape (n+1, d, d).
 
@@ -262,10 +246,6 @@ def path_deviations(row: ArrayRow, sigmas, targets):
         devs = (np.subtract(prods, ref, out=diff) for ref in refs)  # read before the next one
         yield tuple(PathReport(ks, g := _freeze(op_norms(dev[ks])), max_op_norm(dev, ks, g) + s, s)
                     for dev, s in zip(devs, slacks))
-
-
-def path_deviation(row: ArrayRow, sigma: Permutation, target) -> PathReport:
-    return next(path_deviations(row, [sigma], [target]))[0]
 
 
 _CHUNK_BLOCKS = 4096  # block means per op_norms call in block_gaps (whole trials, at least one)

@@ -65,7 +65,7 @@ def restrict_word(sigma: Permutation, a: int, b: int) -> Word:
     return Word(kept % a, alphabet_size=a, multiplicity=b)
 
 
-def _prefix_counts(letters: np.ndarray, a: int) -> np.ndarray:
+def prefix_counts(letters: np.ndarray, a: int) -> np.ndarray:
     """Prefix counts along the last axis of a (..., L) batch of letter rows:
     out[..., i, j] = occurrences of letter i among the first j letters;
     shape (..., a, L+1). int32: a count is at most the multiplicity b, and
@@ -76,45 +76,30 @@ def _prefix_counts(letters: np.ndarray, a: int) -> np.ndarray:
     return out
 
 
-def prefix_counts(w: Word) -> np.ndarray:
-    """counts[i, j] = occurrences of letter i among the first j positions,
-    for j = 0..length; shape (a, length+1)."""
-    return _prefix_counts(w.letters, w.alphabet_size)
-
-
 def _tau(pc: np.ndarray, b: int):
     """(max prefix-count discrepancy between letters + 1) / b of each
     (a, L+1) prefix-count array in a (..., a, L+1) batch."""
     return ((pc.max(axis=-2) - pc.min(axis=-2)).max(axis=-1) + 1) / b
 
 
-def tau(w: Word) -> float:
-    """(max prefix-count discrepancy between letters + 1) / b."""
-    return float(_tau(prefix_counts(w), w.multiplicity))
-
-
 def _target_ranks(w: Word) -> np.ndarray:
     """Rank of each position under the stable matching to the standard word:
     the m-th occurrence of letter l is destined for slot m*a + l."""
-    occurrence = prefix_counts(w)[w.letters, np.arange(w.length)]
+    occurrence = prefix_counts(w.letters, w.alphabet_size)[w.letters, np.arange(w.length)]
     return occurrence * w.alphabet_size + w.letters
 
 
-def transposition_distance(w: Word) -> int:
-    """Adjacent transpositions needed to reach the standard word under stable
-    matching of equal letters: the inversion count of the rank sequence."""
-    return word_statistics(w)[1]
-
-
 def word_statistics(w: Word) -> tuple[float, int]:
-    """(tau(w), transposition_distance(w)), read off one prefix-count array.
+    """(tau, distance) of w from one prefix-count array: tau = (max prefix-count
+    discrepancy between letters + 1) / b; distance = the adjacent transpositions
+    to the standard word under stable matching of equal letters.
 
     The distance counts inversions from the prefix counts: the m-th occurrence
     of letter l is outranked by an earlier occurrence of l' when that is the
     m'-th with m' > m, or m' = m and l' > l. With c occurrences of l' so far,
     that makes max(0, c - m - [l' < l]) inversions.
     """
-    pc = prefix_counts(w)
+    pc = prefix_counts(w.letters, w.alphabet_size)
     before = pc[:, :-1]
     m = before[w.letters, np.arange(w.length)]
     gap = before - m
@@ -124,8 +109,8 @@ def word_statistics(w: Word) -> tuple[float, int]:
 
 def transpositions_to_standard(w: Word) -> list[int]:
     """Explicit swap schedule: swapping positions (p, p+1) for each listed p,
-    in order, transforms the word into the standard word. Its length equals
-    transposition_distance(w). Insertion sort: O(L^2) time and a list of up to
+    in order, transforms the word into the standard word. Its length is the
+    distance of word_statistics(w). Insertion sort: O(L^2) time and a list of up to
     L(L-1)/2 swaps for a word of length L = a*b."""
     ranks = _target_ranks(w).tolist()
     swaps: list[int] = []
@@ -173,7 +158,7 @@ def tau_tail_empirical(a: int, b: int, p: float, trials: int, seed: int) -> floa
     while done < trials:
         c = min(_TRIAL_CHUNK, trials - done)
         letters = rng.permuted(np.tile(base, (c, 1)), axis=1)  # row i: the i-th random_word
-        taus = _tau(_prefix_counts(letters, a), b)
+        taus = _tau(prefix_counts(letters, a), b)
         hits += int((taus > p / math.sqrt(b)).sum())
         done += c
     return hits / trials

@@ -9,12 +9,10 @@ import time
 
 import numpy as np
 
-from trotter_shuffle.evolution import PropagatorSpec, cocycle_check, propagate, step_family
+from trotter_shuffle.evolution import PropagatorSpec, cocycle_check, propagators, step_family
 from trotter_shuffle.linalg import mat_exp, op_norm
-from trotter_shuffle.products import (BlockScheme, Permutation,
-                                      check_block_conditions, partial_products,
-                                      path_deviation, prop_uniform_bound,
-                                      uniform_permutation)
+from trotter_shuffle.products import (BlockScheme, Permutation, check_block_conditions,
+                                      path_deviations, prop_uniform_bound)
 from trotter_shuffle.rows import (ArrayRow, RegimeSpec, gen_repeated,
                                   gen_spiked, gen_two_letter,
                                   random_unit_hermitians,
@@ -22,9 +20,8 @@ from trotter_shuffle.rows import (ArrayRow, RegimeSpec, gen_repeated,
 from trotter_shuffle.tails import block_deviation_samples, eps_grid, lemma_random_bound
 from trotter_shuffle.words import (apply_transpositions, prefix_counts,
                                    random_word, restrict_word, standard_word,
-                                   tau, tau_tail_bound, tau_tail_empirical,
-                                   transposition_distance,
-                                   transpositions_to_standard)
+                                   tau_tail_bound, tau_tail_empirical,
+                                   transpositions_to_standard, word_statistics)
 
 from oracles import random_matrix, series_exp, svd_norm
 
@@ -68,9 +65,8 @@ def test_criterion_2_commuting_exactness():
     worst = 0.0
     ok = True
     for row in rows:
-        mean = row.stats.mean
-        for _ in range(50):
-            rep = path_deviation(row, uniform_permutation(n, rng), mean)
+        sigmas = [Permutation(rng.permutation(n)) for _ in range(50)]
+        for rep, in path_deviations(row, sigmas, [row.stats.mean]):
             excess = rep.sup_dev - rep.slack
             worst = max(worst, excess)
             ok = ok and excess <= 1e-8
@@ -82,7 +78,7 @@ def test_criterion_3_ordered_non_convergence():
     t0 = time.time()
     n = 2000
     row = gen_two_letter(n, E12, E21, "first_half_b")
-    rep = path_deviation(row, Permutation.identity(n), (E12 + E21) / 2)
+    (rep,), = path_deviations(row, [Permutation(np.arange(n))], [(E12 + E21) / 2])
     gap = abs(float(rep.deviations[-1]) - V_STAR)
     ok = gap < 1e-3
     assert _verdict(3, "ordered two-letter product misses exp(A) by v*", ok, t0,
@@ -94,11 +90,9 @@ def test_criterion_4_randomized_convergence():
     medians = []
     for n in (500, 2000, 8000):
         row = gen_two_letter(n, E12, E21, "first_half_b")
-        mean = row.stats.mean
-        sups = []
-        for trial in range(101):
-            sigma = uniform_permutation(n, np.random.default_rng([104, n, trial]))
-            sups.append(path_deviation(row, sigma, mean).sup_dev)
+        sigmas = [Permutation(np.random.default_rng([104, n, trial]).permutation(n))
+                  for trial in range(101)]
+        sups = [rep.sup_dev for rep, in path_deviations(row, sigmas, [row.stats.mean])]
         medians.append(float(np.median(sups)))
     ok = medians[0] > medians[1] > medians[2] and medians[2] <= 0.08
     assert _verdict(4, "median sup-deviation shrinks with n", ok, t0,
@@ -117,11 +111,12 @@ def test_criterion_5_prop_uniform_consistency():
         row = ArrayRow(random_unit_hermitians(n, 2, rng) * scales)
         stats = row.stats
         scheme = BlockScheme(a, b)
-        sigma = uniform_permutation(n, rng)
+        sigma = Permutation(rng.permutation(n))
         rep = check_block_conditions(row, sigma, scheme, np.inf)
         eps = max(rep.worst_mean_gap, rep.worst_norm_gap)
         assert (stats.l1**2) * math.exp(stats.l1) <= b / 10
-        sup = path_deviation(row, sigma, stats.mean).sup_dev
+        (path,), = path_deviations(row, [sigma], [stats.mean])
+        sup = path.sup_dev
         bound = prop_uniform_bound(stats.l1, op_norm(stats.mean), eps, b)
         ok = ok and sup <= bound + 1e-6
         margin = min(margin, bound - sup)
@@ -163,8 +158,8 @@ def test_criterion_7_word_layer():
     ok = True
     for _ in range(1000):
         w = random_word(a, b, rng)
-        dist = transposition_distance(w)
-        pc = prefix_counts(w)
+        _, dist = word_statistics(w)
+        pc = prefix_counts(w.letters, a)
         disc = int((pc.max(axis=0) - pc.min(axis=0)).max())
         # distance <= (ab)^2 tau(w), in exact integer arithmetic
         ok = ok and dist * b <= length * length * (disc + 1)
@@ -195,12 +190,10 @@ def test_criterion_8_evolution_family():
     exp_half_c = np.array([[1, 0], [0.5, 1]], dtype=complex)
     exp_mean = np.array([[math.cosh(0.5), math.sinh(0.5)],
                          [math.sinh(0.5), math.cosh(0.5)]], dtype=complex)
-    ordered = propagate(PropagatorSpec(fn=fn, n=4000, mode="ordered"))
+    ordered = next(propagators(PropagatorSpec(fn=fn, n=4000, mode="ordered"), [0]))
     ok = op_norm(ordered - exp_half_b @ exp_half_c) <= 1e-2
-    hits = sum(
-        op_norm(propagate(PropagatorSpec(fn=fn, n=4000, mode="permuted", seed=s))
-                - exp_mean) < 0.05
-        for s in range(50))
+    permuted = propagators(PropagatorSpec(fn=fn, n=4000, mode="permuted"), range(50))
+    hits = sum(op_norm(u - exp_mean) < 0.05 for u in permuted)
     ok = ok and hits >= 45
     residual = cocycle_check(PropagatorSpec(fn=fn, n=4000, mode="ordered"), 0.5)
     ok = ok and residual <= 1e-10

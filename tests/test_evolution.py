@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -6,8 +5,7 @@ import pytest
 
 from trotter_shuffle.evolution import (PropagatorSpec, cocycle_check,
                                        constant_family, linear_diagonal_family,
-                                       propagate, propagators, rotation_family,
-                                       step_family)
+                                       propagators, rotation_family, step_family)
 from trotter_shuffle.experiments import riemann_reference
 from trotter_shuffle.linalg import mat_exp, op_norm
 from trotter_shuffle.products import exp_factors, prefix_products
@@ -75,8 +73,7 @@ def test_propagators_match_per_seed_propagate(name, mode):
                                 ((0, 100), (25, 75), (29, 58))):
         spec = PropagatorSpec(fn=fn, s=s, t=t, n=100, mode=mode)
         for seed, u in zip(seeds, propagators(spec, seeds), strict=True):
-            one = dataclasses.replace(spec, seed=seed)
-            assert u.tobytes() == propagate(one).tobytes()
+            assert u.tobytes() == next(propagators(spec, [seed])).tobytes()
             # independent of the shared grid: the row this seed samples, scanned in place
             row = gen_riemann(fn, 100, mode, seed)
             ref = prefix_products(exp_factors(row), np.arange(i0, i1))[-1]
@@ -103,14 +100,13 @@ def test_propagators_reused_workspace_keeps_no_state(mode, d):
     for n, s, t in [(98, 0.0, 0.5), (100, 0.25, 0.75), (8000, 0.0, 1.0)]:
         spec = PropagatorSpec(fn=fn, s=s, t=t, n=n, mode=mode)
         for seed, u in zip([1, 2, 1], propagators(spec, [1, 2, 1]), strict=True):
-            assert u.tobytes() == propagate(dataclasses.replace(spec, seed=seed)).tobytes()
+            assert u.tobytes() == next(propagators(spec, [seed])).tobytes()
 
 
 def test_propagate_constant_family():
     a = random_matrix(np.random.default_rng(1), 2, 1.5)
     for mode in ("ordered", "permuted", "iid"):
-        spec = PropagatorSpec(fn=constant_family(a), n=300, mode=mode, seed=3)
-        u = propagate(spec)
+        u = next(propagators(PropagatorSpec(fn=constant_family(a), n=300, mode=mode), [3]))
         assert svd_norm(u - mat_exp(a)) <= 300 * 1e-12 * np.exp(svd_norm(a))
 
 
@@ -120,46 +116,43 @@ def test_propagate_slices_at_exact_grid_index(t):
     # the last factor and misses exp(t A) by about 1e-2
     a = random_matrix(np.random.default_rng(2), 2, 1.0)
     spec = PropagatorSpec(fn=constant_family(a), t=t, n=100, mode="ordered")
-    assert svd_norm(propagate(spec) - mat_exp(t * a)) <= 1e-12
+    assert svd_norm(next(propagators(spec, [0])) - mat_exp(t * a)) <= 1e-12
     spec = PropagatorSpec(fn=constant_family(a), s=t, t=1.0, n=100, mode="ordered")
-    assert svd_norm(propagate(spec) - mat_exp((1.0 - t) * a)) <= 1e-12
+    assert svd_norm(next(propagators(spec, [0])) - mat_exp((1.0 - t) * a)) <= 1e-12
 
 
 def test_propagate_ordered_step_time_ordered_limit():
     spec = PropagatorSpec(fn=step_family(E12, E21), n=4000, mode="ordered")
-    u = propagate(spec)
+    u = next(propagators(spec, [0]))
     assert op_norm(u - EXP_HALF_B @ EXP_HALF_C) <= 1e-2
 
 
 def test_propagate_permuted_step_converges_to_exp_mean():
-    hits = 0
-    for seed in range(50):
-        spec = PropagatorSpec(fn=step_family(E12, E21), n=4000, mode="permuted", seed=seed)
-        if op_norm(propagate(spec) - EXP_MEAN) < 0.05:
-            hits += 1
+    spec = PropagatorSpec(fn=step_family(E12, E21), n=4000, mode="permuted")
+    hits = sum(op_norm(u - EXP_MEAN) < 0.05 for u in propagators(spec, range(50)))
     assert hits >= 45
 
 
 def test_propagate_interval_and_empty_slice():
     fn = step_family(E12, E21)
     spec = PropagatorSpec(fn=fn, s=0.25, t=0.25, n=400, mode="ordered")
-    assert np.array_equal(propagate(spec), np.eye(2))
+    assert np.array_equal(next(propagators(spec, [0])), np.eye(2))
     # commuting family on an aligned subinterval: product = exp(mean * length)
     fn2 = linear_diagonal_family([1.0, -0.5])
     spec2 = PropagatorSpec(fn=fn2, s=0.25, t=0.75, n=400, mode="ordered")
-    row = gen_riemann(fn2, 400, "ordered", spec2.seed)
+    row = gen_riemann(fn2, 400, "ordered")
     i0, i1 = 100, 300
     mean = row.elements[i0:i1].mean(axis=0)
-    u = propagate(spec2)
+    u = next(propagators(spec2, [0]))
     assert svd_norm(u - mat_exp(0.5 * mean)) <= 1e-8 * math.e
 
 
 def test_propagate_commuting_family_all_modes():
     fn = linear_diagonal_family([0.8, -0.3])
     for mode in ("ordered", "permuted", "iid"):
-        spec = PropagatorSpec(fn=fn, n=500, mode=mode, seed=11)
+        spec = PropagatorSpec(fn=fn, n=500, mode=mode)
         mean = gen_riemann(fn, 500, mode, 11).elements.mean(axis=0)
-        u = propagate(spec)
+        u = next(propagators(spec, [11]))
         assert svd_norm(u - mat_exp(mean)) <= 1e-8 * math.exp(1.0)
 
 
@@ -172,8 +165,8 @@ def test_sampled_linf_never_exceeds_family_sup():
 
 def test_rotation_family_permuted_approaches_identity():
     # time average is exactly zero, so the permuted product approaches I
-    spec = PropagatorSpec(fn=rotation_family(), n=4000, mode="permuted", seed=1)
-    assert op_norm(propagate(spec) - np.eye(2)) < 0.1
+    spec = PropagatorSpec(fn=rotation_family(), n=4000, mode="permuted")
+    assert op_norm(next(propagators(spec, [1])) - np.eye(2)) < 0.1
 
 
 def test_cocycle_check():
@@ -214,8 +207,7 @@ def test_permuted_deviation_median_nonincreasing():
     medians = []
     for n in (500, 2000, 8000):
         target = mat_exp(riemann_reference(fn, 4 * n))
-        devs = [op_norm(propagate(PropagatorSpec(fn=fn, n=n, mode="permuted", seed=s))
-                        - target)
-                for s in range(101)]
+        spec = PropagatorSpec(fn=fn, n=n, mode="permuted")
+        devs = [op_norm(u - target) for u in propagators(spec, range(101))]
         medians.append(float(np.median(devs)))
     assert medians[0] >= medians[1] >= medians[2]

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import importlib.util
+import inspect
 import json
 import re
 from collections import Counter
@@ -11,8 +13,9 @@ import pytest
 
 from trotter_shuffle import evolution, experiments, linalg, products, rows, tails
 from trotter_shuffle.cli import main
-from trotter_shuffle.experiments import (COLUMNS, ConfigError, ExperimentConfig,
-                                         ExperimentReport, emit, parse_matrix, run)
+from trotter_shuffle.experiments import (COLUMNS, FAMILY_DEFAULTS, GENERATOR_DEFAULTS,
+                                         ConfigError, ExperimentConfig, ExperimentReport,
+                                         emit, parse_matrix, run)
 from trotter_shuffle.rows import InfeasibleRegimeError, RegimeSpec, spiked_parameters
 
 V_STAR = 0.1293935159197811
@@ -135,6 +138,51 @@ def test_json_out_path_is_a_config_error(tmp_path, capsys, monkeypatch, name):
     with pytest.raises(ConfigError, match="out_path"):
         emit(report, name)
     assert not calls and not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name", [".", "/", ".."])
+def test_out_path_without_a_file_name_is_a_config_error(tmp_path, capsys, monkeypatch, name):
+    # "." and "/" have an empty name, and ".." would be replaced by the CSV after the
+    # whole run: refused before any cell runs or any file is written
+    monkeypatch.chdir(tmp_path)
+    calls = Counter()
+    _counting(monkeypatch, calls, ((experiments, tails), "block_deviation_samples"))
+    assert main(["tail", "--n", "40", "--out", name]) == 2
+    assert capsys.readouterr().err.startswith("config error: out_path")
+    report = run(ExperimentConfig(kind="words", trials=2, seed=1))
+    with pytest.raises(ConfigError, match="out_path"):
+        emit(report, name)
+    assert not calls and not list(tmp_path.iterdir())
+
+
+def _defaults(builder) -> dict:
+    """The default of each argument of a function, or of each field of a dataclass."""
+    if dataclasses.is_dataclass(builder):
+        return {f.name: f.default for f in dataclasses.fields(builder)
+                if f.default is not dataclasses.MISSING}
+    return {name: p.default for name, p in inspect.signature(builder).parameters.items()
+            if p.default is not inspect.Parameter.empty}
+
+
+def test_config_defaults_match_the_library_defaults():
+    # a config that leaves a key out gets what a library call that leaves it out gets,
+    # except where the config kind deliberately differs: an evolution run permutes
+    builders = {"two_letter": [rows.gen_two_letter], "repeated": [rows.gen_repeated],
+                "spiked": [rows.gen_spiked, RegimeSpec], "riemann": [rows.gen_riemann],
+                "family": [evolution.PropagatorSpec]}
+    pairs = [(f"{name}.{key}", GENERATOR_DEFAULTS[name][key], default)
+             for name, fns in builders.items() for fn in fns
+             for key, default in _defaults(fn).items() if key in GENERATOR_DEFAULTS[name]]
+    pairs += [(f"family.{fn}.{key}", FAMILY_DEFAULTS[fn][key], default)
+              for fn, factory in evolution.FAMILIES.items()
+              for key, default in _defaults(factory).items() if key in FAMILY_DEFAULTS[fn]]
+    differ = {key for key, config, library in pairs if config != library}
+    assert differ == {"family.mode"}
+    assert {key for key, _, _ in pairs} == {
+        "two_letter.order", "two_letter.unit_bound", "repeated.tail", "repeated.unit_bound",
+        "spiked.remainder", "spiked.fixed_direction", "spiked.delta", "spiked.alpha",
+        "spiked.beta", "spiked.t", "spiked.linf", "riemann.mode", "family.s", "family.t",
+        "family.mode", "family.step.split", "family.rotation.scale"}
 
 
 @pytest.mark.parametrize("stage", ["csv", "sidecar"])

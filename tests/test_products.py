@@ -13,10 +13,8 @@ from trotter_shuffle.evolution import rotation_family, step_family
 from trotter_shuffle.linalg import exp_stack, mat_exp, op_norm, op_norms
 from trotter_shuffle.products import (BlockScheme, Permutation, block_gaps,
                                       check_block_conditions, choose_blocks,
-                                      exp_factors, partial_products, path_deviation,
-                                      path_deviations, prefix_products,
-                                      prop_uniform_bound, reference_path,
-                                      uniform_permutation)
+                                      exp_factors, path_deviations, prefix_products,
+                                      prop_uniform_bound, reference_path)
 from trotter_shuffle.rows import (ArrayRow, RegimeSpec, gen_repeated, gen_riemann,
                                   gen_spiked, gen_two_letter, random_unit_hermitians)
 
@@ -37,13 +35,15 @@ def test_permutation_validation():
         Permutation(np.array([0, 3, 1]))
     with pytest.raises(ValueError):
         Permutation(np.array([-1, 0, 1]))
+    with pytest.raises(ValueError):  # not MemoryError: nothing is allocated by the largest entry
+        Permutation(np.array([0, 2**40]))
 
 
 def test_uniform_permutation_n1_and_determinism():
     rng = np.random.default_rng(0)
-    assert uniform_permutation(1, rng).order.tolist() == [0]
-    a = uniform_permutation(20, np.random.default_rng(77)).order
-    b = uniform_permutation(20, np.random.default_rng(77)).order
+    assert Permutation(rng.permutation(1)).order.tolist() == [0]
+    a = Permutation(np.random.default_rng(77).permutation(20)).order
+    b = Permutation(np.random.default_rng(77).permutation(20)).order
     assert np.array_equal(a, b)
 
 
@@ -51,7 +51,7 @@ def test_uniform_permutation_chi_square():
     rng = np.random.default_rng(2024)
     counts = {}
     for _ in range(60000):
-        key = tuple(uniform_permutation(3, rng).order.tolist())
+        key = tuple(Permutation(rng.permutation(3)).order.tolist())
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 6
     freqs = np.array(list(counts.values())) / 60000
@@ -62,7 +62,7 @@ def test_uniform_permutation_chi_square():
 
 def test_partial_products_zero_row():
     row = ArrayRow(np.zeros((6, 2, 2)))
-    prods = partial_products(row, Permutation.identity(6))
+    prods = prefix_products(exp_factors(row), np.arange(6))
     assert np.allclose(prods, np.eye(2), atol=1e-15)
 
 
@@ -70,8 +70,7 @@ def test_partial_products_constant_row():
     a = random_matrix(np.random.default_rng(1), 2, 2.0)
     n = 40
     row = gen_repeated([a], n)
-    sigma = uniform_permutation(n, np.random.default_rng(2))
-    prods = partial_products(row, sigma)
+    prods = prefix_products(exp_factors(row), np.random.default_rng(2).permutation(n))
     assert svd_norm(prods[-1] - mat_exp(a)) <= n * 1e-12 * np.exp(svd_norm(a))
 
 
@@ -79,8 +78,7 @@ def test_partial_products_all_permutations_vs_mp_oracle():
     mats = [E12, E12, E21, E21]
     row = gen_two_letter(4, E12, E21, "first_half_b")
     for perm in itertools.permutations(range(4)):
-        sigma = Permutation(np.array(perm))
-        prods = partial_products(row, sigma)
+        prods = prefix_products(exp_factors(row), Permutation(np.array(perm)).order)
         oracle = mp_product_path([mats[p] for p in perm], 4)
         assert svd_norm(prods[-1] - oracle[-1]) < 1e-10
 
@@ -90,13 +88,14 @@ def test_partial_products_relabeling_invariance():
     row = gen_two_letter(8, E12, E21, "first_half_b")
     s1 = Permutation(np.array([0, 1, 4, 5, 2, 3, 6, 7]))
     s2 = Permutation(np.array([1, 0, 5, 4, 3, 2, 7, 6]))  # swaps within letter classes
-    assert np.array_equal(partial_products(row, s1), partial_products(row, s2))
+    factors = exp_factors(row)
+    assert np.array_equal(prefix_products(factors, s1.order), prefix_products(factors, s2.order))
 
 
 def test_partial_products_requires_matching_sizes():
     row = gen_two_letter(4, E12, E21)
-    with pytest.raises(ValueError):
-        partial_products(row, Permutation.identity(6))
+    with pytest.raises(ValueError, match="permutation size 6 != row length 4"):
+        next(path_deviations(row, [Permutation(np.arange(6))], [row.stats.mean]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -238,13 +237,13 @@ def test_reference_path_vs_mp_oracle(n, d):
 def test_path_deviations_share_one_scan_per_permutation():
     for n in (300, 3000):  # 3001 > the closed-form norm chunk of op_norms
         row = gen_two_letter(n, E12, E21)
-        sigmas = [uniform_permutation(n, np.random.default_rng(s)) for s in range(3)]
+        sigmas = [Permutation(np.random.default_rng(s).permutation(n)) for s in range(3)]
         targets = [row.stats.mean, np.array([[0, 0.6], [0.4, 0]])]
         reports = list(path_deviations(row, sigmas, targets))
         assert len(reports) == 3
         for sigma, reps in zip(sigmas, reports):
             for target, rep in zip(targets, reps):
-                one = path_deviation(row, sigma, target)
+                (one,), = path_deviations(row, [sigma], [target])
                 assert np.array_equal(rep.deviations, one.deviations)
                 assert (rep.sup_dev, rep.slack) == (one.sup_dev, one.slack)
 
@@ -259,7 +258,7 @@ def test_path_deviations_reused_workspace_keeps_no_state(n, d):
     # n = 49, 50 and 8000 pad the last block with identities, which each scan
     # overwrites; every trial reads the same workspace as a fresh call would
     row = gen_spiked(n, RegimeSpec(regime="large_linf", delta=1.0), np.random.default_rng(n), d=d)
-    a, b = (uniform_permutation(n, np.random.default_rng(s)) for s in (1, 2))
+    a, b = (Permutation(np.random.default_rng(s).permutation(n)) for s in (1, 2))
     targets = [row.stats.mean, _other_target(d)]
     for sigma, reps in zip([a, b, a], path_deviations(row, [a, b, a], targets), strict=True):
         for fresh, rep in zip(next(path_deviations(row, [sigma], targets)), reps, strict=True):
@@ -273,7 +272,7 @@ def test_path_deviations_reused_workspace_keeps_no_state(n, d):
 ], ids=["two_letter_d2", "spiked_d8"])
 def test_a_trial_allocates_less_than_one_product_stack(row):
     n, d = row.n, row.d
-    sigmas = [uniform_permutation(n, np.random.default_rng(s)) for s in range(4)]
+    sigmas = [Permutation(np.random.default_rng(s).permutation(n)) for s in range(4)]
     trials = path_deviations(row, sigmas, [row.stats.mean, _other_target(d)])
     tracemalloc.start()
     try:
@@ -367,8 +366,8 @@ def test_the_data_picks_the_dtype():
     assert reference_path(target, n).dtype == np.complex128
     # a complex target against a real row: the difference is complex, and the
     # deviations are those of the all-complex computation
-    sigma = uniform_permutation(n, np.random.default_rng(3))
-    rep = path_deviation(real, sigma, target)
+    sigma = Permutation(np.random.default_rng(3).permutation(n))
+    (rep,), = path_deviations(real, [sigma], [target])
     prods = prefix_products(exp_factors(real).astype(complex), sigma.order)
     want = op_norms((prods - reference_path(target, n))[rep.ks])
     assert rep.deviations.tobytes() == want.tobytes()
@@ -412,10 +411,10 @@ def test_products_memory_is_one_pass_not_the_order_count():
 ], ids=["two_letter", "spiked"])
 def test_path_deviations_d3_grid_and_sup_match_all_step_norms(row):
     n = row.n
-    sigma = uniform_permutation(n, np.random.default_rng(4))
+    sigma = Permutation(np.random.default_rng(4).permutation(n))
     target = row.stats.mean
     (rep,), = path_deviations(row, [sigma], [target])
-    every = op_norms(partial_products(row, sigma) - reference_path(target, n))
+    every = op_norms(prefix_products(exp_factors(row), sigma.order) - reference_path(target, n))
     ks = sorted({round(m * n / 100) for m in range(101)})
     assert rep.ks.tolist() == ks and ks[0] == 0 and ks[-1] == n
     assert rep.deviations.tobytes() == every[ks].tobytes()
@@ -439,7 +438,7 @@ def test_path_deviation_constant_row():
     a = random_matrix(np.random.default_rng(5), 2, 1.5)
     n = 200
     row = gen_repeated([a], n)
-    rep = path_deviation(row, uniform_permutation(n, np.random.default_rng(6)), a)
+    (rep,), = path_deviations(row, [Permutation(np.random.default_rng(6).permutation(n))], [a])
     assert rep.deviations[0] == 0.0
     assert rep.sup_dev <= rep.slack + n * 1e-10 * np.exp(svd_norm(a))
 
@@ -447,7 +446,7 @@ def test_path_deviation_constant_row():
 def test_path_deviation_two_letter_identity_matches_oracle():
     n = 2000
     row = gen_two_letter(n, E12, E21, "first_half_b")
-    rep = path_deviation(row, Permutation.identity(n), (E12 + E21) / 2)
+    (rep,), = path_deviations(row, [Permutation(np.arange(n))], [(E12 + E21) / 2])
     assert abs(rep.deviations[-1] - V_STAR) < 1e-3
 
 
@@ -456,10 +455,11 @@ def test_path_deviation_exhaustive_n4_vs_oracle():
     row = gen_two_letter(4, E12, E21, "first_half_b")
     target = (E12 + E21) / 2
     slack = op_norm(target) * math.exp(op_norm(target)) / 4
-    got, want = [], []
-    for perm in itertools.permutations(range(4)):
-        rep = path_deviation(row, Permutation(np.array(perm)), target)
-        got.append(rep.sup_dev)
+    perms = list(itertools.permutations(range(4)))
+    sigmas = [Permutation(np.array(perm)) for perm in perms]
+    got = [rep.sup_dev for rep, in path_deviations(row, sigmas, [target])]
+    want = []
+    for perm in perms:
         oracle = mp_product_path([mats[p] for p in perm], 4)
         ref = [mat_exp(target * (k / 4)) for k in range(5)]
         devs = [svd_norm(oracle[k] - ref[k]) for k in range(5)]
@@ -472,7 +472,7 @@ def test_check_block_conditions_standard_layout_exact_zero():
     # power-of-two sizes make the block and row means bit-identical
     letters = [E12, E21, E12 + E21, np.eye(2, dtype=complex)]
     row = gen_repeated(letters, 32)
-    rep = check_block_conditions(row, Permutation.identity(32), BlockScheme(4, 8), 0.0)
+    rep = check_block_conditions(row, Permutation(np.arange(32)), BlockScheme(4, 8), 0.0)
     assert rep.ok
     assert rep.worst_mean_gap == 0.0
     assert rep.worst_norm_gap == 0.0
@@ -481,7 +481,7 @@ def test_check_block_conditions_standard_layout_exact_zero():
 def test_check_block_conditions_constant_row():
     a = random_matrix(np.random.default_rng(7), 2, 1.0)
     row = gen_repeated([a], 24)
-    sigma = uniform_permutation(24, np.random.default_rng(8))
+    sigma = Permutation(np.random.default_rng(8).permutation(24))
     rep = check_block_conditions(row, sigma, BlockScheme(4, 6), 1e-12)
     assert rep.ok
 
@@ -491,7 +491,7 @@ def test_check_block_conditions_against_resummation():
     n, a = 1000, 50
     elems = np.stack([random_matrix(rng, 2, 1.0) for _ in range(n)])
     row = ArrayRow(elems)
-    sigma = uniform_permutation(n, rng)
+    sigma = Permutation(rng.permutation(n))
     scheme = BlockScheme(a, n // a)
     stats = row.stats
     rep = check_block_conditions(row, sigma, scheme, 0.3)
@@ -618,10 +618,9 @@ def test_commuting_row_endpoint_independent_of_sigma():
     diag = np.stack([np.diag(rng.uniform(-1, 1, size=2)).astype(complex) for _ in range(30)])
     row = ArrayRow(diag)
     stats = row.stats
-    ends = []
-    for seed in range(5):
-        sigma = uniform_permutation(30, np.random.default_rng(seed))
-        ends.append(partial_products(row, sigma)[-1])
+    factors = exp_factors(row)
+    ends = [prefix_products(factors, np.random.default_rng(seed).permutation(30))[-1]
+            for seed in range(5)]
     for e in ends:
         assert svd_norm(e - ends[0]) <= 1e-8
         assert svd_norm(e - mat_exp(stats.mean)) <= 1e-8
@@ -635,7 +634,7 @@ def test_standard_ordering_deviation_bound():
     letters = random_unit_hermitians(a, 2, rng)
     row = gen_repeated(list(letters), n)
     stats = row.stats
-    rep = path_deviation(row, Permutation.identity(n), stats.mean)
+    (rep,), = path_deviations(row, [Permutation(np.arange(n))], [stats.mean])
     assert rep.sup_dev <= 6 * math.e / b + rep.slack + 1e-6
 
 
@@ -648,9 +647,9 @@ def test_block_conditions_imply_uniform_bound():
     row = ArrayRow(elems)
     stats = row.stats
     scheme = choose_blocks(n, stats, mode="sqrt_default")
-    sigma = uniform_permutation(n, rng)
+    sigma = Permutation(rng.permutation(n))
     rep = check_block_conditions(row, sigma, scheme, np.inf)
     eps = max(rep.worst_mean_gap, rep.worst_norm_gap)
     assert (stats.l1**2) * math.exp(stats.l1) <= scheme.b / 10
-    sup = path_deviation(row, sigma, stats.mean).sup_dev
-    assert sup <= prop_uniform_bound(stats.l1, op_norm(stats.mean), eps, scheme.b) + 1e-6
+    (path,), = path_deviations(row, [sigma], [stats.mean])
+    assert path.sup_dev <= prop_uniform_bound(stats.l1, op_norm(stats.mean), eps, scheme.b) + 1e-6

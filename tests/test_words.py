@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trotter_shuffle.linalg import op_norm
-from trotter_shuffle.products import Permutation, partial_products
+from trotter_shuffle.products import Permutation, exp_factors, prefix_products
 from trotter_shuffle.rows import ArrayRow, random_unit_hermitians
 from trotter_shuffle.words import (Word, apply_transpositions, prefix_counts,
                                    random_word, restrict_word, standard_word,
-                                   tau, tau_tail_bound, tau_tail_empirical,
-                                   transposition_distance,
+                                   tau_tail_bound, tau_tail_empirical,
                                    transpositions_to_standard, word_statistics)
 
 
@@ -41,7 +40,7 @@ def test_word_validation():
 
 
 def test_restrict_word_identity_gives_standard():
-    sigma = Permutation.identity(12)
+    sigma = Permutation(np.arange(12))
     w = restrict_word(sigma, 3, 4)
     assert np.array_equal(w.letters, standard_word(3, 4).letters)
 
@@ -78,17 +77,17 @@ def test_restrict_word_uniform_from_uniform_permutations():
 
 
 def test_prefix_counts_standard():
-    w = standard_word(2, 2)
-    pc = prefix_counts(w)
+    pc = prefix_counts(standard_word(2, 2).letters, 2)
     assert np.array_equal(pc[0], [0, 1, 1, 2, 2])
     assert np.array_equal(pc[1], [0, 0, 1, 1, 2])
 
 
 def test_prefix_counts_partition_and_recount():
     rng = np.random.default_rng(1)
-    for _ in range(20):
-        w = random_word(4, 5, rng)
-        pc = prefix_counts(w)
+    words = [random_word(4, 5, rng) for _ in range(20)]
+    pcs = prefix_counts(np.stack([w.letters for w in words]), 4)  # one batch of 20 rows
+    assert pcs.shape == (20, 4, 21)
+    for w, pc in zip(words, pcs):
         assert np.array_equal(pc.sum(axis=0), np.arange(w.length + 1))
         for i in range(4):
             for j in range(w.length + 1):
@@ -96,30 +95,30 @@ def test_prefix_counts_partition_and_recount():
 
 
 def test_tau_values():
-    assert tau(standard_word(3, 8)) == pytest.approx(2 / 8)
+    assert word_statistics(standard_word(3, 8))[0] == pytest.approx(2 / 8)
     sorted_word = Word(np.repeat(np.arange(3), 8), alphabet_size=3, multiplicity=8)
-    assert tau(sorted_word) == pytest.approx((8 + 1) / 8)
-    assert tau(standard_word(1, 6)) == pytest.approx(1 / 6)
+    assert word_statistics(sorted_word)[0] == pytest.approx((8 + 1) / 8)
+    assert word_statistics(standard_word(1, 6))[0] == pytest.approx(1 / 6)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 10**6))
 def test_tau_range_and_distance_bound(a, b, seed):
     w = random_word(a, b, np.random.default_rng(seed))
-    t = tau(w)
+    t, dist = word_statistics(w)
     assert 1 / b <= t <= (b + 1) / b
     n = a * b
-    assert transposition_distance(w) <= n * n * t
+    assert dist <= n * n * t
 
 
 def test_transposition_distance_basics():
     w = standard_word(4, 6)
-    assert transposition_distance(w) == 0
+    assert word_statistics(w)[1] == 0
     assert transpositions_to_standard(w) == []
     swapped = w.letters.copy()
     swapped[0], swapped[1] = swapped[1], swapped[0]
     w1 = Word(swapped, alphabet_size=4, multiplicity=6)
-    assert transposition_distance(w1) == 1
+    assert word_statistics(w1)[1] == 1
     assert transpositions_to_standard(w1) == [0]
 
 
@@ -129,7 +128,7 @@ def test_transposition_distance_vs_quadratic_oracle_and_replay(a, b):
     std = standard_word(a, b).letters
     for _ in range(300):
         w = random_word(a, b, rng)
-        dist = transposition_distance(w)
+        _, dist = word_statistics(w)
         assert dist == brute_distance(w)
         swaps = transpositions_to_standard(w)
         assert len(swaps) == dist
@@ -141,7 +140,11 @@ def test_word_statistics_vs_quadratic_oracle(a, b):
     rng = np.random.default_rng(4)
     for _ in range(100):
         w = random_word(a, b, rng)
-        assert word_statistics(w) == (tau(w), brute_distance(w))
+        counts, disc = [0] * a, 0  # the largest prefix-count gap between two letters
+        for letter in w.letters.tolist():
+            counts[letter] += 1
+            disc = max(disc, max(counts) - min(counts))
+        assert word_statistics(w) == ((disc + 1) / b, brute_distance(w))
 
 
 def test_single_transposition_product_perturbation():
@@ -150,10 +153,9 @@ def test_single_transposition_product_perturbation():
     rng = np.random.default_rng(3)
     a, b = 3, 4
     n = a * b
-    identity = Permutation.identity(n)
 
     def word_product(letters, letter_seq):
-        return partial_products(ArrayRow(letters[letter_seq]), identity)[-1]
+        return prefix_products(exp_factors(ArrayRow(letters[letter_seq])), np.arange(n))[-1]
 
     for _ in range(20):
         letters = random_unit_hermitians(a, 2, rng)
@@ -188,7 +190,7 @@ def test_tau_tail_empirical_matches_enumeration():
     assert len(words) == 6
     p = 1.2
     thr = p / math.sqrt(2)
-    exact = sum(tau(Word(np.array(w), alphabet_size=2, multiplicity=2)) > thr
+    exact = sum(word_statistics(Word(np.array(w), alphabet_size=2, multiplicity=2))[0] > thr
                 for w in words) / 6
     emp = tau_tail_empirical(2, 2, p, trials=10**5, seed=5)
     assert abs(emp - exact) < 0.01
@@ -198,7 +200,8 @@ def test_tau_tail_empirical_is_the_frequency_over_successive_random_words():
     # 5,000 trials cross the 4,096-word chunk boundary of tau_tail_empirical
     a, b, p, trials, seed = 3, 4, 1.5, 5000, 11
     rng = np.random.default_rng(seed)
-    hits = sum(tau(random_word(a, b, rng)) > p / math.sqrt(b) for _ in range(trials))
+    hits = sum(word_statistics(random_word(a, b, rng))[0] > p / math.sqrt(b)
+               for _ in range(trials))
     assert 0 < hits < trials
     assert tau_tail_empirical(a, b, p, trials, seed) == hits / trials
 
