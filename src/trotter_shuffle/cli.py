@@ -44,7 +44,7 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError("config: expected a JSON object")
     if doc.setdefault("kind", args.kind) != args.kind:
         raise ConfigError(f"kind: the config is {doc['kind']!r}, the command {args.kind!r}")
-    if args.n:
+    if args.n is not None:  # --n "" is an empty n_list, not the default
         try:
             doc["n_list"] = [int(x) for x in args.n.split(",") if x.strip()]
         except ValueError as exc:
@@ -57,6 +57,11 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     sidecar = _sidecar_path(cfg.out_path)
     if args.config and sidecar.resolve() == Path(args.config).resolve():
         raise ConfigError(f"out_path: its sidecar {sidecar} would overwrite the config file")
+    for target in (Path(cfg.out_path), sidecar):  # file-system state: fail before any cell runs
+        if target.is_dir():
+            raise ConfigError(f"out_path: {target} is a directory")
+    if not sidecar.parent.is_dir():
+        raise ConfigError(f"out_path: the directory {sidecar.parent} does not exist")
     return cfg
 
 

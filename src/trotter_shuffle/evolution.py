@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import as_matrix, op_norm
+from .linalg import as_matrix, op_norms
 from .products import _blocked, exp_factors
 from .rows import _alphabet, gen_riemann
 
@@ -72,7 +72,7 @@ def cocycle_check(spec: PropagatorSpec, r: float) -> float:
         raise ValueError("cocycle check is defined for the ordered mode")
     left, right, whole = (next(propagators(p, [0])) for p in
                           (replace(spec, t=r), replace(spec, s=r), spec))
-    return op_norm(left @ right - whole)
+    return float(op_norms(left @ right - whole))
 
 
 # Built-in generator families for configs and experiments. Each maps an array

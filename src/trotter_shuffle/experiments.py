@@ -22,11 +22,11 @@ from typing import Any
 import numpy as np
 
 from . import evolution as evo
-from .linalg import as_matrix, mat_exp, op_norm
-from .products import BlockScheme, Permutation, choose_blocks, path_deviations
+from .linalg import as_matrix, mat_exp, op_norms
+from .products import BlockScheme, Permutation, block_gaps, choose_blocks, path_deviations
 from .rows import (REGIMES, ArrayRow, RegimeSpec, gen_repeated, gen_riemann, gen_spiked,
                    gen_two_letter, spiked_parameters)
-from .tails import block_bernstein_bound, block_deviation_samples, eps_grid, lemma_random_bound
+from .tails import block_bernstein_bound, eps_grid, lemma_random_bound
 from .words import random_word, word_statistics
 
 PACKAGE_VERSION = "0.1.0"
@@ -446,7 +446,8 @@ def _run_tail(cfg: ExperimentConfig, summary: dict):
         a = g.get("a")  # validated: None or an integer in [1, min(n_list)]
         scheme = BlockScheme(a, n // a) if a else choose_blocks(n, stats, mode=cfg.block_mode)
         grid = eps_grid(stats.l1, floor=cfg.eps if cfg.eps else 0.05).tolist()
-        mean_dev, _ = block_deviation_samples(row, scheme, cfg.trials, (cfg.seed, kid, n))
+        orders = (_stream(cfg.seed, kid, n, trial).permutation(n) for trial in range(cfg.trials))
+        mean_dev, _ = block_gaps(row, orders, scheme)
         freqs = [float((mean_dev > e).mean()) for e in grid]
         for e, freq, bound in zip(grid, freqs, block_bernstein_bound(row, scheme, grid)):
             yield (n, e, freq, bound, lemma_random_bound(n, scheme.a, scheme.b, e, stats, row.d),
@@ -462,7 +463,7 @@ def _run_regime(cfg: ExperimentConfig, summary: dict):
     params = [spiked_parameters(n, spec) for n, _, _, spec in cells]  # raises before any trial
     for (n, ri, g, spec), (k_n, linf) in zip(cells, params):
         row, reports = _paths(cfg, g, n, ri)
-        norm_mean = op_norm(row.stats.mean)
+        norm_mean = float(op_norms(row.stats.mean))
         for trial, (rep,) in enumerate(reports):
             yield (n, spec.regime, trial, k_n, linf, row.stats.l1, norm_mean,
                    rep.sup_dev, rep.slack)
@@ -488,7 +489,7 @@ def _run_evolution(cfg: ExperimentConfig, summary: dict):
         target = mat_exp((g["t"] - g["s"]) * riemann_reference(fn, n))
         spec = evo.PropagatorSpec(fn=fn, s=g["s"], t=g["t"], n=n, mode=g["mode"])
         seeds = ((cfg.seed, kid, n, trial) for trial in range(cfg.trials))
-        devs = [float(op_norm(u - target)) for u in evo.propagators(spec, seeds)]
+        devs = [float(op_norms(u - target)) for u in evo.propagators(spec, seeds)]
         yield from ((n, trial, dev) for trial, dev in enumerate(devs))
         summary[str(n)] = _quantiles(devs)
 
@@ -512,8 +513,8 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
 def emit(report: ExperimentReport, out_path: str | Path) -> Path:
     """Write the CSV (UTF-8, LF) and a sibling .json sidecar; returns the CSV path.
 
-    Both files are written to temporary files in the same directory and then
-    moved over the targets, so a failed write leaves any previous report intact.
+    Both files are written to temporary files in the same directory and then moved
+    over the targets, both checked first: a failed write leaves any previous report intact.
     An out_path that ends in .json is a ConfigError before anything is written.
     """
     path, sidecar = Path(out_path), _sidecar_path(out_path)
@@ -530,6 +531,9 @@ def emit(report: ExperimentReport, out_path: str | Path) -> Path:
         with open(temps[1], "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        for final in (path, sidecar):  # os.replace cannot put a file over a directory
+            if final.is_dir():
+                raise IsADirectoryError(f"{final} is a directory")
         for temp, final in zip(temps, (path, sidecar)):
             os.replace(temp, final)
     except OSError as exc:

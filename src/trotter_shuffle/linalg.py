@@ -28,11 +28,6 @@ def kernel_array(a, real_if_exact: bool = False) -> np.ndarray:
     return a.real.copy() if real_if_exact and not a.imag.any() else a
 
 
-def op_norm(m) -> float:
-    """Operator (spectral) norm: the largest singular value."""
-    return float(op_norms(as_matrix(m)))
-
-
 def op_norms(batch: np.ndarray) -> np.ndarray:
     """Operator norms of a stack of matrices, shape (..., d, d) -> (...).
 

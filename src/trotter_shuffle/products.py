@@ -1,9 +1,10 @@
 """Permuted exponential-product paths and the block-average machinery.
 
 The central objects: partial products P_k = prod_{i<=k} exp(A_{sigma(i)}/n),
-their sup-deviation from the reference path exp(k A / n), consecutive-block
-schemes, the two block-average conditions (mean and norm), and the
-deterministic deviation bound they imply.
+their sup-deviation from the reference path exp(k A / n) (path_deviations),
+consecutive-block schemes, the worst block-average gaps of the mean and the
+norm under each order (block_gaps), and the deterministic deviation bound that
+gaps within eps, weighted by e^{L1}, imply (prop_uniform_bound).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, exp_stack, kernel_array, max_op_norm, op_norm, op_norms
+from .linalg import as_matrix, exp_stack, kernel_array, max_op_norm, op_norms
 from .rows import ArrayRow, RowStats, _freeze, _own
 
 
@@ -239,7 +240,7 @@ def path_deviations(row: ArrayRow, sigmas, targets):
     tgts = [as_matrix(t, "target") for t in targets]
     factors = exp_factors(row)
     refs = [reference_path(t, row.n) for t in tgts]
-    slacks = [nt * math.exp(nt) / row.n for nt in map(op_norm, tgts)]
+    slacks = [nt * math.exp(nt) / row.n for nt in map(float, map(op_norms, tgts))]
     ks = _freeze(np.array(sorted({round(m * row.n / 100) for m in range(101)})))
     diff = np.empty((row.n + 1, row.d, row.d), dtype=np.result_type(factors, *refs))
     for prods in _blocked(factors, (_order_of(row, sigma) for sigma in sigmas), row.n, True):
@@ -286,28 +287,6 @@ def block_gaps(row: ArrayRow, orders, scheme: BlockScheme) -> tuple[np.ndarray, 
         gaps.append((op_norms(means - stats.mean).max(axis=1),
                      np.abs(sums[..., -1] / a - stats.l1).max(axis=1)))
     return tuple(map(np.concatenate, zip(*gaps)))
-
-
-@dataclass(frozen=True)
-class BlockConditionReport:
-    ok: bool
-    worst_mean_gap: float
-    worst_norm_gap: float
-
-
-def check_block_conditions(row: ArrayRow, sigma: Permutation, scheme: BlockScheme,
-                           eps: float) -> BlockConditionReport:
-    """Worst block-average gaps of the permuted row, in the e^{L1}-weighted form.
-
-    worst_mean_gap  = max_j ||mean_{i in V_j} A_{sigma(i)} - A_n|| e^{L1}
-    worst_norm_gap  = max_j |mean_{i in V_j} ||A_{sigma(i)}|| - L1| e^{L1}
-    ok means both are <= eps. Positions past a*b are ignored here (the path
-    bound handles them as a separate tail).
-    """
-    gaps = block_gaps(row, [_order_of(row, sigma)], scheme)
-    mean_gap, norm_gap = (float(g[0]) * math.exp(row.stats.l1) for g in gaps)
-    return BlockConditionReport(ok=(mean_gap <= eps and norm_gap <= eps),
-                                worst_mean_gap=mean_gap, worst_norm_gap=norm_gap)
 
 
 def prop_uniform_bound(l1: float, norm_mean: float, eps: float, b: int) -> float:

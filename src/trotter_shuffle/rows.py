@@ -170,41 +170,44 @@ class RegimeSpec:
 def spiked_parameters(n: int, spec: RegimeSpec) -> tuple[int, float]:
     """Spike count k_n and spike norm for a regime at row length n.
 
-    Raises InfeasibleRegimeError when the formulas give k_n < 1, k_n > n, or a
-    non-positive norm at this n.
+    Raises InfeasibleRegimeError when the formulas overflow or give k_n < 1,
+    k_n > n, or a non-positive or non-finite norm at this n.
     """
     if n < 2:
         raise InfeasibleRegimeError(f"row length n = {n} too small")
     ln = math.log(n)
     lln = math.log(ln)
     delta = spec.delta
-    if spec.regime in ("prob_regime", "as_regime"):
-        linf = spec.linf if spec.linf is not None else math.sqrt(n)
-        ratio = n / linf
-        if ratio <= math.e:
-            raise InfeasibleRegimeError(
-                f"n/linf = {ratio:.6g} too small for the log-log correction")
-        lr = math.log(ratio)
-        llr = math.log(lr)
-        if spec.regime == "prob_regime":
-            k_raw = (n / (3.0 * linf)) * (lr - (4.0 + 2.0 * delta) * llr)
-        else:
-            k_raw = (n / (3.0 * linf)) * (lr - lln - (3.0 + delta) * llr)
-    elif spec.regime == "large_linf":
-        if lln <= 0:  # a power 3 + 2 delta of a negative number is complex
-            raise InfeasibleRegimeError(f"large_linf needs log log n > 0, so n >= 3, got n = {n}")
-        scale = ln * lln ** (3.0 + 2.0 * delta)
-        linf = n / scale
-        k_raw = scale / 3.0
-    elif spec.regime == "bounded_log":
-        linf = (ln - (5.0 + delta) * lln) / 3.0
-        if linf <= 0:
-            raise InfeasibleRegimeError(
-                f"bounded_log norm formula gives {linf:.6g} <= 0 at n = {n}, delta = {delta}")
-        k_raw = float(n)
-    else:  # intermediate
-        linf = (1.0 / (3.0 * spec.t)) * n ** (1.0 - spec.alpha) * ln ** (1.0 - spec.beta)
-        k_raw = spec.alpha * spec.t * n ** spec.alpha * ln ** spec.beta
+    try:
+        if spec.regime in ("prob_regime", "as_regime"):
+            linf = spec.linf if spec.linf is not None else math.sqrt(n)
+            ratio = n / linf
+            if ratio <= math.e:
+                raise InfeasibleRegimeError(
+                    f"n/linf = {ratio:.6g} too small for the log-log correction")
+            lr = math.log(ratio)
+            llr = math.log(lr)
+            if spec.regime == "prob_regime":
+                k_raw = (n / (3.0 * linf)) * (lr - (4.0 + 2.0 * delta) * llr)
+            else:
+                k_raw = (n / (3.0 * linf)) * (lr - lln - (3.0 + delta) * llr)
+        elif spec.regime == "large_linf":
+            if lln <= 0:  # a power 3 + 2 delta of a negative number is complex
+                raise InfeasibleRegimeError(f"large_linf needs log log n > 0, got n = {n}")
+            scale = ln * lln ** (3.0 + 2.0 * delta)
+            linf = n / scale
+            k_raw = scale / 3.0
+        elif spec.regime == "bounded_log":
+            linf = (ln - (5.0 + delta) * lln) / 3.0
+            if linf <= 0:
+                raise InfeasibleRegimeError(f"bounded_log norm formula gives {linf:.6g} <= 0 "
+                                            f"at n = {n}, delta = {delta}")
+            k_raw = float(n)
+        else:  # intermediate
+            linf = (1.0 / (3.0 * spec.t)) * n ** (1.0 - spec.alpha) * ln ** (1.0 - spec.beta)
+            k_raw = spec.alpha * spec.t * n ** spec.alpha * ln ** spec.beta
+    except OverflowError as exc:  # a float power past the largest double
+        raise InfeasibleRegimeError(f"{spec.regime} formulas overflow at n = {n}") from exc
     if linf <= 0 or not math.isfinite(linf):
         raise InfeasibleRegimeError(f"spike norm formula gives {linf!r} at n = {n}")
     k = math.floor(k_raw + 0.5)

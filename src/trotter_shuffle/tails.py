@@ -1,9 +1,9 @@
 """Matrix concentration tail bounds and their Monte Carlo counterparts.
 
 Implements the Bernstein-type tail bound for sums of bounded centered random
-matrices, the union bound over blocks of a permuted row, and the per-trial
-worst block deviations whose exceedance frequencies the bounds are compared
-against.
+matrices and the union bound over blocks of a permuted row. The per-trial
+worst block deviations these bounds are compared against are
+products.block_gaps, read under uniform permutations.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .linalg import op_norms
-from .products import BlockScheme, block_gaps
+from .products import BlockScheme
 from .rows import ArrayRow, RowStats
 
 
@@ -57,22 +57,6 @@ def lemma_random_bound(n: int, a: int, b: int, eps: float, stats: RowStats, d: i
     if not eps < 3.0 * stats.l1:
         raise ValueError(f"precondition eps < 3 L1 violated: {eps} >= {3.0 * stats.l1}")
     return b * 2.0 * d * math.exp(-(a * eps * eps / 12.0) / (stats.l1 * stats.linf))
-
-
-def block_deviation_samples(row: ArrayRow, scheme: BlockScheme, trials: int,
-                            seed: int | tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial worst block deviations under fresh uniform permutations.
-
-    Returns (max_mean_dev, max_norm_dev), each of shape (trials,): the largest
-    ||block mean - A_n|| and the largest |block norm-mean - L1| over the b
-    blocks, one independent permutation per trial (stream seeded by
-    (seed, trial) so trials are order-independent).
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    key = (seed,) if isinstance(seed, int) else tuple(seed)
-    orders = (np.random.default_rng([*key, t]).permutation(row.n) for t in range(trials))
-    return block_gaps(row, orders, scheme)
 
 
 def block_bernstein_bound(row: ArrayRow, scheme: BlockScheme, eps) -> list[float]:

@@ -10,14 +10,14 @@ import time
 import numpy as np
 
 from trotter_shuffle.evolution import PropagatorSpec, cocycle_check, propagators, step_family
-from trotter_shuffle.linalg import mat_exp, op_norm
-from trotter_shuffle.products import (BlockScheme, Permutation, check_block_conditions,
-                                      path_deviations, prop_uniform_bound)
+from trotter_shuffle.linalg import mat_exp, op_norms
+from trotter_shuffle.products import (BlockScheme, Permutation, block_gaps, path_deviations,
+                                      prop_uniform_bound)
 from trotter_shuffle.rows import (ArrayRow, RegimeSpec, gen_repeated,
                                   gen_spiked, gen_two_letter,
                                   random_unit_hermitians,
                                   spiked_parameters)
-from trotter_shuffle.tails import block_deviation_samples, eps_grid, lemma_random_bound
+from trotter_shuffle.tails import eps_grid, lemma_random_bound
 from trotter_shuffle.words import (apply_transpositions, prefix_counts,
                                    random_word, restrict_word, standard_word,
                                    tau_tail_bound, tau_tail_empirical,
@@ -112,12 +112,11 @@ def test_criterion_5_prop_uniform_consistency():
         stats = row.stats
         scheme = BlockScheme(a, b)
         sigma = Permutation(rng.permutation(n))
-        rep = check_block_conditions(row, sigma, scheme, np.inf)
-        eps = max(rep.worst_mean_gap, rep.worst_norm_gap)
+        eps = float(np.max(block_gaps(row, [sigma.order], scheme))) * math.exp(stats.l1)
         assert (stats.l1**2) * math.exp(stats.l1) <= b / 10
         (path,), = path_deviations(row, [sigma], [stats.mean])
         sup = path.sup_dev
-        bound = prop_uniform_bound(stats.l1, op_norm(stats.mean), eps, b)
+        bound = prop_uniform_bound(stats.l1, float(op_norms(stats.mean)), eps, b)
         ok = ok and sup <= bound + 1e-6
         margin = min(margin, bound - sup)
     assert _verdict(5, "block conditions imply the deterministic bound", ok, t0,
@@ -136,7 +135,8 @@ def test_criterion_6_tail_domination():
     for idx, row in enumerate(cases):
         stats = row.stats
         scheme = BlockScheme(a, n // a)
-        mean_dev, norm_dev = block_deviation_samples(row, scheme, trials, (106, idx))
+        orders = (np.random.default_rng([106, idx, t]).permutation(n) for t in range(trials))
+        mean_dev, norm_dev = block_gaps(row, orders, scheme)
         for eps in eps_grid(stats.l1):
             for dev, d in ((mean_dev, row.d), (norm_dev, 1)):
                 bound = lemma_random_bound(n, scheme.a, scheme.b, float(eps), stats, d)
@@ -191,9 +191,9 @@ def test_criterion_8_evolution_family():
     exp_mean = np.array([[math.cosh(0.5), math.sinh(0.5)],
                          [math.sinh(0.5), math.cosh(0.5)]], dtype=complex)
     ordered = next(propagators(PropagatorSpec(fn=fn, n=4000, mode="ordered"), [0]))
-    ok = op_norm(ordered - exp_half_b @ exp_half_c) <= 1e-2
+    ok = op_norms(ordered - exp_half_b @ exp_half_c) <= 1e-2
     permuted = propagators(PropagatorSpec(fn=fn, n=4000, mode="permuted"), range(50))
-    hits = sum(op_norm(u - exp_mean) < 0.05 for u in permuted)
+    hits = sum(op_norms(u - exp_mean) < 0.05 for u in permuted)
     ok = ok and hits >= 45
     residual = cocycle_check(PropagatorSpec(fn=fn, n=4000, mode="ordered"), 0.5)
     ok = ok and residual <= 1e-10

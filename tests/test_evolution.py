@@ -7,7 +7,7 @@ from trotter_shuffle.evolution import (PropagatorSpec, cocycle_check,
                                        constant_family, linear_diagonal_family,
                                        propagators, rotation_family, step_family)
 from trotter_shuffle.experiments import riemann_reference
-from trotter_shuffle.linalg import mat_exp, op_norm
+from trotter_shuffle.linalg import mat_exp, op_norms
 from trotter_shuffle.products import exp_factors, prefix_products
 from trotter_shuffle.rows import gen_riemann
 
@@ -124,12 +124,12 @@ def test_propagate_slices_at_exact_grid_index(t):
 def test_propagate_ordered_step_time_ordered_limit():
     spec = PropagatorSpec(fn=step_family(E12, E21), n=4000, mode="ordered")
     u = next(propagators(spec, [0]))
-    assert op_norm(u - EXP_HALF_B @ EXP_HALF_C) <= 1e-2
+    assert op_norms(u - EXP_HALF_B @ EXP_HALF_C) <= 1e-2
 
 
 def test_propagate_permuted_step_converges_to_exp_mean():
     spec = PropagatorSpec(fn=step_family(E12, E21), n=4000, mode="permuted")
-    hits = sum(op_norm(u - EXP_MEAN) < 0.05 for u in propagators(spec, range(50)))
+    hits = sum(op_norms(u - EXP_MEAN) < 0.05 for u in propagators(spec, range(50)))
     assert hits >= 45
 
 
@@ -166,7 +166,7 @@ def test_sampled_linf_never_exceeds_family_sup():
 def test_rotation_family_permuted_approaches_identity():
     # time average is exactly zero, so the permuted product approaches I
     spec = PropagatorSpec(fn=rotation_family(), n=4000, mode="permuted")
-    assert op_norm(next(propagators(spec, [1])) - np.eye(2)) < 0.1
+    assert op_norms(next(propagators(spec, [1])) - np.eye(2)) < 0.1
 
 
 def test_cocycle_check():
@@ -189,7 +189,7 @@ def test_cocycle_check_matches_three_slice_construction(r, im):
     left, right, whole = (prefix_products(factors, np.arange(a, b))[-1]
                           for a, b in ((0, im), (im, 100), (0, 100)))
     spec = PropagatorSpec(fn=fn, n=100, mode="ordered")
-    assert cocycle_check(spec, r) == op_norm(left @ right - whole)
+    assert cocycle_check(spec, r) == op_norms(left @ right - whole)
 
 
 def test_propagator_spec_validation():
@@ -208,6 +208,6 @@ def test_permuted_deviation_median_nonincreasing():
     for n in (500, 2000, 8000):
         target = mat_exp(riemann_reference(fn, 4 * n))
         spec = PropagatorSpec(fn=fn, n=n, mode="permuted")
-        devs = [op_norm(u - target) for u in propagators(spec, range(101))]
+        devs = [op_norms(u - target) for u in propagators(spec, range(101))]
         medians.append(float(np.median(devs)))
     assert medians[0] >= medians[1] >= medians[2]

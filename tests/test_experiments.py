@@ -131,7 +131,7 @@ def test_json_out_path_is_a_config_error(tmp_path, capsys, monkeypatch, name):
     # the CSV would be its own sidecar: refused before any cell runs or any file is written
     monkeypatch.chdir(tmp_path)
     calls = Counter()
-    _counting(monkeypatch, calls, ((experiments, tails), "block_deviation_samples"))
+    _counting(monkeypatch, calls, ((experiments, products), "block_gaps"))
     assert main(["tail", "--n", "40", "--out", name]) == 2
     assert f"config error: out_path: {name!r} ends in .json" in capsys.readouterr().err
     report = run(ExperimentConfig(kind="words", trials=2, seed=1))
@@ -146,13 +146,42 @@ def test_out_path_without_a_file_name_is_a_config_error(tmp_path, capsys, monkey
     # whole run: refused before any cell runs or any file is written
     monkeypatch.chdir(tmp_path)
     calls = Counter()
-    _counting(monkeypatch, calls, ((experiments, tails), "block_deviation_samples"))
+    _counting(monkeypatch, calls, ((experiments, products), "block_gaps"))
     assert main(["tail", "--n", "40", "--out", name]) == 2
     assert capsys.readouterr().err.startswith("config error: out_path")
     report = run(ExperimentConfig(kind="words", trials=2, seed=1))
     with pytest.raises(ConfigError, match="out_path"):
         emit(report, name)
     assert not calls and not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("out, present", [("adir", "adir"), ("side.csv", "side.json"),
+                                          ("nodir/x.csv", None)],
+                         ids=["csv_is_a_directory", "sidecar_is_a_directory", "no_such_directory"])
+def test_out_path_that_cannot_be_written_is_a_config_error(tmp_path, capsys, monkeypatch, out,
+                                                          present):
+    # each would run every cell and only then fail to write: refused before any cell runs
+    monkeypatch.chdir(tmp_path)
+    if present:
+        (tmp_path / present).mkdir()
+    calls = Counter()
+    _counting(monkeypatch, calls, ((experiments, products), "block_gaps"))
+    assert main(["tail", "--n", "40", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("config error: out_path")
+    assert not calls
+    assert [p.name for p in tmp_path.rglob("*")] == ([present] if present else [])
+
+
+def test_emit_over_a_directory_sidecar_leaves_previous_report_intact(tmp_path):
+    # os.replace would put the new CSV over the old one, then fail on the sidecar
+    emit(run(ExperimentConfig(kind="words", trials=8, seed=1)), tmp_path / "w.csv")
+    (tmp_path / "w.json").unlink()
+    (tmp_path / "w.json").mkdir()
+    before = (tmp_path / "w.csv").read_bytes()
+    with pytest.raises(OSError, match="directory"):
+        emit(run(ExperimentConfig(kind="words", trials=5, seed=2)), tmp_path / "w.csv")
+    assert (tmp_path / "w.csv").read_bytes() == before
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["w.csv", "w.json"]
 
 
 def _defaults(builder) -> dict:
@@ -551,6 +580,7 @@ def test_cli_invalid_field_exit_2(tmp_path, capsys, kind, fields, key):
      ["--n", "1,x"], "--n: expected comma-separated integers"),
     ("args3-n_list: entries must be distinct positive integers, got [40, 40]",
      ["--n", "40,40"], "n_list: entries must be distinct positive integers, got [40, 40]"),
+    ("args4-n_list: must be a non-empty list", ["--n", ""], "n_list: must be a non-empty list"),
 ]))
 def test_cli_bad_input_exit_2(tmp_path, capsys, monkeypatch, args, key):
     monkeypatch.chdir(tmp_path)

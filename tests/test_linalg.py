@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trotter_shuffle import linalg
-from trotter_shuffle.linalg import exp_stack, mat_exp, max_op_norm, op_norm, op_norms
+from trotter_shuffle.linalg import as_matrix, exp_stack, mat_exp, max_op_norm, op_norms
 from trotter_shuffle.products import exp_factors, prefix_products, reference_path
 from trotter_shuffle.rows import RegimeSpec, gen_spiked, gen_two_letter
 
@@ -53,7 +53,7 @@ def test_mat_exp_norm_bound():
     rng = np.random.default_rng(4)
     for _ in range(30):
         m = random_matrix(rng, 2, 3.0)
-        assert op_norm(mat_exp(m)) <= np.exp(op_norm(m)) + 1e-8
+        assert op_norms(mat_exp(m)) <= np.exp(op_norms(m)) + 1e-8
 
 
 def test_exp_stack_matches_mat_exp():
@@ -85,11 +85,13 @@ def test_exp_stack_mixed_norms_vs_mp_oracle(d):
 
 
 def test_op_norm_examples():
-    assert op_norm(np.eye(5)) == pytest.approx(1.0, abs=1e-12)
-    assert op_norm(np.diag([3.0, -1.0])) == pytest.approx(3.0, abs=1e-12)
-    assert op_norm(2 * E12) == pytest.approx(2.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        op_norm(np.array([[np.inf, 0], [0, 0]]))
+    assert op_norms(np.eye(5)) == pytest.approx(1.0, abs=1e-12)
+    assert op_norms(np.diag([3.0, -1.0])) == pytest.approx(3.0, abs=1e-12)
+    assert op_norms(2 * E12) == pytest.approx(2.0, abs=1e-12)
+    # as_matrix, the check of mat_exp and of every target: non-finite or non-square input
+    for bad in (np.array([[np.inf, 0], [0, 0]]), np.zeros((2, 3)), np.zeros(2), np.zeros((0, 0))):
+        with pytest.raises(ValueError):
+            as_matrix(bad)
 
 
 def test_op_norm_submultiplicative_and_triangle():
@@ -97,8 +99,8 @@ def test_op_norm_submultiplicative_and_triangle():
     for _ in range(50):
         a = random_matrix(rng, 3, 2.0)
         b = random_matrix(rng, 3, 2.0)
-        assert op_norm(a @ b) <= op_norm(a) * op_norm(b) + 1e-9
-        assert op_norm(a + b) <= op_norm(a) + op_norm(b) + 1e-9
+        assert op_norms(a @ b) <= op_norms(a) * op_norms(b) + 1e-9
+        assert op_norms(a + b) <= op_norms(a) + op_norms(b) + 1e-9
 
 
 def test_op_norms_batch_agrees_with_scalar():
@@ -106,7 +108,7 @@ def test_op_norms_batch_agrees_with_scalar():
     batch = np.stack([random_matrix(rng, 2, 2.0) for _ in range(50)])
     got = op_norms(batch)
     for i in range(50):
-        assert got[i] == pytest.approx(op_norm(batch[i]), rel=1e-10)
+        assert got[i] == pytest.approx(op_norms(batch[i]), rel=1e-10)
     # Hermitian inputs
     herm = (batch + np.conj(np.swapaxes(batch, -1, -2))) / 2
     got_h = op_norms(herm)
@@ -146,7 +148,7 @@ def test_op_norm_delegates_to_op_norms():
     rng = np.random.default_rng(12)
     for d in (1, 2, 5):
         m = random_matrix(rng, d, 3.0)
-        assert op_norm(m) == op_norms(m[None])[0]
+        assert op_norms(m) == op_norms(m[None])[0]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

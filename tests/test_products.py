@@ -10,9 +10,8 @@ from scipy import stats as sps
 
 from trotter_shuffle import products
 from trotter_shuffle.evolution import rotation_family, step_family
-from trotter_shuffle.linalg import exp_stack, mat_exp, op_norm, op_norms
-from trotter_shuffle.products import (BlockScheme, Permutation, block_gaps,
-                                      check_block_conditions, choose_blocks,
+from trotter_shuffle.linalg import exp_stack, mat_exp, op_norms
+from trotter_shuffle.products import (BlockScheme, Permutation, block_gaps, choose_blocks,
                                       exp_factors, path_deviations, prefix_products,
                                       prop_uniform_bound, reference_path)
 from trotter_shuffle.rows import (ArrayRow, RegimeSpec, gen_repeated, gen_riemann,
@@ -37,6 +36,17 @@ def test_permutation_validation():
         Permutation(np.array([-1, 0, 1]))
     with pytest.raises(ValueError):  # not MemoryError: nothing is allocated by the largest entry
         Permutation(np.array([0, 2**40]))
+    for bad in (np.array([], dtype=np.int64), np.array([[0, 1], [1, 0]])):
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            Permutation(bad)
+
+
+@pytest.mark.parametrize("build", [lambda: BlockScheme(0, 4), lambda: BlockScheme(4, 0),
+                                   lambda: reference_path(E12, 0)],
+                         ids=["block_size_0", "block_count_0", "reference_path_n_0"])
+def test_products_reject_bad_input(build):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        build()
 
 
 def test_uniform_permutation_n1_and_determinism():
@@ -454,7 +464,7 @@ def test_path_deviation_exhaustive_n4_vs_oracle():
     mats = [E12, E12, E21, E21]
     row = gen_two_letter(4, E12, E21, "first_half_b")
     target = (E12 + E21) / 2
-    slack = op_norm(target) * math.exp(op_norm(target)) / 4
+    slack = (nt := float(op_norms(target))) * math.exp(nt) / 4
     perms = list(itertools.permutations(range(4)))
     sigmas = [Permutation(np.array(perm)) for perm in perms]
     got = [rep.sup_dev for rep, in path_deviations(row, sigmas, [target])]
@@ -472,18 +482,16 @@ def test_check_block_conditions_standard_layout_exact_zero():
     # power-of-two sizes make the block and row means bit-identical
     letters = [E12, E21, E12 + E21, np.eye(2, dtype=complex)]
     row = gen_repeated(letters, 32)
-    rep = check_block_conditions(row, Permutation(np.arange(32)), BlockScheme(4, 8), 0.0)
-    assert rep.ok
-    assert rep.worst_mean_gap == 0.0
-    assert rep.worst_norm_gap == 0.0
+    mean_gap, norm_gap = block_gaps(row, [np.arange(32)], BlockScheme(4, 8))
+    assert mean_gap[0] == 0.0
+    assert norm_gap[0] == 0.0
 
 
 def test_check_block_conditions_constant_row():
     a = random_matrix(np.random.default_rng(7), 2, 1.0)
     row = gen_repeated([a], 24)
-    sigma = Permutation(np.random.default_rng(8).permutation(24))
-    rep = check_block_conditions(row, sigma, BlockScheme(4, 6), 1e-12)
-    assert rep.ok
+    order = np.random.default_rng(8).permutation(24)
+    assert np.max(block_gaps(row, [order], BlockScheme(4, 6))) * math.exp(row.stats.l1) <= 1e-12
 
 
 def test_check_block_conditions_against_resummation():
@@ -494,8 +502,8 @@ def test_check_block_conditions_against_resummation():
     sigma = Permutation(rng.permutation(n))
     scheme = BlockScheme(a, n // a)
     stats = row.stats
-    rep = check_block_conditions(row, sigma, scheme, 0.3)
     scale = math.exp(stats.l1)
+    worst_mean_gap, worst_norm_gap = (g[0] * scale for g in block_gaps(row, [sigma.order], scheme))
     mean_gap = norm_gap = 0.0
     for j in range(scheme.b):
         block = [row.elements[sigma.order[j * a + i]] for i in range(a)]
@@ -503,8 +511,8 @@ def test_check_block_conditions_against_resummation():
         mean_gap = max(mean_gap, svd_norm(bmean - stats.mean) * scale)
         bnorm = sum(svd_norm(m) for m in block) / a
         norm_gap = max(norm_gap, abs(bnorm - stats.l1) * scale)
-    assert rep.worst_mean_gap == pytest.approx(mean_gap, abs=1e-12)
-    assert rep.worst_norm_gap == pytest.approx(norm_gap, abs=1e-12)
+    assert worst_mean_gap == pytest.approx(mean_gap, abs=1e-12)
+    assert worst_norm_gap == pytest.approx(norm_gap, abs=1e-12)
 
 
 def _orders(n, trials, seed):
@@ -611,6 +619,8 @@ def test_choose_blocks():
             assert s.a * s.b <= n
     with pytest.raises(ValueError):
         choose_blocks(3, stats)
+    with pytest.raises(ValueError, match="unknown block mode"):
+        choose_blocks(100, stats, mode="cube_root")
 
 
 def test_commuting_row_endpoint_independent_of_sigma():
@@ -648,8 +658,8 @@ def test_block_conditions_imply_uniform_bound():
     stats = row.stats
     scheme = choose_blocks(n, stats, mode="sqrt_default")
     sigma = Permutation(rng.permutation(n))
-    rep = check_block_conditions(row, sigma, scheme, np.inf)
-    eps = max(rep.worst_mean_gap, rep.worst_norm_gap)
+    eps = float(np.max(block_gaps(row, [sigma.order], scheme))) * math.exp(stats.l1)
     assert (stats.l1**2) * math.exp(stats.l1) <= scheme.b / 10
     (path,), = path_deviations(row, [sigma], [stats.mean])
-    assert path.sup_dev <= prop_uniform_bound(stats.l1, op_norm(stats.mean), eps, scheme.b) + 1e-6
+    bound = prop_uniform_bound(stats.l1, float(op_norms(stats.mean)), eps, scheme.b)
+    assert path.sup_dev <= bound + 1e-6

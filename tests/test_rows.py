@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from trotter_shuffle import rows
 from trotter_shuffle.evolution import step_family
-from trotter_shuffle.linalg import op_norm, op_norms
+from trotter_shuffle.linalg import op_norms
 from trotter_shuffle.products import BlockScheme, block_gaps, exp_factors
 from trotter_shuffle.rows import (ArrayRow, InfeasibleRegimeError, RegimeSpec,
                                   gen_repeated, gen_riemann, gen_spiked, gen_two_letter,
@@ -32,8 +32,8 @@ def test_row_stats_constant_row():
     row = gen_repeated([a], 11)
     stats = row.stats
     assert np.allclose(stats.mean, a)
-    assert stats.l1 == pytest.approx(op_norm(a), rel=1e-12)
-    assert stats.linf == pytest.approx(op_norm(a), rel=1e-12)
+    assert stats.l1 == pytest.approx(op_norms(a), rel=1e-12)
+    assert stats.linf == pytest.approx(op_norms(a), rel=1e-12)
 
 
 def test_row_stats_two_letters():
@@ -65,6 +65,8 @@ def test_gen_two_letter_orders():
         gen_two_letter(5, E12, E21)
     with pytest.raises(ValueError):
         gen_two_letter(4, E12, np.eye(3))
+    with pytest.raises(ValueError, match="unknown order"):
+        gen_two_letter(4, E12, E21, "reversed")
 
 
 def test_gen_repeated_layout_and_tail():
@@ -127,7 +129,7 @@ def test_stats_chain_inequality(a, reps, seed):
     rng = np.random.default_rng(seed)
     elems = np.stack([random_matrix(rng, 2, 3.0) for _ in range(a)] * reps)
     stats = ArrayRow(elems).stats
-    assert op_norm(stats.mean) <= stats.l1 + 1e-12
+    assert op_norms(stats.mean) <= stats.l1 + 1e-12
     assert stats.l1 <= stats.linf + 1e-12
 
 
@@ -212,6 +214,19 @@ def test_spiked_infeasible_cases():
     # spike count above n
     with pytest.raises(InfeasibleRegimeError):
         spiked_parameters(10**6, RegimeSpec("prob_regime", delta=0.01, linf=0.5))
+    with pytest.raises(InfeasibleRegimeError, match="too small"):
+        spiked_parameters(1, RegimeSpec("bounded_log"))
+    # n / linf = 2 < e: log log (n / linf) is undefined
+    with pytest.raises(InfeasibleRegimeError, match="log-log correction"):
+        spiked_parameters(10, RegimeSpec("prob_regime", linf=5.0))
+    # 1 / (3 t) overflows to inf without an exception
+    with pytest.raises(InfeasibleRegimeError, match="spike norm formula gives inf"):
+        spiked_parameters(1000, RegimeSpec("intermediate", t=1e-320))
+    # a float power past the largest double raises OverflowError, which names no regime
+    for spec in (RegimeSpec("large_linf", delta=1000.0), RegimeSpec("intermediate", beta=800.0),
+                 RegimeSpec("intermediate", beta=-800.0)):
+        with pytest.raises(InfeasibleRegimeError, match=f"{spec.regime} formulas overflow"):
+            spiked_parameters(1000, spec)
 
 
 @pytest.mark.parametrize("delta", [0.1, 1.0])
@@ -259,6 +274,8 @@ def test_gen_spiked_zero_remainder_and_fixed_direction():
     assert np.array_equal(row.elements[0], linf * np.diag([1.0, -1.0]).astype(complex))
     assert np.array_equal(row.elements[-1], np.zeros((2, 2)))
     assert row.stats.l1 == pytest.approx(k * linf / 1000, rel=1e-9)
+    with pytest.raises(ValueError, match="unknown remainder mode"):
+        gen_spiked(1000, spec, rng, remainder="ones")
 
 
 # -- riemann sampling --------------------------------------------------------
@@ -298,3 +315,7 @@ def test_gen_riemann_rejects_bad_fn():
                 lambda xs: np.zeros((len(xs), 2, 3))):
         with pytest.raises(ValueError):
             gen_riemann(bad, 4)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        gen_riemann(step_family(E12, E21), 0)
+    with pytest.raises(ValueError, match="unknown sampling mode"):
+        gen_riemann(step_family(E12, E21), 4, "reversed")

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trotter_shuffle.products import BlockScheme
+from trotter_shuffle.products import BlockScheme, block_gaps
 from trotter_shuffle.rows import ArrayRow, gen_two_letter
-from trotter_shuffle.tails import (bernstein_tail, block_bernstein_bound,
-                                   block_deviation_samples, eps_grid, lemma_random_bound,
-                                   variance_proxy)
+from trotter_shuffle.tails import (bernstein_tail, block_bernstein_bound, eps_grid,
+                                   lemma_random_bound, variance_proxy)
 
 from oracles import random_matrix, svd_norm
 
@@ -93,6 +92,19 @@ def test_lemma_random_bound_values_and_errors():
     assert lemma_random_bound(10**4, 200, 100, 1.0, stats, 2) < val
     with pytest.raises(ValueError, match="3 L1"):
         lemma_random_bound(10**4, 100, 100, 3.0, stats, 2)
+    for n, a, b, d in ((0, 100, 100, 2), (10**4, 0, 100, 2), (10**4, 100, 0, 2),
+                       (10**4, 100, 100, 0)):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            lemma_random_bound(n, a, b, 1.0, stats, d)
+    for eps in (0.0, -1.0):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            lemma_random_bound(10**4, 100, 100, eps, stats, 2)
+
+
+@pytest.mark.parametrize("a", [-1, 41])
+def test_variance_proxy_rejects_a_block_size_outside_0_n(a):
+    with pytest.raises(ValueError, match="out of range for row of length 40"):
+        variance_proxy(gen_two_letter(40, E12, E21), a)
 
 
 def test_empirical_block_tail_constant_row():
@@ -100,14 +112,16 @@ def test_empirical_block_tail_constant_row():
     # up to the roundoff of the two means
     a = random_matrix(np.random.default_rng(6), 2, 1.0)
     row = ArrayRow(np.stack([a] * 40))
-    mean_dev, norm_dev = block_deviation_samples(row, BlockScheme(10, 4), 50, seed=1)
+    orders = (np.random.default_rng([1, t]).permutation(40) for t in range(50))
+    mean_dev, norm_dev = block_gaps(row, orders, BlockScheme(10, 4))
     assert mean_dev.max() <= 1e-12 and norm_dev.max() <= 1e-12
 
 
 def test_empirical_block_tail_eps_above_2linf():
     # a block mean and the row mean both have norm <= Linf, so no gap exceeds 2 Linf
     row = gen_two_letter(40, E12, E21)
-    mean_dev, norm_dev = block_deviation_samples(row, BlockScheme(10, 4), 200, seed=2)
+    orders = (np.random.default_rng([2, t]).permutation(40) for t in range(200))
+    mean_dev, norm_dev = block_gaps(row, orders, BlockScheme(10, 4))
     linf = row.stats.linf
     assert mean_dev.max() <= 2 * linf and norm_dev.max() <= 2 * linf
 
@@ -115,7 +129,8 @@ def test_empirical_block_tail_eps_above_2linf():
 def test_empirical_block_tail_scalar_enumeration_n2():
     # d = 1 row (0, 2): the single block always averages to the mean
     row = ArrayRow(np.array([[[0.0]], [[2.0]]], dtype=complex))
-    mean_dev, norm_dev = block_deviation_samples(row, BlockScheme(2, 1), 10**4, seed=3)
+    orders = (np.random.default_rng([3, t]).permutation(2) for t in range(10**4))
+    mean_dev, norm_dev = block_gaps(row, orders, BlockScheme(2, 1))
     assert (mean_dev > 0.5).mean() == 0.0  # exact: both permutations give gap 0
     assert (norm_dev > 0.5).mean() == 0.0
 
@@ -133,7 +148,8 @@ def test_empirical_block_tail_scalar_enumeration_n4():
         if any(abs(x - mean) > eps for x in bm):
             violate += 1
     exact = violate / 24
-    mean_dev, norm_dev = block_deviation_samples(row, scheme, 10**4, seed=4)
+    orders = (np.random.default_rng([4, t]).permutation(4) for t in range(10**4))
+    mean_dev, norm_dev = block_gaps(row, orders, scheme)
     assert abs((mean_dev > eps).mean() - exact) < 0.02
     assert abs((norm_dev > eps).mean() - exact) < 0.02  # norms equal values here
 
@@ -141,11 +157,14 @@ def test_empirical_block_tail_scalar_enumeration_n4():
 def test_block_deviation_samples_deterministic_and_thresholding():
     row = gen_two_letter(100, E12, E21)
     scheme = BlockScheme(10, 10)
-    m1, n1 = block_deviation_samples(row, scheme, 25, seed=9)
-    m2, n2 = block_deviation_samples(row, scheme, 25, seed=9)
+    m1, n1 = block_gaps(row, (np.random.default_rng([9, t]).permutation(100)
+                              for t in range(25)), scheme)
+    m2, n2 = block_gaps(row, (np.random.default_rng([9, t]).permutation(100)
+                              for t in range(25)), scheme)
     assert np.array_equal(m1, m2) and np.array_equal(n1, n2)
-    # trial t draws its permutation from the stream (seed, t) alone
-    m3, n3 = block_deviation_samples(row, scheme, 5, seed=(9,))
+    # each order's gaps depend on that order alone, whatever the length of the stream
+    m3, n3 = block_gaps(row, (np.random.default_rng([9, t]).permutation(100)
+                              for t in range(5)), scheme)
     assert np.array_equal(m3, m1[:5]) and np.array_equal(n3, n1[:5])
 
 
@@ -156,7 +175,8 @@ def test_domination_small_scale():
     stats = row.stats
     scheme = BlockScheme(20, 20)
     trials = 2000
-    mean_dev, norm_dev = block_deviation_samples(row, scheme, trials, seed=11)
+    orders = (np.random.default_rng([11, t]).permutation(400) for t in range(trials))
+    mean_dev, norm_dev = block_gaps(row, orders, scheme)
     for eps in eps_grid(stats.l1):
         bound = lemma_random_bound(400, 20, 20, float(eps), stats, 2)
         p = min(1.0, bound)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trotter_shuffle.linalg import op_norm
+from trotter_shuffle.linalg import op_norms
 from trotter_shuffle.products import Permutation, exp_factors, prefix_products
 from trotter_shuffle.rows import ArrayRow, random_unit_hermitians
 from trotter_shuffle.words import (Word, apply_transpositions, prefix_counts,
@@ -36,6 +36,8 @@ def test_word_validation():
         Word(np.array([0, 0, 1]), alphabet_size=2, multiplicity=2)
     with pytest.raises(ValueError):
         Word(np.array([0, 0, 1, 2]), alphabet_size=2, multiplicity=2)
+    with pytest.raises(ValueError, match="exactly 2 times"):
+        Word(np.array([0, 0, 0, 1]), alphabet_size=2, multiplicity=2)
     Word(np.array([1, 0, 0, 1]), alphabet_size=2, multiplicity=2)
 
 
@@ -165,7 +167,7 @@ def test_single_transposition_product_perturbation():
             continue
         before = word_product(letters, w.letters)
         after = word_product(letters, apply_transpositions(w.letters, swaps[:1]))
-        assert op_norm(before - after) <= 2 * math.e / n**2 + 1e-12
+        assert op_norms(before - after) <= 2 * math.e / n**2 + 1e-12
 
 
 def test_tau_tail_bound_values():
@@ -176,6 +178,16 @@ def test_tau_tail_bound_values():
     assert tau_tail_bound(2, 4, 1.0) == pytest.approx(2 * 4 * (56 / 70), rel=1e-12)
     with pytest.raises(ValueError):
         tau_tail_bound(2, 4, 3.6)  # p sqrt(b) > b + 1
+
+
+@pytest.mark.parametrize("call", [lambda: tau_tail_bound(0, 4, 0.5),
+                                  lambda: tau_tail_bound(2, 0, 0.5),
+                                  lambda: tau_tail_bound(2, 4, 0.0),
+                                  lambda: tau_tail_empirical(2, 4, 0.5, 0, seed=1)],
+                         ids=["bound_a_0", "bound_b_0", "bound_p_0", "empirical_trials_0"])
+def test_tau_tail_rejects_bad_input(call):
+    with pytest.raises(ValueError, match="need a, b >= 1 and p > 0|trials must be >= 1"):
+        call()
 
 
 def test_tau_tail_empirical_zero_at_max_p():
