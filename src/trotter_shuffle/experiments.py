@@ -3,9 +3,9 @@
 An ExperimentConfig (JSON-serializable dataclass) names one of five
 experiment kinds; run() executes it and returns an ExperimentReport whose
 records (one per CSV row) and JSON sidecar are fully determined by
-(config, seed). All randomness is drawn from streams keyed by
-(seed, kind, n, trial), so cells can be evaluated in any order without
-changing a byte of the output.
+(config, seed). All randomness is drawn from the streams
+np.random.default_rng(key) with key a tuple such as (seed, kind, n, trial),
+so cells can be evaluated in any order without changing a byte of the output.
 """
 
 from __future__ import annotations
@@ -368,36 +368,29 @@ class ExperimentReport:
     summary: dict
 
 
-def _stream(*key: int) -> np.random.Generator:
-    return np.random.default_rng(list(key))
-
-
 def _quantiles(values) -> dict:
     q = np.quantile(np.asarray(values, dtype=float), [0.05, 0.5, 0.95])
     return dict(zip(("p05", "median", "p95"), q.tolist()))
 
 
-def _matrix(g: dict, key: str) -> np.ndarray:
-    return parse_matrix(g[key], f"generator.{key}")
-
-
 def _family(g: dict):
     """The family of a merged generator, its factory fed from FAMILY_DEFAULTS' keys."""
     fn = g["fn"]
-    return evo.FAMILIES[fn](**{k: _matrix(g, k) if isinstance(v, str) else g[k]
-                               for k, v in FAMILY_DEFAULTS[fn].items()})
+    return evo.FAMILIES[fn](**{k: parse_matrix(g[k], f"generator.{k}") if isinstance(v, str)
+                               else g[k] for k, v in FAMILY_DEFAULTS[fn].items()})
 
 
 def _build_row(g: dict, n: int, rng: np.random.Generator, d: int) -> ArrayRow:
     """The row of length n of a merged generator."""
     name = g["name"]
     if name == "two_letter":
-        return gen_two_letter(n, _matrix(g, "b"), _matrix(g, "c"), g["order"], g["unit_bound"])
+        return gen_two_letter(n, parse_matrix(g["b"], "generator.b"),
+                              parse_matrix(g["c"], "generator.c"), g["order"], g["unit_bound"])
     if name == "repeated":
         letters = [parse_matrix(m, f"generator.letters[{i}]") for i, m in enumerate(g["letters"])]
         return gen_repeated(letters, n, g["tail"], g["unit_bound"])
     if name == "constant":
-        return gen_repeated([_matrix(g, "matrix")], n)
+        return gen_repeated([parse_matrix(g["matrix"], "generator.matrix")], n)
     if name == "spiked":
         return gen_spiked(n, _regime_spec(g), rng, d, g["remainder"], g["fixed_direction"])
     return gen_riemann(_family(g), n, g["mode"], seed=rng)
@@ -408,13 +401,14 @@ def _regime_spec(g: dict) -> RegimeSpec:
 
 
 def _paths(cfg: ExperimentConfig, g: dict, n: int, *cell: int, targets=()):
-    """The row of length n of a merged generator, drawn from the stream keyed
-    (seed, kind, n, *cell), and the PathReports of each trial's permutation (the
-    identity, or uniform from that key + (trial,)) against the row mean and targets."""
+    """The row of length n of a merged generator, drawn from np.random.default_rng(key)
+    with key = (seed, kind, n, *cell), and the PathReports of each trial's permutation
+    (the identity, or uniform from key + (trial,)) against the row mean and targets."""
     key = (cfg.seed, _KIND_ID[cfg.kind], n, *cell)
-    row = _build_row(g, n, _stream(*key), cfg.d)
+    row = _build_row(g, n, np.random.default_rng(key), cfg.d)
     sigmas = (Permutation(np.arange(n) if cfg.sigma_mode == "identity"
-                          else _stream(*key, trial).permutation(n)) for trial in range(cfg.trials))
+                          else np.random.default_rng((*key, trial)).permutation(n))
+              for trial in range(cfg.trials))
     return row, path_deviations(row, sigmas, [row.stats.mean, *targets])
 
 
@@ -441,12 +435,13 @@ def _run_tail(cfg: ExperimentConfig, summary: dict):
     kid = _KIND_ID[cfg.kind]
     g = _merged(cfg.generator)
     for n in cfg.n_list:
-        row = _build_row(g, n, _stream(cfg.seed, kid, n), cfg.d)
+        row = _build_row(g, n, np.random.default_rng((cfg.seed, kid, n)), cfg.d)
         stats = row.stats
         a = g.get("a")  # validated: None or an integer in [1, min(n_list)]
         scheme = BlockScheme(a, n // a) if a else choose_blocks(n, stats, mode=cfg.block_mode)
         grid = eps_grid(stats.l1, floor=cfg.eps if cfg.eps else 0.05).tolist()
-        orders = (_stream(cfg.seed, kid, n, trial).permutation(n) for trial in range(cfg.trials))
+        orders = (np.random.default_rng((cfg.seed, kid, n, trial)).permutation(n)
+                  for trial in range(cfg.trials))
         mean_dev, _ = block_gaps(row, orders, scheme)
         freqs = [float((mean_dev > e).mean()) for e in grid]
         for e, freq, bound in zip(grid, freqs, block_bernstein_bound(row, scheme, grid)):
@@ -458,16 +453,15 @@ def _run_tail(cfg: ExperimentConfig, summary: dict):
 
 def _run_regime(cfg: ExperimentConfig, summary: dict):
     sups: dict = {}  # regimes that share a name pool their trials
-    cells = [(n, ri, g, _regime_spec(g)) for n in cfg.n_list
-             for ri, (_, g) in enumerate(_regimes(cfg.generator))]
-    params = [spiked_parameters(n, spec) for n, _, _, spec in cells]  # raises before any trial
-    for (n, ri, g, spec), (k_n, linf) in zip(cells, params):
-        row, reports = _paths(cfg, g, n, ri)
-        norm_mean = float(op_norms(row.stats.mean))
-        for trial, (rep,) in enumerate(reports):
-            yield (n, spec.regime, trial, k_n, linf, row.stats.l1, norm_mean,
-                   rep.sup_dev, rep.slack)
-            sups.setdefault(f"{n}:{spec.regime}", []).append(rep.sup_dev)
+    for n in cfg.n_list:
+        for ri, (_, g) in enumerate(_regimes(cfg.generator)):
+            k_n, linf = spiked_parameters(n, _regime_spec(g))
+            row, reports = _paths(cfg, g, n, ri)
+            norm_mean = float(op_norms(row.stats.mean))
+            for trial, (rep,) in enumerate(reports):
+                yield (n, g["regime"], trial, k_n, linf, row.stats.l1, norm_mean,
+                       rep.sup_dev, rep.slack)
+                sups.setdefault(f"{n}:{g['regime']}", []).append(rep.sup_dev)
     summary.update((key, _quantiles(v)) for key, v in sups.items())
 
 
@@ -475,7 +469,7 @@ def _run_words(cfg: ExperimentConfig, summary: dict):
     kid = _KIND_ID[cfg.kind]
     g = _merged(cfg.generator)
     a, b = g["a"], g["b"]
-    stats = [word_statistics(random_word(a, b, _stream(cfg.seed, kid, trial)))
+    stats = [word_statistics(random_word(a, b, np.random.default_rng((cfg.seed, kid, trial))))
              for trial in range(cfg.trials)]
     yield from ((trial, tv, dist, (a * b) ** 2 * tv) for trial, (tv, dist) in enumerate(stats))
     summary.update(tau=_quantiles([tv for tv, _ in stats]), a=a, b=b)
@@ -505,6 +499,10 @@ _RUNNERS = dict(zip(KINDS, (_run_converge, _run_tail, _run_regime, _run_words, _
 
 def run(cfg: ExperimentConfig) -> ExperimentReport:
     cfg.validate()
+    for n in cfg.n_list:  # every kind: an infeasible (n, spiked regime) raises before any cell
+        for _, g in _regimes(cfg.generator):
+            if g["name"] == "spiked":
+                spiked_parameters(n, _regime_spec(g))
     summary: dict = {}
     records = [dict(zip(COLUMNS[cfg.kind], row)) for row in _RUNNERS[cfg.kind](cfg, summary)]
     return ExperimentReport(config=cfg, records=records, summary=summary)

@@ -227,10 +227,6 @@ def random_unit_hermitians(k: int, d: int, rng: np.random.Generator) -> np.ndarr
     return h / op_norms(h)[:, None, None]
 
 
-def _fixed_direction(d: int) -> np.ndarray:
-    return np.diag((-1.0) ** np.arange(d)).astype(np.complex128)
-
-
 def gen_spiked(n: int, spec: RegimeSpec, rng: np.random.Generator, d: int = 2,
                remainder: str = "random_unit", fixed_direction: bool = False) -> ArrayRow:
     """Spiked-norm row: k_n spikes of norm linf, the rest bounded by 1.
@@ -239,21 +235,20 @@ def gen_spiked(n: int, spec: RegimeSpec, rng: np.random.Generator, d: int = 2,
     direction with fixed_direction); the n - k_n remaining elements are
     unit-norm random Hermitians or zero matrices per remainder mode.
     """
+    if remainder not in ("random_unit", "zero"):
+        raise ValueError(f"unknown remainder mode {remainder!r}")
     k, linf = spiked_parameters(n, spec)
-    if fixed_direction:
-        spikes = np.broadcast_to(_fixed_direction(d), (k, d, d)).copy()
+    if fixed_direction:  # diag(1, -1, 1, ...): a real power, exactly +-1
+        direction = np.diag((-1.0) ** np.arange(d)).astype(np.complex128)
+        spikes = np.broadcast_to(direction, (k, d, d)).copy()
     else:
         spikes = random_unit_hermitians(k, d, rng)
     spikes *= linf
     rest = n - k
     if rest == 0:
         return ArrayRow(spikes)
-    if remainder == "random_unit":
-        others = random_unit_hermitians(rest, d, rng)
-    elif remainder == "zero":
-        others = np.zeros((rest, d, d), dtype=np.complex128)
-    else:
-        raise ValueError(f"unknown remainder mode {remainder!r}")
+    others = (random_unit_hermitians(rest, d, rng) if remainder == "random_unit"
+              else np.zeros((rest, d, d), dtype=np.complex128))
     return ArrayRow(np.concatenate([spikes, others]))
 
 

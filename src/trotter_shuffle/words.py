@@ -82,13 +82,6 @@ def _tau(pc: np.ndarray, b: int):
     return ((pc.max(axis=-2) - pc.min(axis=-2)).max(axis=-1) + 1) / b
 
 
-def _target_ranks(w: Word) -> np.ndarray:
-    """Rank of each position under the stable matching to the standard word:
-    the m-th occurrence of letter l is destined for slot m*a + l."""
-    occurrence = prefix_counts(w.letters, w.alphabet_size)[w.letters, np.arange(w.length)]
-    return occurrence * w.alphabet_size + w.letters
-
-
 def word_statistics(w: Word) -> tuple[float, int]:
     """(tau, distance) of w from one prefix-count array: tau = (max prefix-count
     discrepancy between letters + 1) / b; distance = the adjacent transpositions
@@ -112,7 +105,10 @@ def transpositions_to_standard(w: Word) -> list[int]:
     in order, transforms the word into the standard word. Its length is the
     distance of word_statistics(w). Insertion sort: O(L^2) time and a list of up to
     L(L-1)/2 swaps for a word of length L = a*b."""
-    ranks = _target_ranks(w).tolist()
+    # the rank of each position under the stable matching to the standard word:
+    # the m-th occurrence of letter l is destined for slot m*a + l
+    occurrence = prefix_counts(w.letters, w.alphabet_size)[w.letters, np.arange(w.length)]
+    ranks = (occurrence * w.alphabet_size + w.letters).tolist()
     swaps: list[int] = []
     for i in range(1, len(ranks)):
         j = i

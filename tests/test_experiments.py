@@ -411,6 +411,27 @@ def test_regime_infeasible_pair_raises_before_any_cell_runs(tmp_path, capsys, mo
     assert not out.exists() and not calls
 
 
+@pytest.mark.parametrize("kind", ["converge", "tail"], ids=["converge", "tail"])
+def test_spiked_infeasible_n_raises_before_any_cell_runs(tmp_path, capsys, monkeypatch, kind):
+    # the spike count of this regime fits in n = 200, which comes first, but not in n = 40
+    spec = RegimeSpec(regime="intermediate", alpha=0.5, beta=2.0)
+    spiked_parameters(200, spec)
+    with pytest.raises(InfeasibleRegimeError) as exc:
+        spiked_parameters(40, spec)
+    calls = Counter()
+    _counting(monkeypatch, calls, ((experiments, products), "path_deviations"),
+              ((experiments, products), "block_gaps"))
+    cfg = tmp_path / "spiked.json"
+    out = tmp_path / "s.csv"
+    cfg.write_text(json.dumps({
+        "kind": kind, "n_list": [200, 40], "trials": 2, "out_path": str(out),
+        "generator": {"name": "spiked", "regime": "intermediate", "alpha": 0.5, "beta": 2.0},
+    }))
+    assert main([kind, "--config", str(cfg)]) == 3
+    assert f"error: {exc.value}" in capsys.readouterr().err
+    assert not out.exists() and not calls
+
+
 def test_words_kind_records():
     cfg = ExperimentConfig(kind="words", trials=25, seed=8,
                            generator={"name": "multiset", "a": 3, "b": 4})

@@ -478,7 +478,7 @@ def test_path_deviation_exhaustive_n4_vs_oracle():
     assert min(got) == pytest.approx(min(want), abs=1e-9)
 
 
-def test_check_block_conditions_standard_layout_exact_zero():
+def test_block_gaps_standard_layout_exact_zero():
     # power-of-two sizes make the block and row means bit-identical
     letters = [E12, E21, E12 + E21, np.eye(2, dtype=complex)]
     row = gen_repeated(letters, 32)
@@ -487,14 +487,14 @@ def test_check_block_conditions_standard_layout_exact_zero():
     assert norm_gap[0] == 0.0
 
 
-def test_check_block_conditions_constant_row():
+def test_block_gaps_constant_row():
     a = random_matrix(np.random.default_rng(7), 2, 1.0)
     row = gen_repeated([a], 24)
     order = np.random.default_rng(8).permutation(24)
     assert np.max(block_gaps(row, [order], BlockScheme(4, 6))) * math.exp(row.stats.l1) <= 1e-12
 
 
-def test_check_block_conditions_against_resummation():
+def test_block_gaps_against_resummation():
     rng = np.random.default_rng(9)
     n, a = 1000, 50
     elems = np.stack([random_matrix(rng, 2, 1.0) for _ in range(n)])

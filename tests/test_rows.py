@@ -278,6 +278,17 @@ def test_gen_spiked_zero_remainder_and_fixed_direction():
         gen_spiked(1000, spec, rng, remainder="ones")
 
 
+def test_gen_spiked_checks_remainder_before_any_draw():
+    # k_n = n = 40: every element is a spike, so no remainder is ever drawn
+    spec = RegimeSpec("intermediate", alpha=1.0, beta=0.0, t=1.0)
+    assert spiked_parameters(40, spec)[0] == 40
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="unknown remainder mode 'bogus'"):
+        gen_spiked(40, spec, rng, remainder="bogus")
+    assert rng.bit_generator.state == state
+
+
 # -- riemann sampling --------------------------------------------------------
 
 def test_gen_riemann_modes():

@@ -154,7 +154,7 @@ def test_empirical_block_tail_scalar_enumeration_n4():
     assert abs((norm_dev > eps).mean() - exact) < 0.02  # norms equal values here
 
 
-def test_block_deviation_samples_deterministic_and_thresholding():
+def test_block_gaps_deterministic_and_thresholding():
     row = gen_two_letter(100, E12, E21)
     scheme = BlockScheme(10, 10)
     m1, n1 = block_gaps(row, (np.random.default_rng([9, t]).permutation(100)
