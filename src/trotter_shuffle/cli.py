@@ -55,9 +55,9 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             doc[name] = getattr(args, option)
     cfg = ExperimentConfig.from_dict(doc)
     sidecar = _sidecar_path(cfg.out_path)
-    if args.config and sidecar.resolve() == Path(args.config).resolve():
-        raise ConfigError(f"out_path: its sidecar {sidecar} would overwrite the config file")
     for target in (Path(cfg.out_path), sidecar):  # file-system state: fail before any cell runs
+        if args.config and target.resolve() == Path(args.config).resolve():
+            raise ConfigError(f"out_path: {target} would overwrite the config file")
         if target.is_dir():
             raise ConfigError(f"out_path: {target} is a directory")
     if not sidecar.parent.is_dir():

@@ -400,16 +400,15 @@ def _regime_spec(g: dict) -> RegimeSpec:
     return RegimeSpec(**{f.name: g[f.name] for f in dataclasses.fields(RegimeSpec)})
 
 
-def _paths(cfg: ExperimentConfig, g: dict, n: int, *cell: int, targets=()):
-    """The row of length n of a merged generator, drawn from np.random.default_rng(key)
-    with key = (seed, kind, n, *cell), and the PathReports of each trial's permutation
-    (the identity, or uniform from key + (trial,)) against the row mean and targets."""
+def _cell(cfg: ExperimentConfig, g: dict, n: int, *cell: int):
+    """The row of length n of a merged generator, drawn from default_rng(key) with key =
+    (seed, kind, n, *cell), and each trial's order: the identity, or uniform from (*key, trial)."""
     key = (cfg.seed, _KIND_ID[cfg.kind], n, *cell)
     row = _build_row(g, n, np.random.default_rng(key), cfg.d)
-    sigmas = (Permutation(np.arange(n) if cfg.sigma_mode == "identity"
-                          else np.random.default_rng((*key, trial)).permutation(n))
+    orders = (np.arange(n) if cfg.sigma_mode == "identity"
+              else np.random.default_rng((*key, trial)).permutation(n)
               for trial in range(cfg.trials))
-    return row, path_deviations(row, sigmas, [row.stats.mean, *targets])
+    return row, orders
 
 
 # Each runner yields the CSV rows of its kind as tuples in COLUMNS order and
@@ -420,7 +419,8 @@ def _run_converge(cfg: ExperimentConfig, summary: dict):
     targets = [] if cfg.target is None else [parse_matrix(cfg.target, "target")]
     for n in cfg.n_list:
         sups, finals = [], []
-        _, reports = _paths(cfg, g, n, targets=targets)
+        row, orders = _cell(cfg, g, n)
+        reports = path_deviations(row, map(Permutation, orders), [row.stats.mean, *targets])
         for trial, (rep, *rep_t) in enumerate(reports):
             devs_t = rep_t[0].deviations.tolist() if rep_t else [None] * len(rep.ks)
             for k, dev, dev_t in zip(rep.ks.tolist(), rep.deviations.tolist(), devs_t):
@@ -432,16 +432,13 @@ def _run_converge(cfg: ExperimentConfig, summary: dict):
 
 
 def _run_tail(cfg: ExperimentConfig, summary: dict):
-    kid = _KIND_ID[cfg.kind]
     g = _merged(cfg.generator)
     for n in cfg.n_list:
-        row = _build_row(g, n, np.random.default_rng((cfg.seed, kid, n)), cfg.d)
+        row, orders = _cell(cfg, g, n)
         stats = row.stats
         a = g.get("a")  # validated: None or an integer in [1, min(n_list)]
         scheme = BlockScheme(a, n // a) if a else choose_blocks(n, stats, mode=cfg.block_mode)
         grid = eps_grid(stats.l1, floor=cfg.eps if cfg.eps else 0.05).tolist()
-        orders = (np.random.default_rng((cfg.seed, kid, n, trial)).permutation(n)
-                  for trial in range(cfg.trials))
         mean_dev, _ = block_gaps(row, orders, scheme)
         freqs = [float((mean_dev > e).mean()) for e in grid]
         for e, freq, bound in zip(grid, freqs, block_bernstein_bound(row, scheme, grid)):
@@ -456,7 +453,8 @@ def _run_regime(cfg: ExperimentConfig, summary: dict):
     for n in cfg.n_list:
         for ri, (_, g) in enumerate(_regimes(cfg.generator)):
             k_n, linf = spiked_parameters(n, _regime_spec(g))
-            row, reports = _paths(cfg, g, n, ri)
+            row, orders = _cell(cfg, g, n, ri)
+            reports = path_deviations(row, map(Permutation, orders), [row.stats.mean])
             norm_mean = float(op_norms(row.stats.mean))
             for trial, (rep,) in enumerate(reports):
                 yield (n, g["regime"], trial, k_n, linf, row.stats.l1, norm_mean,

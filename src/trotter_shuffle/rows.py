@@ -67,8 +67,8 @@ class ArrayRow:
 
     @cached_property
     def stats(self) -> RowStats:
-        alphabet, letter_of = self.letters()
-        norms = op_norms(alphabet)[letter_of]  # each the norm of a byte-equal element
+        heads, runs = self._runs
+        norms = np.repeat(op_norms(self.elements[heads]), runs)  # one norm per run
         return RowStats(mean=_freeze(self.elements.mean(axis=0)),
                         l1=float(norms.mean()), linf=float(norms.max()))
 
@@ -80,18 +80,20 @@ class ArrayRow:
         return self.elements[self._letter_index[0]], self._letter_index[1]
 
     @cached_property
-    def _letter_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """(first positions, letter_of), read-only. Only the first element of each
-        run of byte-equal neighbours is sorted: O(n) and a sort of the runs."""
+    def _runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(heads, lengths) of the runs of byte-equal neighbours, read-only: O(n)."""
         words = self.elements.reshape(self.n, -1).view(np.uint64)
         heads = np.flatnonzero(np.r_[True, (words[1:] != words[:-1]).any(axis=1)])
-        keys = words[heads].view((np.void, 16 * self.d ** 2)).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        return _freeze(heads), _freeze(np.diff(np.r_[heads, self.n]))
+
+    @cached_property
+    def _letter_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(first positions, letter_of), read-only, from a sort of the run heads."""
+        heads, runs = self._runs
+        keys = self.elements[heads].reshape(len(heads), -1).view((np.void, 16 * self.d ** 2))
+        _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
         order = np.argsort(first)  # sorted-bytes label -> first-occurrence label
-        label = np.empty_like(order)
-        label[order] = np.arange(len(order))
-        runs = np.diff(np.r_[heads, self.n])
-        return _freeze(heads[first[order]]), _freeze(np.repeat(label[inverse], runs))
+        return _freeze(heads[first[order]]), _freeze(np.repeat(np.argsort(order)[inverse], runs))
 
 
 def _alphabet(matrices, unit_bound: bool = False) -> np.ndarray:
@@ -244,11 +246,8 @@ def gen_spiked(n: int, spec: RegimeSpec, rng: np.random.Generator, d: int = 2,
     else:
         spikes = random_unit_hermitians(k, d, rng)
     spikes *= linf
-    rest = n - k
-    if rest == 0:
-        return ArrayRow(spikes)
-    others = (random_unit_hermitians(rest, d, rng) if remainder == "random_unit"
-              else np.zeros((rest, d, d), dtype=np.complex128))
+    others = (random_unit_hermitians(n - k, d, rng) if remainder == "random_unit"
+              else np.zeros((n - k, d, d), dtype=np.complex128))
     return ArrayRow(np.concatenate([spikes, others]))
 
 

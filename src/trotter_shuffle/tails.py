@@ -39,7 +39,7 @@ def variance_proxy(row: ArrayRow, a: int) -> float:
     size-a block; always at most 4 a L1 Linf."""
     if a < 0 or a > row.n:
         raise ValueError(f"block size {a} out of range for row of length {row.n}")
-    alphabet, letter_of = row.letters()  # one norm per letter, gathered as stats gathers
+    alphabet, letter_of = row.letters()  # one norm per letter, gathered to its elements
     v = float(a / row.n * (op_norms(alphabet - row.stats.mean) ** 2)[letter_of].sum())
     cap = 4.0 * a * row.stats.l1 * row.stats.linf
     if v > cap * (1.0 + 1e-9) + 1e-12:

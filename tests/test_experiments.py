@@ -500,6 +500,16 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     assert json.loads(own.read_text())["kind"] == "converge"
 
 
+def test_cli_out_path_that_is_the_config_file_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(json.dumps({"kind": "converge", "n_list": [100]}))
+    before = cfg.read_bytes()
+    assert main(["converge", "--config", str(cfg), "--out", str(cfg)]) == 2
+    assert "config error: out_path" in capsys.readouterr().err
+    assert cfg.read_bytes() == before
+    assert not (tmp_path / "run.json").exists()
+
+
 MATRIX_3X3 = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
 
 

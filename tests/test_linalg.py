@@ -84,7 +84,7 @@ def test_exp_stack_mixed_norms_vs_mp_oracle(d):
     assert exp_stack(np.zeros((0, d, d))).shape == (0, d, d)
 
 
-def test_op_norm_examples():
+def test_op_norms_examples():
     assert op_norms(np.eye(5)) == pytest.approx(1.0, abs=1e-12)
     assert op_norms(np.diag([3.0, -1.0])) == pytest.approx(3.0, abs=1e-12)
     assert op_norms(2 * E12) == pytest.approx(2.0, abs=1e-12)
@@ -94,7 +94,7 @@ def test_op_norm_examples():
             as_matrix(bad)
 
 
-def test_op_norm_submultiplicative_and_triangle():
+def test_op_norms_submultiplicative_and_triangle():
     rng = np.random.default_rng(6)
     for _ in range(50):
         a = random_matrix(rng, 3, 2.0)
@@ -144,7 +144,7 @@ def test_op_norms_chunk_boundaries_are_invisible():
     assert got[:, c // 2:].tobytes() == one[:c].reshape(2, -1)[:, :3].tobytes()
 
 
-def test_op_norm_delegates_to_op_norms():
+def test_op_norms_of_one_matrix_match_a_stack_of_one():
     rng = np.random.default_rng(12)
     for d in (1, 2, 5):
         m = random_matrix(rng, d, 3.0)

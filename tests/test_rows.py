@@ -27,7 +27,7 @@ def test_row_validation():
         ArrayRow(np.full((3, 2, 2), np.nan))
 
 
-def test_row_stats_constant_row():
+def test_stats_constant_row():
     a = random_matrix(np.random.default_rng(0), 2, 2.0)
     row = gen_repeated([a], 11)
     stats = row.stats
@@ -36,7 +36,7 @@ def test_row_stats_constant_row():
     assert stats.linf == pytest.approx(op_norms(a), rel=1e-12)
 
 
-def test_row_stats_two_letters():
+def test_stats_two_letters():
     row = gen_two_letter(10, E12, E21, "interleaved")
     stats = row.stats
     assert np.allclose(stats.mean, (E12 + E21) / 2)
@@ -44,7 +44,7 @@ def test_row_stats_two_letters():
     assert stats.linf == pytest.approx(1.0)
 
 
-def test_row_stats_against_resummation():
+def test_stats_against_resummation():
     rng = np.random.default_rng(1)
     elems = np.stack([random_matrix(rng, 2, 3.0) for _ in range(10)])
     stats = ArrayRow(elems).stats
@@ -179,6 +179,20 @@ def test_letters_come_from_one_cached_read_only_index(monkeypatch):
         assert len(calls) == 1  # the letter search ran once for this row
 
 
+def test_stats_read_the_runs_and_leave_the_letter_search_to_letter_kernels(monkeypatch):
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(rows.np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+    contiguous = gen_two_letter(300, E12, E21, "first_half_b")
+    for row in [row for row, _ in _letter_rows().values()] + [contiguous]:
+        row = ArrayRow(row.elements)  # fresh: nothing cached yet
+        calls.clear()
+        row.stats
+        assert calls == [] and "_letter_index" not in row.__dict__
+        exp_factors(row)
+        assert len(calls) == 1
+
+
 def test_spiked_parameters_match_formulas():
     n = 10**6
     ln, lln = math.log(n), math.log(math.log(n))
@@ -287,6 +301,18 @@ def test_gen_spiked_checks_remainder_before_any_draw():
     with pytest.raises(ValueError, match="unknown remainder mode 'bogus'"):
         gen_spiked(40, spec, rng, remainder="bogus")
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_gen_spiked_all_spikes_is_the_spike_draw_bit_for_bit(d):
+    # k_n = n = 40: the remainder is empty, and drawing it leaves the generator alone
+    spec = RegimeSpec("intermediate", alpha=1.0, beta=0.0, t=1.0)
+    k, linf = spiked_parameters(40, spec)
+    assert k == 40
+    rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+    row = gen_spiked(40, spec, rng, d=d)
+    assert row.elements.tobytes() == (linf * rows.random_unit_hermitians(40, d, ref)).tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 # -- riemann sampling --------------------------------------------------------
