@@ -23,7 +23,7 @@ import numpy as np
 
 from . import evolution as evo
 from .linalg import as_matrix, mat_exp, op_norms
-from .products import BlockScheme, Permutation, block_gaps, choose_blocks, path_deviations
+from .products import BlockScheme, block_gaps, choose_blocks, path_deviations
 from .rows import (REGIMES, ArrayRow, RegimeSpec, gen_repeated, gen_riemann, gen_spiked,
                    gen_two_letter, spiked_parameters)
 from .tails import block_bernstein_bound, eps_grid, lemma_random_bound
@@ -420,7 +420,7 @@ def _run_converge(cfg: ExperimentConfig, summary: dict):
     for n in cfg.n_list:
         sups, finals = [], []
         row, orders = _cell(cfg, g, n)
-        reports = path_deviations(row, map(Permutation, orders), [row.stats.mean, *targets])
+        reports = path_deviations(row, orders, [row.stats.mean, *targets])
         for trial, (rep, *rep_t) in enumerate(reports):
             devs_t = rep_t[0].deviations.tolist() if rep_t else [None] * len(rep.ks)
             for k, dev, dev_t in zip(rep.ks.tolist(), rep.deviations.tolist(), devs_t):
@@ -454,7 +454,7 @@ def _run_regime(cfg: ExperimentConfig, summary: dict):
         for ri, (_, g) in enumerate(_regimes(cfg.generator)):
             k_n, linf = spiked_parameters(n, _regime_spec(g))
             row, orders = _cell(cfg, g, n, ri)
-            reports = path_deviations(row, map(Permutation, orders), [row.stats.mean])
+            reports = path_deviations(row, orders, [row.stats.mean])
             norm_mean = float(op_norms(row.stats.mean))
             for trial, (rep,) in enumerate(reports):
                 yield (n, g["regime"], trial, k_n, linf, row.stats.l1, norm_mean,

@@ -16,28 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix, exp_stack, kernel_array, max_op_norm, op_norms
-from .rows import ArrayRow, RowStats, _freeze, _own
-
-
-@dataclass(frozen=True, eq=False)
-class Permutation:
-    """A bijection of {0, ..., n-1}; order[k] is the image of position k."""
-
-    order: np.ndarray
-
-    def __post_init__(self):
-        o = _own(self.order, np.int64)
-        if o.ndim != 1 or o.size < 1:
-            raise ValueError("permutation must be a non-empty 1-d index array")
-        # the range first: bincount allocates a bin for every index up to the largest
-        if not (0 <= o.min() and o.max() < o.size and (np.bincount(o) == 1).all()):
-            raise ValueError("not a bijection of 0..n-1")
-        o.setflags(write=False)
-        object.__setattr__(self, "order", o)
-
-    @property
-    def n(self) -> int:
-        return self.order.size
+from .rows import ArrayRow, RowStats, _freeze
 
 
 @dataclass(frozen=True)
@@ -68,10 +47,11 @@ def choose_blocks(n: int, stats: RowStats, mode: str = "sqrt_default") -> BlockS
     if mode == "sqrt_default":
         a = math.ceil(math.sqrt(n))
     elif mode in ("probability", "almost_sure"):
-        scale = max(1.0, stats.l1 * stats.linf * math.exp(2.0 * stats.l1))
+        # any scale >= n clamps a to n // 2: saturate instead of overflowing
+        scale = max(1.0, stats.l1 * stats.linf * math.exp(min(2.0 * stats.l1, 709.0)))
         if mode == "almost_sure":
             scale *= math.log(n)
-        a = math.ceil(math.sqrt(n * scale))
+        a = math.ceil(math.sqrt(min(n * scale, n * n)))
     else:
         raise ValueError(f"unknown block mode {mode!r}")
     a = max(1, min(a, n // 2))
@@ -185,10 +165,10 @@ def _blocked(factors, orders, n: int, paths: bool = False):
         yield from one_pass(chunk)
 
 
-def _order_of(row: ArrayRow, sigma: Permutation) -> np.ndarray:
-    if sigma.n != row.n:
-        raise ValueError(f"permutation size {sigma.n} != row length {row.n}")
-    return sigma.order
+def _order_of(order: np.ndarray, n: int) -> np.ndarray:
+    if len(order) != n:
+        raise ValueError(f"permutation size {len(order)} != row length {n}")
+    return order
 
 
 def reference_path(target, n: int) -> np.ndarray:
@@ -227,15 +207,15 @@ class PathReport:
     slack: float
 
 
-def path_deviations(row: ArrayRow, sigmas, targets):
-    """For each permutation in sigmas, the tuple of PathReports of its product
-    path against each target.
+def path_deviations(row: ArrayRow, orders, targets):
+    """For each order (an index array of length n) of the iterable orders, the
+    tuple of PathReports of its product path against each target.
 
     exp_factors(row) and each target's reference path are built once and
-    shared by every permutation; each permutation's path is scanned once for
-    all targets. The scan workspace and one difference stack are allocated
-    once and rewritten by every permutation. A generator, so those arrays
-    live only while it runs.
+    shared by every order; each order's path is scanned once for all targets.
+    The scan workspace and one difference stack are allocated once and
+    rewritten by every order. A generator, so those arrays live only while it
+    runs.
     """
     tgts = [as_matrix(t, "target") for t in targets]
     factors = exp_factors(row)
@@ -243,7 +223,7 @@ def path_deviations(row: ArrayRow, sigmas, targets):
     slacks = [nt * math.exp(nt) / row.n for nt in map(float, map(op_norms, tgts))]
     ks = _freeze(np.array(sorted({round(m * row.n / 100) for m in range(101)})))
     diff = np.empty((row.n + 1, row.d, row.d), dtype=np.result_type(factors, *refs))
-    for prods in _blocked(factors, (_order_of(row, sigma) for sigma in sigmas), row.n, True):
+    for prods in _blocked(factors, map(_order_of, orders, itertools.repeat(row.n)), row.n, True):
         devs = (np.subtract(prods, ref, out=diff) for ref in refs)  # read before the next one
         yield tuple(PathReport(ks, g := _freeze(op_norms(dev[ks])), max_op_norm(dev, ks, g) + s, s)
                     for dev, s in zip(devs, slacks))
@@ -254,8 +234,8 @@ _CHUNK_BLOCKS = 4096  # block means per op_norms call in block_gaps (whole trial
 
 def block_gaps(row: ArrayRow, orders, scheme: BlockScheme) -> tuple[np.ndarray, np.ndarray]:
     """Largest ||block mean - A_n|| and largest |block norm-mean - L1| over the
-    b consecutive blocks of the row read in each order of the iterable
-    orders; two arrays with one entry per order.
+    b consecutive blocks of the row read in each order (an index array of
+    length n) of the iterable orders; two arrays with one entry per order.
 
     Positions past a*b are ignored. Each order is reduced as it arrives to
     the (b, 2d^2 + 1) block sums of entries and norms, from one table of the
@@ -280,7 +260,8 @@ def block_gaps(row: ArrayRow, orders, scheme: BlockScheme) -> tuple[np.ndarray, 
         counts = np.bincount(np.take(letter_of, idx) + offsets, minlength=m * b)
         return counts.reshape(b, -1) @ table
 
-    orders, per_chunk, gaps = iter(orders), max(1, _CHUNK_BLOCKS // b), []
+    per_chunk, gaps = max(1, _CHUNK_BLOCKS // b), []
+    orders = map(_order_of, orders, itertools.repeat(row.n))
     while chunk := [block_sums(o[:a * b]) for o in itertools.islice(orders, per_chunk)]:
         sums = np.stack(chunk)
         means = np.ascontiguousarray(sums[..., :-1]).view(np.complex128).reshape(-1, b, d, d) / a

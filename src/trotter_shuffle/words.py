@@ -14,7 +14,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .products import Permutation
 from .rows import _own
 
 
@@ -52,16 +51,16 @@ def random_word(a: int, b: int, rng: np.random.Generator) -> Word:
     return Word(rng.permutation(np.tile(np.arange(a), b)), alphabet_size=a, multiplicity=b)
 
 
-def restrict_word(sigma: Permutation, a: int, b: int) -> Word:
-    """Word induced by a permutation on the periodic row layout.
+def restrict_word(order: np.ndarray, a: int, b: int) -> Word:
+    """Word induced by a permutation, as an index array, on the periodic row layout.
 
     The row is laid out with letter p mod a at position p for p < a*b; scanning
-    positions sigma(1), ..., sigma(n) and keeping those below a*b yields the
+    positions order[0], ..., order[n-1] and keeping those below a*b yields the
     word. Uniform permutations induce uniform words.
     """
-    if a * b > sigma.n:
-        raise ValueError(f"a*b = {a * b} exceeds n = {sigma.n}")
-    kept = sigma.order[sigma.order < a * b]
+    if a * b > len(order):
+        raise ValueError(f"a*b = {a * b} exceeds n = {len(order)}")
+    kept = order[order < a * b]
     return Word(kept % a, alphabet_size=a, multiplicity=b)
 
 
@@ -145,6 +144,8 @@ _TRIAL_CHUNK = 4096  # random words drawn per batch in tau_tail_empirical
 def tau_tail_empirical(a: int, b: int, p: float, trials: int, seed: int) -> float:
     """Frequency of tau(w) > p / sqrt(b) over trials successive random_word
     draws from default_rng(seed), drawn _TRIAL_CHUNK at a time."""
+    if a < 1 or b < 1 or p <= 0:
+        raise ValueError("need a, b >= 1 and p > 0")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)

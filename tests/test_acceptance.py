@@ -11,7 +11,7 @@ import numpy as np
 
 from trotter_shuffle.evolution import PropagatorSpec, cocycle_check, propagators, step_family
 from trotter_shuffle.linalg import mat_exp, op_norms
-from trotter_shuffle.products import (BlockScheme, Permutation, block_gaps, path_deviations,
+from trotter_shuffle.products import (BlockScheme, block_gaps, path_deviations,
                                       prop_uniform_bound)
 from trotter_shuffle.rows import (ArrayRow, RegimeSpec, gen_repeated,
                                   gen_spiked, gen_two_letter,
@@ -65,7 +65,7 @@ def test_criterion_2_commuting_exactness():
     worst = 0.0
     ok = True
     for row in rows:
-        sigmas = [Permutation(rng.permutation(n)) for _ in range(50)]
+        sigmas = [rng.permutation(n) for _ in range(50)]
         for rep, in path_deviations(row, sigmas, [row.stats.mean]):
             excess = rep.sup_dev - rep.slack
             worst = max(worst, excess)
@@ -78,7 +78,7 @@ def test_criterion_3_ordered_non_convergence():
     t0 = time.time()
     n = 2000
     row = gen_two_letter(n, E12, E21, "first_half_b")
-    (rep,), = path_deviations(row, [Permutation(np.arange(n))], [(E12 + E21) / 2])
+    (rep,), = path_deviations(row, [np.arange(n)], [(E12 + E21) / 2])
     gap = abs(float(rep.deviations[-1]) - V_STAR)
     ok = gap < 1e-3
     assert _verdict(3, "ordered two-letter product misses exp(A) by v*", ok, t0,
@@ -90,7 +90,7 @@ def test_criterion_4_randomized_convergence():
     medians = []
     for n in (500, 2000, 8000):
         row = gen_two_letter(n, E12, E21, "first_half_b")
-        sigmas = [Permutation(np.random.default_rng([104, n, trial]).permutation(n))
+        sigmas = [np.random.default_rng([104, n, trial]).permutation(n)
                   for trial in range(101)]
         sups = [rep.sup_dev for rep, in path_deviations(row, sigmas, [row.stats.mean])]
         medians.append(float(np.median(sups)))
@@ -111,8 +111,8 @@ def test_criterion_5_prop_uniform_consistency():
         row = ArrayRow(random_unit_hermitians(n, 2, rng) * scales)
         stats = row.stats
         scheme = BlockScheme(a, b)
-        sigma = Permutation(rng.permutation(n))
-        eps = float(np.max(block_gaps(row, [sigma.order], scheme))) * math.exp(stats.l1)
+        sigma = rng.permutation(n)
+        eps = float(np.max(block_gaps(row, [sigma], scheme))) * math.exp(stats.l1)
         assert (stats.l1**2) * math.exp(stats.l1) <= b / 10
         (path,), = path_deviations(row, [sigma], [stats.mean])
         sup = path.sup_dev
@@ -176,7 +176,7 @@ def test_criterion_7_word_layer():
     import itertools
     counts = {}
     for perm in itertools.permutations(range(4)):
-        w = restrict_word(Permutation(np.array(perm)), 2, 2)
+        w = restrict_word(np.array(perm), 2, 2)
         key = tuple(w.letters.tolist())
         counts[key] = counts.get(key, 0) + 1
     ok = ok and len(counts) == 6 and all(c == 4 for c in counts.values())

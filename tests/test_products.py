@@ -11,7 +11,7 @@ from scipy import stats as sps
 from trotter_shuffle import products
 from trotter_shuffle.evolution import rotation_family, step_family
 from trotter_shuffle.linalg import exp_stack, mat_exp, op_norms
-from trotter_shuffle.products import (BlockScheme, Permutation, block_gaps, choose_blocks,
+from trotter_shuffle.products import (BlockScheme, block_gaps, choose_blocks,
                                       exp_factors, path_deviations, prefix_products,
                                       prop_uniform_bound, reference_path)
 from trotter_shuffle.rows import (ArrayRow, RegimeSpec, gen_repeated, gen_riemann,
@@ -26,21 +26,6 @@ E21 = np.array([[0, 0], [1, 0]], dtype=complex)
 V_STAR = 0.1293935159197811  # ||e^{B/2} e^{C/2} - e^{(B+C)/2}||, 2x2 closed form
 
 
-def test_permutation_validation():
-    Permutation(np.array([2, 0, 1]))
-    with pytest.raises(ValueError):
-        Permutation(np.array([0, 0, 1]))
-    with pytest.raises(ValueError):
-        Permutation(np.array([0, 3, 1]))
-    with pytest.raises(ValueError):
-        Permutation(np.array([-1, 0, 1]))
-    with pytest.raises(ValueError):  # not MemoryError: nothing is allocated by the largest entry
-        Permutation(np.array([0, 2**40]))
-    for bad in (np.array([], dtype=np.int64), np.array([[0, 1], [1, 0]])):
-        with pytest.raises(ValueError, match="non-empty 1-d"):
-            Permutation(bad)
-
-
 @pytest.mark.parametrize("build", [lambda: BlockScheme(0, 4), lambda: BlockScheme(4, 0),
                                    lambda: reference_path(E12, 0)],
                          ids=["block_size_0", "block_count_0", "reference_path_n_0"])
@@ -49,19 +34,19 @@ def test_products_reject_bad_input(build):
         build()
 
 
-def test_uniform_permutation_n1_and_determinism():
+def test_permutation_n1_and_determinism():
     rng = np.random.default_rng(0)
-    assert Permutation(rng.permutation(1)).order.tolist() == [0]
-    a = Permutation(np.random.default_rng(77).permutation(20)).order
-    b = Permutation(np.random.default_rng(77).permutation(20)).order
+    assert rng.permutation(1).tolist() == [0]
+    a = np.random.default_rng(77).permutation(20)
+    b = np.random.default_rng(77).permutation(20)
     assert np.array_equal(a, b)
 
 
-def test_uniform_permutation_chi_square():
+def test_permutation_chi_square():
     rng = np.random.default_rng(2024)
     counts = {}
     for _ in range(60000):
-        key = tuple(Permutation(rng.permutation(3)).order.tolist())
+        key = tuple(rng.permutation(3).tolist())
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 6
     freqs = np.array(list(counts.values())) / 60000
@@ -88,7 +73,7 @@ def test_partial_products_all_permutations_vs_mp_oracle():
     mats = [E12, E12, E21, E21]
     row = gen_two_letter(4, E12, E21, "first_half_b")
     for perm in itertools.permutations(range(4)):
-        prods = prefix_products(exp_factors(row), Permutation(np.array(perm)).order)
+        prods = prefix_products(exp_factors(row), np.array(perm))
         oracle = mp_product_path([mats[p] for p in perm], 4)
         assert svd_norm(prods[-1] - oracle[-1]) < 1e-10
 
@@ -96,16 +81,16 @@ def test_partial_products_all_permutations_vs_mp_oracle():
 def test_partial_products_relabeling_invariance():
     # swapping positions holding identical matrices changes nothing, bit for bit
     row = gen_two_letter(8, E12, E21, "first_half_b")
-    s1 = Permutation(np.array([0, 1, 4, 5, 2, 3, 6, 7]))
-    s2 = Permutation(np.array([1, 0, 5, 4, 3, 2, 7, 6]))  # swaps within letter classes
+    s1 = np.array([0, 1, 4, 5, 2, 3, 6, 7])
+    s2 = np.array([1, 0, 5, 4, 3, 2, 7, 6])  # swaps within letter classes
     factors = exp_factors(row)
-    assert np.array_equal(prefix_products(factors, s1.order), prefix_products(factors, s2.order))
+    assert np.array_equal(prefix_products(factors, s1), prefix_products(factors, s2))
 
 
-def test_partial_products_requires_matching_sizes():
+def test_path_deviations_requires_matching_sizes():
     row = gen_two_letter(4, E12, E21)
     with pytest.raises(ValueError, match="permutation size 6 != row length 4"):
-        next(path_deviations(row, [Permutation(np.arange(6))], [row.stats.mean]))
+        next(path_deviations(row, [np.arange(6)], [row.stats.mean]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -247,7 +232,7 @@ def test_reference_path_vs_mp_oracle(n, d):
 def test_path_deviations_share_one_scan_per_permutation():
     for n in (300, 3000):  # 3001 > the closed-form norm chunk of op_norms
         row = gen_two_letter(n, E12, E21)
-        sigmas = [Permutation(np.random.default_rng(s).permutation(n)) for s in range(3)]
+        sigmas = [np.random.default_rng(s).permutation(n) for s in range(3)]
         targets = [row.stats.mean, np.array([[0, 0.6], [0.4, 0]])]
         reports = list(path_deviations(row, sigmas, targets))
         assert len(reports) == 3
@@ -268,7 +253,7 @@ def test_path_deviations_reused_workspace_keeps_no_state(n, d):
     # n = 49, 50 and 8000 pad the last block with identities, which each scan
     # overwrites; every trial reads the same workspace as a fresh call would
     row = gen_spiked(n, RegimeSpec(regime="large_linf", delta=1.0), np.random.default_rng(n), d=d)
-    a, b = (Permutation(np.random.default_rng(s).permutation(n)) for s in (1, 2))
+    a, b = (np.random.default_rng(s).permutation(n) for s in (1, 2))
     targets = [row.stats.mean, _other_target(d)]
     for sigma, reps in zip([a, b, a], path_deviations(row, [a, b, a], targets), strict=True):
         for fresh, rep in zip(next(path_deviations(row, [sigma], targets)), reps, strict=True):
@@ -282,7 +267,7 @@ def test_path_deviations_reused_workspace_keeps_no_state(n, d):
 ], ids=["two_letter_d2", "spiked_d8"])
 def test_a_trial_allocates_less_than_one_product_stack(row):
     n, d = row.n, row.d
-    sigmas = [Permutation(np.random.default_rng(s).permutation(n)) for s in range(4)]
+    sigmas = [np.random.default_rng(s).permutation(n) for s in range(4)]
     trials = path_deviations(row, sigmas, [row.stats.mean, _other_target(d)])
     tracemalloc.start()
     try:
@@ -376,9 +361,9 @@ def test_the_data_picks_the_dtype():
     assert reference_path(target, n).dtype == np.complex128
     # a complex target against a real row: the difference is complex, and the
     # deviations are those of the all-complex computation
-    sigma = Permutation(np.random.default_rng(3).permutation(n))
+    sigma = np.random.default_rng(3).permutation(n)
     (rep,), = path_deviations(real, [sigma], [target])
-    prods = prefix_products(exp_factors(real).astype(complex), sigma.order)
+    prods = prefix_products(exp_factors(real).astype(complex), sigma)
     want = op_norms((prods - reference_path(target, n))[rep.ks])
     assert rep.deviations.tobytes() == want.tobytes()
 
@@ -421,10 +406,10 @@ def test_products_memory_is_one_pass_not_the_order_count():
 ], ids=["two_letter", "spiked"])
 def test_path_deviations_d3_grid_and_sup_match_all_step_norms(row):
     n = row.n
-    sigma = Permutation(np.random.default_rng(4).permutation(n))
+    sigma = np.random.default_rng(4).permutation(n)
     target = row.stats.mean
     (rep,), = path_deviations(row, [sigma], [target])
-    every = op_norms(prefix_products(exp_factors(row), sigma.order) - reference_path(target, n))
+    every = op_norms(prefix_products(exp_factors(row), sigma) - reference_path(target, n))
     ks = sorted({round(m * n / 100) for m in range(101)})
     assert rep.ks.tolist() == ks and ks[0] == 0 and ks[-1] == n
     assert rep.deviations.tobytes() == every[ks].tobytes()
@@ -448,7 +433,7 @@ def test_path_deviation_constant_row():
     a = random_matrix(np.random.default_rng(5), 2, 1.5)
     n = 200
     row = gen_repeated([a], n)
-    (rep,), = path_deviations(row, [Permutation(np.random.default_rng(6).permutation(n))], [a])
+    (rep,), = path_deviations(row, [np.random.default_rng(6).permutation(n)], [a])
     assert rep.deviations[0] == 0.0
     assert rep.sup_dev <= rep.slack + n * 1e-10 * np.exp(svd_norm(a))
 
@@ -456,7 +441,7 @@ def test_path_deviation_constant_row():
 def test_path_deviation_two_letter_identity_matches_oracle():
     n = 2000
     row = gen_two_letter(n, E12, E21, "first_half_b")
-    (rep,), = path_deviations(row, [Permutation(np.arange(n))], [(E12 + E21) / 2])
+    (rep,), = path_deviations(row, [np.arange(n)], [(E12 + E21) / 2])
     assert abs(rep.deviations[-1] - V_STAR) < 1e-3
 
 
@@ -466,7 +451,7 @@ def test_path_deviation_exhaustive_n4_vs_oracle():
     target = (E12 + E21) / 2
     slack = (nt := float(op_norms(target))) * math.exp(nt) / 4
     perms = list(itertools.permutations(range(4)))
-    sigmas = [Permutation(np.array(perm)) for perm in perms]
+    sigmas = [np.array(perm) for perm in perms]
     got = [rep.sup_dev for rep, in path_deviations(row, sigmas, [target])]
     want = []
     for perm in perms:
@@ -499,14 +484,14 @@ def test_block_gaps_against_resummation():
     n, a = 1000, 50
     elems = np.stack([random_matrix(rng, 2, 1.0) for _ in range(n)])
     row = ArrayRow(elems)
-    sigma = Permutation(rng.permutation(n))
+    sigma = rng.permutation(n)
     scheme = BlockScheme(a, n // a)
     stats = row.stats
     scale = math.exp(stats.l1)
-    worst_mean_gap, worst_norm_gap = (g[0] * scale for g in block_gaps(row, [sigma.order], scheme))
+    worst_mean_gap, worst_norm_gap = (g[0] * scale for g in block_gaps(row, [sigma], scheme))
     mean_gap = norm_gap = 0.0
     for j in range(scheme.b):
-        block = [row.elements[sigma.order[j * a + i]] for i in range(a)]
+        block = [row.elements[sigma[j * a + i]] for i in range(a)]
         bmean = sum(block) / a
         mean_gap = max(mean_gap, svd_norm(bmean - stats.mean) * scale)
         bnorm = sum(svd_norm(m) for m in block) / a
@@ -586,6 +571,12 @@ def test_block_gaps_chunks_equal_per_trial_calls(make):
         block_gaps(row, _orders(row.n, 1, 0), BlockScheme(10, 41))
 
 
+@pytest.mark.parametrize("order", [np.arange(45) % 40, np.arange(36)], ids=["long", "short"])
+def test_block_gaps_requires_matching_sizes(order):
+    with pytest.raises(ValueError, match=f"permutation size {len(order)} != row length 40"):
+        block_gaps(gen_two_letter(40, E12, E21), [order], BlockScheme(6, 6))
+
+
 def test_prop_uniform_bound_values():
     # eps = 0, L1 = ||A_n|| = 1, b = 100: (3/200) * 4 * e
     assert prop_uniform_bound(1.0, 1.0, 0.0, 100) == pytest.approx(0.06 * math.e, rel=1e-12)
@@ -623,6 +614,13 @@ def test_choose_blocks():
         choose_blocks(100, stats, mode="cube_root")
 
 
+def test_choose_blocks_saturates_at_large_l1():
+    # L1 = 400.5: e^{2 L1} overflows a float, but any scale >= n gives a = n // 2
+    stats = gen_two_letter(400, np.array([[0, 800], [0, 0]]), E21).stats
+    for mode in ("probability", "almost_sure"):
+        assert choose_blocks(400, stats, mode=mode) == BlockScheme(200, 2)
+
+
 def test_commuting_row_endpoint_independent_of_sigma():
     rng = np.random.default_rng(10)
     diag = np.stack([np.diag(rng.uniform(-1, 1, size=2)).astype(complex) for _ in range(30)])
@@ -644,7 +642,7 @@ def test_standard_ordering_deviation_bound():
     letters = random_unit_hermitians(a, 2, rng)
     row = gen_repeated(list(letters), n)
     stats = row.stats
-    (rep,), = path_deviations(row, [Permutation(np.arange(n))], [stats.mean])
+    (rep,), = path_deviations(row, [np.arange(n)], [stats.mean])
     assert rep.sup_dev <= 6 * math.e / b + rep.slack + 1e-6
 
 
@@ -657,8 +655,8 @@ def test_block_conditions_imply_uniform_bound():
     row = ArrayRow(elems)
     stats = row.stats
     scheme = choose_blocks(n, stats, mode="sqrt_default")
-    sigma = Permutation(rng.permutation(n))
-    eps = float(np.max(block_gaps(row, [sigma.order], scheme))) * math.exp(stats.l1)
+    sigma = rng.permutation(n)
+    eps = float(np.max(block_gaps(row, [sigma], scheme))) * math.exp(stats.l1)
     assert (stats.l1**2) * math.exp(stats.l1) <= scheme.b / 10
     (path,), = path_deviations(row, [sigma], [stats.mean])
     bound = prop_uniform_bound(stats.l1, float(op_norms(stats.mean)), eps, scheme.b)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trotter_shuffle.linalg import op_norms
-from trotter_shuffle.products import Permutation, exp_factors, prefix_products
+from trotter_shuffle.products import exp_factors, prefix_products
 from trotter_shuffle.rows import ArrayRow, random_unit_hermitians
 from trotter_shuffle.words import (Word, apply_transpositions, prefix_counts,
                                    random_word, restrict_word, standard_word,
@@ -42,20 +42,20 @@ def test_word_validation():
 
 
 def test_restrict_word_identity_gives_standard():
-    sigma = Permutation(np.arange(12))
+    sigma = np.arange(12)
     w = restrict_word(sigma, 3, 4)
     assert np.array_equal(w.letters, standard_word(3, 4).letters)
 
 
 def test_restrict_word_reversal():
-    sigma = Permutation(np.arange(11, -1, -1))
+    sigma = np.arange(11, -1, -1)
     w = restrict_word(sigma, 3, 4)
     assert np.array_equal(w.letters, standard_word(3, 4).letters[::-1])
 
 
 def test_restrict_word_drops_leftovers():
     # n = 6, a*b = 4: positions 4, 5 are dropped during restriction
-    sigma = Permutation(np.array([4, 0, 5, 1, 2, 3]))
+    sigma = np.array([4, 0, 5, 1, 2, 3])
     w = restrict_word(sigma, 2, 2)
     assert np.array_equal(w.letters, [0, 1, 0, 1])
     with pytest.raises(ValueError):
@@ -66,14 +66,14 @@ def test_restrict_word_uniform_from_uniform_permutations():
     # exhaustive: each of the 6 words arises from exactly 4 of the 24 sigmas
     counts = {}
     for perm in itertools.permutations(range(4)):
-        w = restrict_word(Permutation(np.array(perm)), 2, 2)
+        w = restrict_word(np.array(perm), 2, 2)
         counts[tuple(w.letters.tolist())] = counts.get(tuple(w.letters.tolist()), 0) + 1
     assert len(counts) == 6
     assert all(c == 4 for c in counts.values())
     # with leftovers: n = 5, each word from (b!)^a n!/(ab)! = 20 permutations
     counts5 = {}
     for perm in itertools.permutations(range(5)):
-        w = restrict_word(Permutation(np.array(perm)), 2, 2)
+        w = restrict_word(np.array(perm), 2, 2)
         counts5[tuple(w.letters.tolist())] = counts5.get(tuple(w.letters.tolist()), 0) + 1
     assert all(c == 20 for c in counts5.values())
 
@@ -183,8 +183,12 @@ def test_tau_tail_bound_values():
 @pytest.mark.parametrize("call", [lambda: tau_tail_bound(0, 4, 0.5),
                                   lambda: tau_tail_bound(2, 0, 0.5),
                                   lambda: tau_tail_bound(2, 4, 0.0),
-                                  lambda: tau_tail_empirical(2, 4, 0.5, 0, seed=1)],
-                         ids=["bound_a_0", "bound_b_0", "bound_p_0", "empirical_trials_0"])
+                                  lambda: tau_tail_empirical(2, 4, 0.5, 0, seed=1),
+                                  lambda: tau_tail_empirical(0, 4, 0.5, 10, seed=1),
+                                  lambda: tau_tail_empirical(2, 0, 0.5, 10, seed=1),
+                                  lambda: tau_tail_empirical(2, 4, 0.0, 10, seed=1)],
+                         ids=["bound_a_0", "bound_b_0", "bound_p_0", "empirical_trials_0",
+                              "empirical_a_0", "empirical_b_0", "empirical_p_0"])
 def test_tau_tail_rejects_bad_input(call):
     with pytest.raises(ValueError, match="need a, b >= 1 and p > 0|trials must be >= 1"):
         call()
