@@ -95,11 +95,10 @@ def parse_matrix(spec, what: str) -> np.ndarray:
 # generator name -> each key its row builder reads, with its default. A
 # generator with an "fn" key also reads the keys of that family, below.
 GENERATOR_DEFAULTS = {
-    "two_letter": {"b": "e12", "c": "e21", "order": "first_half_b", "unit_bound": False},
-    "repeated": {"letters": ["e12", "e21"], "tail": "identity_fill", "unit_bound": False},
-    "constant": {"matrix": "pauli_x"},
+    "two_letter": {"b": "e12", "c": "e21", "order": "first_half_b"},
+    "repeated": {"letters": ["e12", "e21"]},
     "spiked": {"regime": "large_linf", "delta": 0.1, "alpha": 0.5, "beta": 0.0, "t": 1.0,
-               "linf": None, "remainder": "random_unit", "fixed_direction": False},
+               "linf": None},
     "riemann": {"fn": "step", "mode": "ordered"},
     "multiset": {"a": 5, "b": 8},
     "family": {"fn": "step", "s": 0.0, "t": 1.0, "mode": "permuted"},
@@ -118,11 +117,10 @@ FAMILY_DIMS = {"rotation": 2}
 
 # generator key -> the values its runner accepts
 GENERATOR_VALUES = {
-    "order": ("first_half_b", "interleaved"), "tail": ("identity_fill", "repeat_first"),
-    "mode": ("ordered", "permuted", "iid"), "remainder": ("random_unit", "zero"),
+    "order": ("first_half_b", "interleaved"), "mode": ("ordered", "permuted", "iid"),
     "regime": REGIMES, "fn": tuple(evo.FAMILIES)}
 
-_ROW_GENERATORS = ("two_letter", "repeated", "constant", "spiked", "riemann")
+_ROW_GENERATORS = ("two_letter", "repeated", "spiked", "riemann")
 _TWO_LETTER = {"name": "two_letter", "b": "e12", "c": "e21", "order": "first_half_b"}
 
 # kind -> (generator names it runs, keys it reads beyond the generator's own,
@@ -181,8 +179,6 @@ def _value_error(key: str, value, default) -> str | None:
     """Why value cannot stand for a generator key with this default, or None."""
     if key in GENERATOR_VALUES:
         ok, want = value in GENERATOR_VALUES[key], f"one of {GENERATOR_VALUES[key]}"
-    elif isinstance(default, bool):
-        ok, want = isinstance(value, bool), "true or false"
     elif isinstance(default, int):
         ok, want = _is_int(value) and value >= 1, "a positive integer"
     elif isinstance(default, float) or default is None:
@@ -314,7 +310,7 @@ class ExperimentConfig:
             errors.append(f"eps: must be a positive number when given, got {self.eps!r}")
         if self.sigma_mode not in ("random", "identity"):
             errors.append(f"sigma_mode: {self.sigma_mode!r} is not 'random' or 'identity'")
-        if self.block_mode not in ("sqrt_default", "probability", "almost_sure"):
+        if self.block_mode not in ("sqrt_default", "probability"):
             errors.append(f"block_mode: unknown mode {self.block_mode!r}")
         if not _is_int(self.d) or self.d < 1:
             errors.append(f"d: must be a positive integer, got {self.d}")
@@ -385,14 +381,12 @@ def _build_row(g: dict, n: int, rng: np.random.Generator, d: int) -> ArrayRow:
     name = g["name"]
     if name == "two_letter":
         return gen_two_letter(n, parse_matrix(g["b"], "generator.b"),
-                              parse_matrix(g["c"], "generator.c"), g["order"], g["unit_bound"])
+                              parse_matrix(g["c"], "generator.c"), g["order"])
     if name == "repeated":
         letters = [parse_matrix(m, f"generator.letters[{i}]") for i, m in enumerate(g["letters"])]
-        return gen_repeated(letters, n, g["tail"], g["unit_bound"])
-    if name == "constant":
-        return gen_repeated([parse_matrix(g["matrix"], "generator.matrix")], n)
+        return gen_repeated(letters, n)
     if name == "spiked":
-        return gen_spiked(n, _regime_spec(g), rng, d, g["remainder"], g["fixed_direction"])
+        return gen_spiked(n, _regime_spec(g), rng, d)
     return gen_riemann(_family(g), n, g["mode"], seed=rng)
 
 
@@ -503,6 +497,10 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
                 spiked_parameters(n, _regime_spec(g))
     summary: dict = {}
     records = [dict(zip(COLUMNS[cfg.kind], row)) for row in _RUNNERS[cfg.kind](cfg, summary)]
+    for rec in records:  # exit 0 writes only empty cells and finite numbers
+        for column, value in rec.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ArithmeticError(f"{cfg.kind}: {column} is {value} at n = {rec.get('n')}")
     return ExperimentReport(config=cfg, records=records, summary=summary)
 
 
@@ -525,7 +523,7 @@ def emit(report: ExperimentReport, out_path: str | Path) -> Path:
             writer.writerow(columns)
             writer.writerows([rec[c] for c in columns] for rec in report.records)
         with open(temps[1], "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+            json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
         for final in (path, sidecar):  # os.replace cannot put a file over a directory
             if final.is_dir():

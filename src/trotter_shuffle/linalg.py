@@ -122,7 +122,7 @@ def _series_order(x: float, target: float) -> int:
     term = x
     k = 1
     while True:
-        # remainder <= term_{k+1} / (1 - x/(k+2)), geometric tail bound
+        # sum_{j>k} x^j/j! <= term_{k+1} / (1 - x/(k+2)), geometric tail bound
         nxt = term * x / (k + 1)
         if nxt / (1.0 - x / (k + 2)) <= target:
             return k

@@ -38,19 +38,16 @@ class BlockScheme:
 def choose_blocks(n: int, stats: RowStats, mode: str = "sqrt_default") -> BlockScheme:
     """Pick a block size for a row of length n.
 
-    sqrt_default takes a = ceil(sqrt(n)). The probability mode grows a by the
-    concentration scale L1*Linf*e^{2 L1} so the block tail bound decays; the
-    almost_sure mode adds a log n factor for summability. Always 1 <= a <= n/2.
+    sqrt_default takes a = ceil(sqrt(n)); probability grows a by the concentration
+    scale L1*Linf*e^{2 L1} so the block tail bound decays. Always 1 <= a <= n/2.
     """
     if n < 4:
         raise ValueError("need n >= 4 to form at least two blocks")
     if mode == "sqrt_default":
         a = math.ceil(math.sqrt(n))
-    elif mode in ("probability", "almost_sure"):
+    elif mode == "probability":
         # any scale >= n clamps a to n // 2: saturate instead of overflowing
         scale = max(1.0, stats.l1 * stats.linf * math.exp(min(2.0 * stats.l1, 709.0)))
-        if mode == "almost_sure":
-            scale *= math.log(n)
         a = math.ceil(math.sqrt(min(n * scale, n * n)))
     else:
         raise ValueError(f"unknown block mode {mode!r}")
@@ -218,9 +215,13 @@ def path_deviations(row: ArrayRow, orders, targets):
     runs.
     """
     tgts = [as_matrix(t, "target") for t in targets]
+    try:
+        slacks = [nt * math.exp(nt) / row.n for nt in map(float, map(op_norms, tgts))]
+    except OverflowError:  # e^||A|| past the largest float
+        raise OverflowError(f"path slack ||A|| e^||A|| / n overflows a float at target norm "
+                            f"||A|| = {max(map(op_norms, tgts)):.6g}, n = {row.n}") from None
     factors = exp_factors(row)
     refs = [reference_path(t, row.n) for t in tgts]
-    slacks = [nt * math.exp(nt) / row.n for nt in map(float, map(op_norms, tgts))]
     ks = _freeze(np.array(sorted({round(m * row.n / 100) for m in range(101)})))
     diff = np.empty((row.n + 1, row.d, row.d), dtype=np.result_type(factors, *refs))
     for prods in _blocked(factors, map(_order_of, orders, itertools.repeat(row.n)), row.n, True):

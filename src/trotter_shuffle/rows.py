@@ -96,43 +96,31 @@ class ArrayRow:
         return _freeze(heads[first[order]]), _freeze(np.repeat(np.argsort(order)[inverse], runs))
 
 
-def _alphabet(matrices, unit_bound: bool = False) -> np.ndarray:
-    """The letters as one stack (np.stack rejects letters of different shapes);
-    with unit_bound, divided by their largest operator norm when it is above 1."""
-    alphabet = np.stack([as_matrix(m, "letter") for m in matrices])
-    top = float(op_norms(alphabet).max()) if unit_bound else 0.0
-    return alphabet / top if top > 1.0 else alphabet
+def _alphabet(matrices) -> np.ndarray:
+    """The letters as one stack (np.stack rejects letters of different shapes)."""
+    return np.stack([as_matrix(m, "letter") for m in matrices])
 
 
-def gen_two_letter(n: int, b, c, order: str = "first_half_b",
-                   unit_bound: bool = False) -> ArrayRow:
+def gen_two_letter(n: int, b, c, order: str = "first_half_b") -> ArrayRow:
     """Row with two letters, n/2 copies each, either contiguous or interleaved."""
     if n % 2 != 0 or n < 2:
         raise ValueError(f"n must be a positive even integer, got {n}")
     if order not in ("first_half_b", "interleaved"):
         raise ValueError(f"unknown order {order!r}")
-    pair = _alphabet([b, c], unit_bound)
+    pair = _alphabet([b, c])
     return ArrayRow(np.repeat(pair, n // 2, axis=0) if order == "first_half_b"
                     else np.tile(pair, (n // 2, 1, 1)))
 
 
-def gen_repeated(letters, n: int, tail: str = "identity_fill",
-                 unit_bound: bool = False) -> ArrayRow:
-    """Periodic row: position p < a*b carries letters[p mod a], b = floor(n/a).
-
-    The n - a*b leftover slots are filled with the zero matrix (identity_fill,
-    the exponential factor is then the identity) or with letters[0]
-    (repeat_first).
-    """
-    if tail not in ("identity_fill", "repeat_first"):
-        raise ValueError(f"unknown tail mode {tail!r}")
-    alphabet = _alphabet(letters, unit_bound)
+def gen_repeated(letters, n: int) -> ArrayRow:
+    """Periodic row: position p < a*b carries letters[p mod a], b = floor(n/a), and
+    the n - a*b leftover slots the zero matrix, whose exponential factor is the identity."""
+    alphabet = _alphabet(letters)
     a = len(alphabet)
     if a > n:
         raise ValueError(f"more letters ({a}) than row slots ({n})")
-    fill = a if tail == "identity_fill" else 0  # a: the zero letter appended below
-    alphabet = np.concatenate([alphabet, np.zeros_like(alphabet[:1])])
-    return ArrayRow(alphabet[np.r_[np.tile(np.arange(a), n // a), np.full(n % a, fill)]])
+    alphabet = np.concatenate([alphabet, np.zeros_like(alphabet[:1])])  # letter a: zero
+    return ArrayRow(alphabet[np.r_[np.tile(np.arange(a), n // a), np.full(n % a, a)]])
 
 
 REGIMES = ("prob_regime", "as_regime", "large_linf", "bounded_log", "intermediate")
@@ -229,26 +217,13 @@ def random_unit_hermitians(k: int, d: int, rng: np.random.Generator) -> np.ndarr
     return h / op_norms(h)[:, None, None]
 
 
-def gen_spiked(n: int, spec: RegimeSpec, rng: np.random.Generator, d: int = 2,
-               remainder: str = "random_unit", fixed_direction: bool = False) -> ArrayRow:
-    """Spiked-norm row: k_n spikes of norm linf, the rest bounded by 1.
-
-    Spike directions are random unit-norm Hermitians (or one deterministic
-    direction with fixed_direction); the n - k_n remaining elements are
-    unit-norm random Hermitians or zero matrices per remainder mode.
-    """
-    if remainder not in ("random_unit", "zero"):
-        raise ValueError(f"unknown remainder mode {remainder!r}")
+def gen_spiked(n: int, spec: RegimeSpec, rng: np.random.Generator, d: int = 2) -> ArrayRow:
+    """Spiked-norm row: k_n random unit-norm Hermitians scaled to norm linf, then
+    n - k_n random unit-norm Hermitians, drawn from rng in that order."""
     k, linf = spiked_parameters(n, spec)
-    if fixed_direction:  # diag(1, -1, 1, ...): a real power, exactly +-1
-        direction = np.diag((-1.0) ** np.arange(d)).astype(np.complex128)
-        spikes = np.broadcast_to(direction, (k, d, d)).copy()
-    else:
-        spikes = random_unit_hermitians(k, d, rng)
+    spikes = random_unit_hermitians(k, d, rng)
     spikes *= linf
-    others = (random_unit_hermitians(n - k, d, rng) if remainder == "random_unit"
-              else np.zeros((n - k, d, d), dtype=np.complex128))
-    return ArrayRow(np.concatenate([spikes, others]))
+    return ArrayRow(np.concatenate([spikes, random_unit_hermitians(n - k, d, rng)]))
 
 
 def gen_riemann(fn: Callable[[np.ndarray], np.ndarray], n: int, mode: str = "ordered",

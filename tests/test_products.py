@@ -157,7 +157,7 @@ def _general_rows():
 
 
 def test_letters_are_the_builders_or_the_distinct_elements_by_bytes():
-    row = gen_repeated([E12, E21, E12 + E21], 10, "identity_fill")
+    row = gen_repeated([E12, E21, E12 + E21], 10)
     alphabet, letter_of = row.letters()
     assert alphabet.tobytes() == np.stack([E12, E21, E12 + E21, np.zeros_like(E12)]).tobytes()
     assert letter_of.tolist() == [0, 1, 2, 0, 1, 2, 0, 1, 2, 3]
@@ -204,7 +204,7 @@ def test_builder_letters_given_twice_are_exponentiated_once(monkeypatch):
     exp_factors(row)
     assert stacks == [(1, 2, 2)]
     # first occurrences keep their order; distinct letters are left as given
-    row = gen_repeated([E21, E12, E21, E12 + E21], 8, "identity_fill")
+    row = gen_repeated([E21, E12, E21, E12 + E21], 8)
     alphabet, letter_of = row.letters()
     assert alphabet.tobytes() == np.stack([E21, E12, E12 + E21]).tobytes()
     assert letter_of.tolist() == [0, 1, 0, 2, 0, 1, 0, 2]
@@ -513,8 +513,9 @@ def _gathered(row, orders, scheme):
 @pytest.mark.parametrize("row", [
     gen_two_letter(600, E12, E21, "first_half_b"),
     gen_two_letter(600, E12, E21, "interleaved"),
-    gen_repeated([E12, E21, 2 * np.eye(2), E12 + E21], 603, "identity_fill"),
-    gen_repeated([2 * np.eye(2), E12, -3 * E21], 602, "repeat_first"),
+    gen_repeated([E12, E21, 2 * np.eye(2), E12 + E21], 603),
+    # 200 periods of three letters, then the first letter in the two leftover slots
+    ArrayRow(np.stack([2 * np.eye(2), E12, -3 * E21])[np.r_[np.tile(np.arange(3), 200), 0, 0]]),
 ], ids=["first_half_b", "interleaved", "identity_fill", "repeat_first"])
 @pytest.mark.parametrize("a", [1, 7, 25])
 def test_block_gaps_letter_counts_match_gathered_means_exactly(row, a):
@@ -604,7 +605,7 @@ def test_choose_blocks():
     scheme = choose_blocks(10**6, stats, mode="probability")
     assert scheme.a == math.ceil(math.sqrt(10**6 * math.e**2))
     for n in (10, 100, 5000):
-        for mode in ("sqrt_default", "probability", "almost_sure"):
+        for mode in ("sqrt_default", "probability"):
             s = choose_blocks(n, stats, mode=mode)
             assert 1 <= s.a <= n // 2
             assert s.a * s.b <= n
@@ -617,8 +618,7 @@ def test_choose_blocks():
 def test_choose_blocks_saturates_at_large_l1():
     # L1 = 400.5: e^{2 L1} overflows a float, but any scale >= n gives a = n // 2
     stats = gen_two_letter(400, np.array([[0, 800], [0, 0]]), E21).stats
-    for mode in ("probability", "almost_sure"):
-        assert choose_blocks(400, stats, mode=mode) == BlockScheme(200, 2)
+    assert choose_blocks(400, stats, mode="probability") == BlockScheme(200, 2)
 
 
 def test_commuting_row_endpoint_independent_of_sigma():

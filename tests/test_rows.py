@@ -69,24 +69,6 @@ def test_gen_two_letter_orders():
         gen_two_letter(4, E12, E21, "reversed")
 
 
-def test_gen_repeated_layout_and_tail():
-    row = gen_repeated([E12, E21], 5, tail="repeat_first")
-    assert np.array_equal(row.letters()[1], [0, 1, 0, 1, 0])
-    row = gen_repeated([E12], 7)
-    assert np.array_equal(row.letters()[1], np.zeros(7, dtype=int))
-    row = gen_repeated([E12, E21, np.eye(2)], 10, tail="identity_fill")
-    # first a*b = 9 slots are periodic, leftover slot holds the zero matrix
-    assert np.array_equal(row.letters()[1][:9] % 3, np.arange(9) % 3)
-    assert np.array_equal(row.elements[9], np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        gen_repeated([E12] * 5, 3)
-
-
-def test_gen_repeated_checks_tail_without_leftover_slots():
-    with pytest.raises(ValueError, match="unknown tail mode"):
-        gen_repeated([E12, E21], 4, tail="zeros")
-
-
 @pytest.mark.parametrize("build", [lambda b, c: gen_repeated([b, c], 4), step_family],
                          ids=["repeated", "step_family"])
 def test_letter_builders_reject_mixed_shapes(build):
@@ -103,24 +85,10 @@ def test_gen_repeated_occurrence_counts():
     for i in range(4):
         count = sum(np.array_equal(row.elements[p], letters[i]) for p in range(4 * b))
         assert count == b
-
-
-def test_unit_bound_rescale():
-    row = gen_two_letter(6, 3 * E12, 2 * E21, unit_bound=True)
-    assert row.stats.linf <= 1.0 + 1e-12
-
-
-def test_gen_repeated_unit_bound():
-    rng = np.random.default_rng(5)
-    letters = [random_matrix(rng, 2, 3.0) for _ in range(3)] + [4 * E12]
-    top = float(op_norms(np.stack(letters)).max())
-    row = gen_repeated(letters, 10, unit_bound=True)
-    assert top > 1.0 and row.stats.linf == pytest.approx(1.0, abs=1e-15)
-    assert np.array_equal(row.elements, gen_repeated([m / top for m in letters], 10).elements)
-    # letters already inside the unit ball are kept as they are
-    small = [0.5 * E12, 0.25 * E21]
-    assert np.array_equal(gen_repeated(small, 6, unit_bound=True).elements,
-                          gen_repeated(small, 6).elements)
+    # the n - a*b leftover slots hold the zero matrix
+    assert np.array_equal(row.elements[4 * b:], np.zeros((n - 4 * b, 2, 2)))
+    with pytest.raises(ValueError, match="more letters"):
+        gen_repeated(letters, 3)
 
 
 @settings(max_examples=30, deadline=None)
@@ -278,29 +246,6 @@ def test_gen_spiked_structure():
     # and equal to a direct re-summation of per-element norms
     direct = sum(svd_norm(row.elements[i]) for i in range(n)) / n
     assert stats.l1 == pytest.approx(direct, rel=1e-10)
-
-
-def test_gen_spiked_zero_remainder_and_fixed_direction():
-    rng = np.random.default_rng(4)
-    spec = RegimeSpec("intermediate", alpha=0.5, beta=0.0, t=1.0)
-    row = gen_spiked(1000, spec, rng, remainder="zero", fixed_direction=True)
-    k, linf = spiked_parameters(1000, spec)
-    assert np.array_equal(row.elements[0], linf * np.diag([1.0, -1.0]).astype(complex))
-    assert np.array_equal(row.elements[-1], np.zeros((2, 2)))
-    assert row.stats.l1 == pytest.approx(k * linf / 1000, rel=1e-9)
-    with pytest.raises(ValueError, match="unknown remainder mode"):
-        gen_spiked(1000, spec, rng, remainder="ones")
-
-
-def test_gen_spiked_checks_remainder_before_any_draw():
-    # k_n = n = 40: every element is a spike, so no remainder is ever drawn
-    spec = RegimeSpec("intermediate", alpha=1.0, beta=0.0, t=1.0)
-    assert spiked_parameters(40, spec)[0] == 40
-    rng = np.random.default_rng(5)
-    state = rng.bit_generator.state
-    with pytest.raises(ValueError, match="unknown remainder mode 'bogus'"):
-        gen_spiked(40, spec, rng, remainder="bogus")
-    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("d", [2, 3])
