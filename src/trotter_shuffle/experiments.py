@@ -23,7 +23,7 @@ import numpy as np
 
 from . import evolution as evo
 from .linalg import as_matrix, mat_exp, op_norms
-from .products import BlockScheme, block_gaps, choose_blocks, path_deviations
+from .products import block_gaps, choose_blocks, path_deviations
 from .rows import (REGIMES, ArrayRow, RegimeSpec, gen_repeated, gen_riemann, gen_spiked,
                    gen_two_letter, spiked_parameters)
 from .tails import block_bernstein_bound, eps_grid, lemma_random_bound
@@ -430,15 +430,17 @@ def _run_tail(cfg: ExperimentConfig, summary: dict):
     for n in cfg.n_list:
         row, orders = _cell(cfg, g, n)
         stats = row.stats
-        a = g.get("a")  # validated: None or an integer in [1, min(n_list)]
-        scheme = BlockScheme(a, n // a) if a else choose_blocks(n, stats, mode=cfg.block_mode)
-        grid = eps_grid(stats.l1, floor=cfg.eps if cfg.eps else 0.05).tolist()
-        mean_dev, _ = block_gaps(row, orders, scheme)
+        # generator.a is validated: None or an integer in [1, min(n_list)]
+        a = g.get("a") or choose_blocks(n, stats, mode=cfg.block_mode)
+        floor = cfg.eps or 0.05
+        if not floor < 3.0 * stats.l1:  # eps_grid's range, named with the cell's n
+            raise ValueError(f"tail: eps = {floor} must be below 3 L1 = {3 * stats.l1} at n = {n}")
+        grid = eps_grid(stats.l1, floor=floor).tolist()
+        mean_dev, _ = block_gaps(row, orders, a)
         freqs = [float((mean_dev > e).mean()) for e in grid]
-        for e, freq, bound in zip(grid, freqs, block_bernstein_bound(row, scheme, grid)):
-            yield (n, e, freq, bound, lemma_random_bound(n, scheme.a, scheme.b, e, stats, row.d),
-                   cfg.trials)
-        summary[str(n)] = {"a": scheme.a, "b": scheme.b, "l1": stats.l1,
+        for e, freq, bound in zip(grid, freqs, block_bernstein_bound(row, a, grid)):
+            yield n, e, freq, bound, lemma_random_bound(n, a, e, stats, row.d), cfg.trials
+        summary[str(n)] = {"a": a, "b": n // a, "l1": stats.l1,
                            "linf": stats.linf, "max_freq": max(freqs)}
 
 
@@ -458,11 +460,10 @@ def _run_regime(cfg: ExperimentConfig, summary: dict):
 
 
 def _run_words(cfg: ExperimentConfig, summary: dict):
-    kid = _KIND_ID[cfg.kind]
     g = _merged(cfg.generator)
     a, b = g["a"], g["b"]
-    stats = [word_statistics(random_word(a, b, np.random.default_rng((cfg.seed, kid, trial))))
-             for trial in range(cfg.trials)]
+    keys = ((cfg.seed, _KIND_ID[cfg.kind], trial) for trial in range(cfg.trials))
+    stats = [word_statistics(random_word(a, b, np.random.default_rng(key)), a) for key in keys]
     yield from ((trial, tv, dist, (a * b) ** 2 * tv) for trial, (tv, dist) in enumerate(stats))
     summary.update(tau=_quantiles([tv for tv, _ in stats]), a=a, b=b)
 

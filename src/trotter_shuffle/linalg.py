@@ -43,6 +43,9 @@ def op_norms(batch: np.ndarray) -> np.ndarray:
     """
     batch = kernel_array(batch)
     d = batch.shape[-1]
+    if d > 2 and not np.isfinite(batch).all():  # LAPACK fails on these: each such matrix gets nan
+        bad = ~np.isfinite(batch).all(axis=(-2, -1))
+        return np.where(bad, np.nan, op_norms(np.where(bad[..., None, None], 0, batch)))
     if d > 2:
         return np.linalg.svd(batch.astype(np.complex128, copy=False), compute_uv=False)[..., 0]
     batch = np.ascontiguousarray(batch)

@@ -2,9 +2,9 @@
 
 The central objects: partial products P_k = prod_{i<=k} exp(A_{sigma(i)}/n),
 their sup-deviation from the reference path exp(k A / n) (path_deviations),
-consecutive-block schemes, the worst block-average gaps of the mean and the
-norm under each order (block_gaps), and the deterministic deviation bound that
-gaps within eps, weighted by e^{L1}, imply (prop_uniform_bound).
+the worst block-average gaps of the mean and the norm over the consecutive
+size-a blocks of each order (block_gaps), and the deterministic deviation
+bound that gaps within eps, weighted by e^{L1}, imply (prop_uniform_bound).
 """
 
 from __future__ import annotations
@@ -19,24 +19,8 @@ from .linalg import as_matrix, exp_stack, kernel_array, max_op_norm, op_norms
 from .rows import ArrayRow, RowStats, _freeze
 
 
-@dataclass(frozen=True)
-class BlockScheme:
-    """b consecutive blocks of size a covering the first a*b positions."""
-
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if self.a < 1 or self.b < 1:
-            raise ValueError("block size and count must be >= 1")
-
-    @property
-    def covered(self) -> int:
-        return self.a * self.b
-
-
-def choose_blocks(n: int, stats: RowStats, mode: str = "sqrt_default") -> BlockScheme:
-    """Pick a block size for a row of length n.
+def choose_blocks(n: int, stats: RowStats, mode: str = "sqrt_default") -> int:
+    """Pick the block size a for a row of length n, which b = n // a blocks cover.
 
     sqrt_default takes a = ceil(sqrt(n)); probability grows a by the concentration
     scale L1*Linf*e^{2 L1} so the block tail bound decays. Always 1 <= a <= n/2.
@@ -51,8 +35,14 @@ def choose_blocks(n: int, stats: RowStats, mode: str = "sqrt_default") -> BlockS
         a = math.ceil(math.sqrt(min(n * scale, n * n)))
     else:
         raise ValueError(f"unknown block mode {mode!r}")
-    a = max(1, min(a, n // 2))
-    return BlockScheme(a=a, b=n // a)
+    return max(1, min(a, n // 2))
+
+
+def _block_count(n: int, a: int) -> int:
+    """b = n // a, the consecutive size-a blocks in n positions; needs 1 <= a <= n."""
+    if not 1 <= a <= n:
+        raise ValueError(f"block size a = {a} must be >= 1 and at most n = {n}")
+    return n // a
 
 
 def exp_factors(row: ArrayRow) -> np.ndarray:
@@ -233,21 +223,19 @@ def path_deviations(row: ArrayRow, orders, targets):
 _CHUNK_BLOCKS = 4096  # block means per op_norms call in block_gaps (whole trials, at least one)
 
 
-def block_gaps(row: ArrayRow, orders, scheme: BlockScheme) -> tuple[np.ndarray, np.ndarray]:
+def block_gaps(row: ArrayRow, orders, a: int) -> tuple[np.ndarray, np.ndarray]:
     """Largest ||block mean - A_n|| and largest |block norm-mean - L1| over the
-    b consecutive blocks of the row read in each order (an index array of
-    length n) of the iterable orders; two arrays with one entry per order.
+    b = n // a consecutive size-a blocks of the row read in each order (an index
+    array of length n) of the iterable orders; two arrays with one entry per order.
 
-    Positions past a*b are ignored. Each order is reduced as it arrives to
+    The n % a positions past a*b are ignored. Each order is reduced as it arrives to
     the (b, 2d^2 + 1) block sums of entries and norms, from one table of the
     row's letters and their norms: per-block letter counts (one bincount)
     times the table when there are at most a letters, else an add.reduceat
     of the permuted table rows. The complex sums are divided by a as mean()
     does, and the block means of up to _CHUNK_BLOCKS share one op_norms call.
     """
-    if scheme.covered > row.n:
-        raise ValueError(f"scheme covers {scheme.covered} > n = {row.n}")
-    a, b, d, stats = scheme.a, scheme.b, row.d, row.stats
+    b, d, stats = _block_count(row.n, a), row.d, row.stats
     alphabet, letter_of = row.letters()
     m = len(alphabet)
     table = np.column_stack([alphabet.reshape(m, -1).view(np.float64), op_norms(alphabet)])

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .linalg import op_norms
-from .products import BlockScheme
+from .products import _block_count
 from .rows import ArrayRow, RowStats
 
 
@@ -26,10 +26,9 @@ def bernstein_tail(eps: float, L: float, v: float, d: int) -> float:
     """
     if min(eps, L, v) < 0 or d < 1:
         raise ValueError("eps, L, v must be non-negative and d >= 1")
-    denom = v + L * eps / 3.0
     if eps == 0.0:
         return 2.0 * d
-    if denom == 0.0:
+    if (denom := v + L * eps / 3.0) == 0.0:
         return 0.0
     return min(max(2.0 * d * math.exp(-(eps * eps / 2.0) / denom), 0.0), 2.0 * d)
 
@@ -47,11 +46,12 @@ def variance_proxy(row: ArrayRow, a: int) -> float:
     return v
 
 
-def lemma_random_bound(n: int, a: int, b: int, eps: float, stats: RowStats, d: int) -> float:
+def lemma_random_bound(n: int, a: int, eps: float, stats: RowStats, d: int) -> float:
     """Union tail bound for some block mean straying more than eps from A_n:
-    b * 2d * exp(-(a eps^2 / 12) / (L1 Linf)), valid for eps < 3 L1."""
-    if min(n, a, b) < 1 or d < 1:
-        raise ValueError("n, a, b, d must be >= 1")
+    b * 2d * exp(-(a eps^2 / 12) / (L1 Linf)), b = n // a, valid for eps < 3 L1."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    b = _block_count(n, a)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if not eps < 3.0 * stats.l1:
@@ -59,12 +59,12 @@ def lemma_random_bound(n: int, a: int, b: int, eps: float, stats: RowStats, d: i
     return b * 2.0 * d * math.exp(-(a * eps * eps / 12.0) / (stats.l1 * stats.linf))
 
 
-def block_bernstein_bound(row: ArrayRow, scheme: BlockScheme, eps) -> list[float]:
+def block_bernstein_bound(row: ArrayRow, a: int, eps) -> list[float]:
     """Union-over-blocks Bernstein bound before the L1 Linf simplifications,
-    one per entry of the eps grid: b * tail(a*eps) with summand bound 2 Linf
-    and the row's variance proxy, computed once for the grid."""
-    v, linf = variance_proxy(row, scheme.a), row.stats.linf
-    return [scheme.b * bernstein_tail(scheme.a * e, 2.0 * linf, v, row.d) for e in eps]
+    one per entry of the eps grid: b * tail(a*eps) over the b = n // a blocks,
+    with summand bound 2 Linf and the row's variance proxy, computed once."""
+    b, v, linf = _block_count(row.n, a), variance_proxy(row, a), row.stats.linf
+    return [b * bernstein_tail(a * e, 2.0 * linf, v, row.d) for e in eps]
 
 
 def eps_grid(l1: float, floor: float = 0.05) -> np.ndarray:

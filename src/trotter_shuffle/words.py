@@ -1,58 +1,41 @@
-"""Words over a repeated-letter alphabet: restriction, prefix-count statistics,
+"""Repeated-letter words: restriction, prefix-count statistics,
 and adjacent-transposition distance to the standard periodic word.
 
-A word of shape (a, b) is a sequence of length a*b over letters 0..a-1, each
-appearing exactly b times. The standard word is (0, 1, ..., a-1) repeated b
-times, i.e. the letter at position p is p mod a.
+A word of shape (a, b) is an int64 array of length a*b over letters 0..a-1,
+each appearing exactly b times; the kernels take it with a and read b off its
+length. The standard word is (0, 1, ..., a-1) repeated b times, i.e. the
+letter at position p is p mod a.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .rows import _own
+
+def _multiplicity(letters: np.ndarray, a: int) -> int:
+    """b = len(letters) // a, after checking that letters is a word of shape (a, b)."""
+    if a < 1 or np.ndim(letters) != 1 or not len(letters) or len(letters) % a:
+        raise ValueError(f"word length must be a*b with b >= 1, a = {a}; got {np.shape(letters)}")
+    b = len(letters) // a
+    if letters.min() < 0 or letters.max() >= a or (np.bincount(letters, minlength=a) != b).any():
+        raise ValueError(f"every letter must be in [0, {a}) and appear exactly {b} times")
+    return b
 
 
-@dataclass(frozen=True, eq=False)
-class Word:
-    """letters: (a*b,) indices in [0, a), each occurring exactly b times."""
-
-    letters: np.ndarray
-    alphabet_size: int
-    multiplicity: int
-
-    def __post_init__(self):
-        w = _own(self.letters, np.int64)
-        a, b = self.alphabet_size, self.multiplicity
-        if a < 1 or b < 1 or w.shape != (a * b,):
-            raise ValueError(f"word must have length a*b = {a}*{b}, got shape {w.shape}")
-        if w.min() < 0 or w.max() >= a:
-            raise ValueError("letter indices out of range")
-        if not (np.bincount(w, minlength=a) == b).all():
-            raise ValueError(f"every letter must appear exactly {b} times")
-        w.setflags(write=False)
-        object.__setattr__(self, "letters", w)
-
-    @property
-    def length(self) -> int:
-        return self.alphabet_size * self.multiplicity
+def standard_word(a: int, b: int) -> np.ndarray:
+    return np.tile(np.arange(a), b)
 
 
-def standard_word(a: int, b: int) -> Word:
-    return Word(np.tile(np.arange(a), b), alphabet_size=a, multiplicity=b)
-
-
-def random_word(a: int, b: int, rng: np.random.Generator) -> Word:
+def random_word(a: int, b: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform over all arrangements of the standard multiset."""
-    return Word(rng.permutation(np.tile(np.arange(a), b)), alphabet_size=a, multiplicity=b)
+    return rng.permutation(np.tile(np.arange(a), b))
 
 
-def restrict_word(order: np.ndarray, a: int, b: int) -> Word:
-    """Word induced by a permutation, as an index array, on the periodic row layout.
+def restrict_word(order: np.ndarray, a: int, b: int) -> np.ndarray:
+    """The word a permutation, as an index array, induces on the periodic row layout.
 
     The row is laid out with letter p mod a at position p for p < a*b; scanning
     positions order[0], ..., order[n-1] and keeping those below a*b yields the
@@ -60,8 +43,7 @@ def restrict_word(order: np.ndarray, a: int, b: int) -> Word:
     """
     if a * b > len(order):
         raise ValueError(f"a*b = {a * b} exceeds n = {len(order)}")
-    kept = order[order < a * b]
-    return Word(kept % a, alphabet_size=a, multiplicity=b)
+    return (order[order < a * b] % a).astype(np.int64, copy=False)
 
 
 def prefix_counts(letters: np.ndarray, a: int) -> np.ndarray:
@@ -81,33 +63,35 @@ def _tau(pc: np.ndarray, b: int):
     return ((pc.max(axis=-2) - pc.min(axis=-2)).max(axis=-1) + 1) / b
 
 
-def word_statistics(w: Word) -> tuple[float, int]:
-    """(tau, distance) of w from one prefix-count array: tau = (max prefix-count
-    discrepancy between letters + 1) / b; distance = the adjacent transpositions
-    to the standard word under stable matching of equal letters.
+def word_statistics(letters: np.ndarray, a: int) -> tuple[float, int]:
+    """(tau, distance) of the word letters over [0, a), from one prefix-count
+    array: tau = (max prefix-count discrepancy between letters + 1) / b;
+    distance = the adjacent transpositions to the standard word under stable
+    matching of equal letters.
 
     The distance counts inversions from the prefix counts: the m-th occurrence
     of letter l is outranked by an earlier occurrence of l' when that is the
     m'-th with m' > m, or m' = m and l' > l. With c occurrences of l' so far,
     that makes max(0, c - m - [l' < l]) inversions.
     """
-    pc = prefix_counts(w.letters, w.alphabet_size)
+    b = _multiplicity(letters, a)
+    pc = prefix_counts(letters, a)
     before = pc[:, :-1]
-    m = before[w.letters, np.arange(w.length)]
-    gap = before - m
-    gap -= np.arange(w.alphabet_size)[:, None] < w.letters
-    return float(_tau(pc, w.multiplicity)), int(np.maximum(gap, 0, out=gap).sum())
+    gap = before - before[letters, np.arange(len(letters))]
+    gap -= np.arange(a)[:, None] < letters
+    return float(_tau(pc, b)), int(np.maximum(gap, 0, out=gap).sum())
 
 
-def transpositions_to_standard(w: Word) -> list[int]:
+def transpositions_to_standard(letters: np.ndarray, a: int) -> list[int]:
     """Explicit swap schedule: swapping positions (p, p+1) for each listed p,
-    in order, transforms the word into the standard word. Its length is the
-    distance of word_statistics(w). Insertion sort: O(L^2) time and a list of up to
-    L(L-1)/2 swaps for a word of length L = a*b."""
+    in order, transforms the word letters over [0, a) into the standard word.
+    Its length is the distance of word_statistics(letters, a). Insertion sort:
+    O(L^2) time and a list of up to L(L-1)/2 swaps for a word of length L = a*b."""
+    _multiplicity(letters, a)
     # the rank of each position under the stable matching to the standard word:
     # the m-th occurrence of letter l is destined for slot m*a + l
-    occurrence = prefix_counts(w.letters, w.alphabet_size)[w.letters, np.arange(w.length)]
-    ranks = (occurrence * w.alphabet_size + w.letters).tolist()
+    occurrence = prefix_counts(letters, a)[letters, np.arange(len(letters))]
+    ranks = (occurrence * a + letters).tolist()
     swaps: list[int] = []
     for i in range(1, len(ranks)):
         j = i
@@ -134,8 +118,7 @@ def tau_tail_bound(a: int, b: int, p: float) -> float:
     if p * math.sqrt(b) > b + 1:
         raise ValueError(f"p sqrt(b) = {p * math.sqrt(b):.6g} exceeds b + 1 = {b + 1}")
     m = math.ceil(b - p * math.sqrt(b) + 1)
-    ratio = Fraction(math.comb(2 * b, m), math.comb(2 * b, b))
-    return 2.0 * a * a * float(ratio)
+    return 2.0 * a * a * float(Fraction(math.comb(2 * b, m), math.comb(2 * b, b)))
 
 
 _TRIAL_CHUNK = 4096  # random words drawn per batch in tau_tail_empirical
@@ -148,14 +131,9 @@ def tau_tail_empirical(a: int, b: int, p: float, trials: int, seed: int) -> floa
         raise ValueError("need a, b >= 1 and p > 0")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    base = np.tile(np.arange(a), b)
-    hits = 0
-    done = 0
-    while done < trials:
+    rng, base, hits = np.random.default_rng(seed), np.tile(np.arange(a), b), 0
+    for done in range(0, trials, _TRIAL_CHUNK):
         c = min(_TRIAL_CHUNK, trials - done)
         letters = rng.permuted(np.tile(base, (c, 1)), axis=1)  # row i: the i-th random_word
-        taus = _tau(prefix_counts(letters, a), b)
-        hits += int((taus > p / math.sqrt(b)).sum())
-        done += c
+        hits += int((_tau(prefix_counts(letters, a), b) > p / math.sqrt(b)).sum())
     return hits / trials

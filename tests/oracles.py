@@ -106,15 +106,16 @@ def sequential_products(factors, order) -> np.ndarray:
     return out
 
 
-def gathered_block_gaps(row, order, scheme) -> tuple[float, float]:
-    """Largest ||block mean - A_n|| and |block norm-mean - L1| over the b blocks
-    of one order, by gathering all a*b elements and averaging each block: the
+def gathered_block_gaps(row, order, a) -> tuple[float, float]:
+    """Largest ||block mean - A_n|| and |block norm-mean - L1| over the b = n // a
+    blocks of size a of one order, by gathering all a*b elements and averaging each block: the
     slow path the per-block sums of products.block_gaps replace. It shares
     op_norms with the kernel so that exact sums give bit-identical gaps."""
     from trotter_shuffle.linalg import op_norms
 
-    idx, stats = order[: scheme.covered], row.stats
-    blocks = row.elements[idx].reshape(scheme.b, scheme.a, row.d, row.d)
+    b = row.n // a
+    idx, stats = order[: a * b], row.stats
+    blocks = row.elements[idx].reshape(b, a, row.d, row.d)
     mean_gap = float(op_norms(blocks.mean(axis=1) - stats.mean).max())
-    norms = op_norms(row.elements)[idx].reshape(scheme.b, scheme.a)
+    norms = op_norms(row.elements)[idx].reshape(b, a)
     return mean_gap, float(np.abs(norms.mean(axis=1) - stats.l1).max())

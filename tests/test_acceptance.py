@@ -11,8 +11,7 @@ import numpy as np
 
 from trotter_shuffle.evolution import PropagatorSpec, cocycle_check, propagators, step_family
 from trotter_shuffle.linalg import mat_exp, op_norms
-from trotter_shuffle.products import (BlockScheme, block_gaps, path_deviations,
-                                      prop_uniform_bound)
+from trotter_shuffle.products import block_gaps, path_deviations, prop_uniform_bound
 from trotter_shuffle.rows import (ArrayRow, RegimeSpec, gen_repeated,
                                   gen_spiked, gen_two_letter,
                                   random_unit_hermitians,
@@ -110,9 +109,8 @@ def test_criterion_5_prop_uniform_consistency():
         scales = rng.uniform(0.2, 0.6, size=(n, 1, 1))
         row = ArrayRow(random_unit_hermitians(n, 2, rng) * scales)
         stats = row.stats
-        scheme = BlockScheme(a, b)
         sigma = rng.permutation(n)
-        eps = float(np.max(block_gaps(row, [sigma], scheme))) * math.exp(stats.l1)
+        eps = float(np.max(block_gaps(row, [sigma], a))) * math.exp(stats.l1)
         assert (stats.l1**2) * math.exp(stats.l1) <= b / 10
         (path,), = path_deviations(row, [sigma], [stats.mean])
         sup = path.sup_dev
@@ -134,12 +132,11 @@ def test_criterion_6_tail_domination():
     worst_gap = np.inf
     for idx, row in enumerate(cases):
         stats = row.stats
-        scheme = BlockScheme(a, n // a)
         orders = (np.random.default_rng([106, idx, t]).permutation(n) for t in range(trials))
-        mean_dev, norm_dev = block_gaps(row, orders, scheme)
+        mean_dev, norm_dev = block_gaps(row, orders, a)
         for eps in eps_grid(stats.l1):
             for dev, d in ((mean_dev, row.d), (norm_dev, 1)):
-                bound = lemma_random_bound(n, scheme.a, scheme.b, float(eps), stats, d)
+                bound = lemma_random_bound(n, a, float(eps), stats, d)
                 p = min(1.0, bound)
                 slack = 3 * math.sqrt(p * (1 - p) / trials)
                 freq = float((dev > eps).mean())
@@ -154,18 +151,18 @@ def test_criterion_7_word_layer():
     rng = np.random.default_rng(107)
     a, b = 5, 8
     length = a * b
-    std = standard_word(a, b).letters
+    std = standard_word(a, b)
     ok = True
     for _ in range(1000):
         w = random_word(a, b, rng)
-        _, dist = word_statistics(w)
-        pc = prefix_counts(w.letters, a)
+        _, dist = word_statistics(w, a)
+        pc = prefix_counts(w, a)
         disc = int((pc.max(axis=0) - pc.min(axis=0)).max())
         # distance <= (ab)^2 tau(w), in exact integer arithmetic
         ok = ok and dist * b <= length * length * (disc + 1)
-        swaps = transpositions_to_standard(w)
+        swaps = transpositions_to_standard(w, a)
         ok = ok and len(swaps) == dist
-        ok = ok and np.array_equal(apply_transpositions(w.letters, swaps), std)
+        ok = ok and np.array_equal(apply_transpositions(w, swaps), std)
     # tau tail domination on a 6-point p grid
     trials = 10**5
     for p in (0.75, 1.2, 1.65, 2.1, 2.55, 3.0):
@@ -177,7 +174,7 @@ def test_criterion_7_word_layer():
     counts = {}
     for perm in itertools.permutations(range(4)):
         w = restrict_word(np.array(perm), 2, 2)
-        key = tuple(w.letters.tolist())
+        key = tuple(w.tolist())
         counts[key] = counts.get(key, 0) + 1
     ok = ok and len(counts) == 6 and all(c == 4 for c in counts.values())
     assert _verdict(7, "word statistics, replay, and tau tail bound", ok, t0)

@@ -4,11 +4,14 @@ Configs for every kind are drawn from the generator tables, so a key added to
 or removed from GENERATOR_DEFAULTS, GENERATOR_VALUES or FAMILY_DEFAULTS is
 searched with no edit here. Matrix entries and numbers reach 1e300, where
 norms overflow a float. Whatever the config, the command exits 0, 2 or 3 and
-raises nothing; a config error writes no report; and a report holds only
-empty cells and finite numbers.
+raises nothing; a config error writes no report; a runtime error (exit 3)
+names the n it failed at; and a report holds only empty cells and finite
+numbers.
 """
 
+import contextlib
 import csv
+import io
 import json
 import math
 import tempfile
@@ -103,8 +106,10 @@ def test_config_space(doc):
     with tempfile.TemporaryDirectory() as tmp:
         out, cfg = Path(tmp) / "out.csv", Path(tmp) / "cfg.json"
         cfg.write_text(json.dumps({**doc, "out_path": str(out)}))
-        code = cli.main([doc["kind"], "--config", str(cfg)])
+        with contextlib.redirect_stderr(io.StringIO()) as err:  # Hypothesis rejects capsys
+            code = cli.main([doc["kind"], "--config", str(cfg)])
         assert code in (0, 2, 3)
+        assert code != 3 or "n = " in err.getvalue(), err.getvalue()
         if code != 0:
             assert sorted(p.name for p in Path(tmp).iterdir()) == ["cfg.json"]
             return

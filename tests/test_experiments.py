@@ -675,6 +675,12 @@ def test_cli_runtime_error_exit_3(tmp_path, capsys):
     ("converge-target-800",
      {"kind": "converge", "target": [[800, 0], [0, 0]]},
      "error: path slack ||A|| e^||A|| / n overflows a float at target norm ||A|| = 800, n = 40"),
+    # d = 3: the deviation's norm goes through LAPACK, which fails on a non-finite matrix
+    ("evolution-step-d3-1e300",
+     {"kind": "evolution", "d": 3, "generator": {
+         "name": "family", "fn": "step", "b": [[0.5, -1, -3], [-0.5, 0.25, -0.5], [0, 800, -1e300]],
+         "c": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}},
+     "error: evolution: deviation is nan at n = 40"),
 ]))
 def test_cli_non_finite_output_exit_3(tmp_path, capsys, fields, message):
     cfg = tmp_path / "big.json"
@@ -682,6 +688,17 @@ def test_cli_non_finite_output_exit_3(tmp_path, capsys, fields, message):
     cfg.write_text(json.dumps({"n_list": [40], "trials": 2, "out_path": str(out), **fields}))
     assert main([fields["kind"], "--config", str(cfg)]) == 3
     assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_cli_tail_eps_past_3_l1_exit_3(tmp_path, capsys):
+    # the e12/e21 row has L1 = 1, and the eps grid covers [eps, 3 L1)
+    cfg = tmp_path / "tail.json"
+    out = tmp_path / "t.csv"
+    cfg.write_text(json.dumps({"kind": "tail", "n_list": [40], "trials": 2, "eps": 4.0,
+                               "out_path": str(out)}))
+    assert main(["tail", "--config", str(cfg)]) == 3
+    assert "error: tail: eps = 4.0 must be below 3 L1 = 3.0 at n = 40" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [cfg]
 
 

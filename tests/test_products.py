@@ -11,8 +11,8 @@ from scipy import stats as sps
 from trotter_shuffle import products
 from trotter_shuffle.evolution import rotation_family, step_family
 from trotter_shuffle.linalg import exp_stack, mat_exp, op_norms
-from trotter_shuffle.products import (BlockScheme, block_gaps, choose_blocks,
-                                      exp_factors, path_deviations, prefix_products,
+from trotter_shuffle.products import (block_gaps, choose_blocks, exp_factors,
+                                      path_deviations, prefix_products,
                                       prop_uniform_bound, reference_path)
 from trotter_shuffle.rows import (ArrayRow, RegimeSpec, gen_repeated, gen_riemann,
                                   gen_spiked, gen_two_letter, random_unit_hermitians)
@@ -26,7 +26,9 @@ E21 = np.array([[0, 0], [1, 0]], dtype=complex)
 V_STAR = 0.1293935159197811  # ||e^{B/2} e^{C/2} - e^{(B+C)/2}||, 2x2 closed form
 
 
-@pytest.mark.parametrize("build", [lambda: BlockScheme(0, 4), lambda: BlockScheme(4, 0),
+# a block count b = n // a of 0 is a block size past n
+@pytest.mark.parametrize("build", [lambda: block_gaps(ArrayRow(np.zeros((4, 2, 2))), [], 0),
+                                   lambda: block_gaps(ArrayRow(np.zeros((3, 2, 2))), [], 4),
                                    lambda: reference_path(E12, 0)],
                          ids=["block_size_0", "block_count_0", "reference_path_n_0"])
 def test_products_reject_bad_input(build):
@@ -55,13 +57,13 @@ def test_permutation_chi_square():
     assert sps.chi2.sf(chi2, df=5) > 0.001
 
 
-def test_partial_products_zero_row():
+def test_prefix_products_zero_row():
     row = ArrayRow(np.zeros((6, 2, 2)))
     prods = prefix_products(exp_factors(row), np.arange(6))
     assert np.allclose(prods, np.eye(2), atol=1e-15)
 
 
-def test_partial_products_constant_row():
+def test_prefix_products_constant_row():
     a = random_matrix(np.random.default_rng(1), 2, 2.0)
     n = 40
     row = gen_repeated([a], n)
@@ -69,7 +71,7 @@ def test_partial_products_constant_row():
     assert svd_norm(prods[-1] - mat_exp(a)) <= n * 1e-12 * np.exp(svd_norm(a))
 
 
-def test_partial_products_all_permutations_vs_mp_oracle():
+def test_prefix_products_all_permutations_vs_mp_oracle():
     mats = [E12, E12, E21, E21]
     row = gen_two_letter(4, E12, E21, "first_half_b")
     for perm in itertools.permutations(range(4)):
@@ -78,7 +80,7 @@ def test_partial_products_all_permutations_vs_mp_oracle():
         assert svd_norm(prods[-1] - oracle[-1]) < 1e-10
 
 
-def test_partial_products_relabeling_invariance():
+def test_prefix_products_relabeling_invariance():
     # swapping positions holding identical matrices changes nothing, bit for bit
     row = gen_two_letter(8, E12, E21, "first_half_b")
     s1 = np.array([0, 1, 4, 5, 2, 3, 6, 7])
@@ -429,7 +431,7 @@ def test_reference_path():
         assert svd_norm(path[k] - mat_exp(a * (k / n))) <= bound
 
 
-def test_path_deviation_constant_row():
+def test_path_deviations_constant_row():
     a = random_matrix(np.random.default_rng(5), 2, 1.5)
     n = 200
     row = gen_repeated([a], n)
@@ -438,14 +440,14 @@ def test_path_deviation_constant_row():
     assert rep.sup_dev <= rep.slack + n * 1e-10 * np.exp(svd_norm(a))
 
 
-def test_path_deviation_two_letter_identity_matches_oracle():
+def test_path_deviations_two_letter_identity_matches_oracle():
     n = 2000
     row = gen_two_letter(n, E12, E21, "first_half_b")
     (rep,), = path_deviations(row, [np.arange(n)], [(E12 + E21) / 2])
     assert abs(rep.deviations[-1] - V_STAR) < 1e-3
 
 
-def test_path_deviation_exhaustive_n4_vs_oracle():
+def test_path_deviations_exhaustive_n4_vs_oracle():
     mats = [E12, E12, E21, E21]
     row = gen_two_letter(4, E12, E21, "first_half_b")
     target = (E12 + E21) / 2
@@ -467,7 +469,7 @@ def test_block_gaps_standard_layout_exact_zero():
     # power-of-two sizes make the block and row means bit-identical
     letters = [E12, E21, E12 + E21, np.eye(2, dtype=complex)]
     row = gen_repeated(letters, 32)
-    mean_gap, norm_gap = block_gaps(row, [np.arange(32)], BlockScheme(4, 8))
+    mean_gap, norm_gap = block_gaps(row, [np.arange(32)], 4)
     assert mean_gap[0] == 0.0
     assert norm_gap[0] == 0.0
 
@@ -476,7 +478,7 @@ def test_block_gaps_constant_row():
     a = random_matrix(np.random.default_rng(7), 2, 1.0)
     row = gen_repeated([a], 24)
     order = np.random.default_rng(8).permutation(24)
-    assert np.max(block_gaps(row, [order], BlockScheme(4, 6))) * math.exp(row.stats.l1) <= 1e-12
+    assert np.max(block_gaps(row, [order], 4)) * math.exp(row.stats.l1) <= 1e-12
 
 
 def test_block_gaps_against_resummation():
@@ -485,12 +487,11 @@ def test_block_gaps_against_resummation():
     elems = np.stack([random_matrix(rng, 2, 1.0) for _ in range(n)])
     row = ArrayRow(elems)
     sigma = rng.permutation(n)
-    scheme = BlockScheme(a, n // a)
     stats = row.stats
     scale = math.exp(stats.l1)
-    worst_mean_gap, worst_norm_gap = (g[0] * scale for g in block_gaps(row, [sigma], scheme))
+    worst_mean_gap, worst_norm_gap = (g[0] * scale for g in block_gaps(row, [sigma], a))
     mean_gap = norm_gap = 0.0
-    for j in range(scheme.b):
+    for j in range(n // a):
         block = [row.elements[sigma[j * a + i]] for i in range(a)]
         bmean = sum(block) / a
         mean_gap = max(mean_gap, svd_norm(bmean - stats.mean) * scale)
@@ -504,25 +505,25 @@ def _orders(n, trials, seed):
     return [np.random.default_rng([seed, t]).permutation(n) for t in range(trials)]
 
 
-def _gathered(row, orders, scheme):
-    return np.array([gathered_block_gaps(row, o, scheme) for o in orders]).T
+def _gathered(row, orders, a):
+    return np.array([gathered_block_gaps(row, o, a) for o in orders]).T
 
 
 # Integer entries and integer letter norms make every block sum exact in both
 # paths, so the letter counts must reproduce the gathered means bit for bit.
+# Row lengths are not multiples of 7 or 25, so a*b < n leaves an ignored tail.
 @pytest.mark.parametrize("row", [
-    gen_two_letter(600, E12, E21, "first_half_b"),
-    gen_two_letter(600, E12, E21, "interleaved"),
+    gen_two_letter(604, E12, E21, "first_half_b"),
+    gen_two_letter(604, E12, E21, "interleaved"),
     gen_repeated([E12, E21, 2 * np.eye(2), E12 + E21], 603),
-    # 200 periods of three letters, then the first letter in the two leftover slots
-    ArrayRow(np.stack([2 * np.eye(2), E12, -3 * E21])[np.r_[np.tile(np.arange(3), 200), 0, 0]]),
+    # 201 periods of three letters, then the first letter in the two leftover slots
+    ArrayRow(np.stack([2 * np.eye(2), E12, -3 * E21])[np.r_[np.tile(np.arange(3), 201), 0, 0]]),
 ], ids=["first_half_b", "interleaved", "identity_fill", "repeat_first"])
 @pytest.mark.parametrize("a", [1, 7, 25])
 def test_block_gaps_letter_counts_match_gathered_means_exactly(row, a):
-    scheme = BlockScheme(a, row.n // a - 1)  # a*b < n leaves an ignored tail
     orders = _orders(row.n, 40, a)
-    got = block_gaps(row, orders, scheme)
-    want = _gathered(row, orders, scheme)
+    got = block_gaps(row, orders, a)
+    want = _gathered(row, orders, a)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
@@ -547,10 +548,9 @@ def _spiked(n):
 def test_block_gaps_match_gathered_means_to_roundoff(make):
     row = make(1200)
     stats = row.stats
-    scheme = BlockScheme(30, 40)
     orders = _orders(row.n, 60, 2)
-    got = block_gaps(row, orders, scheme)
-    want = _gathered(row, orders, scheme)
+    got = block_gaps(row, orders, 30)
+    want = _gathered(row, orders, 30)
     tol = 4 * (np.finfo(float).eps / 2) * stats.linf
     assert np.abs(got[0] - want[0]).max() <= tol
     assert np.abs(got[1] - want[1]).max() <= tol
@@ -559,23 +559,22 @@ def test_block_gaps_match_gathered_means_to_roundoff(make):
 @pytest.mark.parametrize("make", [_complex_letters, _spiked])
 def test_block_gaps_chunks_equal_per_trial_calls(make):
     row = make(400)
-    scheme = BlockScheme(10, 40)
-    chunk = products._CHUNK_BLOCKS // scheme.b
+    chunk = products._CHUNK_BLOCKS // (row.n // 10)
     for trials in (1, chunk, chunk + 1, 2 * chunk + 3):
         orders = _orders(row.n, trials, trials)
-        got = block_gaps(row, iter(orders), scheme)
-        one = [block_gaps(row, [o], scheme) for o in orders]
+        got = block_gaps(row, iter(orders), 10)
+        one = [block_gaps(row, [o], 10) for o in orders]
         assert got[0].shape == got[1].shape == (trials,)
         assert np.array_equal(got[0], np.concatenate([m for m, _ in one]))
         assert np.array_equal(got[1], np.concatenate([g for _, g in one]))
-    with pytest.raises(ValueError, match="covers 410 > n = 400"):
-        block_gaps(row, _orders(row.n, 1, 0), BlockScheme(10, 41))
+    with pytest.raises(ValueError, match="block size a = 410 must be >= 1 and at most n = 400"):
+        block_gaps(row, _orders(row.n, 1, 0), 410)
 
 
 @pytest.mark.parametrize("order", [np.arange(45) % 40, np.arange(36)], ids=["long", "short"])
 def test_block_gaps_requires_matching_sizes(order):
     with pytest.raises(ValueError, match=f"permutation size {len(order)} != row length 40"):
-        block_gaps(gen_two_letter(40, E12, E21), [order], BlockScheme(6, 6))
+        block_gaps(gen_two_letter(40, E12, E21), [order], 6)
 
 
 def test_prop_uniform_bound_values():
@@ -600,15 +599,15 @@ def test_prop_uniform_bound_values():
 
 def test_choose_blocks():
     stats = gen_two_letter(10, E12, E21).stats
-    scheme = choose_blocks(10000, stats, mode="sqrt_default")
-    assert (scheme.a, scheme.b) == (100, 100)
-    scheme = choose_blocks(10**6, stats, mode="probability")
-    assert scheme.a == math.ceil(math.sqrt(10**6 * math.e**2))
+    a = choose_blocks(10000, stats, mode="sqrt_default")
+    assert (a, 10000 // a) == (100, 100)
+    a = choose_blocks(10**6, stats, mode="probability")
+    assert a == math.ceil(math.sqrt(10**6 * math.e**2))
     for n in (10, 100, 5000):
         for mode in ("sqrt_default", "probability"):
-            s = choose_blocks(n, stats, mode=mode)
-            assert 1 <= s.a <= n // 2
-            assert s.a * s.b <= n
+            a = choose_blocks(n, stats, mode=mode)
+            assert 1 <= a <= n // 2
+            assert a * (n // a) <= n
     with pytest.raises(ValueError):
         choose_blocks(3, stats)
     with pytest.raises(ValueError, match="unknown block mode"):
@@ -618,7 +617,7 @@ def test_choose_blocks():
 def test_choose_blocks_saturates_at_large_l1():
     # L1 = 400.5: e^{2 L1} overflows a float, but any scale >= n gives a = n // 2
     stats = gen_two_letter(400, np.array([[0, 800], [0, 0]]), E21).stats
-    assert choose_blocks(400, stats, mode="probability") == BlockScheme(200, 2)
+    assert choose_blocks(400, stats, mode="probability") == 200
 
 
 def test_commuting_row_endpoint_independent_of_sigma():
@@ -654,10 +653,10 @@ def test_block_conditions_imply_uniform_bound():
     elems = random_unit_hermitians(n, 2, rng) * rng.uniform(0.2, 0.5, size=(n, 1, 1))
     row = ArrayRow(elems)
     stats = row.stats
-    scheme = choose_blocks(n, stats, mode="sqrt_default")
+    a = choose_blocks(n, stats, mode="sqrt_default")
     sigma = rng.permutation(n)
-    eps = float(np.max(block_gaps(row, [sigma], scheme))) * math.exp(stats.l1)
-    assert (stats.l1**2) * math.exp(stats.l1) <= scheme.b / 10
+    eps = float(np.max(block_gaps(row, [sigma], a))) * math.exp(stats.l1)
+    assert (stats.l1**2) * math.exp(stats.l1) <= (n // a) / 10
     (path,), = path_deviations(row, [sigma], [stats.mean])
-    bound = prop_uniform_bound(stats.l1, float(op_norms(stats.mean)), eps, scheme.b)
+    bound = prop_uniform_bound(stats.l1, float(op_norms(stats.mean)), eps, n // a)
     assert path.sup_dev <= bound + 1e-6

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from trotter_shuffle import rows
 from trotter_shuffle.evolution import step_family
 from trotter_shuffle.linalg import op_norms
-from trotter_shuffle.products import BlockScheme, block_gaps, exp_factors
+from trotter_shuffle.products import block_gaps, exp_factors
 from trotter_shuffle.rows import (ArrayRow, InfeasibleRegimeError, RegimeSpec,
                                   gen_repeated, gen_riemann, gen_spiked, gen_two_letter,
                                   spiked_parameters)
@@ -143,7 +143,7 @@ def test_letters_come_from_one_cached_read_only_index(monkeypatch):
             with pytest.raises(ValueError):
                 index[0] = 1
         row.stats, exp_factors(row), variance_proxy(row, 10)
-        block_gaps(row, [np.arange(row.n)], BlockScheme(10, row.n // 10))
+        block_gaps(row, [np.arange(row.n)], 10)
         assert len(calls) == 1  # the letter search ran once for this row
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trotter_shuffle.products import BlockScheme, block_gaps
+from trotter_shuffle.products import block_gaps
 from trotter_shuffle.rows import ArrayRow, gen_two_letter
 from trotter_shuffle.tails import (bernstein_tail, block_bernstein_bound, eps_grid,
                                    lemma_random_bound, variance_proxy)
@@ -84,21 +84,21 @@ def test_variance_proxy_cap_and_linearity():
 
 def test_lemma_random_bound_values_and_errors():
     stats = gen_two_letter(10, E12, E21).stats
-    val = lemma_random_bound(10**4, 100, 100, 1.0, stats, 2)
+    val = lemma_random_bound(10**4, 100, 1.0, stats, 2)
     assert val == pytest.approx(400 * math.exp(-100 / 12), rel=1e-12)
     # eps -> 0+ gives the vacuous b*2d
-    assert lemma_random_bound(10**4, 100, 100, 1e-12, stats, 2) == pytest.approx(400.0)
+    assert lemma_random_bound(10**4, 100, 1e-12, stats, 2) == pytest.approx(400.0)
     # monotone decreasing in a
-    assert lemma_random_bound(10**4, 200, 100, 1.0, stats, 2) < val
+    assert lemma_random_bound(10**4, 200, 1.0, stats, 2) < val
     with pytest.raises(ValueError, match="3 L1"):
-        lemma_random_bound(10**4, 100, 100, 3.0, stats, 2)
-    for n, a, b, d in ((0, 100, 100, 2), (10**4, 0, 100, 2), (10**4, 100, 0, 2),
-                       (10**4, 100, 100, 0)):
+        lemma_random_bound(10**4, 100, 3.0, stats, 2)
+    # b = n // a = 0 when a > n
+    for n, a, d in ((0, 100, 2), (10**4, 0, 2), (99, 100, 2), (10**4, 100, 0)):
         with pytest.raises(ValueError, match="must be >= 1"):
-            lemma_random_bound(n, a, b, 1.0, stats, d)
+            lemma_random_bound(n, a, 1.0, stats, d)
     for eps in (0.0, -1.0):
         with pytest.raises(ValueError, match="eps must be positive"):
-            lemma_random_bound(10**4, 100, 100, eps, stats, 2)
+            lemma_random_bound(10**4, 100, eps, stats, 2)
 
 
 @pytest.mark.parametrize("a", [-1, 41])
@@ -107,13 +107,25 @@ def test_variance_proxy_rejects_a_block_size_outside_0_n(a):
         variance_proxy(gen_two_letter(40, E12, E21), a)
 
 
+# b = n // a blocks of size a: a < 1 and b < 1 (a > n) are refused by every block kernel
+@pytest.mark.parametrize("kernel", [
+    lambda row, a: block_gaps(row, [np.arange(row.n)], a),
+    lambda row, a: block_bernstein_bound(row, a, [0.1]),
+    lambda row, a: lemma_random_bound(row.n, a, 0.1, row.stats, row.d),
+], ids=["block_gaps", "block_bernstein_bound", "lemma_random_bound"])
+@pytest.mark.parametrize("a", [-1, 0, 41], ids=["a_negative", "a_0", "b_0"])
+def test_block_kernels_reject_a_outside_1_n(kernel, a):
+    with pytest.raises(ValueError, match=f"block size a = {a} must be >= 1 and at most n = 40"):
+        kernel(gen_two_letter(40, E12, E21), a)
+
+
 def test_empirical_block_tail_constant_row():
     # every block of a constant row averages to the row mean and the row norm,
     # up to the roundoff of the two means
     a = random_matrix(np.random.default_rng(6), 2, 1.0)
     row = ArrayRow(np.stack([a] * 40))
     orders = (np.random.default_rng([1, t]).permutation(40) for t in range(50))
-    mean_dev, norm_dev = block_gaps(row, orders, BlockScheme(10, 4))
+    mean_dev, norm_dev = block_gaps(row, orders, 10)
     assert mean_dev.max() <= 1e-12 and norm_dev.max() <= 1e-12
 
 
@@ -121,7 +133,7 @@ def test_empirical_block_tail_eps_above_2linf():
     # a block mean and the row mean both have norm <= Linf, so no gap exceeds 2 Linf
     row = gen_two_letter(40, E12, E21)
     orders = (np.random.default_rng([2, t]).permutation(40) for t in range(200))
-    mean_dev, norm_dev = block_gaps(row, orders, BlockScheme(10, 4))
+    mean_dev, norm_dev = block_gaps(row, orders, 10)
     linf = row.stats.linf
     assert mean_dev.max() <= 2 * linf and norm_dev.max() <= 2 * linf
 
@@ -130,7 +142,7 @@ def test_empirical_block_tail_scalar_enumeration_n2():
     # d = 1 row (0, 2): the single block always averages to the mean
     row = ArrayRow(np.array([[[0.0]], [[2.0]]], dtype=complex))
     orders = (np.random.default_rng([3, t]).permutation(2) for t in range(10**4))
-    mean_dev, norm_dev = block_gaps(row, orders, BlockScheme(2, 1))
+    mean_dev, norm_dev = block_gaps(row, orders, 2)
     assert (mean_dev > 0.5).mean() == 0.0  # exact: both permutations give gap 0
     assert (norm_dev > 0.5).mean() == 0.0
 
@@ -139,7 +151,6 @@ def test_empirical_block_tail_scalar_enumeration_n4():
     # d = 1 row (0, 0, 2, 2) with two blocks of two; enumerate all 24 sigmas
     vals = np.array([0.0, 0.0, 2.0, 2.0])
     row = ArrayRow(vals.reshape(4, 1, 1).astype(complex))
-    scheme = BlockScheme(2, 2)
     eps = 0.5
     mean = 1.0
     violate = 0
@@ -149,22 +160,21 @@ def test_empirical_block_tail_scalar_enumeration_n4():
             violate += 1
     exact = violate / 24
     orders = (np.random.default_rng([4, t]).permutation(4) for t in range(10**4))
-    mean_dev, norm_dev = block_gaps(row, orders, scheme)
+    mean_dev, norm_dev = block_gaps(row, orders, 2)
     assert abs((mean_dev > eps).mean() - exact) < 0.02
     assert abs((norm_dev > eps).mean() - exact) < 0.02  # norms equal values here
 
 
 def test_block_gaps_deterministic_and_thresholding():
     row = gen_two_letter(100, E12, E21)
-    scheme = BlockScheme(10, 10)
     m1, n1 = block_gaps(row, (np.random.default_rng([9, t]).permutation(100)
-                              for t in range(25)), scheme)
+                              for t in range(25)), 10)
     m2, n2 = block_gaps(row, (np.random.default_rng([9, t]).permutation(100)
-                              for t in range(25)), scheme)
+                              for t in range(25)), 10)
     assert np.array_equal(m1, m2) and np.array_equal(n1, n2)
     # each order's gaps depend on that order alone, whatever the length of the stream
     m3, n3 = block_gaps(row, (np.random.default_rng([9, t]).permutation(100)
-                              for t in range(5)), scheme)
+                              for t in range(5)), 10)
     assert np.array_equal(m3, m1[:5]) and np.array_equal(n3, n1[:5])
 
 
@@ -173,28 +183,26 @@ def test_domination_small_scale():
     rng = np.random.default_rng(10)
     row = gen_two_letter(400, E12, E21)
     stats = row.stats
-    scheme = BlockScheme(20, 20)
     trials = 2000
     orders = (np.random.default_rng([11, t]).permutation(400) for t in range(trials))
-    mean_dev, norm_dev = block_gaps(row, orders, scheme)
+    mean_dev, norm_dev = block_gaps(row, orders, 20)
     for eps in eps_grid(stats.l1):
-        bound = lemma_random_bound(400, 20, 20, float(eps), stats, 2)
+        bound = lemma_random_bound(400, 20, float(eps), stats, 2)
         p = min(1.0, bound)
         slack = 3 * math.sqrt(p * (1 - p) / trials)
         assert (mean_dev > eps).mean() <= p + slack
         assert (norm_dev > eps).mean() <= min(1.0, lemma_random_bound(
-            400, 20, 20, float(eps), stats, 1)) + slack
+            400, 20, float(eps), stats, 1)) + slack
     del rng
 
 
 def test_block_bernstein_bound_grid_equals_scalar_formula():
     rng = np.random.default_rng(12)
     row = ArrayRow(np.stack([random_matrix(rng, 2, 1.0) for _ in range(400)]))
-    scheme = BlockScheme(25, 16)
     grid = eps_grid(row.stats.l1)
     v = variance_proxy(row, 25)
     want = [16 * bernstein_tail(25 * e, 2 * row.stats.linf, v, 2) for e in grid]
-    assert block_bernstein_bound(row, scheme, grid) == want
+    assert block_bernstein_bound(row, 25, grid) == want
 
 
 def test_eps_grid():

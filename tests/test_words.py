@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from trotter_shuffle.linalg import op_norms
 from trotter_shuffle.products import exp_factors, prefix_products
 from trotter_shuffle.rows import ArrayRow, random_unit_hermitians
-from trotter_shuffle.words import (Word, apply_transpositions, prefix_counts,
+from trotter_shuffle.words import (apply_transpositions, prefix_counts,
                                    random_word, restrict_word, standard_word,
                                    tau_tail_bound, tau_tail_empirical,
                                    transpositions_to_standard, word_statistics)
@@ -20,44 +20,63 @@ def brute_inversions(ranks):
                if ranks[i] > ranks[j])
 
 
-def brute_distance(w: Word) -> int:
+def brute_distance(w: np.ndarray, a: int) -> int:
     # pairwise-comparison inversion count of the stable-matching ranks
     seen = {}
     ranks = []
-    for letter in w.letters.tolist():
+    for letter in w.tolist():
         m = seen.get(letter, 0)
         seen[letter] = m + 1
-        ranks.append(m * w.alphabet_size + letter)
+        ranks.append(m * a + letter)
     return brute_inversions(ranks)
 
 
 def test_word_validation():
-    with pytest.raises(ValueError):
-        Word(np.array([0, 0, 1]), alphabet_size=2, multiplicity=2)
-    with pytest.raises(ValueError):
-        Word(np.array([0, 0, 1, 2]), alphabet_size=2, multiplicity=2)
-    with pytest.raises(ValueError, match="exactly 2 times"):
-        Word(np.array([0, 0, 0, 1]), alphabet_size=2, multiplicity=2)
-    Word(np.array([1, 0, 0, 1]), alphabet_size=2, multiplicity=2)
+    for kernel in (word_statistics, transpositions_to_standard):
+        with pytest.raises(ValueError):
+            kernel(np.array([0, 0, 1]), 2)
+        with pytest.raises(ValueError):
+            kernel(np.array([0, 0, 1, 2]), 2)
+        with pytest.raises(ValueError, match="exactly 2 times"):
+            kernel(np.array([0, 0, 0, 1]), 2)
+        kernel(np.array([1, 0, 0, 1]), 2)
+
+
+# one case per condition of a word of shape (a, b), checked by both word kernels
+@pytest.mark.parametrize("kernel", [word_statistics, transpositions_to_standard],
+                         ids=["statistics", "transpositions"])
+@pytest.mark.parametrize("letters, a, match", [
+    ([0, 1], 0, "length must be a\\*b"),
+    ([], 2, "length must be a\\*b"),
+    ([[0, 1], [1, 0]], 2, "length must be a\\*b"),
+    ([0, 1, 0], 2, "length must be a\\*b"),
+    ([0, 1, -1, 0], 2, "in \\[0, 2\\)"),
+    ([0, 1, 2, 0], 2, "in \\[0, 2\\)"),
+    ([0, 0, 0, 1], 2, "exactly 2 times"),
+], ids=["a_0", "b_0", "two_d", "length_not_a_multiple", "negative_letter", "letter_past_a",
+        "letter_count"])
+def test_word_kernels_reject_what_is_not_a_word(kernel, letters, a, match):
+    with pytest.raises(ValueError, match=match):
+        kernel(np.array(letters, dtype=np.int64), a)
 
 
 def test_restrict_word_identity_gives_standard():
     sigma = np.arange(12)
     w = restrict_word(sigma, 3, 4)
-    assert np.array_equal(w.letters, standard_word(3, 4).letters)
+    assert np.array_equal(w, standard_word(3, 4))
 
 
 def test_restrict_word_reversal():
     sigma = np.arange(11, -1, -1)
     w = restrict_word(sigma, 3, 4)
-    assert np.array_equal(w.letters, standard_word(3, 4).letters[::-1])
+    assert np.array_equal(w, standard_word(3, 4)[::-1])
 
 
 def test_restrict_word_drops_leftovers():
     # n = 6, a*b = 4: positions 4, 5 are dropped during restriction
     sigma = np.array([4, 0, 5, 1, 2, 3])
     w = restrict_word(sigma, 2, 2)
-    assert np.array_equal(w.letters, [0, 1, 0, 1])
+    assert np.array_equal(w, [0, 1, 0, 1])
     with pytest.raises(ValueError):
         restrict_word(sigma, 3, 3)
 
@@ -67,19 +86,19 @@ def test_restrict_word_uniform_from_uniform_permutations():
     counts = {}
     for perm in itertools.permutations(range(4)):
         w = restrict_word(np.array(perm), 2, 2)
-        counts[tuple(w.letters.tolist())] = counts.get(tuple(w.letters.tolist()), 0) + 1
+        counts[tuple(w.tolist())] = counts.get(tuple(w.tolist()), 0) + 1
     assert len(counts) == 6
     assert all(c == 4 for c in counts.values())
     # with leftovers: n = 5, each word from (b!)^a n!/(ab)! = 20 permutations
     counts5 = {}
     for perm in itertools.permutations(range(5)):
         w = restrict_word(np.array(perm), 2, 2)
-        counts5[tuple(w.letters.tolist())] = counts5.get(tuple(w.letters.tolist()), 0) + 1
+        counts5[tuple(w.tolist())] = counts5.get(tuple(w.tolist()), 0) + 1
     assert all(c == 20 for c in counts5.values())
 
 
 def test_prefix_counts_standard():
-    pc = prefix_counts(standard_word(2, 2).letters, 2)
+    pc = prefix_counts(standard_word(2, 2), 2)
     assert np.array_equal(pc[0], [0, 1, 1, 2, 2])
     assert np.array_equal(pc[1], [0, 0, 1, 1, 2])
 
@@ -87,27 +106,27 @@ def test_prefix_counts_standard():
 def test_prefix_counts_partition_and_recount():
     rng = np.random.default_rng(1)
     words = [random_word(4, 5, rng) for _ in range(20)]
-    pcs = prefix_counts(np.stack([w.letters for w in words]), 4)  # one batch of 20 rows
+    pcs = prefix_counts(np.stack(words), 4)  # one batch of 20 rows
     assert pcs.shape == (20, 4, 21)
     for w, pc in zip(words, pcs):
-        assert np.array_equal(pc.sum(axis=0), np.arange(w.length + 1))
+        assert np.array_equal(pc.sum(axis=0), np.arange(len(w) + 1))
         for i in range(4):
-            for j in range(w.length + 1):
-                assert pc[i, j] == int((w.letters[:j] == i).sum())
+            for j in range(len(w) + 1):
+                assert pc[i, j] == int((w[:j] == i).sum())
 
 
 def test_tau_values():
-    assert word_statistics(standard_word(3, 8))[0] == pytest.approx(2 / 8)
-    sorted_word = Word(np.repeat(np.arange(3), 8), alphabet_size=3, multiplicity=8)
-    assert word_statistics(sorted_word)[0] == pytest.approx((8 + 1) / 8)
-    assert word_statistics(standard_word(1, 6))[0] == pytest.approx(1 / 6)
+    assert word_statistics(standard_word(3, 8), 3)[0] == pytest.approx(2 / 8)
+    sorted_word = np.repeat(np.arange(3), 8)
+    assert word_statistics(sorted_word, 3)[0] == pytest.approx((8 + 1) / 8)
+    assert word_statistics(standard_word(1, 6), 1)[0] == pytest.approx(1 / 6)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 10**6))
 def test_tau_range_and_distance_bound(a, b, seed):
     w = random_word(a, b, np.random.default_rng(seed))
-    t, dist = word_statistics(w)
+    t, dist = word_statistics(w, a)
     assert 1 / b <= t <= (b + 1) / b
     n = a * b
     assert dist <= n * n * t
@@ -115,26 +134,25 @@ def test_tau_range_and_distance_bound(a, b, seed):
 
 def test_transposition_distance_basics():
     w = standard_word(4, 6)
-    assert word_statistics(w)[1] == 0
-    assert transpositions_to_standard(w) == []
-    swapped = w.letters.copy()
-    swapped[0], swapped[1] = swapped[1], swapped[0]
-    w1 = Word(swapped, alphabet_size=4, multiplicity=6)
-    assert word_statistics(w1)[1] == 1
-    assert transpositions_to_standard(w1) == [0]
+    assert word_statistics(w, 4)[1] == 0
+    assert transpositions_to_standard(w, 4) == []
+    w1 = w.copy()
+    w1[0], w1[1] = w1[1], w1[0]
+    assert word_statistics(w1, 4)[1] == 1
+    assert transpositions_to_standard(w1, 4) == [0]
 
 
 @pytest.mark.parametrize("a, b", [(1, 6), (6, 1), (5, 8), (3, 40)])
 def test_transposition_distance_vs_quadratic_oracle_and_replay(a, b):
     rng = np.random.default_rng(2)
-    std = standard_word(a, b).letters
+    std = standard_word(a, b)
     for _ in range(300):
         w = random_word(a, b, rng)
-        _, dist = word_statistics(w)
-        assert dist == brute_distance(w)
-        swaps = transpositions_to_standard(w)
+        _, dist = word_statistics(w, a)
+        assert dist == brute_distance(w, a)
+        swaps = transpositions_to_standard(w, a)
         assert len(swaps) == dist
-        assert np.array_equal(apply_transpositions(w.letters, swaps), std)
+        assert np.array_equal(apply_transpositions(w, swaps), std)
 
 
 @pytest.mark.parametrize("a, b", [(1, 6), (6, 1), (5, 8), (3, 40)])
@@ -143,10 +161,10 @@ def test_word_statistics_vs_quadratic_oracle(a, b):
     for _ in range(100):
         w = random_word(a, b, rng)
         counts, disc = [0] * a, 0  # the largest prefix-count gap between two letters
-        for letter in w.letters.tolist():
+        for letter in w.tolist():
             counts[letter] += 1
             disc = max(disc, max(counts) - min(counts))
-        assert word_statistics(w) == ((disc + 1) / b, brute_distance(w))
+        assert word_statistics(w, a) == ((disc + 1) / b, brute_distance(w, a))
 
 
 def test_single_transposition_product_perturbation():
@@ -162,11 +180,11 @@ def test_single_transposition_product_perturbation():
     for _ in range(20):
         letters = random_unit_hermitians(a, 2, rng)
         w = random_word(a, b, rng)
-        swaps = transpositions_to_standard(w)
+        swaps = transpositions_to_standard(w, a)
         if not swaps:
             continue
-        before = word_product(letters, w.letters)
-        after = word_product(letters, apply_transpositions(w.letters, swaps[:1]))
+        before = word_product(letters, w)
+        after = word_product(letters, apply_transpositions(w, swaps[:1]))
         assert op_norms(before - after) <= 2 * math.e / n**2 + 1e-12
 
 
@@ -206,8 +224,7 @@ def test_tau_tail_empirical_matches_enumeration():
     assert len(words) == 6
     p = 1.2
     thr = p / math.sqrt(2)
-    exact = sum(word_statistics(Word(np.array(w), alphabet_size=2, multiplicity=2))[0] > thr
-                for w in words) / 6
+    exact = sum(word_statistics(np.array(w), 2)[0] > thr for w in words) / 6
     emp = tau_tail_empirical(2, 2, p, trials=10**5, seed=5)
     assert abs(emp - exact) < 0.01
 
@@ -216,7 +233,7 @@ def test_tau_tail_empirical_is_the_frequency_over_successive_random_words():
     # 5,000 trials cross the 4,096-word chunk boundary of tau_tail_empirical
     a, b, p, trials, seed = 3, 4, 1.5, 5000, 11
     rng = np.random.default_rng(seed)
-    hits = sum(word_statistics(random_word(a, b, rng))[0] > p / math.sqrt(b)
+    hits = sum(word_statistics(random_word(a, b, rng), a)[0] > p / math.sqrt(b)
                for _ in range(trials))
     assert 0 < hits < trials
     assert tau_tail_empirical(a, b, p, trials, seed) == hits / trials
