@@ -8,7 +8,6 @@ function in time order, in permuted order, or i.i.d. from its distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -16,23 +15,6 @@ import numpy as np
 from .linalg import as_matrix, op_norms
 from .products import _blocked, exp_factors
 from .rows import _alphabet, gen_riemann
-
-
-@dataclass(frozen=True)
-class PropagatorSpec:
-    fn: Callable[[np.ndarray], np.ndarray]
-    s: float = 0.0
-    t: float = 1.0
-    n: int = 1000
-    mode: str = "ordered"
-
-    def __post_init__(self):
-        if not (0.0 <= self.s <= self.t <= 1.0):
-            raise ValueError(f"need 0 <= s <= t <= 1, got s={self.s}, t={self.t}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.mode not in ("ordered", "permuted", "iid"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 def _grid_index(x: float, n: int) -> int:
@@ -43,35 +25,34 @@ def _grid_index(x: float, n: int) -> int:
     return k if abs(xn - k) <= 1e-9 * max(1.0, xn) else math.floor(xn)
 
 
-def propagators(spec: PropagatorSpec, seeds):
-    """For each of seeds, in turn, the product of exp(A_i/n) over grid positions
-    [s n] .. [t n] - 1 (0-based), the discrete propagator from time s to time t;
-    identity when the slice is empty. The ordered mode reads no seed.
+def propagators(fn, n: int, seeds, s: float = 0.0, t: float = 1.0, mode: str = "ordered"):
+    """For each of seeds, in turn, the product of exp(A_i/n) over the n-point
+    grid positions [s n] .. [t n] - 1 (0-based) of the family fn, the discrete
+    propagator from time s to time t; identity when the slice is empty. The
+    ordered mode reads no seed. The arguments are checked on the call, before
+    any row is built.
 
     A permuted row is the ordered grid row read through a permutation, so in
     the ordered and permuted modes exp_factors of the grid row is built once
     and _blocked multiplies it in every seed's order; iid builds a row per seed.
     """
-    n, mode = spec.n, spec.mode
-    i0, i1 = _grid_index(spec.s, n), _grid_index(spec.t, n)
+    if not (0.0 <= s <= t <= 1.0 and n >= 1 and mode in ("ordered", "permuted", "iid")):
+        raise ValueError(f"need 0 <= s <= t <= 1, n >= 1 and mode ordered, permuted or iid; "
+                         f"got s={s}, t={t}, n={n}, mode={mode!r}")
+    i0, i1 = _grid_index(s, n), _grid_index(t, n)
     if mode == "iid":
-        for seed in seeds:
-            row = gen_riemann(spec.fn, n, mode, seed)
-            yield from _blocked(exp_factors(row), [np.arange(i0, i1)], i1 - i0)
-        return
+        return (u for seed in seeds for u in _blocked(
+            exp_factors(gen_riemann(fn, n, mode, seed)), [np.arange(i0, i1)], i1 - i0))
     orders = (np.random.default_rng(seed).permutation(n)[i0:i1] if mode == "permuted"
               else np.arange(i0, i1) for seed in seeds)
-    yield from _blocked(exp_factors(gen_riemann(spec.fn, n, "ordered")), orders, i1 - i0)
+    return _blocked(exp_factors(gen_riemann(fn, n, "ordered")), orders, i1 - i0)
 
 
-def cocycle_check(spec: PropagatorSpec, r: float) -> float:
+def cocycle_check(fn, n: int, r: float, s: float = 0.0, t: float = 1.0) -> float:
     """|| U(s, r) U(r, t) - U(s, t) || on one shared ordered sample path."""
-    if not (spec.s <= r <= spec.t):
-        raise ValueError(f"r = {r} outside [{spec.s}, {spec.t}]")
-    if spec.mode != "ordered":
-        raise ValueError("cocycle check is defined for the ordered mode")
-    left, right, whole = (next(propagators(p, [0])) for p in
-                          (replace(spec, t=r), replace(spec, s=r), spec))
+    if not (s <= r <= t):
+        raise ValueError(f"r = {r} outside [{s}, {t}]")
+    left, right, whole = (next(propagators(fn, n, [0], a, b)) for a, b in ((s, r), (r, t), (s, t)))
     return float(op_norms(left @ right - whole))
 
 

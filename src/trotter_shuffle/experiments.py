@@ -474,9 +474,9 @@ def _run_evolution(cfg: ExperimentConfig, summary: dict):
     fn = _family(g)
     for n in cfg.n_list:
         target = mat_exp((g["t"] - g["s"]) * riemann_reference(fn, n))
-        spec = evo.PropagatorSpec(fn=fn, s=g["s"], t=g["t"], n=n, mode=g["mode"])
         seeds = ((cfg.seed, kid, n, trial) for trial in range(cfg.trials))
-        devs = [float(op_norms(u - target)) for u in evo.propagators(spec, seeds)]
+        devs = [float(op_norms(u - target))
+                for u in evo.propagators(fn, n, seeds, g["s"], g["t"], g["mode"])]
         yield from ((n, trial, dev) for trial, dev in enumerate(devs))
         summary[str(n)] = _quantiles(devs)
 

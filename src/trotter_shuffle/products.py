@@ -260,15 +260,19 @@ def block_gaps(row: ArrayRow, orders, a: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def prop_uniform_bound(l1: float, norm_mean: float, eps: float, b: int) -> float:
-    """Deterministic sup-deviation bound implied by block conditions at level eps.
+    """Deterministic sup-deviation bound implied by block conditions at level eps,
+    inf past the largest float; ||A_n|| may exceed L1 by roundoff relative to L1.
 
     (3/(2b)) (e^{eps/b} (L1+eps)^2 + (L1+eps+||A_n||) + ||A_n||^2) e^{L1+eps}
         + eps e^{eps}
     """
     if min(l1, norm_mean, eps) < 0 or b < 1:
         raise ValueError("arguments must be non-negative with b >= 1")
-    if norm_mean > l1 + 1e-12:
+    if norm_mean > l1 * (1.0 + 1e-9) + 1e-12:
         raise ValueError(f"||A_n|| = {norm_mean} cannot exceed L1 = {l1}")
     s = l1 + eps
-    main = (math.exp(eps / b) * s * s + (s + norm_mean) + norm_mean * norm_mean)
-    return (3.0 / (2.0 * b)) * main * math.exp(s) + eps * math.exp(eps)
+    try:
+        main = (math.exp(eps / b) * s * s + (s + norm_mean) + norm_mean * norm_mean)
+        return (3.0 / (2.0 * b)) * main * math.exp(s) + eps * math.exp(eps)
+    except OverflowError:
+        return math.inf

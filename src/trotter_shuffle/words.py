@@ -10,7 +10,6 @@ letter at position p is p mod a.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -118,7 +117,7 @@ def tau_tail_bound(a: int, b: int, p: float) -> float:
     if p * math.sqrt(b) > b + 1:
         raise ValueError(f"p sqrt(b) = {p * math.sqrt(b):.6g} exceeds b + 1 = {b + 1}")
     m = math.ceil(b - p * math.sqrt(b) + 1)
-    return 2.0 * a * a * float(Fraction(math.comb(2 * b, m), math.comb(2 * b, b)))
+    return 2.0 * a * a * (math.comb(2 * b, m) / math.comb(2 * b, b))
 
 
 _TRIAL_CHUNK = 4096  # random words drawn per batch in tau_tail_empirical

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from trotter_shuffle.evolution import PropagatorSpec, cocycle_check, propagators, step_family
+from trotter_shuffle.evolution import cocycle_check, propagators, step_family
 from trotter_shuffle.linalg import mat_exp, op_norms
 from trotter_shuffle.products import block_gaps, path_deviations, prop_uniform_bound
 from trotter_shuffle.rows import (ArrayRow, RegimeSpec, gen_repeated,
@@ -187,12 +187,12 @@ def test_criterion_8_evolution_family():
     exp_half_c = np.array([[1, 0], [0.5, 1]], dtype=complex)
     exp_mean = np.array([[math.cosh(0.5), math.sinh(0.5)],
                          [math.sinh(0.5), math.cosh(0.5)]], dtype=complex)
-    ordered = next(propagators(PropagatorSpec(fn=fn, n=4000, mode="ordered"), [0]))
+    ordered = next(propagators(fn, 4000, [0], mode="ordered"))
     ok = op_norms(ordered - exp_half_b @ exp_half_c) <= 1e-2
-    permuted = propagators(PropagatorSpec(fn=fn, n=4000, mode="permuted"), range(50))
+    permuted = propagators(fn, 4000, range(50), mode="permuted")
     hits = sum(op_norms(u - exp_mean) < 0.05 for u in permuted)
     ok = ok and hits >= 45
-    residual = cocycle_check(PropagatorSpec(fn=fn, n=4000, mode="ordered"), 0.5)
+    residual = cocycle_check(fn, 4000, 0.5)
     ok = ok and residual <= 1e-10
     assert _verdict(8, "evolution family limits and cocycle", ok, t0,
                     f"{hits}/50 permuted seeds close, cocycle {residual:.1e}")

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from trotter_shuffle.evolution import (PropagatorSpec, cocycle_check,
-                                       constant_family, linear_diagonal_family,
-                                       propagators, rotation_family, step_family)
+from trotter_shuffle import evolution
+from trotter_shuffle.evolution import (cocycle_check, constant_family,
+                                       linear_diagonal_family, propagators,
+                                       rotation_family, step_family)
 from trotter_shuffle.experiments import riemann_reference
 from trotter_shuffle.linalg import mat_exp, op_norms
 from trotter_shuffle.products import exp_factors, prefix_products
@@ -71,9 +72,9 @@ def test_propagators_match_per_seed_propagate(name, mode):
     # grid slices [s n, t n) at n = 100, written out: 0.29 * 100 < 29 in floating point
     for (s, t), (i0, i1) in zip(((0.0, 1.0), (0.25, 0.75), (0.29, 0.58)),
                                 ((0, 100), (25, 75), (29, 58))):
-        spec = PropagatorSpec(fn=fn, s=s, t=t, n=100, mode=mode)
-        for seed, u in zip(seeds, propagators(spec, seeds), strict=True):
-            assert u.tobytes() == next(propagators(spec, [seed])).tobytes()
+        spec = dict(fn=fn, s=s, t=t, n=100, mode=mode)
+        for seed, u in zip(seeds, propagators(seeds=seeds, **spec), strict=True):
+            assert u.tobytes() == next(propagators(seeds=[seed], **spec)).tobytes()
             # independent of the shared grid: the row this seed samples, scanned in place
             row = gen_riemann(fn, 100, mode, seed)
             ref = prefix_products(exp_factors(row), np.arange(i0, i1))[-1]
@@ -84,9 +85,8 @@ def test_propagators_match_per_seed_propagate(name, mode):
 def test_propagators_rotation_family_is_the_scanned_last_prefix(mode):
     # complex generators; slices of 6400 steps put five seeds in a pass, so seven take two
     fn = rotation_family(1.3)
-    spec = PropagatorSpec(fn=fn, s=0.1, t=0.9, n=8000, mode=mode)
     seeds = [(5, trial) for trial in range(7)]
-    for seed, u in zip(seeds, propagators(spec, iter(seeds)), strict=True):
+    for seed, u in zip(seeds, propagators(fn, 8000, iter(seeds), 0.1, 0.9, mode), strict=True):
         ref = prefix_products(exp_factors(gen_riemann(fn, 8000, mode, seed)), np.arange(800, 7200))
         assert u.tobytes() == ref[-1].tobytes()
 
@@ -98,15 +98,15 @@ def test_propagators_reused_workspace_keeps_no_state(mode, d):
     fn = step_family(random_matrix(rng, d, 1.0), random_matrix(rng, d, 1.0), split=0.4)
     # slices of 49, 50 and 8000 steps; each pads the last block of the scan
     for n, s, t in [(98, 0.0, 0.5), (100, 0.25, 0.75), (8000, 0.0, 1.0)]:
-        spec = PropagatorSpec(fn=fn, s=s, t=t, n=n, mode=mode)
-        for seed, u in zip([1, 2, 1], propagators(spec, [1, 2, 1]), strict=True):
-            assert u.tobytes() == next(propagators(spec, [seed])).tobytes()
+        spec = dict(fn=fn, s=s, t=t, n=n, mode=mode)
+        for seed, u in zip([1, 2, 1], propagators(seeds=[1, 2, 1], **spec), strict=True):
+            assert u.tobytes() == next(propagators(seeds=[seed], **spec)).tobytes()
 
 
 def test_propagate_constant_family():
     a = random_matrix(np.random.default_rng(1), 2, 1.5)
     for mode in ("ordered", "permuted", "iid"):
-        u = next(propagators(PropagatorSpec(fn=constant_family(a), n=300, mode=mode), [3]))
+        u = next(propagators(constant_family(a), 300, [3], mode=mode))
         assert svd_norm(u - mat_exp(a)) <= 300 * 1e-12 * np.exp(svd_norm(a))
 
 
@@ -115,44 +115,41 @@ def test_propagate_slices_at_exact_grid_index(t):
     # t * 100 is a hair below an integer in floating point; flooring it drops
     # the last factor and misses exp(t A) by about 1e-2
     a = random_matrix(np.random.default_rng(2), 2, 1.0)
-    spec = PropagatorSpec(fn=constant_family(a), t=t, n=100, mode="ordered")
-    assert svd_norm(next(propagators(spec, [0])) - mat_exp(t * a)) <= 1e-12
-    spec = PropagatorSpec(fn=constant_family(a), s=t, t=1.0, n=100, mode="ordered")
-    assert svd_norm(next(propagators(spec, [0])) - mat_exp((1.0 - t) * a)) <= 1e-12
+    u = next(propagators(constant_family(a), 100, [0], t=t, mode="ordered"))
+    assert svd_norm(u - mat_exp(t * a)) <= 1e-12
+    u = next(propagators(constant_family(a), 100, [0], s=t, t=1.0, mode="ordered"))
+    assert svd_norm(u - mat_exp((1.0 - t) * a)) <= 1e-12
 
 
 def test_propagate_ordered_step_time_ordered_limit():
-    spec = PropagatorSpec(fn=step_family(E12, E21), n=4000, mode="ordered")
-    u = next(propagators(spec, [0]))
+    u = next(propagators(step_family(E12, E21), 4000, [0], mode="ordered"))
     assert op_norms(u - EXP_HALF_B @ EXP_HALF_C) <= 1e-2
 
 
 def test_propagate_permuted_step_converges_to_exp_mean():
-    spec = PropagatorSpec(fn=step_family(E12, E21), n=4000, mode="permuted")
-    hits = sum(op_norms(u - EXP_MEAN) < 0.05 for u in propagators(spec, range(50)))
+    us = propagators(step_family(E12, E21), 4000, range(50), mode="permuted")
+    hits = sum(op_norms(u - EXP_MEAN) < 0.05 for u in us)
     assert hits >= 45
 
 
 def test_propagate_interval_and_empty_slice():
     fn = step_family(E12, E21)
-    spec = PropagatorSpec(fn=fn, s=0.25, t=0.25, n=400, mode="ordered")
-    assert np.array_equal(next(propagators(spec, [0])), np.eye(2))
+    u = next(propagators(fn, 400, [0], s=0.25, t=0.25, mode="ordered"))
+    assert np.array_equal(u, np.eye(2))
     # commuting family on an aligned subinterval: product = exp(mean * length)
     fn2 = linear_diagonal_family([1.0, -0.5])
-    spec2 = PropagatorSpec(fn=fn2, s=0.25, t=0.75, n=400, mode="ordered")
     row = gen_riemann(fn2, 400, "ordered")
     i0, i1 = 100, 300
     mean = row.elements[i0:i1].mean(axis=0)
-    u = next(propagators(spec2, [0]))
+    u = next(propagators(fn2, 400, [0], s=0.25, t=0.75, mode="ordered"))
     assert svd_norm(u - mat_exp(0.5 * mean)) <= 1e-8 * math.e
 
 
 def test_propagate_commuting_family_all_modes():
     fn = linear_diagonal_family([0.8, -0.3])
     for mode in ("ordered", "permuted", "iid"):
-        spec = PropagatorSpec(fn=fn, n=500, mode=mode)
         mean = gen_riemann(fn, 500, mode, 11).elements.mean(axis=0)
-        u = next(propagators(spec, [11]))
+        u = next(propagators(fn, 500, [11], mode=mode))
         assert svd_norm(u - mat_exp(mean)) <= 1e-8 * math.exp(1.0)
 
 
@@ -165,20 +162,17 @@ def test_sampled_linf_never_exceeds_family_sup():
 
 def test_rotation_family_permuted_approaches_identity():
     # time average is exactly zero, so the permuted product approaches I
-    spec = PropagatorSpec(fn=rotation_family(), n=4000, mode="permuted")
-    assert op_norms(next(propagators(spec, [1])) - np.eye(2)) < 0.1
+    u = next(propagators(rotation_family(), 4000, [1], mode="permuted"))
+    assert op_norms(u - np.eye(2)) < 0.1
 
 
 def test_cocycle_check():
     fn = step_family(E12, E21)
-    spec = PropagatorSpec(fn=fn, n=400, mode="ordered")
-    assert cocycle_check(spec, 0.0) <= 1e-12
-    assert cocycle_check(spec, 1.0) <= 1e-12
-    assert cocycle_check(spec, 0.5) <= 1e-10
+    assert cocycle_check(fn, 400, 0.0) <= 1e-12
+    assert cocycle_check(fn, 400, 1.0) <= 1e-12
+    assert cocycle_check(fn, 400, 0.5) <= 1e-10
     with pytest.raises(ValueError):
-        cocycle_check(spec, 1.5)
-    with pytest.raises(ValueError):
-        cocycle_check(PropagatorSpec(fn=fn, n=400, mode="permuted"), 0.5)
+        cocycle_check(fn, 400, 1.5)
 
 
 @pytest.mark.parametrize("r, im", [(0.29, 29), (0.5, 50), (0.58, 58)])
@@ -188,18 +182,22 @@ def test_cocycle_check_matches_three_slice_construction(r, im):
     factors = exp_factors(gen_riemann(fn, 100, "ordered"))
     left, right, whole = (prefix_products(factors, np.arange(a, b))[-1]
                           for a, b in ((0, im), (im, 100), (0, 100)))
-    spec = PropagatorSpec(fn=fn, n=100, mode="ordered")
-    assert cocycle_check(spec, r) == op_norms(left @ right - whole)
+    assert cocycle_check(fn, 100, r) == op_norms(left @ right - whole)
 
 
-def test_propagator_spec_validation():
+def test_propagator_spec_validation(monkeypatch):
+    # each bad argument raises on the call, before any row is built, in every mode
+    built = []
+    monkeypatch.setattr(evolution, "gen_riemann",
+                        lambda *args: built.append(args) or gen_riemann(*args))
     fn = constant_family(E12)
-    with pytest.raises(ValueError):
-        PropagatorSpec(fn=fn, s=0.5, t=0.25)
-    with pytest.raises(ValueError):
-        PropagatorSpec(fn=fn, n=0)
-    with pytest.raises(ValueError):
-        PropagatorSpec(fn=fn, mode="shuffled")
+    for mode in ("ordered", "permuted", "iid"):
+        for bad in (dict(s=0.5, t=0.25), dict(n=0), dict(mode="shuffled")):
+            with pytest.raises(ValueError):
+                propagators(**(dict(fn=fn, n=100, seeds=[0, 1], mode=mode) | bad))
+    assert built == []
+    next(propagators(fn, 100, [0], mode="iid"))
+    assert len(built) == 1
 
 
 def test_permuted_deviation_median_nonincreasing():
@@ -207,7 +205,6 @@ def test_permuted_deviation_median_nonincreasing():
     medians = []
     for n in (500, 2000, 8000):
         target = mat_exp(riemann_reference(fn, 4 * n))
-        spec = PropagatorSpec(fn=fn, n=n, mode="permuted")
-        devs = [op_norms(u - target) for u in propagators(spec, range(101))]
+        devs = [op_norms(u - target) for u in propagators(fn, n, range(101), mode="permuted")]
         medians.append(float(np.median(devs)))
     assert medians[0] >= medians[1] >= medians[2]

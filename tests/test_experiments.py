@@ -189,7 +189,7 @@ def test_config_defaults_match_the_library_defaults():
     # except where the config kind deliberately differs: an evolution run permutes
     builders = {"two_letter": [rows.gen_two_letter], "repeated": [rows.gen_repeated],
                 "spiked": [rows.gen_spiked, RegimeSpec], "riemann": [rows.gen_riemann],
-                "family": [evolution.PropagatorSpec]}
+                "family": [evolution.propagators]}
     pairs = [(f"{name}.{key}", GENERATOR_DEFAULTS[name][key], default)
              for name, fns in builders.items() for fn in fns
              for key, default in _defaults(fn).items() if key in GENERATOR_DEFAULTS[name]]

@@ -597,6 +597,20 @@ def test_prop_uniform_bound_values():
         prop_uniform_bound(-1.0, 0.0, 0.1, 10)
 
 
+def test_prop_uniform_bound_allows_roundoff_relative_to_l1():
+    # ||A_n|| = L1 in exact arithmetic; in floats the row mean's norm lands one ulp above
+    a = np.array([[1, 2], [3, 4]])
+    row = gen_two_letter(100, 3000 * a, 7000 * a)
+    norm_mean = float(op_norms(row.stats.mean))
+    assert norm_mean > row.stats.l1 + 1e-12
+    assert prop_uniform_bound(row.stats.l1, norm_mean, 0.5, 10) == math.inf  # e^{L1} overflows
+    l1 = 500.0  # 2e-12 above L1 = 500, past the absolute 1e-12, where the bound is finite
+    assert prop_uniform_bound(l1, l1 * (1 + 4e-15), 0.5, 10) == pytest.approx(
+        prop_uniform_bound(l1, l1, 0.5, 10), rel=1e-12)
+    with pytest.raises(ValueError, match="cannot exceed L1"):
+        prop_uniform_bound(l1, l1 * (1 + 1e-6), 0.5, 10)
+
+
 def test_choose_blocks():
     stats = gen_two_letter(10, E12, E21).stats
     a = choose_blocks(10000, stats, mode="sqrt_default")

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -132,7 +133,7 @@ def test_tau_range_and_distance_bound(a, b, seed):
     assert dist <= n * n * t
 
 
-def test_transposition_distance_basics():
+def test_word_statistics_basics():
     w = standard_word(4, 6)
     assert word_statistics(w, 4)[1] == 0
     assert transpositions_to_standard(w, 4) == []
@@ -143,7 +144,7 @@ def test_transposition_distance_basics():
 
 
 @pytest.mark.parametrize("a, b", [(1, 6), (6, 1), (5, 8), (3, 40)])
-def test_transposition_distance_vs_quadratic_oracle_and_replay(a, b):
+def test_word_statistics_vs_quadratic_oracle_and_replay(a, b):
     rng = np.random.default_rng(2)
     std = standard_word(a, b)
     for _ in range(300):
@@ -196,6 +197,15 @@ def test_tau_tail_bound_values():
     assert tau_tail_bound(2, 4, 1.0) == pytest.approx(2 * 4 * (56 / 70), rel=1e-12)
     with pytest.raises(ValueError):
         tau_tail_bound(2, 4, 3.6)  # p sqrt(b) > b + 1
+
+
+@pytest.mark.parametrize("b", [1, 2, 7, 60, 999, 5000])
+def test_tau_tail_bound_is_the_fraction_rounded_once(b):
+    # int / int is correctly rounded, so the ratio of binomials is the float of the Fraction
+    for p in np.linspace(0.05, (b + 1) / math.sqrt(b), 25):
+        m = math.ceil(b - p * math.sqrt(b) + 1)
+        exact = float(Fraction(math.comb(2 * b, m), math.comb(2 * b, b)))
+        assert tau_tail_bound(3, b, p) == 2.0 * 9 * exact
 
 
 @pytest.mark.parametrize("call", [lambda: tau_tail_bound(0, 4, 0.5),
