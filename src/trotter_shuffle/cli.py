@@ -38,7 +38,7 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
                 doc = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"config: cannot read {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, not UTF-8, or an int past 4,300 digits
             raise ConfigError(f"config: invalid JSON in {args.config}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config: expected a JSON object")

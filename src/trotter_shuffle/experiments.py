@@ -15,6 +15,7 @@ import dataclasses
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -68,22 +69,20 @@ def _sidecar_path(out_path) -> Path:
 
 def _entries(spec, what: str) -> np.ndarray:
     """The square array of finite numbers a matrix spec names: a catalog name
-    or nested lists of numbers / [re, im] pairs."""
+    or nested lists of numbers / [re, im] pairs, each entry one that _is_real accepts."""
     if isinstance(spec, str):
         if spec not in _NAMED_MATRICES:
             raise ConfigError(f"{what}: unknown named matrix {spec!r}, "
                               f"expected one of {sorted(_NAMED_MATRICES)}")
         spec = _NAMED_MATRICES[spec]
-    try:
-        arr = np.asarray(spec, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what}: cannot parse matrix: {exc}") from exc
+    arr = np.asarray(spec, dtype=object)
+    if not all(map(_is_real, arr.ravel())):  # ravel: flat iteration stops at 32 dimensions
+        raise ConfigError(f"{what}: cannot parse matrix: every entry must be a finite number")
+    arr = arr.astype(np.float64)
     if arr.ndim == 3 and arr.shape[-1] == 2:
         arr = arr[..., 0] + 1j * arr[..., 1]
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
         raise ConfigError(f"{what}: expected a square matrix of numbers or [re, im] pairs")
-    if not np.isfinite(arr).all():
-        raise ConfigError(f"{what}: has non-finite entries")
     return arr
 
 
@@ -146,7 +145,8 @@ def _is_int(x) -> bool:
 
 
 def _is_real(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    """A number that fits a float: exact for an int of any size, False for nan."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _keys(gen: dict) -> dict:
@@ -283,7 +283,7 @@ class ExperimentConfig:
     target: Any = None
 
     def __post_init__(self):
-        if not self.generator and self.kind in _KINDS:
+        if not self.generator and self.kind in KINDS:
             self.generator = dict(_KINDS[self.kind][2])
         self.validate()
 

@@ -173,8 +173,8 @@ def spiked_parameters(n: int, spec: RegimeSpec) -> tuple[int, float]:
             linf = spec.linf if spec.linf is not None else math.sqrt(n)
             ratio = n / linf
             if ratio <= math.e:
-                raise InfeasibleRegimeError(
-                    f"n/linf = {ratio:.6g} too small for the log-log correction")
+                raise InfeasibleRegimeError(f"{spec.regime} n/linf = {ratio:.6g} too small "
+                                            f"for the log-log correction at n = {n}")
             lr = math.log(ratio)
             llr = math.log(lr)
             if spec.regime == "prob_regime":
@@ -189,9 +189,6 @@ def spiked_parameters(n: int, spec: RegimeSpec) -> tuple[int, float]:
             k_raw = scale / 3.0
         elif spec.regime == "bounded_log":
             linf = (ln - (5.0 + delta) * lln) / 3.0
-            if linf <= 0:
-                raise InfeasibleRegimeError(f"bounded_log norm formula gives {linf:.6g} <= 0 "
-                                            f"at n = {n}, delta = {delta}")
             k_raw = float(n)
         else:  # intermediate
             linf = (1.0 / (3.0 * spec.t)) * n ** (1.0 - spec.alpha) * ln ** (1.0 - spec.beta)
@@ -199,14 +196,14 @@ def spiked_parameters(n: int, spec: RegimeSpec) -> tuple[int, float]:
     except OverflowError as exc:  # a float power past the largest double
         raise InfeasibleRegimeError(f"{spec.regime} formulas overflow at n = {n}") from exc
     if linf <= 0 or not math.isfinite(linf):
-        raise InfeasibleRegimeError(f"spike norm formula gives {linf!r} at n = {n}")
+        raise InfeasibleRegimeError(f"{spec.regime} spike norm formula gives {linf!r} at n = {n}")
     k = math.floor(k_raw + 0.5)
     if k < 1:
         raise InfeasibleRegimeError(
-            f"spike count formula gives {k_raw:.6g} (rounds to {k} < 1) at n = {n}")
+            f"{spec.regime} spike count formula gives {k_raw:.6g} (rounds to {k} < 1) at n = {n}")
     if k > n:
         raise InfeasibleRegimeError(
-            f"spike count formula gives {k_raw:.6g} > n = {n}")
+            f"{spec.regime} spike count formula gives {k_raw:.6g} > n = {n}")
     return k, float(linf)
 
 

@@ -36,8 +36,7 @@ def bernstein_tail(eps: float, L: float, v: float, d: int) -> float:
 def variance_proxy(row: ArrayRow, a: int) -> float:
     """v = (a/n) sum_i ||A_i - A_n||^2, the centered second-moment scale of a
     size-a block; always at most 4 a L1 Linf."""
-    if a < 0 or a > row.n:
-        raise ValueError(f"block size {a} out of range for row of length {row.n}")
+    _block_count(row.n, a)  # 1 <= a <= n
     alphabet, letter_of = row.letters()  # one norm per letter, gathered to its elements
     v = float(a / row.n * (op_norms(alphabet - row.stats.mean) ** 2)[letter_of].sum())
     cap = 4.0 * a * row.stats.l1 * row.stats.linf

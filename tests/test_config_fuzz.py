@@ -3,10 +3,11 @@
 Configs for every kind are drawn from the generator tables, so a key added to
 or removed from GENERATOR_DEFAULTS, GENERATOR_VALUES or FAMILY_DEFAULTS is
 searched with no edit here. Matrix entries and numbers reach 1e300, where
-norms overflow a float. Whatever the config, the command exits 0, 2 or 3 and
-raises nothing; a config error writes no report; a runtime error (exit 3)
-names the n it failed at; and a report holds only empty cells and finite
-numbers.
+norms overflow a float; rarely, one is not a number that fits a float: a
+400-digit integer, a numeric string or a boolean. Whatever the config, the
+command exits 0, 2 or 3 and raises nothing; a config error writes no report;
+a runtime error (exit 3) names the n it failed at; and a report holds only
+empty cells and finite numbers.
 """
 
 import contextlib
@@ -28,10 +29,16 @@ from trotter_shuffle.experiments import (_FIELD_KINDS, _KINDS, _NAMED_MATRICES, 
 # Entries and numbers of either sign from 1e-300 to 1e300: past about 1e154 a
 # square overflows a float, past about 703 the slack of a target norm does.
 ENTRIES = (0.0, -3.0, -1.0, -0.5, 0.25, 0.5, 1.0, 2.0, 5.0, 1e-300, 800.0, 1e300, -1e300)
+# JSON values a number field must refuse, as a config error
+NOT_NUMBERS = (10**400, "1", True)
+
+
+def _entry(rnd):
+    return rnd.choice(NOT_NUMBERS) if rnd.random() < 0.01 else rnd.choice(ENTRIES)
 
 
 def _number(rnd):
-    return rnd.choice(ENTRIES) if rnd.random() < 0.5 else rnd.uniform(-3, 5)
+    return _entry(rnd) if rnd.random() < 0.5 else rnd.uniform(-3, 5)
 
 
 def _matrix(rnd, d):
@@ -39,8 +46,7 @@ def _matrix(rnd, d):
     form = rnd.randrange(3)
     if form == 2:
         return rnd.choice(sorted(_NAMED_MATRICES))
-    entry = (lambda: rnd.choice(ENTRIES)) if form == 0 else (
-        lambda: [rnd.choice(ENTRIES), rnd.choice(ENTRIES)])
+    entry = (lambda: _entry(rnd)) if form == 0 else lambda: [_entry(rnd), _entry(rnd)]
     return [[entry() for _ in range(d)] for _ in range(d)]
 
 

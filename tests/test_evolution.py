@@ -47,7 +47,7 @@ def test_family_arrays_match_pointwise_values(name):
         assert np.array_equal(out, np.stack([value(float(x)) for x in xs]))
 
 
-def test_riemann_integral():
+def test_riemann_reference():
     a = random_matrix(np.random.default_rng(0), 2, 1.0)
     assert np.allclose(riemann_reference(constant_family(a), 7), a)
     fn = linear_diagonal_family([1.0, 2.0])
@@ -66,7 +66,7 @@ def test_riemann_integral():
 
 @pytest.mark.parametrize("name", sorted(FAMILY_CASES))
 @pytest.mark.parametrize("mode", ["ordered", "permuted", "iid"])
-def test_propagators_match_per_seed_propagate(name, mode):
+def test_propagators_match_per_seed_propagators(name, mode):
     fn = FAMILY_CASES[name][0]
     seeds = [0, 3, (7, 1, 100, 2)]
     # grid slices [s n, t n) at n = 100, written out: 0.29 * 100 < 29 in floating point
@@ -103,7 +103,7 @@ def test_propagators_reused_workspace_keeps_no_state(mode, d):
             assert u.tobytes() == next(propagators(seeds=[seed], **spec)).tobytes()
 
 
-def test_propagate_constant_family():
+def test_propagators_constant_family():
     a = random_matrix(np.random.default_rng(1), 2, 1.5)
     for mode in ("ordered", "permuted", "iid"):
         u = next(propagators(constant_family(a), 300, [3], mode=mode))
@@ -111,7 +111,7 @@ def test_propagate_constant_family():
 
 
 @pytest.mark.parametrize("t", [0.29, 0.57, 0.58])
-def test_propagate_slices_at_exact_grid_index(t):
+def test_propagators_slices_at_exact_grid_index(t):
     # t * 100 is a hair below an integer in floating point; flooring it drops
     # the last factor and misses exp(t A) by about 1e-2
     a = random_matrix(np.random.default_rng(2), 2, 1.0)
@@ -121,18 +121,18 @@ def test_propagate_slices_at_exact_grid_index(t):
     assert svd_norm(u - mat_exp((1.0 - t) * a)) <= 1e-12
 
 
-def test_propagate_ordered_step_time_ordered_limit():
+def test_propagators_ordered_step_time_ordered_limit():
     u = next(propagators(step_family(E12, E21), 4000, [0], mode="ordered"))
     assert op_norms(u - EXP_HALF_B @ EXP_HALF_C) <= 1e-2
 
 
-def test_propagate_permuted_step_converges_to_exp_mean():
+def test_propagators_permuted_step_converges_to_exp_mean():
     us = propagators(step_family(E12, E21), 4000, range(50), mode="permuted")
     hits = sum(op_norms(u - EXP_MEAN) < 0.05 for u in us)
     assert hits >= 45
 
 
-def test_propagate_interval_and_empty_slice():
+def test_propagators_interval_and_empty_slice():
     fn = step_family(E12, E21)
     u = next(propagators(fn, 400, [0], s=0.25, t=0.25, mode="ordered"))
     assert np.array_equal(u, np.eye(2))
@@ -145,7 +145,7 @@ def test_propagate_interval_and_empty_slice():
     assert svd_norm(u - mat_exp(0.5 * mean)) <= 1e-8 * math.e
 
 
-def test_propagate_commuting_family_all_modes():
+def test_propagators_commuting_family_all_modes():
     fn = linear_diagonal_family([0.8, -0.3])
     for mode in ("ordered", "permuted", "iid"):
         mean = gen_riemann(fn, 500, mode, 11).elements.mean(axis=0)
@@ -185,7 +185,7 @@ def test_cocycle_check_matches_three_slice_construction(r, im):
     assert cocycle_check(fn, 100, r) == op_norms(left @ right - whole)
 
 
-def test_propagator_spec_validation(monkeypatch):
+def test_propagators_validation(monkeypatch):
     # each bad argument raises on the call, before any row is built, in every mode
     built = []
     monkeypatch.setattr(evolution, "gen_riemann",

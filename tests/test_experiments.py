@@ -39,6 +39,8 @@ def test_config_validation_messages():
         ExperimentConfig.from_dict({"n_list": [10]})
     with pytest.raises(ConfigError, match="config: expected a JSON object"):
         ExperimentConfig.from_dict([{"kind": "converge"}])
+    with pytest.raises(ConfigError, match="kind: \\['converge'\\] is not one of"):
+        ExperimentConfig.from_dict({"kind": ["converge"]})
 
 
 def test_parse_matrix():
@@ -50,6 +52,11 @@ def test_parse_matrix():
         parse_matrix("no_such", "x")
     with pytest.raises(ConfigError):
         parse_matrix([[1, 2, 3]], "x")
+    # entries are numbers, not strings or booleans, and each one fits a float
+    for spec in ([["1", 0], [0, 1]], [[True, 0], [0, 1]], [[[0, 0], [0, True]], [[0, 0], [0, 0]]],
+                 [[10**400, 0], [0, 1]]):
+        with pytest.raises(ConfigError, match="x: cannot parse matrix"):
+            parse_matrix(spec, "x")
 
 
 def test_config_json_round_trip():
@@ -581,6 +588,15 @@ MATRIX_3X3 = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
      "regime", {"sigma_mode": "identity"}, "trials"),
     ("evolution-fields27-trials",
      "evolution", {"generator": {"name": "family", "mode": "ordered"}}, "trials"),
+    # a matrix entry is a number that fits a float, as every other number field
+    ("converge-target-string-entry",
+     "converge", {"target": [["1", 0], [0, 0]]}, "target: cannot parse matrix"),
+    ("converge-target-boolean-entry",
+     "converge", {"target": [[True, 0], [0, 0]]}, "target: cannot parse matrix"),
+    ("converge-target-400-digit-entry",
+     "converge", {"target": [[10**400, 0], [0, 0]]}, "target: cannot parse matrix"),
+    ("tail-eps-400-digits",
+     "tail", {"eps": 10**400}, "eps: must be a positive number"),
 ]))
 def test_cli_invalid_field_exit_2(tmp_path, capsys, kind, fields, key):
     cfg = tmp_path / "cfg.json"
@@ -602,10 +618,18 @@ def test_cli_invalid_field_exit_2(tmp_path, capsys, kind, fields, key):
     ("args3-n_list: entries must be distinct positive integers, got [40, 40]",
      ["--n", "40,40"], "n_list: entries must be distinct positive integers, got [40, 40]"),
     ("args4-n_list: must be a non-empty list", ["--n", ""], "n_list: must be a non-empty list"),
+    ("config-5000-digit-integer",
+     ["--config", "digits.json"], "config: invalid JSON in digits.json"),
+    ("config-not-utf-8",
+     ["--config", "latin1.json"], "config: invalid JSON in latin1.json"),
 ]))
 def test_cli_bad_input_exit_2(tmp_path, capsys, monkeypatch, args, key):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "list.json").write_text(json.dumps([{"kind": "converge"}]))
+    # json.dumps cannot write an int past 4,300 digits, and json.load cannot read one
+    (tmp_path / "digits.json").write_text('{"kind": "converge", "seed": ' + "7" * 5000 + "}")
+    (tmp_path / "latin1.json").write_bytes('{"kind": "converge", "out_path": "é.csv"}'
+                                           .encode("latin-1"))
     assert main(["converge", *args, "--out", "c.csv"]) == 2
     assert f"config error: {key}" in capsys.readouterr().err
     assert not (tmp_path / "c.csv").exists()
@@ -797,6 +821,8 @@ def test_cli_unknown_generator_key_exit_2(tmp_path, capsys, kind, generator, key
      "evolution", {"name": "family", "s": 0.8, "t": 0.2}, "generator.s, generator.t"),
     ("converge-generator18-generator.letters",
      "converge", {"name": "repeated", "letters": []}, "generator.letters"),
+    ("regime-delta-400-digits",
+     "regime", {"name": "spiked", "delta": 10**400}, "generator.delta"),
 ]))
 def test_cli_bad_generator_value_exit_2(tmp_path, capsys, kind, generator, key):
     cfg = tmp_path / "gen.json"

@@ -190,6 +190,8 @@ def test_spiked_infeasible_cases():
     # the norm formula goes negative at this n/delta
     with pytest.raises(InfeasibleRegimeError):
         spiked_parameters(10**6, RegimeSpec("bounded_log", delta=1.0))
+    with pytest.raises(InfeasibleRegimeError, match="bounded_log spike norm formula gives -"):
+        spiked_parameters(100, RegimeSpec("bounded_log", delta=0.1))
     # spike count rounds to zero
     with pytest.raises(InfeasibleRegimeError):
         spiked_parameters(10**6, RegimeSpec("prob_regime", delta=1.0, linf=10.0))
@@ -199,7 +201,8 @@ def test_spiked_infeasible_cases():
     with pytest.raises(InfeasibleRegimeError, match="too small"):
         spiked_parameters(1, RegimeSpec("bounded_log"))
     # n / linf = 2 < e: log log (n / linf) is undefined
-    with pytest.raises(InfeasibleRegimeError, match="log-log correction"):
+    with pytest.raises(InfeasibleRegimeError, match="prob_regime n/linf = 2 too small for "
+                                                     "the log-log correction at n = 10"):
         spiked_parameters(10, RegimeSpec("prob_regime", linf=5.0))
     # 1 / (3 t) overflows to inf without an exception
     with pytest.raises(InfeasibleRegimeError, match="spike norm formula gives inf"):

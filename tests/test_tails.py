@@ -101,18 +101,13 @@ def test_lemma_random_bound_values_and_errors():
             lemma_random_bound(10**4, 100, eps, stats, 2)
 
 
-@pytest.mark.parametrize("a", [-1, 41])
-def test_variance_proxy_rejects_a_block_size_outside_0_n(a):
-    with pytest.raises(ValueError, match="out of range for row of length 40"):
-        variance_proxy(gen_two_letter(40, E12, E21), a)
-
-
 # b = n // a blocks of size a: a < 1 and b < 1 (a > n) are refused by every block kernel
 @pytest.mark.parametrize("kernel", [
     lambda row, a: block_gaps(row, [np.arange(row.n)], a),
     lambda row, a: block_bernstein_bound(row, a, [0.1]),
     lambda row, a: lemma_random_bound(row.n, a, 0.1, row.stats, row.d),
-], ids=["block_gaps", "block_bernstein_bound", "lemma_random_bound"])
+    variance_proxy,
+], ids=["block_gaps", "block_bernstein_bound", "lemma_random_bound", "variance_proxy"])
 @pytest.mark.parametrize("a", [-1, 0, 41], ids=["a_negative", "a_0", "b_0"])
 def test_block_kernels_reject_a_outside_1_n(kernel, a):
     with pytest.raises(ValueError, match=f"block size a = {a} must be >= 1 and at most n = 40"):
