@@ -18,6 +18,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from reprlib import repr as _brief  # a long value as about 40 characters
 from typing import Any
 
 import numpy as np
@@ -58,8 +59,10 @@ class ConfigError(ValueError):
 
 
 def _sidecar_path(out_path) -> Path:
-    """The JSON sidecar of the CSV at out_path; a ConfigError if it ends in .json
-    or names no file (".", "/", "..")."""
+    """The JSON sidecar of the CSV at out_path; a ConfigError if it is not a path,
+    ends in .json or names no file (".", "/", "..")."""
+    if not isinstance(out_path, (str, os.PathLike)):
+        raise ConfigError(f"out_path: {_brief(out_path)} is not a path")
     if (path := Path(out_path)).name in ("", ".."):
         raise ConfigError(f"out_path: {str(out_path)!r} names no file")
     if path.suffix.lower() == ".json":  # in any case
@@ -114,22 +117,23 @@ FAMILY_DEFAULTS = {
 # family fn -> the dimension of its matrices, for a family whose keys do not set it
 FAMILY_DIMS = {"rotation": 2}
 
-# generator key -> the values its runner accepts
+# generator key -> the values its runner accepts; _VALUES adds the config fields with names
 GENERATOR_VALUES = {
     "order": ("first_half_b", "interleaved"), "mode": ("ordered", "permuted", "iid"),
     "regime": REGIMES, "fn": tuple(evo.FAMILIES)}
+_VALUES = {**GENERATOR_VALUES, "kind": KINDS, "sigma_mode": ("random", "identity"),
+           "block_mode": ("sqrt_default", "probability")}
 
 _ROW_GENERATORS = ("two_letter", "repeated", "spiked", "riemann")
-_TWO_LETTER = {"name": "two_letter", "b": "e12", "c": "e21", "order": "first_half_b"}
 
-# kind -> (generator names it runs, keys it reads beyond the generator's own,
-#          the generator of a config that names none, as the sidecar echoes it)
+# kind -> (generator names it runs, keys it reads beyond the generator's own, the generator
+#          of a config that names none as the sidecar echoes it, or None: the first name's)
 _KINDS = {
-    "converge": (_ROW_GENERATORS, (), _TWO_LETTER),
-    "tail": (_ROW_GENERATORS, ("a",), _TWO_LETTER),
+    "converge": (_ROW_GENERATORS, (), None),
+    "tail": (_ROW_GENERATORS, ("a",), None),
     "regime": (("spiked",), ("regimes",), {"name": "spiked", "regime": "large_linf",
                                            "delta": 1.0}),
-    "words": (("multiset",), (), {"name": "multiset", "a": 5, "b": 8}),
+    "words": (("multiset",), (), None),
     "evolution": (("family",), (), {"name": "family", "fn": "step", "b": "e12", "c": "e21",
                                     "s": 0.0, "t": 1.0, "mode": "permuted"}),
 }
@@ -175,12 +179,13 @@ def _regimes(gen: dict) -> list[tuple[str, dict]]:
             for i, r in enumerate(regimes or [{}])]
 
 
-def _value_error(key: str, value, default) -> str | None:
-    """Why value cannot stand for a generator key with this default, or None."""
-    if key in GENERATOR_VALUES:
-        ok, want = value in GENERATOR_VALUES[key], f"one of {GENERATOR_VALUES[key]}"
-    elif isinstance(default, int):
-        ok, want = _is_int(value) and value >= 1, "a positive integer"
+def _value_error(key: str, value, default, where: str = "generator.") -> str | None:
+    """Why value cannot stand for a generator key (a config field, where="") with
+    this default, or None."""
+    if key in _VALUES:
+        ok, want = value in _VALUES[key], f"one of {_VALUES[key]}"
+    elif isinstance(default, int):  # a size or a count, which numpy takes as a C ssize_t
+        ok, want = _is_int(value) and 1 <= value <= sys.maxsize, "a positive integer below 2**63"
     elif isinstance(default, float) or default is None:
         ok, want = _is_real(value) or value is default, "a finite number"
     elif isinstance(default, list):  # letters hold matrices, diag numbers
@@ -189,7 +194,7 @@ def _value_error(key: str, value, default) -> str | None:
         want = "a non-empty list" + ("" if isinstance(default[0], str) else " of numbers")
     else:
         return None  # a matrix: _matrix_errors parses it
-    return None if ok else f"generator.{key}: {value!r} is not {want}"
+    return None if ok else f"{where}{key}: {_brief(value)} is not {want}"
 
 
 def _matrix_errors(g: dict, target, d) -> list[str]:
@@ -207,7 +212,7 @@ def _matrix_errors(g: dict, target, d) -> list[str]:
             specs.append((f"generator.{key}", g[key]))
     if g.get("fn") in FAMILY_DIMS:
         sizes["generator.fn"] = FAMILY_DIMS[g["fn"]]
-    if _is_int(d) and d >= 1 and g["name"] != "multiset":
+    if g["name"] != "multiset" and not _value_error("d", d, 1):
         sizes["d"] = d
     try:
         dims = {what: len(_entries(spec, what)) for what, spec in specs} | sizes
@@ -253,18 +258,18 @@ def _generator_errors(kind: str, gen: dict, ns: list, target, d) -> list[str]:
         except ValueError as exc:
             errors.append(f"{where}: {exc}")
     if name == "two_letter" and any(_is_int(n) and n % 2 for n in ns):
-        errors.append(f"n_list: the two_letter generator needs even n, got {ns}")
+        errors.append(f"n_list: the two_letter generator needs even n, got {_brief(ns)}")
     letters = gen.get("letters", keys["letters"]) if name == "repeated" else []
     if isinstance(letters, list) and any(_is_int(n) and n < len(letters) for n in ns):
         errors.append(f"n_list: the repeated generator needs every n >= its "
-                      f"{len(letters)} letters, got {ns}")
+                      f"{len(letters)} letters, got {_brief(ns)}")
     a = gen.get("a")
     if kind == "tail" and a is None and any(_is_int(n) and n < 4 for n in ns):
-        errors.append(f"n_list: the tail kind needs n >= 4 without generator.a, got {ns}")
+        errors.append(f"n_list: the tail kind needs n >= 4 without generator.a, got {_brief(ns)}")
     if kind == "tail" and a is not None and (
-            not _is_int(a) or a < 1 or any(_is_int(n) and a > n for n in ns)):
+            _value_error("a", a, 1) or any(_is_int(n) and a > n for n in ns)):
         errors.append(f"generator.a: block size must be an integer in "
-                      f"[1, min(n_list)], got {a!r}")
+                      f"[1, min(n_list)], got {_brief(a)}")
     return errors
 
 
@@ -284,57 +289,48 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not self.generator and self.kind in KINDS:
-            self.generator = dict(_KINDS[self.kind][2])
-        self.validate()
+            names, _, default = _KINDS[self.kind]
+            self.generator = dict(default or {"name": names[0], **GENERATOR_DEFAULTS[names[0]]})
+        try:
+            self.validate()
+        except ValueError as exc:  # a ConfigError, or reprlib on an int past 4,300 digits
+            raise ConfigError(str(exc)) from exc
 
     def validate(self) -> None:
-        errors = []
-        if self.kind not in KINDS:
-            errors.append(f"kind: {self.kind!r} is not one of {KINDS}")
+        # the fields with named values, and d and trials by the integer rule (default 1)
+        errors = list(filter(None, (_value_error(name, getattr(self, name), 1, "") for name in
+                                    ("kind", "d", "trials", "sigma_mode", "block_mode"))))
         ns = self.n_list if isinstance(self.n_list, list) else []
+        gen = self.generator if isinstance(self.generator, dict) else {}
         if not ns:
             errors.append("n_list: must be a non-empty list")
-        elif not all(_is_int(n) and n >= 1 for n in ns) or len(set(ns)) < len(ns):
-            errors.append(f"n_list: entries must be distinct positive integers, got {self.n_list}")
-        if not _is_int(self.trials) or self.trials < 1:
-            errors.append(f"trials: must be >= 1, got {self.trials}")
-        elif self.trials > 1 and (
+        elif any(_value_error("n_list", n, 1) for n in ns) or len(set(ns)) < len(ns):
+            errors.append(f"n_list: entries must be distinct positive integers, got {_brief(ns)}")
+        if not _value_error("trials", self.trials, 1) and self.trials > 1 and (
                 self.sigma_mode == "identity" and self.kind in _FIELD_KINDS["sigma_mode"]
-                or self.kind == "evolution" and isinstance(self.generator, dict)
-                and self.generator.get("mode") == "ordered"):
+                or self.kind == "evolution" and gen.get("mode") == "ordered"):
             errors.append(f"trials: every trial of an identity sigma_mode or an ordered evolution "
                           f"is the same computation, so trials must be 1, got {self.trials}")
         if not _is_int(self.seed) or self.seed < 0:
-            errors.append(f"seed: must be a non-negative integer, got {self.seed}")
+            errors.append(f"seed: must be a non-negative integer, got {_brief(self.seed)}")
         if self.eps is not None and not (_is_real(self.eps) and self.eps > 0):
-            errors.append(f"eps: must be a positive number when given, got {self.eps!r}")
-        if self.sigma_mode not in ("random", "identity"):
-            errors.append(f"sigma_mode: {self.sigma_mode!r} is not 'random' or 'identity'")
-        if self.block_mode not in ("sqrt_default", "probability"):
-            errors.append(f"block_mode: unknown mode {self.block_mode!r}")
-        if not _is_int(self.d) or self.d < 1:
-            errors.append(f"d: must be a positive integer, got {self.d}")
-        if not isinstance(self.generator, dict) or "name" not in self.generator:
+            errors.append(f"eps: must be a positive number when given, got {_brief(self.eps)}")
+        if "name" not in gen:
             errors.append("generator: must be an object with a 'name' field")
         elif self.kind in KINDS:
-            errors.extend(_generator_errors(self.kind, self.generator, ns, self.target, self.d))
-        if not isinstance(self.out_path, str) or not self.out_path:
-            errors.append(f"out_path: must be a non-empty string, got {self.out_path!r}")
-        else:
-            try:
-                _sidecar_path(self.out_path)
-            except ConfigError as exc:
-                errors.append(str(exc))
-        for name, kinds in _FIELD_KINDS.items():
-            value, f = getattr(self, name), self.__dataclass_fields__[name]
-            default = f.default_factory() if f.default is dataclasses.MISSING else f.default
-            if self.kind in KINDS and self.kind not in kinds and (
-                    value is not None if default is None else value != default):
-                errors.append(f"{name}: the {self.kind} kind does not read it, got {value!r}")
-        if self.kind == "tail" and self.block_mode != "sqrt_default" and isinstance(
-                self.generator, dict) and self.generator.get("a") is not None:
-            errors.append(f"block_mode: the tail kind reads it only without generator.a, "
-                          f"got {self.block_mode!r}")
+            errors.extend(_generator_errors(self.kind, gen, ns, self.target, self.d))
+        try:
+            _sidecar_path(self.out_path)
+        except ConfigError as exc:
+            errors.append(str(exc))
+        for f in dataclasses.fields(self):  # a field the kind does not read keeps its default
+            value, kinds = getattr(self, f.name), _FIELD_KINDS.get(f.name, KINDS)
+            default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+            unread = self.kind not in kinds or f.name == "block_mode" and gen.get("a") is not None
+            if self.kind in KINDS and unread and (
+                    value is not default if default is None else value != default):
+                errors.append(f"{f.name}: the {self.kind} kind does not read it"
+                              f"{' with generator.a' * (self.kind in kinds)}, got {_brief(value)}")
         if errors:
             raise ConfigError("; ".join(errors))
 
@@ -524,7 +520,7 @@ def emit(report: ExperimentReport, out_path: str | Path) -> Path:
             writer.writerow(columns)
             writer.writerows([rec[c] for c in columns] for rec in report.records)
         with open(temps[1], "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
+            json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False, default=os.fspath)
             fh.write("\n")
         for final in (path, sidecar):  # os.replace cannot put a file over a directory
             if final.is_dir():

@@ -4,10 +4,12 @@ Configs for every kind are drawn from the generator tables, so a key added to
 or removed from GENERATOR_DEFAULTS, GENERATOR_VALUES or FAMILY_DEFAULTS is
 searched with no edit here. Matrix entries and numbers reach 1e300, where
 norms overflow a float; rarely, one is not a number that fits a float: a
-400-digit integer, a numeric string or a boolean. Whatever the config, the
-command exits 0, 2 or 3 and raises nothing; a config error writes no report;
-a runtime error (exit 3) names the n it failed at; and a report holds only
-empty cells and finite numbers.
+400-digit integer, a numeric string or a boolean. Rarely too, a size (an n,
+d, the multiset's a or b, the tail's generator.a) is a 400-digit integer,
+past sys.maxsize; trials never is, since a run takes its trials one by one.
+Whatever the config, the command exits 0, 2 or 3 and raises nothing; a
+config error writes no report; a runtime error (exit 3) names the n it
+failed at; and a report holds only empty cells and finite numbers.
 """
 
 import contextlib
@@ -33,6 +35,11 @@ ENTRIES = (0.0, -3.0, -1.0, -0.5, 0.25, 0.5, 1.0, 2.0, 5.0, 1e-300, 800.0, 1e300
 NOT_NUMBERS = (10**400, "1", True)
 
 
+def _size(rnd, size):
+    """size, or rarely a 400-digit integer in its place."""
+    return 10**400 if rnd.random() < 0.01 else size
+
+
 def _entry(rnd):
     return rnd.choice(NOT_NUMBERS) if rnd.random() < 0.01 else rnd.choice(ENTRIES)
 
@@ -55,7 +62,7 @@ def _value(rnd, key, default, d):
     if key in GENERATOR_VALUES:
         return rnd.choice(GENERATOR_VALUES[key])
     if isinstance(default, int):
-        return rnd.randint(0, 8)
+        return _size(rnd, rnd.randint(0, 8))
     if isinstance(default, float) or default is None:
         return _number(rnd)
     if isinstance(default, list):  # letters hold matrices, diag numbers
@@ -85,7 +92,7 @@ def configs(draw):
     if fn is not None:
         gen.update(_some(rnd, FAMILY_DEFAULTS[fn], d))
     if "a" in extra and rnd.random() < 0.5:
-        gen["a"] = rnd.randint(1, 50)
+        gen["a"] = _size(rnd, rnd.randint(1, 50))
     if "regimes" in extra and rnd.random() < 0.5:
         gen["regimes"] = [_some(rnd, GENERATOR_DEFAULTS[name], d) for _ in range(rnd.randint(1, 3))]
     fields = {"eps": lambda: _number(rnd), "target": lambda: _matrix(rnd, d),
@@ -94,8 +101,9 @@ def configs(draw):
     doc = {"kind": kind, "generator": gen, "trials": rnd.randint(1, 3), "seed": rnd.randint(0, 9),
            **{f: value() for f, value in fields.items()
               if kind in _FIELD_KINDS[f] and rnd.random() < 0.5}}
-    if kind != "words":  # it reads no n_list or d
-        doc.update(n_list=rnd.sample(range(1, 401), rnd.randint(1, 3)), d=d)
+    if kind != "words":  # it reads no n_list or d; the matrices above are drawn at the small d
+        doc.update(n_list=[_size(rnd, n) for n in rnd.sample(range(1, 401), rnd.randint(1, 3))],
+                   d=_size(rnd, d))
     return doc
 
 

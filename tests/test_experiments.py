@@ -124,6 +124,14 @@ def test_emit_cell_formats(tmp_path):
         ",7,-0.0,5e-324,1e+16,nan,large_linf,0.1,0.6666666666666666\n").encode()
 
 
+def test_out_path_may_be_a_path_object(tmp_path):
+    # the sidecar echoes it as the string it stands for
+    cfg = ExperimentConfig(kind="words", trials=2, seed=1, out_path=tmp_path / "w.csv")
+    emit(run(cfg), cfg.out_path)
+    sidecar = json.loads((tmp_path / "w.json").read_text())
+    assert sidecar["config"]["out_path"] == str(tmp_path / "w.csv")
+
+
 @pytest.mark.parametrize("name", ["t.json", "t.JSON"])
 def test_json_out_path_is_a_config_error(tmp_path, capsys, monkeypatch, name):
     # the CSV would be its own sidecar: refused before any cell runs or any file is written
@@ -556,10 +564,9 @@ MATRIX_3X3 = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
     ("words-four-unread-fields",
      "words", {"target": "e12", "block_mode": "probability", "sigma_mode": "identity",
                "eps": 0.1},
-     "target: the words kind does not read it, got 'e12'; eps: the words kind "
-     "does not read it, got 0.1; sigma_mode: the words kind does not read it, "
-     "got 'identity'; block_mode: the words kind does not read it, got "
-     "'probability'"),
+     "eps: the words kind does not read it, got 0.1; sigma_mode: the words kind "
+     "does not read it, got 'identity'; block_mode: the words kind does not read it, "
+     "got 'probability'; target: the words kind does not read it, got 'e12'"),
     # words takes its size from the generator
     ("words-fields17-n_list: the words kind does not read it, got [7]",
      "words", {"n_list": [7]}, "n_list: the words kind does not read it, got [7]"),
@@ -570,7 +577,7 @@ MATRIX_3X3 = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
      "tail", {"block_mode": "probability", "generator": {"name": "two_letter", "a": 20}},
      "block_mode"),
     ("tail-fields20-block_mode: unknown mode 'sqrt'",
-     "tail", {"block_mode": "sqrt"}, "block_mode: unknown mode 'sqrt'"),
+     "tail", {"block_mode": "sqrt"}, "block_mode: 'sqrt' is not one of"),
     ("converge-fields21-target: cannot parse matrix",
      "converge", {"target": [["x"]]}, "target: cannot parse matrix"),
     # copies of an n would draw the same streams and repeat the same cells
@@ -597,6 +604,10 @@ MATRIX_3X3 = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
      "converge", {"target": [[10**400, 0], [0, 0]]}, "target: cannot parse matrix"),
     ("tail-eps-400-digits",
      "tail", {"eps": 10**400}, "eps: must be a positive number"),
+    # a size past sys.maxsize, which numpy cannot take
+    ("regime-d-401-digits",
+     "regime", {"d": 10**400},
+     "d: 100000000000000000...0000000000000000000 is not a positive integer"),
 ]))
 def test_cli_invalid_field_exit_2(tmp_path, capsys, kind, fields, key):
     cfg = tmp_path / "cfg.json"
@@ -622,6 +633,8 @@ def test_cli_invalid_field_exit_2(tmp_path, capsys, kind, fields, key):
      ["--config", "digits.json"], "config: invalid JSON in digits.json"),
     ("config-not-utf-8",
      ["--config", "latin1.json"], "config: invalid JSON in latin1.json"),
+    ("n-401-digits",
+     ["--n", "1" + "0" * 400], "n_list: entries must be distinct positive integers"),
 ]))
 def test_cli_bad_input_exit_2(tmp_path, capsys, monkeypatch, args, key):
     monkeypatch.chdir(tmp_path)
@@ -663,6 +676,30 @@ def test_cli_tail_block_size_out_of_range_exit_2(tmp_path, capsys, a):
                                "out_path": str(tmp_path / "t.csv")}))
     assert main(["tail", "--config", str(cfg)]) == 2
     assert "generator.a" in capsys.readouterr().err
+
+
+def test_seed_of_any_size_runs(tmp_path):
+    # default_rng takes a key of any size: only sizes and counts are bounded
+    out = tmp_path / "w.csv"
+    assert main(["words", "--trials", "2", "--seed", "1" + "0" * 400, "--out", str(out)]) == 0
+    assert json.loads(out.with_suffix(".json").read_text())["seed"] == 10**400
+
+
+@pytest.mark.parametrize("fields", [{"eps": 10**5000}, {"n_list": [10**5000]}],
+                         ids=["eps", "n_list"])
+def test_int_past_4300_digits_is_a_config_error(fields):
+    # a message cannot show it, and only a library call can pass it
+    with pytest.raises(ConfigError):
+        ExperimentConfig(**{"kind": "tail", "n_list": [40], **fields})
+
+
+def test_config_error_abbreviates_a_long_value(tmp_path, capsys):
+    cfg = tmp_path / "eps.json"
+    cfg.write_text(json.dumps({"kind": "tail", "n_list": [40], "eps": 10**400,
+                               "out_path": str(tmp_path / "t.csv")}))
+    assert main(["tail", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: eps") and len(err.rstrip("\n")) < 120, err
 
 
 def test_tail_block_size_may_equal_smallest_n():
@@ -823,6 +860,8 @@ def test_cli_unknown_generator_key_exit_2(tmp_path, capsys, kind, generator, key
      "converge", {"name": "repeated", "letters": []}, "generator.letters"),
     ("regime-delta-400-digits",
      "regime", {"name": "spiked", "delta": 10**400}, "generator.delta"),
+    ("words-a-401-digits",
+     "words", {"name": "multiset", "a": 10**400}, "generator.a"),
 ]))
 def test_cli_bad_generator_value_exit_2(tmp_path, capsys, kind, generator, key):
     cfg = tmp_path / "gen.json"
