@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from reprlib import repr as _brief  # a long value as about 40 characters
+from reprlib import Repr
 from typing import Any
 
 import numpy as np
@@ -29,10 +29,18 @@ from .products import block_gaps, choose_blocks, path_deviations
 from .rows import (REGIMES, ArrayRow, RegimeSpec, gen_repeated, gen_riemann, gen_spiked,
                    gen_two_letter, spiked_parameters)
 from .tails import block_bernstein_bound, eps_grid, lemma_random_bound
-from .words import random_word, word_statistics
+from .words import batch_word_statistics, random_word
+
+
+class _Brief(Repr):  # a long value as about 40 characters
+    def repr_int(self, x, level):  # str() refuses an int past 4,300 digits: show their count
+        return (super().repr_int(x, level) if x.bit_length() < 14_000
+                else f"<an int of about {math.floor(math.log10(abs(x))) + 1} digits>")
+
 
 PACKAGE_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
+_brief = _Brief().repr
 
 KINDS = ("converge", "tail", "regime", "words", "evolution")
 _KIND_ID = {k: i + 1 for i, k in enumerate(KINDS)}
@@ -288,12 +296,12 @@ class ExperimentConfig:
     target: Any = None
 
     def __post_init__(self):
-        if not self.generator and self.kind in KINDS:
+        if self.generator == {} and self.kind in KINDS:  # not given: the kind's default
             names, _, default = _KINDS[self.kind]
             self.generator = dict(default or {"name": names[0], **GENERATOR_DEFAULTS[names[0]]})
         try:
             self.validate()
-        except ValueError as exc:  # a ConfigError, or reprlib on an int past 4,300 digits
+        except ValueError as exc:  # a ConfigError, or str() on an int past 4,300 digits (!r)
             raise ConfigError(str(exc)) from exc
 
     def validate(self) -> None:
@@ -458,8 +466,11 @@ def _run_regime(cfg: ExperimentConfig, summary: dict):
 def _run_words(cfg: ExperimentConfig, summary: dict):
     g = _merged(cfg.generator)
     a, b = g["a"], g["b"]
-    keys = ((cfg.seed, _KIND_ID[cfg.kind], trial) for trial in range(cfg.trials))
-    stats = [word_statistics(random_word(a, b, np.random.default_rng(key)), a) for key in keys]
+    step, stats = max(1, (1 << 18) // (a * a * b)), []  # a chunk of words holds 2**18 counts
+    for start in range(0, cfg.trials, step):  # each trial's word from its own keyed stream
+        keys = ((cfg.seed, _KIND_ID[cfg.kind], t) for t in range(cfg.trials)[start:start + step])
+        words = [random_word(a, b, np.random.default_rng(key)) for key in keys]
+        stats += zip(*(s.tolist() for s in batch_word_statistics(np.stack(words), a)))
     yield from ((trial, tv, dist, (a * b) ** 2 * tv) for trial, (tv, dist) in enumerate(stats))
     summary.update(tau=_quantiles([tv for tv, _ in stats]), a=a, b=b)
 

@@ -1,4 +1,4 @@
-"""Repeated-letter words: restriction, prefix-count statistics,
+"""Repeated-letter words: restriction, occurrence-index statistics,
 and adjacent-transposition distance to the standard periodic word.
 
 A word of shape (a, b) is an int64 array of length a*b over letters 0..a-1,
@@ -14,12 +14,13 @@ import math
 import numpy as np
 
 
-def _multiplicity(letters: np.ndarray, a: int) -> int:
-    """b = len(letters) // a, after checking that letters is a word of shape (a, b)."""
-    if a < 1 or np.ndim(letters) != 1 or not len(letters) or len(letters) % a:
-        raise ValueError(f"word length must be a*b with b >= 1, a = {a}; got {np.shape(letters)}")
-    b = len(letters) // a
-    if letters.min() < 0 or letters.max() >= a or (np.bincount(letters, minlength=a) != b).any():
+def _multiplicity(words: np.ndarray, a: int) -> int:
+    """b = L // a, after checking each row of the (T, L) batch words is a word of shape (a, b)."""
+    if a < 1 or np.ndim(words) != 2 or not words.shape[1] or words.shape[1] % a:
+        raise ValueError(f"word length must be a*b with b >= 1, a = {a}; got {words.shape[1:]}")
+    b = words.shape[1] // a
+    rows = a * np.arange(len(words))[:, None]  # a bins a row; a letter short leaves one over
+    if words.min() < 0 or words.max() >= a or (np.bincount((words + rows).ravel()) != b).any():
         raise ValueError(f"every letter must be in [0, {a}) and appear exactly {b} times")
     return b
 
@@ -34,71 +35,75 @@ def random_word(a: int, b: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def restrict_word(order: np.ndarray, a: int, b: int) -> np.ndarray:
-    """The word a permutation, as an index array, induces on the periodic row layout.
-
-    The row is laid out with letter p mod a at position p for p < a*b; scanning
-    positions order[0], ..., order[n-1] and keeping those below a*b yields the
-    word. Uniform permutations induce uniform words.
-    """
+    """The word a permutation, as an index array, induces on the periodic row layout: with
+    letter p mod a at position p < a*b, scan positions order[0], ..., order[n-1] and keep
+    those below a*b. Uniform permutations induce uniform words."""
     if a * b > len(order):
         raise ValueError(f"a*b = {a * b} exceeds n = {len(order)}")
     return (order[order < a * b] % a).astype(np.int64, copy=False)
 
 
 def prefix_counts(letters: np.ndarray, a: int) -> np.ndarray:
-    """Prefix counts along the last axis of a (..., L) batch of letter rows:
-    out[..., i, j] = occurrences of letter i among the first j letters;
-    shape (..., a, L+1). int32: a count is at most the multiplicity b, and
-    numpy sums int32 arrays in int64."""
+    """Prefix counts along the last axis of a (..., L) batch of letter rows, shape (..., a, L+1):
+    out[..., i, j] = occurrences of letter i among the first j letters (the tests' definition)."""
     onehot = letters[..., None, :] == np.arange(a)[:, None]
     out = np.zeros(letters.shape[:-1] + (a, letters.shape[-1] + 1), dtype=np.int32)
     np.cumsum(onehot, axis=-1, dtype=np.int32, out=out[..., 1:])
     return out
 
 
-def _tau(pc: np.ndarray, b: int):
-    """(max prefix-count discrepancy between letters + 1) / b of each
-    (a, L+1) prefix-count array in a (..., a, L+1) batch."""
-    return ((pc.max(axis=-2) - pc.min(axis=-2)).max(axis=-1) + 1) / b
+def _occurrences(words: np.ndarray, a: int):
+    """The occurrence index (letters, pos, m) of a (T, L) batch of checked words: the words in
+    the narrowest unsigned type (radix-sorted up to 16 bits); pos[t, l, k], the k-th position of
+    l; m[t, p], how often p's letter occurs before p, in the narrowest signed type holding -b-1."""
+    b = _multiplicity(words, a)
+    letters = words.astype(np.min_scalar_type(a - 1))
+    order = np.argsort(letters, axis=1, kind="stable")  # each letter's positions in order
+    m = np.empty(words.shape, dtype=np.min_scalar_type(-b - 1))
+    np.put_along_axis(m, order, np.tile(np.arange(b, dtype=m.dtype), a), axis=1)
+    return letters, order.reshape(len(words), a, b), m
+
+
+def _tau(pos: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(largest gap between two letters' prefix counts + 1) / b of each word. Round k ends at the
+    last k-th occurrence R_k: the least count is k on the prefixes of lengths (R_{k-1}, R_k], and
+    the largest never falls, so the gap peaks at length R_k."""
+    most = np.zeros((len(m), m.shape[1] + 1), dtype=m.dtype)  # largest count per prefix length
+    np.maximum.accumulate(m + 1, axis=1, out=most[:, 1:])
+    gap = np.take_along_axis(most, pos.max(axis=1), axis=1) - np.arange(pos.shape[2], dtype=m.dtype)
+    return (gap.max(axis=1) + 1.0) / pos.shape[2]
+
+
+def batch_word_statistics(words: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """(tau, distance) of each row of a (T, L) batch of words over [0, a): _tau, and the adjacent
+    transpositions to the standard word under stable matching of equal letters. The m-th l is
+    outranked by an earlier m'-th l' when m' > m, or m' = m and l' > l: with c occurrences of l'
+    so far, x = c - m - [l' < l] inversions if x > 0. The x sum to 0 (over l' to p - (m a + l),
+    and the ranks m a + l run over the positions p), so the distance is half the sum of |x|."""
+    letters, pos, m = _occurrences(words, a)
+    t, _, b = pos.shape
+    # a letter's count is k from just after its k-th occurrence through its (k+1)-th
+    x = np.repeat(np.broadcast_to(np.arange(b + 1, dtype=m.dtype), (t, a, b + 1)),
+                  np.diff(pos, axis=2, prepend=-1, append=a * b - 1).ravel()).reshape(t, a, a * b)
+    x -= m[:, None, :]
+    x -= np.arange(a, dtype=letters.dtype)[:, None] < letters[:, None, :]
+    return _tau(pos, m), np.abs(x, out=x).sum(axis=(1, 2), dtype=np.int64) // 2
 
 
 def word_statistics(letters: np.ndarray, a: int) -> tuple[float, int]:
-    """(tau, distance) of the word letters over [0, a), from one prefix-count
-    array: tau = (max prefix-count discrepancy between letters + 1) / b;
-    distance = the adjacent transpositions to the standard word under stable
-    matching of equal letters.
-
-    The distance counts inversions from the prefix counts: the m-th occurrence
-    of letter l is outranked by an earlier occurrence of l' when that is the
-    m'-th with m' > m, or m' = m and l' > l. With c occurrences of l' so far,
-    that makes max(0, c - m - [l' < l]) inversions.
-    """
-    b = _multiplicity(letters, a)
-    pc = prefix_counts(letters, a)
-    before = pc[:, :-1]
-    gap = before - before[letters, np.arange(len(letters))]
-    gap -= np.arange(a)[:, None] < letters
-    return float(_tau(pc, b)), int(np.maximum(gap, 0, out=gap).sum())
+    """(tau, distance) of the word letters over [0, a): batch_word_statistics on a batch of one."""
+    return tuple(s.item() for s in batch_word_statistics(np.asarray(letters)[None], a))
 
 
 def transpositions_to_standard(letters: np.ndarray, a: int) -> list[int]:
     """Explicit swap schedule: swapping positions (p, p+1) for each listed p,
     in order, transforms the word letters over [0, a) into the standard word.
-    Its length is the distance of word_statistics(letters, a). Insertion sort:
-    O(L^2) time and a list of up to L(L-1)/2 swaps for a word of length L = a*b."""
-    _multiplicity(letters, a)
-    # the rank of each position under the stable matching to the standard word:
-    # the m-th occurrence of letter l is destined for slot m*a + l
-    occurrence = prefix_counts(letters, a)[letters, np.arange(len(letters))]
-    ranks = (occurrence * a + letters).tolist()
-    swaps: list[int] = []
-    for i in range(1, len(ranks)):
-        j = i
-        while j > 0 and ranks[j - 1] > ranks[j]:
-            ranks[j - 1], ranks[j] = ranks[j], ranks[j - 1]
-            swaps.append(j - 1)
-            j -= 1
-    return swaps
+    Its length is the distance of word_statistics(letters, a). The swaps of insertion
+    sort: O(L^2) time and a list of up to L(L-1)/2 swaps for a word of length L = a*b."""
+    # the m-th l goes to slot m*a + l; insertion swaps it at i-1, i-2, ... past each higher rank
+    ranks = _occurrences(np.asarray(letters)[None], a)[2][0].astype(np.int64) * a + letters
+    moves = np.tril(ranks[None, :] > ranks[:, None], -1).sum(axis=1).tolist()
+    return [j for i, k in enumerate(moves) for j in range(i - 1, i - 1 - k, -1)]
 
 
 def apply_transpositions(letters: np.ndarray, swaps: list[int]) -> np.ndarray:
@@ -110,8 +115,7 @@ def apply_transpositions(letters: np.ndarray, swaps: list[int]) -> np.ndarray:
 
 def tau_tail_bound(a: int, b: int, p: float) -> float:
     """Tail bound for tau exceeding p / sqrt(b) over uniform random words:
-    2 a^2 C(2b, ceil(b - p sqrt(b) + 1)) / C(2b, b). Needs p sqrt(b) <= b + 1.
-    """
+    2 a^2 C(2b, ceil(b - p sqrt(b) + 1)) / C(2b, b). Needs p sqrt(b) <= b + 1."""
     if a < 1 or b < 1 or p <= 0:
         raise ValueError("need a, b >= 1 and p > 0")
     if p * math.sqrt(b) > b + 1:
@@ -134,5 +138,5 @@ def tau_tail_empirical(a: int, b: int, p: float, trials: int, seed: int) -> floa
     for done in range(0, trials, _TRIAL_CHUNK):
         c = min(_TRIAL_CHUNK, trials - done)
         letters = rng.permuted(np.tile(base, (c, 1)), axis=1)  # row i: the i-th random_word
-        hits += int((_tau(prefix_counts(letters, a), b) > p / math.sqrt(b)).sum())
+        hits += int((_tau(*_occurrences(letters, a)[1:]) > p / math.sqrt(b)).sum())
     return hits / trials

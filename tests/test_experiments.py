@@ -693,6 +693,26 @@ def test_int_past_4300_digits_is_a_config_error(fields):
         ExperimentConfig(**{"kind": "tail", "n_list": [40], **fields})
 
 
+def test_int_past_4300_digits_is_shown_by_its_digit_count():
+    # reprlib cannot show such an int, so the message names the field and the int's size
+    with pytest.raises(ConfigError, match=r"^eps: must be a positive number when given, "
+                                          r"got <an int of about 5001 digits>$"):
+        ExperimentConfig(kind="tail", n_list=[40], eps=10**5000)
+
+
+@pytest.mark.parametrize("generator", [False, 0, "", [], None],
+                         ids=["false", "zero", "empty_string", "empty_list", "null"])
+def test_cli_generator_that_is_not_an_object_exit_2(tmp_path, capsys, generator):
+    # only a config that gives no generator runs the kind's default one
+    cfg, out = tmp_path / "cfg.json", tmp_path / "gen.csv"
+    cfg.write_text(json.dumps({"kind": "converge", "n_list": [40], "generator": generator,
+                               "out_path": str(out)}))
+    assert main(["converge", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: generator: must be an object with a 'name' field"), err
+    assert not out.exists() and not out.with_suffix(".json").exists()
+
+
 def test_config_error_abbreviates_a_long_value(tmp_path, capsys):
     cfg = tmp_path / "eps.json"
     cfg.write_text(json.dumps({"kind": "tail", "n_list": [40], "eps": 10**400,

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from trotter_shuffle.linalg import op_norms
 from trotter_shuffle.products import exp_factors, prefix_products
+from trotter_shuffle.experiments import KINDS, ExperimentConfig, run
 from trotter_shuffle.rows import ArrayRow, random_unit_hermitians
-from trotter_shuffle.words import (apply_transpositions, prefix_counts,
+from trotter_shuffle.words import (apply_transpositions, batch_word_statistics, prefix_counts,
                                    random_word, restrict_word, standard_word,
                                    tau_tail_bound, tau_tail_empirical,
                                    transpositions_to_standard, word_statistics)
@@ -255,3 +256,88 @@ def test_tau_tail_empirical_dominated_by_exact_bound():
         emp = tau_tail_empirical(5, 8, p, trials=trials, seed=6)
         bound = min(1.0, tau_tail_bound(5, 8, p))
         assert emp <= bound + 3 * math.sqrt(0.25 / trials)
+
+
+def every_word(a: int, b: int) -> np.ndarray:
+    """Every word of shape (a, b), each once: the b positions of each letter in turn among
+    those still free."""
+    out = []
+
+    def place(word, letter):
+        if letter == a:
+            out.append(word.copy())
+            return
+        for spots in itertools.combinations(np.flatnonzero(word < 0).tolist(), b):
+            word[list(spots)] = letter
+            place(word, letter + 1)
+            word[list(spots)] = -1
+
+    place(np.full(a * b, -1, dtype=np.int64), 0)
+    return np.array(out)
+
+
+def running_count_tau(w: np.ndarray, a: int, b: int) -> float:
+    counts, disc = [0] * a, 0  # the largest prefix-count gap between two letters
+    for letter in w.tolist():
+        counts[letter] += 1
+        disc = max(disc, max(counts) - min(counts))
+    return (disc + 1) / b
+
+
+@pytest.mark.parametrize("a, b", [(1, 5), (5, 1), (2, 4), (3, 3), (4, 2)])
+def test_batch_statistics_of_every_word_in_one_batch(a, b):
+    words = every_word(a, b)
+    assert len(words) == math.factorial(a * b) // math.factorial(b) ** a
+    assert len({tuple(w) for w in words.tolist()}) == len(words)
+    tau, distance = batch_word_statistics(words, a)
+    assert tau.tolist() == [running_count_tau(w, a, b) for w in words]
+    assert distance.tolist() == [brute_distance(w, a) for w in words]
+
+
+def prefix_count_statistics(w: np.ndarray, a: int) -> tuple[float, int]:
+    # tau and the inversion count read off the int32 prefix counts, summed in int64
+    b = len(w) // a
+    pc = prefix_counts(w, a).astype(np.int64)
+    before = pc[:, :-1]
+    gap = before - before[w, np.arange(len(w))] - (np.arange(a)[:, None] < w)
+    disc = int((pc.max(axis=0) - pc.min(axis=0)).max())
+    return (disc + 1) / b, int(np.maximum(gap, 0).sum())
+
+
+# the counts switch from 16 to 32 bits past b = 2**15 - 1; a letter run of length b puts
+# every count and every count difference at its extreme
+@pytest.mark.parametrize("b", [2**15 - 1, 2**15])
+@pytest.mark.parametrize("a", [1, 2])
+def test_batch_statistics_at_the_count_type_boundary(a, b):
+    rng = np.random.default_rng(b + a)
+    words = np.stack([np.repeat(np.arange(a), b), np.repeat(np.arange(a)[::-1], b),
+                      random_word(a, b, rng)])
+    tau, distance = batch_word_statistics(words, a)
+    assert list(zip(tau.tolist(), distance.tolist())) == [
+        prefix_count_statistics(w, a) for w in words]
+
+
+def test_words_run_across_chunks_equals_word_statistics_per_trial():
+    # a = 20, b = 200: 80,000 counts a word, so three words a chunk of 2**18 counts
+    a, b, trials, seed = 20, 200, 7, 5
+    report = run(ExperimentConfig(kind="words", trials=trials, seed=seed,
+                                  generator={"name": "multiset", "a": a, "b": b}))
+    kind = KINDS.index("words") + 1
+    expected = [word_statistics(random_word(a, b, np.random.default_rng((seed, kind, t))), a)
+                for t in range(trials)]
+    assert [(r["tau"], r["distance"]) for r in report.records] == expected
+    assert [r["trial"] for r in report.records] == list(range(trials))
+
+
+@pytest.mark.parametrize("bad, match", [
+    ([0, 0, 0, 1], "exactly 2 times"),
+    ([0, 1, 2, 0], "in \\[0, 2\\)"),
+    ([0, 1, -1, 0], "in \\[0, 2\\)"),
+], ids=["letter_count", "letter_past_a", "negative_letter"])
+def test_batch_statistics_reject_a_malformed_row(bad, match):
+    good = np.array([1, 0, 0, 1])
+    for words in (np.stack([good, bad]), np.stack([bad, good, good])):
+        with pytest.raises(ValueError, match=match):
+            batch_word_statistics(words, 2)
+    with pytest.raises(ValueError, match="length must be a\\*b"):
+        batch_word_statistics(good, 2)  # one word is a batch only as a row
