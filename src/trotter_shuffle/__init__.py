@@ -9,14 +9,14 @@ compares matrix concentration tail bounds with Monte Carlo frequencies.
 from .experiments import PACKAGE_VERSION as __version__
 from .experiments import ConfigError, ExperimentConfig, ExperimentReport, emit, run
 from .evolution import cocycle_check, propagators
-from .linalg import exp_stack, mat_exp, op_norms
+from .linalg import exp_stack, op_norms
 from .products import path_deviations, prefix_products
 from .rows import RegimeSpec, gen_riemann, spiked_parameters
 from .words import tau_tail_bound, tau_tail_empirical
 
 __all__ = [
     "ConfigError", "ExperimentConfig", "ExperimentReport", "RegimeSpec", "cocycle_check",
-    "emit", "exp_stack", "gen_riemann", "mat_exp", "op_norms",
+    "emit", "exp_stack", "gen_riemann", "op_norms",
     "path_deviations", "prefix_products", "propagators", "run",
     "spiked_parameters", "tau_tail_bound", "tau_tail_empirical",
 ]

@@ -10,7 +10,7 @@ import json
 import sys
 from pathlib import Path
 
-from .experiments import KINDS, ConfigError, ExperimentConfig, _sidecar_path, emit, run
+from .experiments import KINDS, ConfigError, ExperimentConfig, _brief, _sidecar_path, emit, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,7 +43,7 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config: expected a JSON object")
     if doc.setdefault("kind", args.kind) != args.kind:
-        raise ConfigError(f"kind: the config is {doc['kind']!r}, the command {args.kind!r}")
+        raise ConfigError(f"kind: the config is {_brief(doc['kind'])}, the command {args.kind!r}")
     if args.n is not None:  # --n "" is an empty n_list, not the default
         try:
             doc["n_list"] = [int(x) for x in args.n.split(",") if x.strip()]

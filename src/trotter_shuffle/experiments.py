@@ -24,7 +24,7 @@ from typing import Any
 import numpy as np
 
 from . import evolution as evo
-from .linalg import as_matrix, mat_exp, op_norms
+from .linalg import as_matrix, exp_stack, op_norms
 from .products import block_gaps, choose_blocks, path_deviations
 from .rows import (REGIMES, ArrayRow, RegimeSpec, gen_repeated, gen_riemann, gen_spiked,
                    gen_two_letter, spiked_parameters)
@@ -72,9 +72,10 @@ def _sidecar_path(out_path) -> Path:
     if not isinstance(out_path, (str, os.PathLike)):
         raise ConfigError(f"out_path: {_brief(out_path)} is not a path")
     if (path := Path(out_path)).name in ("", ".."):
-        raise ConfigError(f"out_path: {str(out_path)!r} names no file")
+        raise ConfigError(f"out_path: {_brief(str(out_path))} names no file")
     if path.suffix.lower() == ".json":  # in any case
-        raise ConfigError(f"out_path: {str(out_path)!r} ends in .json, so it is its own sidecar")
+        raise ConfigError(f"out_path: {_brief(str(out_path))} ends in .json, "
+                          "so it is its own sidecar")
     return path.with_suffix(".json")
 
 
@@ -83,7 +84,7 @@ def _entries(spec, what: str) -> np.ndarray:
     or nested lists of numbers / [re, im] pairs, each entry one that _is_real accepts."""
     if isinstance(spec, str):
         if spec not in _NAMED_MATRICES:
-            raise ConfigError(f"{what}: unknown named matrix {spec!r}, "
+            raise ConfigError(f"{what}: unknown named matrix {_brief(spec)}, "
                               f"expected one of {sorted(_NAMED_MATRICES)}")
         spec = _NAMED_MATRICES[spec]
     arr = np.asarray(spec, dtype=object)
@@ -238,13 +239,13 @@ def _generator_errors(kind: str, gen: dict, ns: list, target, d) -> list[str]:
     names, extra, _ = _KINDS[kind]
     name = gen["name"]
     if name not in names:
-        return [f"generator.name: {name!r} is not one of {names} for kind {kind!r}"]
+        return [f"generator.name: {_brief(name)} is not one of {names} for kind {kind!r}"]
     errors = []
     keys = _keys(gen)
     unknown = set(gen) - set(keys) - set(extra) - {"name"}
     if unknown:
-        errors.append(f"generator: unknown keys {sorted(unknown)} for {name!r}, "
-                      f"expected some of {sorted(set(keys) | set(extra))}")
+        errors.append(f"generator: unknown keys {_brief(sorted(unknown, key=_brief))} "
+                      f"for {name!r}, expected some of {sorted(set(keys) | set(extra))}")
     regimes = gen.get("regimes") or []
     if not isinstance(regimes, list) or not all(
             isinstance(r, dict) and set(r) <= set(keys) for r in regimes):
@@ -349,7 +350,7 @@ class ExperimentConfig:
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(doc) - known
         if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+            raise ConfigError(f"unknown config fields: {_brief(sorted(unknown, key=_brief))}")
         if "kind" not in doc:
             raise ConfigError("kind: required field is missing")
         return cls(**doc)
@@ -409,61 +410,54 @@ def _cell(cfg: ExperimentConfig, g: dict, n: int, *cell: int):
     return row, orders
 
 
-# Each runner yields the CSV rows of its kind as tuples in COLUMNS order and
-# puts the sidecar summary of its kind into summary.
+# Each runner yields the CSV rows of one cell of its kind (one n, or the whole
+# words run) as tuples in COLUMNS order and puts that cell's sidecar summary into summary.
 
-def _run_converge(cfg: ExperimentConfig, summary: dict):
-    g = _merged(cfg.generator)
+def _run_converge(cfg: ExperimentConfig, n: int, summary: dict):
     targets = [] if cfg.target is None else [parse_matrix(cfg.target, "target")]
-    for n in cfg.n_list:
-        sups, finals = [], []
-        row, orders = _cell(cfg, g, n)
-        reports = path_deviations(row, orders, [row.stats.mean, *targets])
-        for trial, (rep, *rep_t) in enumerate(reports):
-            devs_t = rep_t[0].deviations.tolist() if rep_t else [None] * len(rep.ks)
-            for k, dev, dev_t in zip(rep.ks.tolist(), rep.deviations.tolist(), devs_t):
-                yield n, trial, k, dev, dev_t, None, None
-            yield n, trial, None, None, None, rep.sup_dev, rep.slack
-            sups.append(rep.sup_dev)
-            finals.append(rep.deviations[-1])  # k = n, the last grid point
-        summary[str(n)] = {"sup_dev": _quantiles(sups), "final_dev": _quantiles(finals)}
+    sups, finals = [], []
+    row, orders = _cell(cfg, _merged(cfg.generator), n)
+    reports = path_deviations(row, orders, [row.stats.mean, *targets])
+    for trial, (rep, *rep_t) in enumerate(reports):
+        devs_t = rep_t[0].deviations.tolist() if rep_t else [None] * len(rep.ks)
+        for k, dev, dev_t in zip(rep.ks.tolist(), rep.deviations.tolist(), devs_t):
+            yield n, trial, k, dev, dev_t, None, None
+        yield n, trial, None, None, None, rep.sup_dev, rep.slack
+        sups.append(rep.sup_dev)
+        finals.append(rep.deviations[-1])  # k = n, the last grid point
+    summary[str(n)] = {"sup_dev": _quantiles(sups), "final_dev": _quantiles(finals)}
 
 
-def _run_tail(cfg: ExperimentConfig, summary: dict):
+def _run_tail(cfg: ExperimentConfig, n: int, summary: dict):
     g = _merged(cfg.generator)
-    for n in cfg.n_list:
-        row, orders = _cell(cfg, g, n)
-        stats = row.stats
-        # generator.a is validated: None or an integer in [1, min(n_list)]
-        a = g.get("a") or choose_blocks(n, stats, mode=cfg.block_mode)
-        floor = cfg.eps or 0.05
-        if not floor < 3.0 * stats.l1:  # eps_grid's range, named with the cell's n
-            raise ValueError(f"tail: eps = {floor} must be below 3 L1 = {3 * stats.l1} at n = {n}")
-        grid = eps_grid(stats.l1, floor=floor).tolist()
-        mean_dev, _ = block_gaps(row, orders, a)
-        freqs = [float((mean_dev > e).mean()) for e in grid]
-        for e, freq, bound in zip(grid, freqs, block_bernstein_bound(row, a, grid)):
-            yield n, e, freq, bound, lemma_random_bound(n, a, e, stats, row.d), cfg.trials
-        summary[str(n)] = {"a": a, "b": n // a, "l1": stats.l1,
-                           "linf": stats.linf, "max_freq": max(freqs)}
+    row, orders = _cell(cfg, g, n)
+    stats = row.stats
+    # generator.a is validated: None or an integer in [1, min(n_list)]
+    a = g.get("a") or choose_blocks(n, stats, mode=cfg.block_mode)
+    grid = eps_grid(stats.l1, floor=cfg.eps or 0.05).tolist()
+    mean_dev, _ = block_gaps(row, orders, a)
+    freqs = [float((mean_dev > e).mean()) for e in grid]
+    for e, freq, bound in zip(grid, freqs, block_bernstein_bound(row, a, grid)):
+        yield n, e, freq, bound, lemma_random_bound(n, a, e, stats, row.d), cfg.trials
+    summary[str(n)] = {"a": a, "b": n // a, "l1": stats.l1,
+                       "linf": stats.linf, "max_freq": max(freqs)}
 
 
-def _run_regime(cfg: ExperimentConfig, summary: dict):
+def _run_regime(cfg: ExperimentConfig, n: int, summary: dict):
     sups: dict = {}  # regimes that share a name pool their trials
-    for n in cfg.n_list:
-        for ri, (_, g) in enumerate(_regimes(cfg.generator)):
-            k_n, linf = spiked_parameters(n, _regime_spec(g))
-            row, orders = _cell(cfg, g, n, ri)
-            reports = path_deviations(row, orders, [row.stats.mean])
-            norm_mean = float(op_norms(row.stats.mean))
-            for trial, (rep,) in enumerate(reports):
-                yield (n, g["regime"], trial, k_n, linf, row.stats.l1, norm_mean,
-                       rep.sup_dev, rep.slack)
-                sups.setdefault(f"{n}:{g['regime']}", []).append(rep.sup_dev)
+    for ri, (_, g) in enumerate(_regimes(cfg.generator)):
+        k_n, linf = spiked_parameters(n, _regime_spec(g))
+        row, orders = _cell(cfg, g, n, ri)
+        reports = path_deviations(row, orders, [row.stats.mean])
+        norm_mean = float(op_norms(row.stats.mean))
+        for trial, (rep,) in enumerate(reports):
+            yield (n, g["regime"], trial, k_n, linf, row.stats.l1, norm_mean,
+                   rep.sup_dev, rep.slack)
+            sups.setdefault(f"{n}:{g['regime']}", []).append(rep.sup_dev)
     summary.update((key, _quantiles(v)) for key, v in sups.items())
 
 
-def _run_words(cfg: ExperimentConfig, summary: dict):
+def _run_words(cfg: ExperimentConfig, _n: None, summary: dict):
     g = _merged(cfg.generator)
     a, b = g["a"], g["b"]
     step, stats = max(1, (1 << 18) // (a * a * b)), []  # a chunk of words holds 2**18 counts
@@ -475,17 +469,15 @@ def _run_words(cfg: ExperimentConfig, summary: dict):
     summary.update(tau=_quantiles([tv for tv, _ in stats]), a=a, b=b)
 
 
-def _run_evolution(cfg: ExperimentConfig, summary: dict):
-    kid = _KIND_ID[cfg.kind]
+def _run_evolution(cfg: ExperimentConfig, n: int, summary: dict):
     g = _merged(cfg.generator)
     fn = _family(g)
-    for n in cfg.n_list:
-        target = mat_exp((g["t"] - g["s"]) * riemann_reference(fn, n))
-        seeds = ((cfg.seed, kid, n, trial) for trial in range(cfg.trials))
-        devs = [float(op_norms(u - target))
-                for u in evo.propagators(fn, n, seeds, g["s"], g["t"], g["mode"])]
-        yield from ((n, trial, dev) for trial, dev in enumerate(devs))
-        summary[str(n)] = _quantiles(devs)
+    target = exp_stack(((g["t"] - g["s"]) * riemann_reference(fn, n))[None], 1e-12)[0]
+    seeds = ((cfg.seed, _KIND_ID[cfg.kind], n, trial) for trial in range(cfg.trials))
+    devs = [float(op_norms(u - target))
+            for u in evo.propagators(fn, n, seeds, g["s"], g["t"], g["mode"])]
+    yield from ((n, trial, dev) for trial, dev in enumerate(devs))
+    summary[str(n)] = _quantiles(devs)
 
 
 def riemann_reference(fn, n: int) -> np.ndarray:
@@ -498,17 +490,24 @@ _RUNNERS = dict(zip(KINDS, (_run_converge, _run_tail, _run_regime, _run_words, _
 
 
 def run(cfg: ExperimentConfig) -> ExperimentReport:
+    """Run the cells of the config in order: each n of n_list, or the one cell of words.
+    A cell's ValueError or ArithmeticError (a record that holds nan or inf is one) is
+    raised again as the same type, its message naming the kind and the cell's n."""
     cfg.validate()
     for n in cfg.n_list:  # every kind: an infeasible (n, spiked regime) raises before any cell
         for _, g in _regimes(cfg.generator):
             if g["name"] == "spiked":
                 spiked_parameters(n, _regime_spec(g))
-    summary: dict = {}
-    records = [dict(zip(COLUMNS[cfg.kind], row)) for row in _RUNNERS[cfg.kind](cfg, summary)]
-    for rec in records:  # exit 0 writes only empty cells and finite numbers
-        for column, value in rec.items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ArithmeticError(f"{cfg.kind}: {column} is {value} at n = {rec.get('n')}")
+    records, summary = [], {}
+    for n in cfg.n_list if cfg.kind in _SIZED else [None]:
+        try:
+            for row in _RUNNERS[cfg.kind](cfg, n, summary):
+                records.append(rec := dict(zip(COLUMNS[cfg.kind], row)))
+                for column, value in rec.items():
+                    if isinstance(value, float) and not math.isfinite(value):
+                        raise ArithmeticError(f"{column} is {value}")
+        except (ValueError, ArithmeticError) as exc:
+            raise type(exc)(f"{cfg.kind}: {exc}{'' if n is None else f' at n = {n}'}") from exc
     return ExperimentReport(config=cfg, records=records, summary=summary)
 
 

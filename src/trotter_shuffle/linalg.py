@@ -135,12 +135,6 @@ def _series_order(x: float, target: float) -> int:
             return k
 
 
-def mat_exp(m) -> np.ndarray:
-    """Matrix exponential of one matrix: exp_stack on a stack of one, with the
-    truncation error after unscaling below 1e-12 * e^{||m||}."""
-    return exp_stack(as_matrix(m)[None], 1e-12)[0]
-
-
 def exp_stack(batch: np.ndarray, tol: float = 1e-14) -> np.ndarray:
     """Exponentials of a stack (k, d, d) by batched scaling and squaring.
 

@@ -209,7 +209,7 @@ def path_deviations(row: ArrayRow, orders, targets):
         slacks = [nt * math.exp(nt) / row.n for nt in map(float, map(op_norms, tgts))]
     except OverflowError:  # e^||A|| past the largest float
         raise OverflowError(f"path slack ||A|| e^||A|| / n overflows a float at target norm "
-                            f"||A|| = {max(map(op_norms, tgts)):.6g}, n = {row.n}") from None
+                            f"||A|| = {max(map(op_norms, tgts)):.6g}") from None
     factors = exp_factors(row)
     refs = [reference_path(t, row.n) for t in tgts]
     ks = _freeze(np.array(sorted({round(m * row.n / 100) for m in range(101)})))

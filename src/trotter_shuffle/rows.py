@@ -160,8 +160,8 @@ class RegimeSpec:
 def spiked_parameters(n: int, spec: RegimeSpec) -> tuple[int, float]:
     """Spike count k_n and spike norm for a regime at row length n.
 
-    Raises InfeasibleRegimeError when the formulas overflow or give k_n < 1,
-    k_n > n, or a non-positive or non-finite norm at this n.
+    Raises InfeasibleRegimeError when the formulas overflow or give a non-finite
+    k_n, k_n < 1, k_n > n, or a non-positive or non-finite norm at this n.
     """
     if n < 2:
         raise InfeasibleRegimeError(f"row length n = {n} too small")
@@ -197,6 +197,8 @@ def spiked_parameters(n: int, spec: RegimeSpec) -> tuple[int, float]:
         raise InfeasibleRegimeError(f"{spec.regime} formulas overflow at n = {n}") from exc
     if linf <= 0 or not math.isfinite(linf):
         raise InfeasibleRegimeError(f"{spec.regime} spike norm formula gives {linf!r} at n = {n}")
+    if not math.isfinite(k_raw):
+        raise InfeasibleRegimeError(f"{spec.regime} spike count formula gives {k_raw!r} at n = {n}")
     k = math.floor(k_raw + 0.5)
     if k < 1:
         raise InfeasibleRegimeError(

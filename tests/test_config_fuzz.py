@@ -3,10 +3,11 @@
 Configs for every kind are drawn from the generator tables, so a key added to
 or removed from GENERATOR_DEFAULTS, GENERATOR_VALUES or FAMILY_DEFAULTS is
 searched with no edit here. Matrix entries and numbers reach 1e300, where
-norms overflow a float; rarely, one is not a number that fits a float: a
-400-digit integer, a numeric string or a boolean. Rarely too, a size (an n,
-d, the multiset's a or b, the tail's generator.a) is a 400-digit integer,
-past sys.maxsize; trials never is, since a run takes its trials one by one.
+norms overflow a float, and 1.7e308, near the largest float; rarely, one is
+not a number that fits a float: a 400-digit integer, a numeric string or a
+boolean. Rarely too, a size (an n, d, the multiset's a or b, the tail's
+generator.a) is a 400-digit integer, past sys.maxsize; trials never is,
+since a run takes its trials one by one.
 Whatever the config, the command exits 0, 2 or 3 and raises nothing; a
 config error writes no report; a runtime error (exit 3) names the n it
 failed at; and a report holds only empty cells and finite numbers.
@@ -28,9 +29,11 @@ from trotter_shuffle import cli
 from trotter_shuffle.experiments import (_FIELD_KINDS, _KINDS, _NAMED_MATRICES, FAMILY_DEFAULTS,
                                          GENERATOR_DEFAULTS, GENERATOR_VALUES, KINDS)
 
-# Entries and numbers of either sign from 1e-300 to 1e300: past about 1e154 a
-# square overflows a float, past about 703 the slack of a target norm does.
-ENTRIES = (0.0, -3.0, -1.0, -0.5, 0.25, 0.5, 1.0, 2.0, 5.0, 1e-300, 800.0, 1e300, -1e300)
+# Entries and numbers of either sign from 1e-300 to 1.7e308: past about 1e154 a
+# square overflows a float, past about 703 the slack of a target norm does, and
+# near the largest double a sum or a product with a constant above 1 does.
+ENTRIES = (0.0, -3.0, -1.0, -0.5, 0.25, 0.5, 1.0, 2.0, 5.0, 1e-300, 800.0, 1e300, -1e300,
+           1.7e308)
 # JSON values a number field must refuse, as a config error
 NOT_NUMBERS = (10**400, "1", True)
 

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from trotter_shuffle import evolution
 from trotter_shuffle.evolution import (cocycle_check, constant_family,
                                        linear_diagonal_family, propagators,
                                        rotation_family, step_family)
 from trotter_shuffle.experiments import riemann_reference
-from trotter_shuffle.linalg import mat_exp, op_norms
+from trotter_shuffle.linalg import op_norms
 from trotter_shuffle.products import exp_factors, prefix_products
 from trotter_shuffle.rows import gen_riemann
 
@@ -107,7 +108,7 @@ def test_propagators_constant_family():
     a = random_matrix(np.random.default_rng(1), 2, 1.5)
     for mode in ("ordered", "permuted", "iid"):
         u = next(propagators(constant_family(a), 300, [3], mode=mode))
-        assert svd_norm(u - mat_exp(a)) <= 300 * 1e-12 * np.exp(svd_norm(a))
+        assert svd_norm(u - expm(a)) <= 300 * 1e-12 * np.exp(svd_norm(a))
 
 
 @pytest.mark.parametrize("t", [0.29, 0.57, 0.58])
@@ -116,9 +117,9 @@ def test_propagators_slices_at_exact_grid_index(t):
     # the last factor and misses exp(t A) by about 1e-2
     a = random_matrix(np.random.default_rng(2), 2, 1.0)
     u = next(propagators(constant_family(a), 100, [0], t=t, mode="ordered"))
-    assert svd_norm(u - mat_exp(t * a)) <= 1e-12
+    assert svd_norm(u - expm(t * a)) <= 1e-12
     u = next(propagators(constant_family(a), 100, [0], s=t, t=1.0, mode="ordered"))
-    assert svd_norm(u - mat_exp((1.0 - t) * a)) <= 1e-12
+    assert svd_norm(u - expm((1.0 - t) * a)) <= 1e-12
 
 
 def test_propagators_ordered_step_time_ordered_limit():
@@ -142,7 +143,7 @@ def test_propagators_interval_and_empty_slice():
     i0, i1 = 100, 300
     mean = row.elements[i0:i1].mean(axis=0)
     u = next(propagators(fn2, 400, [0], s=0.25, t=0.75, mode="ordered"))
-    assert svd_norm(u - mat_exp(0.5 * mean)) <= 1e-8 * math.e
+    assert svd_norm(u - expm(0.5 * mean)) <= 1e-8 * math.e
 
 
 def test_propagators_commuting_family_all_modes():
@@ -150,7 +151,7 @@ def test_propagators_commuting_family_all_modes():
     for mode in ("ordered", "permuted", "iid"):
         mean = gen_riemann(fn, 500, mode, 11).elements.mean(axis=0)
         u = next(propagators(fn, 500, [11], mode=mode))
-        assert svd_norm(u - mat_exp(mean)) <= 1e-8 * math.exp(1.0)
+        assert svd_norm(u - expm(mean)) <= 1e-8 * math.exp(1.0)
 
 
 def test_sampled_linf_never_exceeds_family_sup():
@@ -204,7 +205,7 @@ def test_permuted_deviation_median_nonincreasing():
     fn = step_family(E12, E21)
     medians = []
     for n in (500, 2000, 8000):
-        target = mat_exp(riemann_reference(fn, 4 * n))
+        target = expm(riemann_reference(fn, 4 * n))
         devs = [op_norms(u - target) for u in propagators(fn, n, range(101), mode="permuted")]
         medians.append(float(np.median(devs)))
     assert medians[0] >= medians[1] >= medians[2]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from trotter_shuffle import evolution, experiments, linalg, products, rows, tails
-from trotter_shuffle.cli import main
+from trotter_shuffle.cli import build_parser, load_config, main
 from trotter_shuffle.experiments import (COLUMNS, FAMILY_DEFAULTS, GENERATOR_DEFAULTS,
                                          ConfigError, ExperimentConfig, ExperimentReport,
                                          emit, parse_matrix, run)
@@ -283,9 +283,8 @@ def test_per_row_work_runs_once_per_row(monkeypatch):
 
 
 def test_reference_path_one_exp_stack_call(monkeypatch):
-    # exp_stack counted in linalg too, so a mat_exp call would also show
     calls = Counter()
-    _counting(monkeypatch, calls, ((products, linalg), "exp_stack"), ((linalg,), "mat_exp"))
+    _counting(monkeypatch, calls, ((products, linalg), "exp_stack"))
     for n in (1, 50, 8000):
         products.reference_path(np.array([[0, 0.6], [0.4, 0]]), n)
     assert calls == {"exp_stack": 3}
@@ -700,6 +699,41 @@ def test_int_past_4300_digits_is_shown_by_its_digit_count():
         ExperimentConfig(kind="tail", n_list=[40], eps=10**5000)
 
 
+_HUGE, _LONG = 10**5000, "x" * 100_000
+
+
+def _load_config(path, doc):
+    path.write_text(json.dumps(doc))
+    return load_config(build_parser().parse_args(["words", "--config", str(path)]))
+
+
+@pytest.mark.parametrize("make, field", _pinned([
+    ("name-int", lambda _: ExperimentConfig(kind="converge", generator={"name": _HUGE}),
+     "generator.name"),
+    ("name-str", lambda _: ExperimentConfig(kind="converge", generator={"name": _LONG}),
+     "generator.name"),
+    ("key-int", lambda _: ExperimentConfig(kind="converge",
+                                           generator={"name": "two_letter", _HUGE: 1}),
+     "generator: unknown keys"),
+    ("key-str", lambda _: ExperimentConfig(kind="converge",
+                                           generator={"name": "two_letter", _LONG: 1}),
+     "generator: unknown keys"),
+    ("named-matrix", lambda _: ExperimentConfig(kind="converge", target=_LONG), "target"),
+    ("out_path-json", lambda _: ExperimentConfig(kind="words", out_path=_LONG + ".json"),
+     "out_path"),
+    ("out_path-no-file", lambda _: ExperimentConfig(kind="words", out_path=_LONG + "/.."),
+     "out_path"),
+    ("config-field", lambda _: ExperimentConfig.from_dict({"kind": "words", _LONG: 1}),
+     "unknown config fields"),
+    ("cli-kind", lambda tmp: _load_config(tmp / "c.json", {"kind": _LONG}), "kind"),
+]))
+def test_config_error_names_the_field_and_shows_a_value_briefly(tmp_path, make, field):
+    # a library call may pass any value: the message stays short and still says where
+    with pytest.raises(ConfigError) as exc:
+        make(tmp_path)
+    assert str(exc.value).startswith(field) and len(str(exc.value)) < 200, str(exc.value)
+
+
 @pytest.mark.parametrize("generator", [False, 0, "", [], None],
                          ids=["false", "zero", "empty_string", "empty_list", "null"])
 def test_cli_generator_that_is_not_an_object_exit_2(tmp_path, capsys, generator):
@@ -739,8 +773,8 @@ def test_cli_runtime_error_exit_3(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-# Norms past the largest float make a record nan or inf, or overflow the path slack:
-# a runtime error that names the quantity, with no report written.
+# Norms past the largest float make a record nan or inf, or overflow the path slack or a
+# formula: a runtime error that names the quantity and n, with no report written.
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize("fields, message", _pinned([
     ("tail-two_letter-1e300",
@@ -755,13 +789,32 @@ def test_cli_runtime_error_exit_3(tmp_path, capsys):
      "error: converge: sup_dev is inf at n = 40"),
     ("converge-target-800",
      {"kind": "converge", "target": [[800, 0], [0, 0]]},
-     "error: path slack ||A|| e^||A|| / n overflows a float at target norm ||A|| = 800, n = 40"),
+     "error: converge: path slack ||A|| e^||A|| / n overflows a float at target norm ||A|| = 800"
+     " at n = 40"),
     # d = 3: the deviation's norm goes through LAPACK, which fails on a non-finite matrix
     ("evolution-step-d3-1e300",
      {"kind": "evolution", "d": 3, "generator": {
          "name": "family", "fn": "step", "b": [[0.5, -1, -3], [-0.5, 0.25, -0.5], [0, 800, -1e300]],
          "c": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}},
      "error: evolution: deviation is nan at n = 40"),
+    # entries near the largest double: the time average of the family overflows to inf
+    ("evolution-step-1.7e308",
+     {"kind": "evolution", "generator": {"name": "family", "fn": "step",
+                                         "b": [[0, 1.7e308], [0, 0]]}},
+     "error: evolution: deviation is nan at n = 40"),
+    ("evolution-linear_diagonal-1e308",
+     {"kind": "evolution", "generator": {"name": "family", "fn": "linear_diagonal",
+                                         "diag": [1e308, -1e308]}},
+     "error: evolution: deviation is nan at n = 40"),
+    # the row's L1 is inf, so the eps grid and the lemma bound are past any float
+    ("tail-two_letter-1.7e308",
+     {"kind": "tail", "generator": {"name": "two_letter", "b": [[0, 1.7e308], [0, 0]]}},
+     "error: tail: precondition eps < 3 L1 violated: inf >= inf at n = 40"),
+    # the spike count formula overflows to -inf, before any cell runs
+    ("regime-as_regime-1.7e308",
+     {"kind": "regime", "generator": {"name": "spiked", "regime": "as_regime",
+                                      "delta": 1.7e308}},
+     "error: as_regime spike count formula gives -inf at n = 40"),
 ]))
 def test_cli_non_finite_output_exit_3(tmp_path, capsys, fields, message):
     cfg = tmp_path / "big.json"

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
+from scipy.linalg import expm
 
 from trotter_shuffle import products
 from trotter_shuffle.evolution import rotation_family, step_family
-from trotter_shuffle.linalg import exp_stack, mat_exp, op_norms
+from trotter_shuffle.linalg import exp_stack, op_norms
 from trotter_shuffle.products import (block_gaps, choose_blocks, exp_factors,
                                       path_deviations, prefix_products,
                                       prop_uniform_bound, reference_path)
@@ -68,7 +69,7 @@ def test_prefix_products_constant_row():
     n = 40
     row = gen_repeated([a], n)
     prods = prefix_products(exp_factors(row), np.random.default_rng(2).permutation(n))
-    assert svd_norm(prods[-1] - mat_exp(a)) <= n * 1e-12 * np.exp(svd_norm(a))
+    assert svd_norm(prods[-1] - expm(a)) <= n * 1e-12 * np.exp(svd_norm(a))
 
 
 def test_prefix_products_all_permutations_vs_mp_oracle():
@@ -425,10 +426,10 @@ def test_reference_path():
     a = random_matrix(np.random.default_rng(3), 2, 2.0)
     path = reference_path(a, n)
     bound = 1e-9 * np.exp(svd_norm(a))
-    assert svd_norm(path[-1] - mat_exp(a)) <= bound
+    assert svd_norm(path[-1] - expm(a)) <= bound
     rng = np.random.default_rng(4)
     for k in rng.integers(0, n + 1, size=20):
-        assert svd_norm(path[k] - mat_exp(a * (k / n))) <= bound
+        assert svd_norm(path[k] - expm(a * (k / n))) <= bound
 
 
 def test_path_deviations_constant_row():
@@ -458,7 +459,7 @@ def test_path_deviations_exhaustive_n4_vs_oracle():
     want = []
     for perm in perms:
         oracle = mp_product_path([mats[p] for p in perm], 4)
-        ref = [mat_exp(target * (k / 4)) for k in range(5)]
+        ref = [expm(target * (k / 4)) for k in range(5)]
         devs = [svd_norm(oracle[k] - ref[k]) for k in range(5)]
         want.append(max(devs) + slack)
     assert max(got) == pytest.approx(max(want), abs=1e-9)
@@ -644,7 +645,7 @@ def test_commuting_row_endpoint_independent_of_sigma():
             for seed in range(5)]
     for e in ends:
         assert svd_norm(e - ends[0]) <= 1e-8
-        assert svd_norm(e - mat_exp(stats.mean)) <= 1e-8
+        assert svd_norm(e - expm(stats.mean)) <= 1e-8
 
 
 def test_standard_ordering_deviation_bound():

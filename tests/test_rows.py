@@ -207,6 +207,10 @@ def test_spiked_infeasible_cases():
     # 1 / (3 t) overflows to inf without an exception
     with pytest.raises(InfeasibleRegimeError, match="spike norm formula gives inf"):
         spiked_parameters(1000, RegimeSpec("intermediate", t=1e-320))
+    # (3 + delta) log log (n / linf) overflows to inf without an exception: k_n is -inf
+    with pytest.raises(InfeasibleRegimeError,
+                       match="as_regime spike count formula gives -inf at n = 378"):
+        spiked_parameters(378, RegimeSpec("as_regime", delta=1.7e308, linf=2.44))
     # a float power past the largest double raises OverflowError, which names no regime
     for spec in (RegimeSpec("large_linf", delta=1000.0), RegimeSpec("intermediate", beta=800.0),
                  RegimeSpec("intermediate", beta=-800.0)):
