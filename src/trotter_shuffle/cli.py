@@ -55,13 +55,17 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             doc[name] = getattr(args, option)
     cfg = ExperimentConfig.from_dict(doc)
     sidecar = _sidecar_path(cfg.out_path)
-    for target in (Path(cfg.out_path), sidecar):  # file-system state: fail before any cell runs
-        if args.config and target.resolve() == Path(args.config).resolve():
-            raise ConfigError(f"out_path: {target} would overwrite the config file")
-        if target.is_dir():
-            raise ConfigError(f"out_path: {target} is a directory")
-    if not sidecar.parent.is_dir():
-        raise ConfigError(f"out_path: the directory {sidecar.parent} does not exist")
+    try:
+        for target in (Path(cfg.out_path), sidecar):  # file-system state, before any cell runs
+            if args.config and target.resolve() == Path(args.config).resolve():
+                raise ConfigError(f"out_path: {target} would overwrite the config file")
+            if target.is_dir():
+                raise ConfigError(f"out_path: {target} is a directory")
+        if not sidecar.parent.is_dir():
+            raise ConfigError(f"out_path: the directory {sidecar.parent} does not exist")
+    except OSError as exc:  # a name past the file system's limit, say
+        raise ConfigError(
+            f"out_path: cannot check {_brief(str(cfg.out_path))}: {exc.strerror}") from exc
     return cfg
 
 

@@ -7,6 +7,9 @@ and a float64 input gets the bits of its complex128 copy.
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 
 
@@ -38,8 +41,9 @@ def op_norms(batch: np.ndarray) -> np.ndarray:
     exactly, by a power of two, to a largest entry modulus in [1/2, 1), so
     that squaring neither overflows nor loses the leading terms to underflow.
     Larger d uses batched SVD in complex128 even for a float64 stack (real
-    LAPACK rounds otherwise); the closed form runs in chunks of _NORM_CHUNK. d <= 2
-    runs on a contiguous copy: numpy's complex abs rounds a negative stride apart.
+    LAPACK rounds otherwise), over the cores (_on_cores); the closed form runs in
+    chunks of _NORM_CHUNK. d <= 2 runs on a contiguous copy: numpy's complex abs
+    rounds a negative stride apart.
     """
     batch = kernel_array(batch)
     d = batch.shape[-1]
@@ -47,7 +51,12 @@ def op_norms(batch: np.ndarray) -> np.ndarray:
         bad = ~np.isfinite(batch).all(axis=(-2, -1))
         return np.where(bad, np.nan, op_norms(np.where(bad[..., None, None], 0, batch)))
     if d > 2:
-        return np.linalg.svd(batch.astype(np.complex128, copy=False), compute_uv=False)[..., 0]
+        out = np.empty(batch.shape[:-2])
+
+        def part(b, o):
+            o[...] = np.linalg.svd(b.astype(np.complex128, copy=False), compute_uv=False)[..., 0]
+        _on_cores(part, batch, out)
+        return out
     batch = np.ascontiguousarray(batch)
     if d == 1:
         return np.abs(batch[..., 0, 0])
@@ -71,6 +80,34 @@ def _norms_2x2(batch: np.ndarray) -> np.ndarray:
     return np.ldexp(np.sqrt((c0 + c1) / 2.0 + np.hypot((c0 - c1) / 2.0, x)), e)
 
 
+def _on_cores(fn, *stacks) -> None:
+    """fn(*parts) over contiguous slices of the stacks' leading axis, one a core: the
+    first on the caller's thread, each other on a short-lived one, and a slice's error
+    raised again once all have joined. Only d >= 3 with _SLICE_MIN matrices a slice
+    splits. fn calls only numpy, so each matrix gets the same call (and bits) as inline."""
+    k, d = len(stacks[0]), stacks[0].shape[-1]
+    parts = min(_CORES, k, stacks[0].size // (d * d * _SLICE_MIN)) if d > 2 else 1
+    if parts < 2:
+        return fn(*stacks)
+    cut, errors = [k * i // parts for i in range(parts + 1)], {}
+
+    def run(i):
+        try:
+            fn(*(s[cut[i]:cut[i + 1]] for s in stacks))
+        except BaseException as exc:  # noqa: BLE001 - raised again by the caller
+            errors[i] = exc
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, parts)]
+    for t in threads:
+        t.start()
+    run(0)
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[min(errors)]
+
+
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_SLICE_MIN = 256  # matrices a slice at least: below this a thread costs more than it saves
 _NORM_CHUNK = 1024  # matrices per pass of the 2x2 closed form: 64 KB temporaries
 _SCREEN_Q = 4  # max_op_norm brackets by the Schatten norm of order 2^(q+1)
 _SCREEN_MARGIN, _SCREEN_FLOOR = 1e-8, 1e-300  # relative (>> O(d eps)), absolute (subnormals)
@@ -142,7 +179,8 @@ def exp_stack(batch: np.ndarray, tol: float = 1e-14) -> np.ndarray:
     upper bound on the operator norm, so no SVD) of at most 1/2. One truncated
     series, of the order that keeps the error below tol * e^{||m||} after the
     most squarings in the stack, runs over the whole stack; each result is
-    then squared s times. The result has the dtype of kernel_array(batch).
+    then squared s times, both in place on slices over the cores (_on_cores).
+    The result has the dtype of kernel_array(batch).
     """
     batch = kernel_array(batch)
     fro = np.linalg.norm(batch, axis=(1, 2))
@@ -152,11 +190,14 @@ def exp_stack(batch: np.ndarray, tol: float = 1e-14) -> np.ndarray:
     order = _series_order(np.ldexp(fro, -s).max(initial=1e-3), tol / (4.0 * 2.0**smax))
     eye = np.eye(batch.shape[-1], dtype=batch.dtype)
     e = np.broadcast_to(eye, batch.shape).copy()
-    for k in range(order, 0, -1):
-        np.matmul(x, e, out=e)
-        e *= 1.0 / k  # as complex128 divides by a real k, so float64 gets its bits
-        e += eye
-    for j in range(smax):
-        sel = np.flatnonzero(s > j)
-        e[sel] = np.matmul(e[sel], e[sel])
+
+    def part(x, e, s):
+        for k in range(order, 0, -1):
+            np.matmul(x, e, out=e)
+            e *= 1.0 / k  # as complex128 divides by a real k, so float64 gets its bits
+            e += eye
+        for j in range(int(s.max(initial=0))):
+            sel = np.flatnonzero(s > j)
+            e[sel] = np.matmul(e[sel], e[sel])
+    _on_cores(part, x, e, s)
     return e

@@ -69,6 +69,8 @@ def block_bernstein_bound(row: ArrayRow, a: int, eps) -> list[float]:
 def eps_grid(l1: float, floor: float = 0.05) -> np.ndarray:
     """12 geometric points over [floor, 3 L1), the validity range of the block bound."""
     top = 3.0 * l1
+    if not math.isfinite(top):
+        raise OverflowError(f"3 L1 = {top} overflows a float (the row's L1 is {l1})")
     if not floor < top:
         raise ValueError(f"eps = {floor} must be below 3 L1 = {top}")
     return np.geomspace(floor, top, 12, endpoint=False)

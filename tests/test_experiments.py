@@ -178,6 +178,18 @@ def test_out_path_that_cannot_be_written_is_a_config_error(tmp_path, capsys, mon
     assert [p.name for p in tmp_path.rglob("*")] == ([present] if present else [])
 
 
+@pytest.mark.parametrize("out", ["x" * 100_000 + ".csv", "x" * 100_000 + "/w.csv"],
+                         ids=["file_name", "directory_name"])
+def test_out_path_past_the_file_name_limit_is_a_brief_config_error(tmp_path, capsys, monkeypatch,
+                                                                  out):
+    # Path.is_dir raises OSError (file name too long) on such a name: a config error, not exit 3
+    monkeypatch.chdir(tmp_path)
+    assert main(["words", "--trials", "1", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: out_path: cannot check 'xxx") and len(err) < 200
+    assert not list(tmp_path.iterdir())
+
+
 def test_emit_over_a_directory_sidecar_leaves_previous_report_intact(tmp_path):
     # os.replace would put the new CSV over the old one, then fail on the sidecar
     emit(run(ExperimentConfig(kind="words", trials=8, seed=1)), tmp_path / "w.csv")
@@ -806,10 +818,10 @@ def test_cli_runtime_error_exit_3(tmp_path, capsys):
      {"kind": "evolution", "generator": {"name": "family", "fn": "linear_diagonal",
                                          "diag": [1e308, -1e308]}},
      "error: evolution: deviation is nan at n = 40"),
-    # the row's L1 is inf, so the eps grid and the lemma bound are past any float
+    # the row's L1 is inf, so the eps grid is past any float
     ("tail-two_letter-1.7e308",
      {"kind": "tail", "generator": {"name": "two_letter", "b": [[0, 1.7e308], [0, 0]]}},
-     "error: tail: precondition eps < 3 L1 violated: inf >= inf at n = 40"),
+     "error: tail: 3 L1 = inf overflows a float (the row's L1 is inf) at n = 40"),
     # the spike count formula overflows to -inf, before any cell runs
     ("regime-as_regime-1.7e308",
      {"kind": "regime", "generator": {"name": "spiked", "regime": "as_regime",

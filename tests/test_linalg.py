@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +11,7 @@ import pytest
 from trotter_shuffle import linalg
 from trotter_shuffle.linalg import as_matrix, exp_stack, max_op_norm, op_norms
 from trotter_shuffle.products import exp_factors, prefix_products, reference_path
-from trotter_shuffle.rows import RegimeSpec, gen_spiked, gen_two_letter
+from trotter_shuffle.rows import RegimeSpec, gen_spiked, gen_two_letter, random_unit_hermitians
 
 from oracles import mp_exp, random_matrix, series_exp, svd_norm
 
@@ -355,3 +360,90 @@ def test_real_kernels_are_the_complex_kernels_bit_for_bit(d):
     assert op_norms(g).tobytes() == op_norms(g.astype(complex)).tobytes()
     for batch in (g[300:], g[:100], g[100:200], e):
         assert max_op_norm(batch) == max_op_norm(batch.astype(complex))
+
+
+def _split(monkeypatch, cores):
+    """Split over cores from 4 matrices a slice; returns the list of started threads."""
+    monkeypatch.setattr(linalg, "_SLICE_MIN", 4)
+    monkeypatch.setattr(linalg, "_CORES", cores)
+    started, thread = [], threading.Thread
+
+    def counted(*args, **kwargs):
+        started.append(thread(*args, **kwargs))
+        return started[-1]
+    monkeypatch.setattr(linalg.threading, "Thread", counted)
+    return started
+
+
+def _inline(fn, *args):
+    """fn(*args) with the kernels on one core."""
+    cores = linalg._CORES
+    linalg._CORES = 1
+    try:
+        return fn(*args)
+    finally:
+        linalg._CORES = cores
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+@pytest.mark.parametrize("d", [3, 8])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_split_kernels_are_inline_bit_for_bit(monkeypatch, cores, d, dtype):
+    # 301 matrices: slices of 150/151 or 100/100/101, at norms that take 0 to 10 squarings,
+    # the first slice's none: its series has the order of the whole stack's, not its own
+    rng = np.random.default_rng(70 + d)
+    x = _real_stack(rng, 301, d) * rng.choice([1.0, 8.0], (301, 1, 1))
+    x = x.astype(dtype) + (1j * _real_stack(rng, 301, d) if dtype == np.complex128 else 0)
+    x[:150] *= 1e-3
+    want = [_inline(kernel, x).tobytes() for kernel in (op_norms, exp_stack)]
+    started = _split(monkeypatch, cores)
+    assert [kernel(x).tobytes() for kernel in (op_norms, exp_stack)] == want
+    assert len(started) == 2 * (cores - 1)
+    t = x[:300].reshape(3, 100, d, d)  # a (T, b, d, d) stack splits on T
+    assert op_norms(t).tobytes() == _inline(op_norms, x[:300]).reshape(3, 100).tobytes()
+
+
+@pytest.mark.parametrize("d", [3, 8])
+def test_split_fortran_ordered_hermitians_bit_for_bit(monkeypatch, d):
+    h = _inline(random_unit_hermitians, 203, d, np.random.default_rng(80 + d))
+    f = np.asfortranarray(h)  # the leading axis fastest: every slice is strided
+    want = [_inline(kernel, f).tobytes() for kernel in (op_norms, exp_stack)]
+    _split(monkeypatch, 3)
+    assert random_unit_hermitians(203, d, np.random.default_rng(80 + d)).tobytes() == h.tobytes()
+    assert [kernel(f).tobytes() for kernel in (op_norms, exp_stack)] == want
+
+
+@pytest.mark.parametrize("bad", [0, 1, 2])
+def test_a_slice_that_raises_re_raises_in_the_caller(monkeypatch, bad):
+    started = _split(monkeypatch, 3)
+    done = []
+
+    def fn(b, idx):
+        if idx[0] == 4 * bad:
+            raise ValueError(f"slice {idx[0]}")
+        done.append(idx[0])
+    with pytest.raises(ValueError, match=f"slice {4 * bad}"):
+        linalg._on_cores(fn, np.zeros((12, 3, 3)), np.arange(12))
+    assert sorted(done) == [i for i in (0, 4, 8) if i != 4 * bad]
+    assert len(started) == 2 and not any(t.is_alive() for t in started)
+
+
+def test_small_and_short_stacks_start_no_thread(monkeypatch):
+    monkeypatch.setattr(linalg, "_CORES", 2)
+    monkeypatch.setattr(linalg.threading, "Thread", lambda *a, **k: pytest.fail("a thread"))
+    rng = np.random.default_rng(90)
+    for d, k in ((1, 5000), (2, 5000), (3, 511), (8, 511)):  # d <= 2, or under two slices of 256
+        x = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+        op_norms(x), exp_stack(x)
+    op_norms(x[0])  # one matrix
+
+
+def test_import_loads_no_pool_module():
+    code = ("import sys, trotter_shuffle; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('concurrent', 'multiprocessing')))")
+    path = os.pathsep.join([str(Path(linalg.__file__).parents[1]),
+                            os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"

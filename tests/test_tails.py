@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -208,3 +209,12 @@ def test_eps_grid():
     assert np.all(np.diff(g) > 0)
     with pytest.raises(ValueError):
         eps_grid(0.01)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("l1", [float("inf"), 1e308])
+def test_eps_grid_of_an_overflowed_l1_raises_without_a_warning(l1):
+    # geomspace up to inf warns and returns [floor, inf, ...]: refused before it runs
+    message = f"3 L1 = inf overflows a float (the row's L1 is {l1})"
+    with pytest.raises(OverflowError, match=re.escape(message)):
+        eps_grid(l1)
