@@ -29,7 +29,7 @@ from .products import block_gaps, choose_blocks, path_deviations
 from .rows import (REGIMES, ArrayRow, RegimeSpec, gen_repeated, gen_riemann, gen_spiked,
                    gen_two_letter, spiked_parameters)
 from .tails import block_bernstein_bound, eps_grid, lemma_random_bound
-from .words import batch_word_statistics, random_word
+from .words import _BATCH, batch_word_statistics, random_word
 
 
 class _Brief(Repr):  # a long value as about 40 characters
@@ -123,9 +123,6 @@ FAMILY_DEFAULTS = {
     "rotation": {"scale": 1.0},
 }
 
-# family fn -> the dimension of its matrices, for a family whose keys do not set it
-FAMILY_DIMS = {"rotation": 2}
-
 # generator key -> the values its runner accepts; _VALUES adds the config fields with names
 GENERATOR_VALUES = {
     "order": ("first_half_b", "interleaved"), "mode": ("ordered", "permuted", "iid"),
@@ -208,25 +205,22 @@ def _value_error(key: str, value, default, where: str = "generator.") -> str | N
 
 def _matrix_errors(g: dict, target, d) -> list[str]:
     """Errors in the matrices a merged generator and the target name: each must
-    parse, and all must have the same dimension, which is also that of a diag
-    list, a FAMILY_DIMS family and the config's d (the spiked generator's size)."""
+    parse, and all must have the same dimension, which is also the size of the
+    generator's family value and the config's d (the spiked generator's size)."""
     specs = [] if target is None else [("target", target)]
-    sizes = {}
     for key, default in _keys(g).items():
         if isinstance(default, list) and isinstance(default[0], str):
             specs += [(f"generator.{key}[{i}]", m) for i, m in enumerate(g[key])]
-        elif isinstance(default, list):
-            sizes[f"generator.{key}"] = len(g[key])
         elif isinstance(default, str) and key not in GENERATOR_VALUES:
             specs.append((f"generator.{key}", g[key]))
-    if g.get("fn") in FAMILY_DIMS:
-        sizes["generator.fn"] = FAMILY_DIMS[g["fn"]]
-    if g["name"] != "multiset" and not _value_error("d", d, 1):
-        sizes["d"] = d
     try:
-        dims = {what: len(_entries(spec, what)) for what, spec in specs} | sizes
+        dims = {what: len(_entries(spec, what)) for what, spec in specs}
     except ConfigError as exc:
         return [str(exc)]
+    if "fn" in g and len(set(dims.values())) < 2:  # the family builds from matrices that agree
+        dims["generator.fn"] = _family(g)(np.zeros(1)).shape[-1]
+    if g["name"] != "multiset" and not _value_error("d", d, 1):
+        dims["d"] = d
     if len(set(dims.values())) > 1:
         return [f"{', '.join(dims)}: matrices must have the same dimension, got {dims}"]
     return []
@@ -375,9 +369,10 @@ def _quantiles(values) -> dict:
 
 
 def _family(g: dict):
-    """The family of a merged generator, its factory fed from FAMILY_DEFAULTS' keys."""
+    """The family of a merged generator, its factory fed from FAMILY_DEFAULTS' keys; matrices
+    as _entries gives them (validation builds it too, and calls no public function)."""
     fn = g["fn"]
-    return evo.FAMILIES[fn](**{k: parse_matrix(g[k], f"generator.{k}") if isinstance(v, str)
+    return evo.FAMILIES[fn](**{k: _entries(g[k], f"generator.{k}") if isinstance(v, str)
                                else g[k] for k, v in FAMILY_DEFAULTS[fn].items()})
 
 
@@ -460,7 +455,7 @@ def _run_regime(cfg: ExperimentConfig, n: int, summary: dict):
 def _run_words(cfg: ExperimentConfig, _n: None, summary: dict):
     g = _merged(cfg.generator)
     a, b = g["a"], g["b"]
-    step, stats = max(1, (1 << 18) // (a * a * b)), []  # a chunk of words holds 2**18 counts
+    step, stats = max(1, _BATCH // (a * a * b)), []  # a chunk of words holds _BATCH counts
     for start in range(0, cfg.trials, step):  # each trial's word from its own keyed stream
         keys = ((cfg.seed, _KIND_ID[cfg.kind], t) for t in range(cfg.trials)[start:start + step])
         words = [random_word(a, b, np.random.default_rng(key)) for key in keys]
@@ -491,8 +486,9 @@ _RUNNERS = dict(zip(KINDS, (_run_converge, _run_tail, _run_regime, _run_words, _
 
 def run(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the cells of the config in order: each n of n_list, or the one cell of words.
-    A cell's ValueError or ArithmeticError (a record that holds nan or inf is one) is
-    raised again as the same type, its message naming the kind and the cell's n."""
+    Every exception a cell raises (a record that holds nan or inf is an ArithmeticError)
+    is raised again as the same type, its message naming the kind and the cell's n; numpy's
+    _ArrayMemoryError, which no message alone builds, as a MemoryError."""
     cfg.validate()
     for n in cfg.n_list:  # every kind: an infeasible (n, spiked regime) raises before any cell
         for _, g in _regimes(cfg.generator):
@@ -506,8 +502,9 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
                 for column, value in rec.items():
                     if isinstance(value, float) and not math.isfinite(value):
                         raise ArithmeticError(f"{column} is {value}")
-        except (ValueError, ArithmeticError) as exc:
-            raise type(exc)(f"{cfg.kind}: {exc}{'' if n is None else f' at n = {n}'}") from exc
+        except Exception as exc:  # noqa: BLE001 - every failure of a cell names the cell
+            raise (MemoryError if isinstance(exc, MemoryError) else type(exc))(
+                f"{cfg.kind}: {exc}{'' if n is None else f' at n = {n}'}") from exc
     return ExperimentReport(config=cfg, records=records, summary=summary)
 
 

@@ -124,19 +124,20 @@ def tau_tail_bound(a: int, b: int, p: float) -> float:
     return 2.0 * a * a * (math.comb(2 * b, m) / math.comb(2 * b, b))
 
 
-_TRIAL_CHUNK = 4096  # random words drawn per batch in tau_tail_empirical
+_BATCH = 1 << 18  # the entries a batch of words holds: letters here, counts in the words runner
 
 
 def tau_tail_empirical(a: int, b: int, p: float, trials: int, seed: int) -> float:
     """Frequency of tau(w) > p / sqrt(b) over trials successive random_word
-    draws from default_rng(seed), drawn _TRIAL_CHUNK at a time."""
+    draws from default_rng(seed), drawn _BATCH // (a b) at a time, at least one."""
     if a < 1 or b < 1 or p <= 0:
         raise ValueError("need a, b >= 1 and p > 0")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng, base, hits = np.random.default_rng(seed), np.tile(np.arange(a), b), 0
-    for done in range(0, trials, _TRIAL_CHUNK):
-        c = min(_TRIAL_CHUNK, trials - done)
+    step = max(1, _BATCH // (a * b))
+    for done in range(0, trials, step):
+        c = min(step, trials - done)
         letters = rng.permuted(np.tile(base, (c, 1)), axis=1)  # row i: the i-th random_word
         hits += int((_tau(*_occurrences(letters, a)[1:]) > p / math.sqrt(b)).sum())
     return hits / trials

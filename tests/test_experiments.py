@@ -550,9 +550,9 @@ MATRIX_3X3 = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
      "converge", {"d": 3}, "generator.b, generator.c, d"),
     ("converge-fields7-target, d",
      "converge", {"generator": {"name": "spiked"}, "target": MATRIX_3X3}, "target, d"),
-    ("converge-fields8-target, generator.diag, d",
+    ("converge-fields8-target, generator.fn, d",
      "converge", {"generator": {"name": "riemann", "fn": "linear_diagonal", "diag": [1, 2, 3]},
-                  "target": "e12"}, "target, generator.diag, d"),
+                  "target": "e12"}, "target, generator.fn, d"),
     # the rotation family is 2x2 though no key of it names a matrix
     ("converge-fields9-target, generator.fn, d",
      "converge", {"d": 3, "generator": {"name": "riemann", "fn": "rotation"},
@@ -846,6 +846,49 @@ def test_cli_tail_eps_past_3_l1_exit_3(tmp_path, capsys):
     assert main(["tail", "--config", str(cfg)]) == 3
     assert "error: tail: eps = 4.0 must be below 3 L1 = 3.0 at n = 40" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+# Requests past what the machine can map: numpy refuses each at once and touches nothing.
+def test_cli_row_past_memory_exit_3(tmp_path, capsys):
+    out = tmp_path / "c.csv"  # a 582 TiB row, past the 128 TiB address space
+    assert main(["converge", "--n", "10000000000000", "--out", str(out)]) == 3
+    err = capsys.readouterr().err.rstrip("\n")
+    assert err.startswith("error: converge: Unable to allocate"), err
+    assert err.endswith("at n = 10000000000000"), err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_words_past_memory_exit_3(tmp_path, capsys):
+    cfg = tmp_path / "words.json"  # 8.19 TiB of inversion counts for one word of 3e6 letters
+    cfg.write_text(json.dumps({"kind": "words", "out_path": str(tmp_path / "w.csv"),
+                               "generator": {"name": "multiset", "a": 3_000_000, "b": 1}}))
+    assert main(["words", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err.startswith("error: words: Unable to allocate")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def _shift_family(scale: float = 1.0):
+    """A 3x3 family that names no matrix: only its value shows its size."""
+    m = scale * np.eye(3, k=1)
+    return lambda xs: np.multiply.outer(xs, m)
+
+
+@pytest.mark.parametrize("kind, name", [("evolution", "family"), ("converge", "riemann")])
+def test_a_family_is_sized_by_its_value(tmp_path, capsys, monkeypatch, kind, name):
+    fns = (*experiments.GENERATOR_VALUES["fn"], "shift")
+    monkeypatch.setitem(evolution.FAMILIES, "shift", _shift_family)
+    monkeypatch.setitem(FAMILY_DEFAULTS, "shift", {"scale": 1.0})
+    monkeypatch.setitem(experiments.GENERATOR_VALUES, "fn", fns)
+    monkeypatch.setitem(experiments._VALUES, "fn", fns)
+    cfg, out = tmp_path / "shift.json", tmp_path / "s.csv"
+    cfg.write_text(json.dumps({"kind": kind, "n_list": [40], "out_path": str(out),
+                               "generator": {"name": name, "fn": "shift"}}))
+    assert main([kind, "--config", str(cfg)]) == 2  # d = 2, the default
+    assert ("config error: generator.fn, d: matrices must have the same dimension, got "
+            "{'generator.fn': 3, 'd': 2}") in capsys.readouterr().err
+    assert not out.exists()
+    assert main([kind, "--config", str(cfg), "--d", "3"]) == 0
+    assert out.exists()
 
 
 def test_emit_refuses_a_non_finite_summary(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -241,13 +242,34 @@ def test_tau_tail_empirical_matches_enumeration():
 
 
 def test_tau_tail_empirical_is_the_frequency_over_successive_random_words():
-    # 5,000 trials cross the 4,096-word chunk boundary of tau_tail_empirical
+    # in one batch; test_tau_tail_empirical_is_the_same_in_batches_of_any_size splits them
     a, b, p, trials, seed = 3, 4, 1.5, 5000, 11
     rng = np.random.default_rng(seed)
     hits = sum(word_statistics(random_word(a, b, rng), a)[0] > p / math.sqrt(b)
                for _ in range(trials))
     assert 0 < hits < trials
     assert tau_tail_empirical(a, b, p, trials, seed) == hits / trials
+
+
+@pytest.mark.parametrize("batch", [1, 40, 1000, 5000])
+def test_tau_tail_empirical_is_the_same_in_batches_of_any_size(monkeypatch, batch):
+    # _BATCH // (a b) words a batch, at least one; the default takes each shape's trials in one
+    shapes = [(3, 4, 1.5, 500, 11), (2, 50, 1.0, 300, 1), (20, 5, 1.2, 200, 3)]
+    expected = [tau_tail_empirical(*shape) for shape in shapes]
+    monkeypatch.setattr("trotter_shuffle.words._BATCH", batch)
+    assert [tau_tail_empirical(*shape) for shape in shapes] == expected
+
+
+def test_tau_tail_empirical_memory_follows_the_letters_drawn():
+    # 512 words of 8,000 letters drawn as one batch took about 103 MB; batches of _BATCH letters
+    # take about 7 MB, whatever the word length and the trial count
+    tracemalloc.start()
+    try:
+        tau_tail_empirical(2, 4000, 1.0, 512, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_tau_tail_empirical_dominated_by_exact_bound():
