@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from reprlib import Repr
@@ -511,8 +512,8 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
 def emit(report: ExperimentReport, out_path: str | Path) -> Path:
     """Write the CSV (UTF-8, LF) and a sibling .json sidecar; returns the CSV path.
 
-    Both files are written to temporary files in the same directory and then moved
-    over the targets, both checked first: a failed write leaves any previous report intact.
+    Both files are written into one hidden temporary directory beside the targets, then moved
+    over them, both checked first: a failed write leaves any previous report intact.
     An out_path that ends in .json is a ConfigError before anything is written.
     """
     path, sidecar = Path(out_path), _sidecar_path(out_path)
@@ -520,23 +521,21 @@ def emit(report: ExperimentReport, out_path: str | Path) -> Path:
     columns = COLUMNS[cfg.kind]
     doc = {"config": cfg.to_dict(), "seed": cfg.seed, "package_version": PACKAGE_VERSION,
            "schema_version": SCHEMA_VERSION, "columns": columns, "summary": report.summary}
-    temps = [p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in (path, sidecar)]
     try:
-        with open(temps[0], "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            writer.writerows([rec[c] for c in columns] for rec in report.records)
-        with open(temps[1], "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False, default=os.fspath)
-            fh.write("\n")
-        for final in (path, sidecar):  # os.replace cannot put a file over a directory
-            if final.is_dir():
-                raise IsADirectoryError(f"{final} is a directory")
-        for temp, final in zip(temps, (path, sidecar)):
-            os.replace(temp, final)
+        with tempfile.TemporaryDirectory(prefix=".", dir=path.parent,
+                                         ignore_cleanup_errors=True) as tmp:
+            with open(Path(tmp, "csv"), "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(columns)
+                writer.writerows([rec[c] for c in columns] for rec in report.records)
+            with open(Path(tmp, "json"), "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False, default=os.fspath)
+                fh.write("\n")
+            for final in (path, sidecar):  # os.replace cannot put a file over a directory
+                if final.is_dir():
+                    raise IsADirectoryError(f"{final} is a directory")
+            for name, final in (("csv", path), ("json", sidecar)):
+                os.replace(Path(tmp, name), final)
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
-    finally:
-        for temp in temps:
-            temp.unlink(missing_ok=True)
     return path

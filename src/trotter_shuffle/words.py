@@ -83,11 +83,16 @@ def batch_word_statistics(words: np.ndarray, a: int) -> tuple[np.ndarray, np.nda
     letters, pos, m = _occurrences(words, a)
     t, _, b = pos.shape
     # a letter's count is k from just after its k-th occurrence through its (k+1)-th
-    x = np.repeat(np.broadcast_to(np.arange(b + 1, dtype=m.dtype), (t, a, b + 1)),
-                  np.diff(pos, axis=2, prepend=-1, append=a * b - 1).ravel()).reshape(t, a, a * b)
-    x -= m[:, None, :]
-    x -= np.arange(a, dtype=letters.dtype)[:, None] < letters[:, None, :]
-    return _tau(pos, m), np.abs(x, out=x).sum(axis=(1, 2), dtype=np.int64) // 2
+    runs = np.diff(pos, axis=2, prepend=-1, append=a * b - 1)
+    step, total = max(1, _BATCH // (t * a * b)), np.zeros(t, dtype=np.int64)
+    for lo in range(0, a, step):  # the letters l' of one pass: at most _BATCH counts
+        cut = runs[:, lo:lo + step]
+        x = np.repeat(np.broadcast_to(np.arange(b + 1, dtype=m.dtype), cut.shape),
+                      cut.ravel()).reshape(t, -1, a * b)
+        x -= m[:, None, :]
+        x -= np.arange(a, dtype=letters.dtype)[lo:lo + step, None] < letters[:, None, :]
+        total += np.abs(x, out=x).sum(axis=(1, 2), dtype=np.int64)
+    return _tau(pos, m), total // 2
 
 
 def word_statistics(letters: np.ndarray, a: int) -> tuple[float, int]:
@@ -124,7 +129,7 @@ def tau_tail_bound(a: int, b: int, p: float) -> float:
     return 2.0 * a * a * (math.comb(2 * b, m) / math.comb(2 * b, b))
 
 
-_BATCH = 1 << 18  # the entries a batch of words holds: letters here, counts in the words runner
+_BATCH = 1 << 18  # the entries a batch holds: letters drawn here, counts in a runner chunk or pass
 
 
 def tau_tail_empirical(a: int, b: int, p: float, trials: int, seed: int) -> float:

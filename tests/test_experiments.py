@@ -859,9 +859,9 @@ def test_cli_row_past_memory_exit_3(tmp_path, capsys):
 
 
 def test_cli_words_past_memory_exit_3(tmp_path, capsys):
-    cfg = tmp_path / "words.json"  # 8.19 TiB of inversion counts for one word of 3e6 letters
+    cfg = tmp_path / "words.json"  # 72.8 TiB for the draw of one word of 10^13 letters
     cfg.write_text(json.dumps({"kind": "words", "out_path": str(tmp_path / "w.csv"),
-                               "generator": {"name": "multiset", "a": 3_000_000, "b": 1}}))
+                               "generator": {"name": "multiset", "a": 10**13, "b": 1}}))
     assert main(["words", "--config", str(cfg)]) == 3
     assert capsys.readouterr().err.startswith("error: words: Unable to allocate")
     assert list(tmp_path.iterdir()) == [cfg]
@@ -896,6 +896,36 @@ def test_emit_refuses_a_non_finite_summary(tmp_path):
     report.summary["a"] = math.nan
     with pytest.raises(ValueError, match="not JSON compliant"):
         emit(report, tmp_path / "w.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
+# A 250-byte CSV name, 251 with the sidecar's suffix: both fit the usual 255-byte limit,
+# and the temporaries emit writes first are named apart from them.
+_LONG_NAME = "x" * 246 + ".csv"
+
+
+def test_cli_out_path_near_the_file_name_limit_writes_its_report(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["words", "--trials", "1", "--out", _LONG_NAME]) == 0
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [_LONG_NAME, "x" * 246 + ".json"]
+
+
+def test_emit_near_the_file_name_limit_leaves_only_the_report(tmp_path):
+    report = run(ExperimentConfig(kind="words", trials=2, seed=1))
+    assert emit(report, tmp_path / _LONG_NAME) == tmp_path / _LONG_NAME
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [_LONG_NAME, "x" * 246 + ".json"]
+
+
+def test_failed_emit_names_the_report_and_its_cause_and_leaves_nothing(tmp_path, monkeypatch):
+    cause = OSError("disk full")
+
+    def failing(*args, **kwargs):
+        raise cause
+    monkeypatch.setattr(experiments.json, "dump", failing)
+    with pytest.raises(OSError) as info:
+        emit(run(ExperimentConfig(kind="words", trials=2, seed=1)), tmp_path / "w.csv")
+    assert str(info.value) == f"cannot write report to {tmp_path / 'w.csv'}: disk full"
+    assert info.value.__cause__ is cause
     assert list(tmp_path.iterdir()) == []
 
 

@@ -272,6 +272,33 @@ def test_tau_tail_empirical_memory_follows_the_letters_drawn():
     assert peak < 16e6
 
 
+@pytest.mark.parametrize("batch", [1, 2, 7, 64, 1000, 1 << 30])
+def test_batch_word_statistics_is_the_same_in_passes_of_any_size(monkeypatch, batch):
+    # _BATCH // (t a b) letters l' a pass, at least one; the default takes these in one pass
+    rng = np.random.default_rng(4)
+    shapes = [(1, 1, 5), (3, 2, 1), (4, 7, 3), (2, 20, 200), (5, 13, 9)]
+    batches = [(np.stack([random_word(a, b, rng) for _ in range(t)]), a) for t, a, b in shapes]
+    expected = [batch_word_statistics(*args) for args in batches]
+    monkeypatch.setattr("trotter_shuffle.words._BATCH", batch)
+    for args, (tau, dist) in zip(batches, expected):
+        got = batch_word_statistics(*args)
+        assert got[0].tobytes() == tau.tobytes() and got[1].tobytes() == dist.tobytes()
+
+
+def test_one_long_word_takes_passes_of_bounded_memory():
+    # one word's counts are t a (a b) entries: as one array about 32 MB at (4000, 1); in
+    # passes of at most _BATCH counts, well under 4 MB
+    word = random_word(4000, 1, np.random.default_rng(2))
+    tracemalloc.start()
+    try:
+        _, dist = word_statistics(word, 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dist == np.triu(word[:, None] > word[None, :], 1).sum()  # b = 1: the inversions
+    assert peak < 4e6
+
+
 def test_tau_tail_empirical_dominated_by_exact_bound():
     trials = 20000
     for p in (1.0, 1.6, 2.2, 2.8):
