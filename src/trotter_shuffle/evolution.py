@@ -71,9 +71,9 @@ def linear_diagonal_family(diag) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def step_family(b, c, split: float = 0.5) -> Callable[[np.ndarray], np.ndarray]:
-    """fn = b on [0, split), c on [split, 1]."""
-    bm, cm = _alphabet([b, c])
-    return lambda xs: np.where((xs < split)[:, None, None], bm, cm)
+    """fn = b on [0, split), c on [split, 1] (and at a nan time): a gather from the pair."""
+    pair = _alphabet([b, c])
+    return lambda xs: np.take(pair, (~(xs < split)).view(np.uint8), axis=0)
 
 
 def rotation_family(scale: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:

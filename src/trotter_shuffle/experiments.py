@@ -477,9 +477,12 @@ def _run_evolution(cfg: ExperimentConfig, n: int, summary: dict):
 
 
 def riemann_reference(fn, n: int) -> np.ndarray:
-    """Time-average of the family on a grid 4x finer than the propagator's:
-    the left-endpoint Riemann sum, accumulated in grid order."""
-    return fn(np.arange(4 * n) / (4 * n)).sum(axis=0) / (4 * n)
+    """Time-average of the family on a grid 4x finer than the propagator's: the
+    left-endpoint Riemann sum, accumulated in grid order at d >= 2. einsum's strided
+    loop adds in grid order, as numpy's axis-0 sum does; at d = 1 that axis is
+    contiguous, so numpy sums it pairwise, and einsum's unrolled loop would not match."""
+    v = fn(np.arange(4 * n) / (4 * n))
+    return (v.sum(axis=0) if v.shape[-1] == 1 else np.einsum("i...->...", v)) / (4 * n)
 
 
 _RUNNERS = dict(zip(KINDS, (_run_converge, _run_tail, _run_regime, _run_words, _run_evolution)))

@@ -83,7 +83,10 @@ class ArrayRow:
     def _runs(self) -> tuple[np.ndarray, np.ndarray]:
         """(heads, lengths) of the runs of byte-equal neighbours, read-only: O(n)."""
         words = self.elements.reshape(self.n, -1).view(np.uint64)
-        heads = np.flatnonzero(np.r_[True, (words[1:] != words[:-1]).any(axis=1)])
+        moved = words[1:] != words[:-1]
+        if moved.shape[1] % 8 == 0:  # read the booleans 8 bytes at a time
+            moved = moved.view(np.uint64)
+        heads = np.flatnonzero(np.r_[True, moved.any(axis=1)])
         return _freeze(heads), _freeze(np.diff(np.r_[heads, self.n]))
 
     @cached_property

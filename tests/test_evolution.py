@@ -65,6 +65,40 @@ def test_riemann_reference():
             assert np.array_equal(riemann_reference(fn, n), acc / (4 * n))
 
 
+def _families_at(d: int) -> dict:
+    """Each built-in family at dimension d; rotation is 2 x 2 only."""
+    rng = np.random.default_rng(d)
+    fams = {"constant": constant_family(random_matrix(rng, d, 1.0)),
+            "linear_diagonal": linear_diagonal_family(rng.standard_normal(d)),
+            "step": step_family(random_matrix(rng, d, 1.0), random_matrix(rng, d, 1.0), 0.37)}
+    return fams | ({"rotation": rotation_family(1.3)} if d == 2 else {})
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_riemann_reference_is_the_axis_0_sum_bit_for_bit(d):
+    assert set(_families_at(2)) == set(evolution.FAMILIES)
+    for name, family in _families_at(d).items():
+        # the complex stack and its real part, a float64 view (broadcast for constant)
+        for fn in (family, lambda xs, family=family: family(xs).real):
+            for n in (1, 7, 2000, 100000):
+                want = fn(np.arange(4 * n) / (4 * n)).sum(axis=0) / (4 * n)
+                got = riemann_reference(fn, n)
+                assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), (name, n)
+
+
+@pytest.mark.parametrize("split", [0.0, 0.37, 0.5, 1.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_step_family_is_the_where_form_bit_for_bit(d, split):
+    rng = np.random.default_rng(int(10 * split) + d)
+    b, c = random_matrix(rng, d, 1.0), -np.zeros((d, d))  # c with -0.0 entries
+    xs = np.concatenate([rng.random(500), np.arange(101) / 100, [split, np.nan, -0.0, np.inf,
+                                                              -np.inf, np.nextafter(split, 2)]])
+    for times in (xs, rng.permutation(xs), xs[:0], xs[-5:-4]):
+        want = np.where((times < split)[:, None, None], b.astype(complex), c.astype(complex))
+        got = step_family(b, c, split)(times)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
 @pytest.mark.parametrize("name", sorted(FAMILY_CASES))
 @pytest.mark.parametrize("mode", ["ordered", "permuted", "iid"])
 def test_propagators_match_per_seed_propagators(name, mode):

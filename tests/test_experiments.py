@@ -1119,7 +1119,7 @@ SHIPPED_CONFIGS = {**_workload_configs(), **_golden_configs(), **_shipped_json_c
 
 def test_shipped_configs_were_found():
     sources = Counter(key.split(":")[0] for key in SHIPPED_CONFIGS)
-    assert sources == {"perfbench": 5, "golden": 9, "config": 7}
+    assert sources == {"perfbench": 5, "golden": 10, "config": 7}
 
 
 @pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))

@@ -81,6 +81,17 @@ GOLDENS = {
                  [[0.0, 0.0, -0.55], [-0.95, 0.85, -0.85], [0.7, -0.25, 0.9]]]}),
         "6d5ef2656308a696c40422a4925e9cc736209eb6f2ad5680fd0964695762c3d2",
         "760a5a8c60bedaf4c8d14af1092f9fe60f7b6261f7efb1d05f30c8ddb47fb523"),
+    # generic real letters on a split of no grid point, over a proper slice: the 4n-point
+    # reference sum rounds, so the order in which it adds the grid moves these bytes,
+    # where the evolution golden's e12/e21 sum is exact in any order
+    "evolution_generic": (
+        dict(kind="evolution", n_list=[37, 101], trials=3, seed=20,
+             generator={"name": "family", "fn": "step",
+                        "b": [[[0.3, -0.2], [0.7, 0.1]], [[-0.45, 0], [0.15, 0.6]]],
+                        "c": [[0.8, -0.35], [0.55, -0.9]], "split": 0.37,
+                        "s": 0.1, "t": 0.85, "mode": "permuted"}),
+        "0bc6b46996cc9941f0767f557a46e57eeed62b149f655fe9d0ce7d2e19020f61",
+        "feea17cdd8558516b877482a4a21c964db3de04ccc57577f59af292075579d7b"),
 }
 
 

@@ -128,6 +128,28 @@ def test_letter_stats_are_the_elementwise_formulas_bit_for_bit(name):
         assert variance_proxy(row, a) == want
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+def test_runs_are_the_any_over_words_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    # zero and the matrices equal to it by value but not by bytes in one part of one
+    # entry (each of the 2 d^2 words in turn), -zero and two generic letters
+    flips = np.zeros((2 * d * d, d, d), dtype=complex)
+    flips.view(np.float64).reshape(2 * d * d, -1)[np.diag_indices(2 * d * d)] = -0.0
+    letters = np.concatenate([np.zeros((1, d, d)), flips, -np.zeros((1, d, d)),
+                              [random_matrix(rng, d, 1.0), random_matrix(rng, d, 1.0)]])
+    k = len(letters)
+    for n in (1, 2, 9, 4000):
+        for elements in (letters[rng.integers(0, k, n)],  # runs of every length
+                         letters[np.where(np.arange(n) % 2, 0, rng.integers(0, k, n))],
+                         letters[np.repeat(rng.integers(0, k, n // 3 + 1), 3)[:n]]):
+            row = ArrayRow(elements)
+            words = row.elements.reshape(n, -1).view(np.uint64)
+            heads = np.flatnonzero(np.r_[True, (words[1:] != words[:-1]).any(axis=1)])
+            got_heads, got_runs = row._runs
+            assert got_heads.tolist() == heads.tolist()
+            assert got_runs.tolist() == np.diff(np.r_[heads, n]).tolist()
+
+
 def test_letters_come_from_one_cached_read_only_index(monkeypatch):
     calls = []
     unique = np.unique
