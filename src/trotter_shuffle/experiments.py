@@ -26,10 +26,11 @@ import numpy as np
 
 from . import evolution as evo
 from .linalg import as_matrix, exp_stack, op_norms
-from .products import block_gaps, choose_blocks, path_deviations
+from .products import path_deviations
 from .rows import (REGIMES, ArrayRow, RegimeSpec, gen_repeated, gen_riemann, gen_spiked,
                    gen_two_letter, spiked_parameters)
-from .tails import block_bernstein_bound, eps_grid, lemma_random_bound
+from .tails import (block_bernstein_bound, block_gaps, choose_blocks, eps_grid,
+                    lemma_random_bound)
 from .words import _BATCH, batch_word_statistics, random_word
 
 

@@ -1,10 +1,9 @@
-"""Permuted exponential-product paths and the block-average machinery.
+"""The deterministic half of the proof, valid in any Banach algebra.
 
-The central objects: partial products P_k = prod_{i<=k} exp(A_{sigma(i)}/n),
-their sup-deviation from the reference path exp(k A / n) (path_deviations),
-the worst block-average gaps of the mean and the norm over the consecutive
-size-a blocks of each order (block_gaps), and the deterministic deviation
-bound that gaps within eps, weighted by e^{L1}, imply (prop_uniform_bound).
+Partial products P_k = prod_{i<=k} exp(A_{sigma(i)}/n), their sup-deviation from
+the reference path exp(k A / n) (path_deviations), and the deviation bound that
+block-average gaps within eps (tails.block_gaps), weighted by e^{L1}, imply
+(prop_uniform_bound).
 """
 
 from __future__ import annotations
@@ -16,33 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix, exp_stack, kernel_array, max_op_norm, op_norms
-from .rows import ArrayRow, RowStats, _freeze
-
-
-def choose_blocks(n: int, stats: RowStats, mode: str = "sqrt_default") -> int:
-    """Pick the block size a for a row of length n, which b = n // a blocks cover.
-
-    sqrt_default takes a = ceil(sqrt(n)); probability grows a by the concentration
-    scale L1*Linf*e^{2 L1} so the block tail bound decays. Always 1 <= a <= n/2.
-    """
-    if n < 4:
-        raise ValueError("need n >= 4 to form at least two blocks")
-    if mode == "sqrt_default":
-        a = math.ceil(math.sqrt(n))
-    elif mode == "probability":
-        # any scale >= n clamps a to n // 2: saturate instead of overflowing
-        scale = max(1.0, stats.l1 * stats.linf * math.exp(min(2.0 * stats.l1, 709.0)))
-        a = math.ceil(math.sqrt(min(n * scale, n * n)))
-    else:
-        raise ValueError(f"unknown block mode {mode!r}")
-    return max(1, min(a, n // 2))
-
-
-def _block_count(n: int, a: int) -> int:
-    """b = n // a, the consecutive size-a blocks in n positions; needs 1 <= a <= n."""
-    if not 1 <= a <= n:
-        raise ValueError(f"block size a = {a} must be >= 1 and at most n = {n}")
-    return n // a
+from .rows import ArrayRow, _freeze, _order_of
 
 
 def exp_factors(row: ArrayRow) -> np.ndarray:
@@ -152,12 +125,6 @@ def _blocked(factors, orders, n: int, paths: bool = False):
         yield from one_pass(chunk)
 
 
-def _order_of(order: np.ndarray, n: int) -> np.ndarray:
-    if len(order) != n:
-        raise ValueError(f"permutation size {len(order)} != row length {n}")
-    return order
-
-
 def reference_path(target, n: int) -> np.ndarray:
     """exp(k A / n) for k = 0..n, shape (n+1, d, d).
 
@@ -218,45 +185,6 @@ def path_deviations(row: ArrayRow, orders, targets):
         devs = (np.subtract(prods, ref, out=diff) for ref in refs)  # read before the next one
         yield tuple(PathReport(ks, g := _freeze(op_norms(dev[ks])), max_op_norm(dev, ks, g) + s, s)
                     for dev, s in zip(devs, slacks))
-
-
-_CHUNK_BLOCKS = 4096  # block means per op_norms call in block_gaps (whole trials, at least one)
-
-
-def block_gaps(row: ArrayRow, orders, a: int) -> tuple[np.ndarray, np.ndarray]:
-    """Largest ||block mean - A_n|| and largest |block norm-mean - L1| over the
-    b = n // a consecutive size-a blocks of the row read in each order (an index
-    array of length n) of the iterable orders; two arrays with one entry per order.
-
-    The n % a positions past a*b are ignored. Each order is reduced as it arrives to
-    the (b, 2d^2 + 1) block sums of entries and norms, from one table of the
-    row's letters and their norms: per-block letter counts (one bincount)
-    times the table when there are at most a letters, else an add.reduceat
-    of the permuted table rows. The complex sums are divided by a as mean()
-    does, and the block means of up to _CHUNK_BLOCKS share one op_norms call.
-    """
-    b, d, stats = _block_count(row.n, a), row.d, row.stats
-    alphabet, letter_of = row.letters()
-    m = len(alphabet)
-    table = np.column_stack([alphabet.reshape(m, -1).view(np.float64), op_norms(alphabet)])
-    if m > a:
-        table = table[letter_of]  # one row per element, summed by reduceat
-    offsets = np.repeat(m * np.arange(b), a)  # a letter's bin in its block
-
-    def block_sums(idx):
-        if m > a:
-            return np.add.reduceat(np.take(table, idx, axis=0), np.arange(0, a * b, a))
-        counts = np.bincount(np.take(letter_of, idx) + offsets, minlength=m * b)
-        return counts.reshape(b, -1) @ table
-
-    per_chunk, gaps = max(1, _CHUNK_BLOCKS // b), []
-    orders = map(_order_of, orders, itertools.repeat(row.n))
-    while chunk := [block_sums(o[:a * b]) for o in itertools.islice(orders, per_chunk)]:
-        sums = np.stack(chunk)
-        means = np.ascontiguousarray(sums[..., :-1]).view(np.complex128).reshape(-1, b, d, d) / a
-        gaps.append((op_norms(means - stats.mean).max(axis=1),
-                     np.abs(sums[..., -1] / a - stats.l1).max(axis=1)))
-    return tuple(map(np.concatenate, zip(*gaps)))
 
 
 def prop_uniform_bound(l1: float, norm_mean: float, eps: float, b: int) -> float:

@@ -33,6 +33,12 @@ def _own(a, dtype) -> np.ndarray:
     return np.array(a, dtype=dtype, order="C")
 
 
+def _order_of(order: np.ndarray, n: int) -> np.ndarray:
+    if len(order) != n:
+        raise ValueError(f"permutation size {len(order)} != row length {n}")
+    return order
+
+
 @dataclass(frozen=True, eq=False)
 class RowStats:
     """Row mean and the two norm statistics: L1 = mean element operator norm,

@@ -1,20 +1,85 @@
-"""Matrix concentration tail bounds and their Monte Carlo counterparts.
+"""The concentration half of the proof: block averages under uniform permutations.
 
-Implements the Bernstein-type tail bound for sums of bounded centered random
-matrices and the union bound over blocks of a permuted row. The per-trial
-worst block deviations these bounds are compared against are
-products.block_gaps, read under uniform permutations.
+The block size (choose_blocks), the worst block-average gaps of the mean and the
+norm over the consecutive size-a blocks of each order (block_gaps), and the tail
+bounds they are compared against: a Bernstein-type bound for sums of bounded
+centered random matrices and the union bound over the blocks.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from .linalg import op_norms
-from .products import _block_count
-from .rows import ArrayRow, RowStats
+from .rows import ArrayRow, RowStats, _order_of
+
+
+def choose_blocks(n: int, stats: RowStats, mode: str = "sqrt_default") -> int:
+    """Pick the block size a for a row of length n, which b = n // a blocks cover.
+
+    sqrt_default takes a = ceil(sqrt(n)); probability grows a by the concentration
+    scale L1*Linf*e^{2 L1} so the block tail bound decays. Always 1 <= a <= n/2.
+    """
+    if n < 4:
+        raise ValueError("need n >= 4 to form at least two blocks")
+    if mode == "sqrt_default":
+        a = math.ceil(math.sqrt(n))
+    elif mode == "probability":
+        # any scale >= n clamps a to n // 2: saturate instead of overflowing
+        scale = max(1.0, stats.l1 * stats.linf * math.exp(min(2.0 * stats.l1, 709.0)))
+        a = math.ceil(math.sqrt(min(n * scale, n * n)))
+    else:
+        raise ValueError(f"unknown block mode {mode!r}")
+    return max(1, min(a, n // 2))
+
+
+def _block_count(n: int, a: int) -> int:
+    """b = n // a, the consecutive size-a blocks in n positions; needs 1 <= a <= n."""
+    if not 1 <= a <= n:
+        raise ValueError(f"block size a = {a} must be >= 1 and at most n = {n}")
+    return n // a
+
+
+_CHUNK_BLOCKS = 4096  # block means per op_norms call in block_gaps (whole trials, at least one)
+
+
+def block_gaps(row: ArrayRow, orders, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """Largest ||block mean - A_n|| and largest |block norm-mean - L1| over the
+    b = n // a consecutive size-a blocks of the row read in each order (an index
+    array of length n) of the iterable orders; two arrays with one entry per order.
+
+    The n % a positions past a*b are ignored. Each order is reduced as it arrives to
+    the (b, 2d^2 + 1) block sums of entries and norms, from one table of the
+    row's letters and their norms: per-block letter counts (one bincount)
+    times the table when there are at most a letters, else an add.reduceat
+    of the permuted table rows. The complex sums are divided by a as mean()
+    does, and the block means of up to _CHUNK_BLOCKS share one op_norms call.
+    """
+    b, d, stats = _block_count(row.n, a), row.d, row.stats
+    alphabet, letter_of = row.letters()
+    m = len(alphabet)
+    table = np.column_stack([alphabet.reshape(m, -1).view(np.float64), op_norms(alphabet)])
+    if m > a:
+        table = table[letter_of]  # one row per element, summed by reduceat
+    offsets = np.repeat(m * np.arange(b), a)  # a letter's bin in its block
+
+    def block_sums(idx):
+        if m > a:
+            return np.add.reduceat(np.take(table, idx, axis=0), np.arange(0, a * b, a))
+        counts = np.bincount(np.take(letter_of, idx) + offsets, minlength=m * b)
+        return counts.reshape(b, -1) @ table
+
+    per_chunk, gaps = max(1, _CHUNK_BLOCKS // b), [(np.empty(0),) * 2]  # no orders: empty gaps
+    orders = map(_order_of, orders, itertools.repeat(row.n))
+    while chunk := [block_sums(o[:a * b]) for o in itertools.islice(orders, per_chunk)]:
+        sums = np.stack(chunk)
+        means = np.ascontiguousarray(sums[..., :-1]).view(np.complex128).reshape(-1, b, d, d) / a
+        gaps.append((op_norms(means - stats.mean).max(axis=1),
+                     np.abs(sums[..., -1] / a - stats.l1).max(axis=1)))
+    return tuple(map(np.concatenate, zip(*gaps)))
 
 
 def bernstein_tail(eps: float, L: float, v: float, d: int) -> float:

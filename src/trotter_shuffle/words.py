@@ -20,7 +20,7 @@ def _multiplicity(words: np.ndarray, a: int) -> int:
         raise ValueError(f"word length must be a*b with b >= 1, a = {a}; got {words.shape[1:]}")
     b = words.shape[1] // a
     rows = a * np.arange(len(words))[:, None]  # a bins a row; a letter short leaves one over
-    if words.min() < 0 or words.max() >= a or (np.bincount((words + rows).ravel()) != b).any():
+    if ((words < 0) | (words >= a)).any() or (np.bincount((words + rows).ravel()) != b).any():
         raise ValueError(f"every letter must be in [0, {a}) and appear exactly {b} times")
     return b
 
@@ -84,11 +84,11 @@ def batch_word_statistics(words: np.ndarray, a: int) -> tuple[np.ndarray, np.nda
     t, _, b = pos.shape
     # a letter's count is k from just after its k-th occurrence through its (k+1)-th
     runs = np.diff(pos, axis=2, prepend=-1, append=a * b - 1)
-    step, total = max(1, _BATCH // (t * a * b)), np.zeros(t, dtype=np.int64)
+    step, total = max(1, _BATCH // max(t * a * b, 1)), np.zeros(t, dtype=np.int64)
     for lo in range(0, a, step):  # the letters l' of one pass: at most _BATCH counts
         cut = runs[:, lo:lo + step]
         x = np.repeat(np.broadcast_to(np.arange(b + 1, dtype=m.dtype), cut.shape),
-                      cut.ravel()).reshape(t, -1, a * b)
+                      cut.ravel()).reshape(t, cut.shape[1], a * b)
         x -= m[:, None, :]
         x -= np.arange(a, dtype=letters.dtype)[lo:lo + step, None] < letters[:, None, :]
         total += np.abs(x, out=x).sum(axis=(1, 2), dtype=np.int64)

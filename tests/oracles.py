@@ -109,7 +109,7 @@ def sequential_products(factors, order) -> np.ndarray:
 def gathered_block_gaps(row, order, a) -> tuple[float, float]:
     """Largest ||block mean - A_n|| and |block norm-mean - L1| over the b = n // a
     blocks of size a of one order, by gathering all a*b elements and averaging each block: the
-    slow path the per-block sums of products.block_gaps replace. It shares
+    slow path the per-block sums of tails.block_gaps replace. It shares
     op_norms with the kernel so that exact sums give bit-identical gaps."""
     from trotter_shuffle.linalg import op_norms
 

@@ -11,12 +11,12 @@ import numpy as np
 
 from trotter_shuffle.evolution import cocycle_check, propagators, step_family
 from trotter_shuffle.linalg import exp_stack, op_norms
-from trotter_shuffle.products import block_gaps, path_deviations, prop_uniform_bound
+from trotter_shuffle.products import path_deviations, prop_uniform_bound
 from trotter_shuffle.rows import (ArrayRow, RegimeSpec, gen_repeated,
                                   gen_spiked, gen_two_letter,
                                   random_unit_hermitians,
                                   spiked_parameters)
-from trotter_shuffle.tails import eps_grid, lemma_random_bound
+from trotter_shuffle.tails import block_gaps, eps_grid, lemma_random_bound
 from trotter_shuffle.words import (apply_transpositions, prefix_counts,
                                    random_word, restrict_word, standard_word,
                                    tau_tail_bound, tau_tail_empirical,

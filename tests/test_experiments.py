@@ -137,7 +137,7 @@ def test_json_out_path_is_a_config_error(tmp_path, capsys, monkeypatch, name):
     # the CSV would be its own sidecar: refused before any cell runs or any file is written
     monkeypatch.chdir(tmp_path)
     calls = Counter()
-    _counting(monkeypatch, calls, ((experiments, products), "block_gaps"))
+    _counting(monkeypatch, calls, ((experiments, tails), "block_gaps"))
     assert main(["tail", "--n", "40", "--out", name]) == 2
     assert f"config error: out_path: {name!r} ends in .json" in capsys.readouterr().err
     report = run(ExperimentConfig(kind="words", trials=2, seed=1))
@@ -152,7 +152,7 @@ def test_out_path_without_a_file_name_is_a_config_error(tmp_path, capsys, monkey
     # whole run: refused before any cell runs or any file is written
     monkeypatch.chdir(tmp_path)
     calls = Counter()
-    _counting(monkeypatch, calls, ((experiments, products), "block_gaps"))
+    _counting(monkeypatch, calls, ((experiments, tails), "block_gaps"))
     assert main(["tail", "--n", "40", "--out", name]) == 2
     assert capsys.readouterr().err.startswith("config error: out_path")
     report = run(ExperimentConfig(kind="words", trials=2, seed=1))
@@ -171,7 +171,7 @@ def test_out_path_that_cannot_be_written_is_a_config_error(tmp_path, capsys, mon
     if present:
         (tmp_path / present).mkdir()
     calls = Counter()
-    _counting(monkeypatch, calls, ((experiments, products), "block_gaps"))
+    _counting(monkeypatch, calls, ((experiments, tails), "block_gaps"))
     assert main(["tail", "--n", "40", "--out", out]) == 2
     assert capsys.readouterr().err.startswith("config error: out_path")
     assert not calls
@@ -436,7 +436,7 @@ def test_spiked_infeasible_n_raises_before_any_cell_runs(tmp_path, capsys, monke
         spiked_parameters(40, spec)
     calls = Counter()
     _counting(monkeypatch, calls, ((experiments, products), "path_deviations"),
-              ((experiments, products), "block_gaps"))
+              ((experiments, tails), "block_gaps"))
     cfg = tmp_path / "spiked.json"
     out = tmp_path / "s.csv"
     cfg.write_text(json.dumps({

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 from scipy.linalg import expm
 
-from trotter_shuffle import products
+from trotter_shuffle import products, tails
 from trotter_shuffle.evolution import rotation_family, step_family
 from trotter_shuffle.linalg import exp_stack, op_norms
-from trotter_shuffle.products import (block_gaps, choose_blocks, exp_factors,
-                                      path_deviations, prefix_products,
+from trotter_shuffle.products import (exp_factors, path_deviations, prefix_products,
                                       prop_uniform_bound, reference_path)
 from trotter_shuffle.rows import (ArrayRow, RegimeSpec, gen_repeated, gen_riemann,
                                   gen_spiked, gen_two_letter, random_unit_hermitians)
+from trotter_shuffle.tails import block_gaps, choose_blocks
 
 from oracles import (gathered_block_gaps, mp_exp, mp_product_path, random_matrix,
                      sequential_products, svd_norm)
@@ -560,7 +560,7 @@ def test_block_gaps_match_gathered_means_to_roundoff(make):
 @pytest.mark.parametrize("make", [_complex_letters, _spiked])
 def test_block_gaps_chunks_equal_per_trial_calls(make):
     row = make(400)
-    chunk = products._CHUNK_BLOCKS // (row.n // 10)
+    chunk = tails._CHUNK_BLOCKS // (row.n // 10)
     for trials in (1, chunk, chunk + 1, 2 * chunk + 3):
         orders = _orders(row.n, trials, trials)
         got = block_gaps(row, iter(orders), 10)

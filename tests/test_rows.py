@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from trotter_shuffle import rows
 from trotter_shuffle.evolution import step_family
 from trotter_shuffle.linalg import op_norms
-from trotter_shuffle.products import block_gaps, exp_factors
+from trotter_shuffle.products import exp_factors
 from trotter_shuffle.rows import (ArrayRow, InfeasibleRegimeError, RegimeSpec,
                                   gen_repeated, gen_riemann, gen_spiked, gen_two_letter,
                                   spiked_parameters)
-from trotter_shuffle.tails import variance_proxy
+from trotter_shuffle.tails import block_gaps, variance_proxy
 
 from oracles import random_matrix, svd_norm
 

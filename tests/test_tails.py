@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trotter_shuffle.products import block_gaps
 from trotter_shuffle.rows import ArrayRow, gen_two_letter
-from trotter_shuffle.tails import (bernstein_tail, block_bernstein_bound, eps_grid,
+from trotter_shuffle.tails import (bernstein_tail, block_bernstein_bound, block_gaps, eps_grid,
                                    lemma_random_bound, variance_proxy)
 
 from oracles import random_matrix, svd_norm
@@ -172,6 +171,15 @@ def test_block_gaps_deterministic_and_thresholding():
     m3, n3 = block_gaps(row, (np.random.default_rng([9, t]).permutation(100)
                               for t in range(5)), 10)
     assert np.array_equal(m3, m1[:5]) and np.array_equal(n3, n1[:5])
+
+
+@pytest.mark.parametrize("orders", [[], iter([np.arange(40)])], ids=["list", "exhausted_iterator"])
+def test_block_gaps_of_no_orders_are_two_empty_arrays(orders):
+    row = gen_two_letter(40, E12, E21)
+    list(itertools.islice(orders, 1))  # an iterator is drawn dry first
+    mean_dev, norm_dev = block_gaps(row, orders, 10)
+    for gaps in (mean_dev, norm_dev):
+        assert gaps.dtype == np.float64 and gaps.shape == (0,)
 
 
 def test_domination_small_scale():

@@ -390,3 +390,12 @@ def test_batch_statistics_reject_a_malformed_row(bad, match):
             batch_word_statistics(words, 2)
     with pytest.raises(ValueError, match="length must be a\\*b"):
         batch_word_statistics(good, 2)  # one word is a batch only as a row
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (2, 3)])
+def test_batch_statistics_of_an_empty_batch_are_empty(a, b):
+    tau, distance = batch_word_statistics(np.zeros((0, a * b), dtype=np.int64), a)
+    assert tau.dtype == np.float64 and tau.shape == (0,)
+    assert distance.dtype == np.int64 and distance.shape == (0,)
+    with pytest.raises(ValueError, match="length must be a\\*b"):
+        batch_word_statistics(np.zeros((0, 0), dtype=np.int64), a)  # no letters: b = 0
