@@ -29,8 +29,7 @@ from .linalg import as_matrix, exp_stack, op_norms
 from .products import path_deviations
 from .rows import (REGIMES, ArrayRow, RegimeSpec, gen_repeated, gen_riemann, gen_spiked,
                    gen_two_letter, spiked_parameters)
-from .tails import (block_bernstein_bound, block_gaps, choose_blocks, eps_grid,
-                    lemma_random_bound)
+from .tails import block_bernstein_bound, block_gaps, choose_blocks, eps_grid, lemma_random_bound
 from .words import _BATCH, batch_word_statistics, random_word
 
 

@@ -20,7 +20,8 @@ def _multiplicity(words: np.ndarray, a: int) -> int:
         raise ValueError(f"word length must be a*b with b >= 1, a = {a}; got {words.shape[1:]}")
     b = words.shape[1] // a
     rows = a * np.arange(len(words))[:, None]  # a bins a row; a letter short leaves one over
-    if ((words < 0) | (words >= a)).any() or (np.bincount((words + rows).ravel()) != b).any():
+    in_range = words.min(initial=0) >= 0 and words.max(initial=0) < a  # initial: a (0, L) batch
+    if not in_range or (np.bincount((words + rows).ravel()) != b).any():
         raise ValueError(f"every letter must be in [0, {a}) and appear exactly {b} times")
     return b
 
