@@ -147,8 +147,8 @@ def reference_path(target, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PathReport:
-    """Deviations ||P_k - exp(k A/n)|| on the grid ks of 101 evenly spaced
-    steps (0 and n among them) and the certified supremum over all k.
+    """Deviations ||P_k - exp(k A/n)|| on the grid ks of the min(n, 100) + 1 steps
+    round(m n / 100), m = 0..100 (0 and n among them), and the certified supremum over all k.
 
     sup_dev = max_k deviation + slack, where slack = ||A|| e^{||A||} / n covers
     the motion of exp(t A) inside one grid cell, so sup_dev upper-bounds the

@@ -27,12 +27,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _own(a, dtype) -> np.ndarray:
-    """A contiguous copy of the right dtype, owned outright (it never aliases
-    caller storage, so freezing it cannot leak)."""
-    return np.array(a, dtype=dtype, order="C")
-
-
 def _order_of(order: np.ndarray, n: int) -> np.ndarray:
     if len(order) != n:
         raise ValueError(f"permutation size {len(order)} != row length {n}")
@@ -56,7 +50,7 @@ class ArrayRow:
     elements: np.ndarray
 
     def __post_init__(self):
-        e = _own(self.elements, np.complex128)
+        e = np.array(self.elements, dtype=np.complex128, order="C")  # owned: freezing cannot leak
         if e.ndim != 3 or e.shape[0] < 1 or e.shape[1] != e.shape[2] or e.shape[1] < 1:
             raise ValueError(f"elements must have shape (n, d, d), n,d >= 1; got {e.shape}")
         if not np.isfinite(e).all():

@@ -32,7 +32,7 @@ def standard_word(a: int, b: int) -> np.ndarray:
 
 def random_word(a: int, b: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform over all arrangements of the standard multiset."""
-    return rng.permutation(np.tile(np.arange(a), b))
+    return rng.permutation(standard_word(a, b))
 
 
 def restrict_word(order: np.ndarray, a: int, b: int) -> np.ndarray:
@@ -140,7 +140,7 @@ def tau_tail_empirical(a: int, b: int, p: float, trials: int, seed: int) -> floa
         raise ValueError("need a, b >= 1 and p > 0")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng, base, hits = np.random.default_rng(seed), np.tile(np.arange(a), b), 0
+    rng, base, hits = np.random.default_rng(seed), standard_word(a, b), 0
     step = max(1, _BATCH // (a * b))
     for done in range(0, trials, step):
         c = min(step, trials - done)

@@ -11,9 +11,10 @@ bit, which changes the hashes but not the science.
 The sidecar echoes out_path, so every config writes to a relative path inside
 a temporary working directory.
 
-The hashes show that a byte moved, not that the bytes are right: the
-benchmark's oracle, perfbench/check.py, also checks each golden output's
-shape and invariants and recomputes it with independent kernels.
+The hashes show that a byte moved, not that the bytes are right: oracles.recompute
+recomputes every column of every record of each golden with independent kernels, within a
+stated tolerance, and the benchmark's oracle, perfbench/check.py, also checks each golden
+output's shape and invariants and recomputes one trial of it.
 """
 
 import hashlib
@@ -23,6 +24,8 @@ from pathlib import Path
 import pytest
 
 from trotter_shuffle.experiments import ExperimentConfig, emit, run
+
+from oracles import recompute
 
 GOLDENS = {
     "converge": (
@@ -107,6 +110,12 @@ def test_golden_output_hashes(name, tmp_path, monkeypatch):
     path = emit(run(cfg), cfg.out_path)
     assert _sha256(path) == csv_sha
     assert _sha256(path.with_suffix(".json")) == sidecar_sha
+
+
+@pytest.mark.parametrize("name", sorted(GOLDENS))
+def test_golden_outputs_match_an_independent_recompute(name):
+    cfg = ExperimentConfig(**GOLDENS[name][0])
+    assert recompute(cfg, run(cfg)) == []
 
 
 def _oracle():

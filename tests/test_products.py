@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 from scipy.linalg import expm
 
-from trotter_shuffle import products, tails
+from trotter_shuffle import products
 from trotter_shuffle.evolution import rotation_family, step_family
 from trotter_shuffle.linalg import exp_stack, op_norms
 from trotter_shuffle.products import (exp_factors, path_deviations, prefix_products,
@@ -18,8 +18,7 @@ from trotter_shuffle.rows import (ArrayRow, RegimeSpec, gen_repeated, gen_rieman
                                   gen_spiked, gen_two_letter, random_unit_hermitians)
 from trotter_shuffle.tails import block_gaps, choose_blocks
 
-from oracles import (gathered_block_gaps, mp_exp, mp_product_path, random_matrix,
-                     sequential_products, svd_norm)
+from oracles import mp_exp, mp_product_path, random_matrix, sequential_products, svd_norm
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
@@ -27,11 +26,7 @@ E21 = np.array([[0, 0], [1, 0]], dtype=complex)
 V_STAR = 0.1293935159197811  # ||e^{B/2} e^{C/2} - e^{(B+C)/2}||, 2x2 closed form
 
 
-# a block count b = n // a of 0 is a block size past n
-@pytest.mark.parametrize("build", [lambda: block_gaps(ArrayRow(np.zeros((4, 2, 2))), [], 0),
-                                   lambda: block_gaps(ArrayRow(np.zeros((3, 2, 2))), [], 4),
-                                   lambda: reference_path(E12, 0)],
-                         ids=["block_size_0", "block_count_0", "reference_path_n_0"])
+@pytest.mark.parametrize("build", [lambda: reference_path(E12, 0)], ids=["reference_path_n_0"])
 def test_products_reject_bad_input(build):
     with pytest.raises(ValueError, match="must be >= 1"):
         build()
@@ -335,6 +330,10 @@ def test_products_are_the_last_prefix_bit_for_bit(monkeypatch, d):
                 assert u.tobytes() == prefix_products(factors, order)[-1].tobytes()
 
 
+def _spiked(n):
+    return gen_spiked(n, RegimeSpec("large_linf", delta=1.0), np.random.default_rng(5), d=3)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 8])
 def test_real_scans_are_the_complex_scans_bit_for_bit(d):
     # float64 factors scan in float64 with the bits of the complex128 scan, in
@@ -466,118 +465,6 @@ def test_path_deviations_exhaustive_n4_vs_oracle():
     assert min(got) == pytest.approx(min(want), abs=1e-9)
 
 
-def test_block_gaps_standard_layout_exact_zero():
-    # power-of-two sizes make the block and row means bit-identical
-    letters = [E12, E21, E12 + E21, np.eye(2, dtype=complex)]
-    row = gen_repeated(letters, 32)
-    mean_gap, norm_gap = block_gaps(row, [np.arange(32)], 4)
-    assert mean_gap[0] == 0.0
-    assert norm_gap[0] == 0.0
-
-
-def test_block_gaps_constant_row():
-    a = random_matrix(np.random.default_rng(7), 2, 1.0)
-    row = gen_repeated([a], 24)
-    order = np.random.default_rng(8).permutation(24)
-    assert np.max(block_gaps(row, [order], 4)) * math.exp(row.stats.l1) <= 1e-12
-
-
-def test_block_gaps_against_resummation():
-    rng = np.random.default_rng(9)
-    n, a = 1000, 50
-    elems = np.stack([random_matrix(rng, 2, 1.0) for _ in range(n)])
-    row = ArrayRow(elems)
-    sigma = rng.permutation(n)
-    stats = row.stats
-    scale = math.exp(stats.l1)
-    worst_mean_gap, worst_norm_gap = (g[0] * scale for g in block_gaps(row, [sigma], a))
-    mean_gap = norm_gap = 0.0
-    for j in range(n // a):
-        block = [row.elements[sigma[j * a + i]] for i in range(a)]
-        bmean = sum(block) / a
-        mean_gap = max(mean_gap, svd_norm(bmean - stats.mean) * scale)
-        bnorm = sum(svd_norm(m) for m in block) / a
-        norm_gap = max(norm_gap, abs(bnorm - stats.l1) * scale)
-    assert worst_mean_gap == pytest.approx(mean_gap, abs=1e-12)
-    assert worst_norm_gap == pytest.approx(norm_gap, abs=1e-12)
-
-
-def _orders(n, trials, seed):
-    return [np.random.default_rng([seed, t]).permutation(n) for t in range(trials)]
-
-
-def _gathered(row, orders, a):
-    return np.array([gathered_block_gaps(row, o, a) for o in orders]).T
-
-
-# Integer entries and integer letter norms make every block sum exact in both
-# paths, so the letter counts must reproduce the gathered means bit for bit.
-# Row lengths are not multiples of 7 or 25, so a*b < n leaves an ignored tail.
-@pytest.mark.parametrize("row", [
-    gen_two_letter(604, E12, E21, "first_half_b"),
-    gen_two_letter(604, E12, E21, "interleaved"),
-    gen_repeated([E12, E21, 2 * np.eye(2), E12 + E21], 603),
-    # 201 periods of three letters, then the first letter in the two leftover slots
-    ArrayRow(np.stack([2 * np.eye(2), E12, -3 * E21])[np.r_[np.tile(np.arange(3), 201), 0, 0]]),
-], ids=["first_half_b", "interleaved", "identity_fill", "repeat_first"])
-@pytest.mark.parametrize("a", [1, 7, 25])
-def test_block_gaps_letter_counts_match_gathered_means_exactly(row, a):
-    orders = _orders(row.n, 40, a)
-    got = block_gaps(row, orders, a)
-    want = _gathered(row, orders, a)
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-
-
-def _complex_letters(n):
-    rng = np.random.default_rng(31)
-    alphabet = np.stack([random_matrix(rng, 2, 2.0) for _ in range(3)])
-    letter_of = rng.integers(0, 3, size=n)
-    return ArrayRow(alphabet[letter_of])
-
-
-def _riemann(n):
-    return gen_riemann(rotation_family(0.7), n, "permuted", seed=4)
-
-
-def _spiked(n):
-    return gen_spiked(n, RegimeSpec("large_linf", delta=1.0), np.random.default_rng(5), d=3)
-
-
-# Sums taken in another order move the gaps by a few roundings of Linf (at most
-# 3.1 u Linf at this block size and these seeds).
-@pytest.mark.parametrize("make", [_complex_letters, _riemann, _spiked])
-def test_block_gaps_match_gathered_means_to_roundoff(make):
-    row = make(1200)
-    stats = row.stats
-    orders = _orders(row.n, 60, 2)
-    got = block_gaps(row, orders, 30)
-    want = _gathered(row, orders, 30)
-    tol = 4 * (np.finfo(float).eps / 2) * stats.linf
-    assert np.abs(got[0] - want[0]).max() <= tol
-    assert np.abs(got[1] - want[1]).max() <= tol
-
-
-@pytest.mark.parametrize("make", [_complex_letters, _spiked])
-def test_block_gaps_chunks_equal_per_trial_calls(make):
-    row = make(400)
-    chunk = tails._CHUNK_BLOCKS // (row.n // 10)
-    for trials in (1, chunk, chunk + 1, 2 * chunk + 3):
-        orders = _orders(row.n, trials, trials)
-        got = block_gaps(row, iter(orders), 10)
-        one = [block_gaps(row, [o], 10) for o in orders]
-        assert got[0].shape == got[1].shape == (trials,)
-        assert np.array_equal(got[0], np.concatenate([m for m, _ in one]))
-        assert np.array_equal(got[1], np.concatenate([g for _, g in one]))
-    with pytest.raises(ValueError, match="block size a = 410 must be >= 1 and at most n = 400"):
-        block_gaps(row, _orders(row.n, 1, 0), 410)
-
-
-@pytest.mark.parametrize("order", [np.arange(45) % 40, np.arange(36)], ids=["long", "short"])
-def test_block_gaps_requires_matching_sizes(order):
-    with pytest.raises(ValueError, match=f"permutation size {len(order)} != row length 40"):
-        block_gaps(gen_two_letter(40, E12, E21), [order], 6)
-
-
 def test_prop_uniform_bound_values():
     # eps = 0, L1 = ||A_n|| = 1, b = 100: (3/200) * 4 * e
     assert prop_uniform_bound(1.0, 1.0, 0.0, 100) == pytest.approx(0.06 * math.e, rel=1e-12)
@@ -610,29 +497,6 @@ def test_prop_uniform_bound_allows_roundoff_relative_to_l1():
         prop_uniform_bound(l1, l1, 0.5, 10), rel=1e-12)
     with pytest.raises(ValueError, match="cannot exceed L1"):
         prop_uniform_bound(l1, l1 * (1 + 1e-6), 0.5, 10)
-
-
-def test_choose_blocks():
-    stats = gen_two_letter(10, E12, E21).stats
-    a = choose_blocks(10000, stats, mode="sqrt_default")
-    assert (a, 10000 // a) == (100, 100)
-    a = choose_blocks(10**6, stats, mode="probability")
-    assert a == math.ceil(math.sqrt(10**6 * math.e**2))
-    for n in (10, 100, 5000):
-        for mode in ("sqrt_default", "probability"):
-            a = choose_blocks(n, stats, mode=mode)
-            assert 1 <= a <= n // 2
-            assert a * (n // a) <= n
-    with pytest.raises(ValueError):
-        choose_blocks(3, stats)
-    with pytest.raises(ValueError, match="unknown block mode"):
-        choose_blocks(100, stats, mode="cube_root")
-
-
-def test_choose_blocks_saturates_at_large_l1():
-    # L1 = 400.5: e^{2 L1} overflows a float, but any scale >= n gives a = n // 2
-    stats = gen_two_letter(400, np.array([[0, 800], [0, 0]]), E21).stats
-    assert choose_blocks(400, stats, mode="probability") == 200
 
 
 def test_commuting_row_endpoint_independent_of_sigma():

@@ -27,6 +27,18 @@ def test_row_validation():
         ArrayRow(np.full((3, 2, 2), np.nan))
 
 
+def test_row_owns_its_elements():
+    # a C-contiguous complex128 stack: the input np.asarray would alias
+    e = np.ascontiguousarray(np.stack([E12, E21, E12]))
+    row = ArrayRow(e)
+    assert e.flags.writeable  # freezing the row does not freeze the caller's array
+    e[0, 0, 1] = 7.0
+    assert row.elements[0, 0, 1] == 1.0  # nor does a later write reach the row
+    assert not row.elements.flags.writeable
+    with pytest.raises(ValueError):
+        row.elements[0, 0, 1] = 2.0
+
+
 def test_stats_constant_row():
     a = random_matrix(np.random.default_rng(0), 2, 2.0)
     row = gen_repeated([a], 11)
