@@ -7,6 +7,7 @@ Each workload runs REPS times at --trace 0, at BENCHMARK.json's run_seconds,
 with seeds seed, seed + 1, ..., then once at --trace 1. The file holds the
 command line, the environment block of the first run, the tracked files that
 differ from its commit (so a file measured on an uncommitted tree says so),
+src_lines, the line count of src/trotter_shuffle/*.py as `wc -l` gives it,
 and for each workload the median, min and max of every end-to-end metric over
 the repetitions, the operation counts and the per-layer metrics of the traced
 run. It imports nothing from the package: every number is read from the
@@ -43,7 +44,9 @@ def main() -> None:
     changed = subprocess.run(["git", "diff", "HEAD", "--name-only"], cwd=ROOT, capture_output=True,
                              text=True, check=True).stdout.splitlines()
     doc = {"command": sys.argv, "environment": None, "workloads": {},
-           "modified": [f for f in changed if not f.startswith("BENCH_")]}
+           "modified": [f for f in changed if not f.startswith("BENCH_")],
+           "src_lines": sum(p.read_text(encoding="utf-8").count("\n")
+                            for p in (ROOT / "src" / "trotter_shuffle").glob("*.py"))}
     for workload in WORKLOADS:
         runs = [harness(workload, args.seed + r, 0) for r in range(REPS)]
         doc["environment"] = doc["environment"] or runs[0][0]

@@ -200,81 +200,65 @@ def _value_error(key: str, value, default, where: str = "generator.") -> str | N
             isinstance(default[0], str) or all(map(_is_real, value)))
         want = "a non-empty list" + ("" if isinstance(default[0], str) else " of numbers")
     else:
-        return None  # a matrix: _matrix_errors parses it
+        return None  # a matrix: _check_generator parses it
     return None if ok else f"{where}{key}: {_brief(value)} is not {want}"
 
 
-def _matrix_errors(g: dict, target, d) -> list[str]:
-    """Errors in the matrices a merged generator and the target name: each must
-    parse, and all must have the same dimension, which is also the size of the
-    generator's family value and the config's d (the spiked generator's size)."""
-    specs = [] if target is None else [("target", target)]
-    for key, default in _keys(g).items():
+def _check_generator(kind: str, gen: dict, ns: list, target, d) -> None:
+    """A ConfigError at the first fault of the generator object of a config of this kind,
+    whose other fields are valid. Builders read generator keys with defaults, so a misspelt
+    key is rejected here rather than silently running the default."""
+    names, extra, _ = _KINDS[kind]
+    name = gen["name"]
+    if name not in names:
+        raise ConfigError(f"generator.name: {_brief(name)} is not one of {names} for kind {kind!r}")
+    keys = _keys(gen)
+    if unknown := set(gen) - set(keys) - set(extra) - {"name"}:
+        raise ConfigError(f"generator: unknown keys {_brief(sorted(unknown, key=_brief))} "
+                          f"for {name!r}, expected some of {sorted(set(keys) | set(extra))}")
+    regimes = gen.get("regimes") or []
+    if not isinstance(regimes, list) or not all(
+            isinstance(r, dict) and set(r) <= set(keys) for r in regimes):
+        raise ConfigError(f"generator.regimes: must be a list of objects with keys among "
+                          f"{sorted(keys)}")
+    for g in [gen, *regimes]:
+        for error in filter(None, (_value_error(k, v, keys[k]) for k, v in g.items() if k in keys)):
+            raise ConfigError(error)
+    # every matrix must parse, and all must have the same dimension, which is also the size
+    # of the generator's family value and the config's d (the spiked generator's size)
+    g, specs = _merged(gen), [] if target is None else [("target", target)]
+    for key, default in keys.items():
         if isinstance(default, list) and isinstance(default[0], str):
             specs += [(f"generator.{key}[{i}]", m) for i, m in enumerate(g[key])]
         elif isinstance(default, str) and key not in GENERATOR_VALUES:
             specs.append((f"generator.{key}", g[key]))
-    try:
-        dims = {what: len(_entries(spec, what)) for what, spec in specs}
-    except ConfigError as exc:
-        return [str(exc)]
+    dims = {what: len(_entries(spec, what)) for what, spec in specs}
     if "fn" in g and len(set(dims.values())) < 2:  # the family builds from matrices that agree
         dims["generator.fn"] = _family(g)(np.zeros(1)).shape[-1]
-    if g["name"] != "multiset" and not _value_error("d", d, 1):
+    if name != "multiset":
         dims["d"] = d
     if len(set(dims.values())) > 1:
-        return [f"{', '.join(dims)}: matrices must have the same dimension, got {dims}"]
-    return []
-
-
-def _generator_errors(kind: str, gen: dict, ns: list, target, d) -> list[str]:
-    """Errors in the generator object of a config of this kind. Builders read
-    generator keys with defaults, so a misspelt key is rejected here rather
-    than silently running the default."""
-    names, extra, _ = _KINDS[kind]
-    name = gen["name"]
-    if name not in names:
-        return [f"generator.name: {_brief(name)} is not one of {names} for kind {kind!r}"]
-    errors = []
-    keys = _keys(gen)
-    unknown = set(gen) - set(keys) - set(extra) - {"name"}
-    if unknown:
-        errors.append(f"generator: unknown keys {_brief(sorted(unknown, key=_brief))} "
-                      f"for {name!r}, expected some of {sorted(set(keys) | set(extra))}")
-    regimes = gen.get("regimes") or []
-    if not isinstance(regimes, list) or not all(
-            isinstance(r, dict) and set(r) <= set(keys) for r in regimes):
-        errors.append(f"generator.regimes: must be a list of objects with keys among "
-                      f"{sorted(keys)}")
-        regimes = []
-    for g in [gen, *regimes]:
-        errors += filter(None, (_value_error(k, v, keys[k]) for k, v in g.items() if k in keys))
-    if not errors:
-        errors += _matrix_errors(_merged(gen), target, d)
-    if name == "family" and not errors:
-        g = _merged(gen)
-        if not 0 <= g["s"] <= g["t"] <= 1:
-            errors.append(f"generator.s, generator.t: need 0 <= s <= t <= 1, "
+        raise ConfigError(f"{', '.join(dims)}: matrices must have the same dimension, got {dims}")
+    if name == "family" and not 0 <= g["s"] <= g["t"] <= 1:
+        raise ConfigError(f"generator.s, generator.t: need 0 <= s <= t <= 1, "
                           f"got s={g['s']}, t={g['t']}")
-    for where, g in _regimes(gen) if name == "spiked" and not errors else ():
+    for where, r in _regimes(gen) if name == "spiked" else ():
         try:
-            _regime_spec(g)
+            _regime_spec(r)
         except ValueError as exc:
-            errors.append(f"{where}: {exc}")
-    if name == "two_letter" and any(_is_int(n) and n % 2 for n in ns):
-        errors.append(f"n_list: the two_letter generator needs even n, got {_brief(ns)}")
-    letters = gen.get("letters", keys["letters"]) if name == "repeated" else []
-    if isinstance(letters, list) and any(_is_int(n) and n < len(letters) for n in ns):
-        errors.append(f"n_list: the repeated generator needs every n >= its "
-                      f"{len(letters)} letters, got {_brief(ns)}")
+            raise ConfigError(f"{where}: {exc}") from exc
+    if name == "two_letter" and any(n % 2 for n in ns):
+        raise ConfigError(f"n_list: the two_letter generator needs even n, got {_brief(ns)}")
+    if name == "repeated" and min(ns) < len(g["letters"]):
+        raise ConfigError(f"n_list: the repeated generator needs every n >= its "
+                          f"{len(g['letters'])} letters, got {_brief(ns)}")
     a = gen.get("a")
-    if kind == "tail" and a is None and any(_is_int(n) and n < 4 for n in ns):
-        errors.append(f"n_list: the tail kind needs n >= 4 without generator.a, got {_brief(ns)}")
-    if kind == "tail" and a is not None and (
-            _value_error("a", a, 1) or any(_is_int(n) and a > n for n in ns)):
-        errors.append(f"generator.a: block size must be an integer in "
-                      f"[1, min(n_list)], got {_brief(a)}")
-    return errors
+    if kind == "tail" and a is None and min(ns) < 4:
+        raise ConfigError(f"n_list: the tail kind needs n >= 4 without generator.a, "
+                          f"got {_brief(ns)}")
+    if kind == "tail" and a is not None and (_value_error("a", a, 1) or a > min(ns)):
+        raise ConfigError(f"generator.a: block size must be an integer in "
+                          f"[1, min(n_list)], got {_brief(a)}")
 
 
 @dataclass
@@ -301,42 +285,42 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
     def validate(self) -> None:
+        """A ConfigError at the first check that fails; the last names every unread field."""
         # the fields with named values, and d and trials by the integer rule (default 1)
-        errors = list(filter(None, (_value_error(name, getattr(self, name), 1, "") for name in
-                                    ("kind", "d", "trials", "sigma_mode", "block_mode"))))
-        ns = self.n_list if isinstance(self.n_list, list) else []
-        gen = self.generator if isinstance(self.generator, dict) else {}
-        if not ns:
-            errors.append("n_list: must be a non-empty list")
-        elif any(_value_error("n_list", n, 1) for n in ns) or len(set(ns)) < len(ns):
-            errors.append(f"n_list: entries must be distinct positive integers, got {_brief(ns)}")
-        if not _value_error("trials", self.trials, 1) and self.trials > 1 and (
+        for name in ("kind", "d", "trials", "sigma_mode", "block_mode"):
+            if error := _value_error(name, getattr(self, name), 1, ""):
+                raise ConfigError(error)
+        ns, gen = self.n_list, self.generator
+        if not isinstance(ns, list) or not ns:
+            raise ConfigError("n_list: must be a non-empty list")
+        if any(_value_error("n_list", n, 1) for n in ns) or len(set(ns)) < len(ns):
+            raise ConfigError(f"n_list: entries must be distinct positive integers, "
+                              f"got {_brief(ns)}")
+        if self.trials > 1 and (
                 self.sigma_mode == "identity" and self.kind in _FIELD_KINDS["sigma_mode"]
-                or self.kind == "evolution" and gen.get("mode") == "ordered"):
-            errors.append(f"trials: every trial of an identity sigma_mode or an ordered evolution "
-                          f"is the same computation, so trials must be 1, got {self.trials}")
+                or self.kind == "evolution" and isinstance(gen, dict)
+                and gen.get("mode") == "ordered"):
+            raise ConfigError(f"trials: every trial of an identity sigma_mode or an ordered "
+                              f"evolution is the same computation, so trials must be 1, "
+                              f"got {self.trials}")
         if not _is_int(self.seed) or self.seed < 0:
-            errors.append(f"seed: must be a non-negative integer, got {_brief(self.seed)}")
+            raise ConfigError(f"seed: must be a non-negative integer, got {_brief(self.seed)}")
         if self.eps is not None and not (_is_real(self.eps) and self.eps > 0):
-            errors.append(f"eps: must be a positive number when given, got {_brief(self.eps)}")
-        if "name" not in gen:
-            errors.append("generator: must be an object with a 'name' field")
-        elif self.kind in KINDS:
-            errors.extend(_generator_errors(self.kind, gen, ns, self.target, self.d))
-        try:
-            _sidecar_path(self.out_path)
-        except ConfigError as exc:
-            errors.append(str(exc))
+            raise ConfigError(f"eps: must be a positive number when given, got {_brief(self.eps)}")
+        if not isinstance(gen, dict) or "name" not in gen:
+            raise ConfigError("generator: must be an object with a 'name' field")
+        _check_generator(self.kind, gen, ns, self.target, self.d)
+        _sidecar_path(self.out_path)
+        unread = []
         for f in dataclasses.fields(self):  # a field the kind does not read keeps its default
             value, kinds = getattr(self, f.name), _FIELD_KINDS.get(f.name, KINDS)
             default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
-            unread = self.kind not in kinds or f.name == "block_mode" and gen.get("a") is not None
-            if self.kind in KINDS and unread and (
+            if (self.kind not in kinds or f.name == "block_mode" and gen.get("a") is not None) and (
                     value is not default if default is None else value != default):
-                errors.append(f"{f.name}: the {self.kind} kind does not read it"
+                unread.append(f"{f.name}: the {self.kind} kind does not read it"
                               f"{' with generator.a' * (self.kind in kinds)}, got {_brief(value)}")
-        if errors:
-            raise ConfigError("; ".join(errors))
+        if unread:
+            raise ConfigError("; ".join(unread))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":

@@ -128,6 +128,43 @@ def gathered_block_gaps(row, order, a) -> tuple[float, float]:
     return mean_gap, float(np.abs(norms.mean(axis=1) - stats.l1).max())
 
 
+def two_letter_tail(n: int, a: int, gap: float, eps) -> list[float]:
+    """P(some size-a block mean strays more than e from the row mean), for each e of eps, over
+    uniform orders of a row of n/2 copies each of B and C with gap = ||B - C||, exactly: a block
+    of k copies of B strays by |k/a - 1/2| gap. The counts of the b = n // a blocks and of the
+    n - a b positions left over are independent binomials conditioned on their sum n/2, so no
+    block strays with [x^(n/2)] of the product of their pmfs, each block's cut to the counts
+    that do not stray, over P(Bin(n, 1/2) = n/2). Exact to roundoff, about 1e-14 absolute."""
+    b, half, rest = n // a, n // 2, n % a
+    pmf = np.array([math.comb(a, k) / 2**a for k in range(a + 1)])
+    strays = np.abs(np.arange(a + 1) / a - 0.5) * gap
+
+    def none_stray(f):  # f^b times the leftover pmf, by squaring, cut at degree n/2
+        out, k = np.array([math.comb(rest, j) / 2**rest for j in range(rest + 1)]), b
+        while k:
+            out = np.convolve(out, f)[:half + 1] if k & 1 else out
+            f, k = np.convolve(f, f)[:half + 1] if k > 1 else f, k >> 1
+        return out[half] if len(out) > half else 0.0
+
+    cuts = [tuple(strays <= e) for e in eps]
+    law = {cut: max(0.0, 1.0 - none_stray(np.where(cut, pmf, 0.0)) / (math.comb(n, half) / 2**n))
+           for cut in set(cuts)}
+    return [law[cut] for cut in cuts]
+
+
+def two_letter_tau_tail(b: int, p: float) -> float:
+    """P(tau > p / sqrt(b)) over uniform words of two letters, each b times, exactly. The gap
+    between the letters' prefix counts is a +-1 bridge S of length 2b and tau = (max|S| + 1) / b,
+    so this is P(max|S| >= h), h the least count with (h + 1) / b > p / sqrt(b): the two-sample
+    Kolmogorov-Smirnov law (Gnedenko and Korolyuk, 1951), 2 sum_j (-1)^(j-1) C(2b, b - j h)
+    / C(2b, b) over j >= 1."""
+    h = next((m for m in range(b + 1) if (m + 1.0) / b > p / math.sqrt(b)), b + 1)
+    if h == 0:
+        return 1.0
+    hits = sum((-1) ** (j - 1) * math.comb(2 * b, b - j * h) for j in range(1, b // h + 1))
+    return 2 * hits / math.comb(2 * b, b)
+
+
 # The golden oracle: every record of a report recomputed from the config alone. The draws
 # are data, taken from the runners' keyed streams; everything computed from them is done
 # here without the package's kernels: scipy's expm, sequential products, svd_norm, dense

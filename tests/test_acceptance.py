@@ -10,19 +10,21 @@ import time
 import numpy as np
 
 from trotter_shuffle.evolution import cocycle_check, propagators, step_family
+from trotter_shuffle.experiments import GENERATOR_DEFAULTS, ExperimentConfig, parse_matrix, run
 from trotter_shuffle.linalg import exp_stack, op_norms
 from trotter_shuffle.products import path_deviations, prop_uniform_bound
 from trotter_shuffle.rows import (ArrayRow, RegimeSpec, gen_repeated,
                                   gen_spiked, gen_two_letter,
                                   random_unit_hermitians,
                                   spiked_parameters)
-from trotter_shuffle.tails import block_gaps, eps_grid, lemma_random_bound
+from trotter_shuffle.tails import block_bernstein_bound, block_gaps, eps_grid, lemma_random_bound
 from trotter_shuffle.words import (apply_transpositions, prefix_counts,
                                    random_word, restrict_word, standard_word,
                                    tau_tail_bound, tau_tail_empirical,
                                    transpositions_to_standard, word_statistics)
 
-from oracles import random_matrix, series_exp, svd_norm
+from oracles import random_matrix, series_exp, svd_norm, two_letter_tail, two_letter_tau_tail
+from test_goldens import GOLDENS
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
@@ -229,3 +231,46 @@ def test_criterion_9_regime_feasibility():
         predicted = k / n * linf
         ok = ok and predicted / 2 <= stats.l1 <= 2 * predicted + 1
     assert _verdict(9, "spiked regimes reproduce their formulas at n = 1e6", ok, t0)
+
+
+def _within(freq: float, band, trials: int) -> bool:
+    """freq within 4 binomial sd of the exact probabilities band (its least and largest)."""
+    sd = max(math.sqrt(p * (1 - p) / trials) for p in band)
+    return min(band) - 4 * sd <= freq <= max(band) + 4 * sd
+
+
+def test_criterion_13_exact_two_letter_laws():
+    t0 = time.time()
+    cases = []  # (n, a, gap ||B - C||, eps grid, frequencies, trials, Bernstein bounds)
+    for n, a, trials in ((400, 20, 4000), (10**4, 100, 1000)):
+        row = gen_two_letter(n, E12, E21, "first_half_b")
+        grid = eps_grid(row.stats.l1).tolist()
+        orders = (np.random.default_rng([113, n, t]).permutation(n) for t in range(trials))
+        mean_dev, _ = block_gaps(row, orders, a)
+        cases.append((n, a, float(op_norms(E12 - E21)), grid,
+                      [float((mean_dev > e).mean()) for e in grid], trials,
+                      block_bernstein_bound(row, a, grid)))
+    for name in ("tail", "tail_probability"):  # the two tail goldens, both two-letter rows
+        report = run(ExperimentConfig(**GOLDENS[name][0]))
+        g = {**GENERATOR_DEFAULTS["two_letter"], **report.config.generator}
+        gap = float(op_norms(parse_matrix(g["b"], "b") - parse_matrix(g["c"], "c")))
+        for n in report.config.n_list:
+            recs = [r for r in report.records if r["n"] == n]
+            cases.append((n, report.summary[str(n)]["a"], gap, [r["eps"] for r in recs],
+                          [r["empirical_freq"] for r in recs], report.config.trials,
+                          [r["bernstein_bound"] for r in recs]))
+    ok, ratio = True, math.inf
+    for n, a, gap, grid, freqs, trials, bounds in cases:
+        # a gap within 1e-9 of e may fall on either side of it in floats: the laws at e (1 +- 1e-9)
+        law = two_letter_tail(n, a, gap, [e * (1 + s) for s in (1e-9, -1e-9) for e in grid])
+        for band, freq, bound in zip(zip(law[:len(grid)], law[len(grid):]), freqs, bounds):
+            # the concentration half of the proof, checked exactly: the bound is at least the law
+            ok = ok and _within(freq, band, trials) and bound >= max(band) - 1e-12
+            ratio = min(ratio, bound / max(band)) if max(band) > 1e-9 else ratio
+    for b, ps in ((50, (0.5, 1.0, 1.5, 2.0)), (400, (1.0, 2.0))):
+        for p in ps:
+            exact = two_letter_tau_tail(b, p)
+            ok = ok and _within(tau_tail_empirical(2, b, p, 4000, 1131), [exact], 4000)
+            ok = ok and tau_tail_bound(2, b, p) >= exact
+    assert _verdict(13, "two-letter tails and a = 2 words against their exact laws", ok, t0,
+                    f"least Bernstein bound / exact {ratio:.1f}")

@@ -630,6 +630,36 @@ def test_cli_invalid_field_exit_2(tmp_path, capsys, kind, fields, key):
     assert not (tmp_path / "f.csv").exists()
 
 
+@pytest.mark.parametrize("fields, message", _pinned([
+    ("seed-before-unknown-generator-key",
+     {"kind": "converge", "n_list": [40], "seed": -1,
+      "generator": {"name": "two_letter", "bogus": 1}},
+     "seed: must be a non-negative integer, got -1"),
+    ("empty-n_list-before-target",
+     {"kind": "converge", "n_list": [], "target": [["x"]]},
+     "n_list: must be a non-empty list"),
+    ("odd-n-before-block-size",
+     {"kind": "tail", "n_list": [41, 400], "generator": {"name": "two_letter", "a": 100}},
+     "n_list: the two_letter generator needs even n, got [41, 400]"),
+    ("generator-before-out_path",
+     {"kind": "evolution", "n_list": [40], "out_path": "t.json",
+      "generator": {"name": "family", "s": 0.8, "t": 0.2}},
+     "generator.s, generator.t: need 0 <= s <= t <= 1, got s=0.8, t=0.2"),
+    ("matrix-before-unread-field",
+     {"kind": "converge", "n_list": [40], "eps": 0.1, "target": MATRIX_3X3},
+     "target, generator.b, generator.c, d: matrices must have the same dimension, "
+     "got {'target': 3, 'generator.b': 2, 'generator.c': 2, 'd': 2}"),
+]))
+def test_config_error_names_only_the_first_failing_check(tmp_path, capsys, monkeypatch, fields,
+                                                         message):
+    # each config fails two checks; the message is the first one's, in the README's order
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"out_path": "f.csv", **fields}))
+    assert main([fields["kind"], "--config", "cfg.json"]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 @pytest.mark.parametrize("args, key", _pinned([
     ("args0-config: cannot read missing.json",
      ["--config", "missing.json"], "config: cannot read missing.json"),

@@ -117,17 +117,22 @@ def test_stats_chain_inequality(a, reps, seed):
 
 def _letter_rows():
     """A spiked d = 3 row (every element its own letter), an interleaved
-    two-letter row, and a repeated row with a -0.0 letter beside a 0.0 one."""
+    two-letter row, a repeated row with a -0.0 letter beside a 0.0 one, and
+    three letters of distinct norms in runs of 5, 1 and 17, so a norm taken
+    once a run must still count once an element."""
     rng = np.random.default_rng(21)
     spiked = gen_spiked(300, RegimeSpec("large_linf", delta=1.0), rng, d=3)
     pair = gen_two_letter(300, random_matrix(rng, 2, 3.0), random_matrix(rng, 2, 3.0),
                           "interleaved")
     zero = np.zeros((2, 2))
     signed = gen_repeated([zero, -zero, random_matrix(rng, 2, 3.0)], 301)
-    return {"spiked": (spiked, 300), "interleaved": (pair, 2), "signed_zeros": (signed, 3)}
+    letter = random_matrix(rng, 2, 1.0)
+    uneven = ArrayRow(np.repeat([letter, 2.5 * letter, -4.0 * letter], [5, 1, 17], axis=0))
+    return {"spiked": (spiked, 300), "interleaved": (pair, 2), "signed_zeros": (signed, 3),
+            "uneven_runs": (uneven, 3)}
 
 
-@pytest.mark.parametrize("name", ["spiked", "interleaved", "signed_zeros"])
+@pytest.mark.parametrize("name", ["spiked", "interleaved", "signed_zeros", "uneven_runs"])
 def test_letter_stats_are_the_elementwise_formulas_bit_for_bit(name):
     row, c_n = _letter_rows()[name]
     assert len(row.letters()[0]) == c_n

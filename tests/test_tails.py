@@ -14,7 +14,7 @@ from trotter_shuffle.rows import (ArrayRow, RegimeSpec, gen_repeated, gen_rieman
 from trotter_shuffle.tails import (bernstein_tail, block_bernstein_bound, block_gaps,
                                    choose_blocks, eps_grid, lemma_random_bound, variance_proxy)
 
-from oracles import gathered_block_gaps, random_matrix, svd_norm
+from oracles import gathered_block_gaps, random_matrix, svd_norm, two_letter_tail
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
@@ -373,3 +373,18 @@ def test_eps_grid_of_an_overflowed_l1_raises_without_a_warning(l1):
     message = f"3 L1 = inf overflows a float (the row's L1 is {l1})"
     with pytest.raises(OverflowError, match=re.escape(message)):
         eps_grid(l1)
+
+
+@pytest.mark.parametrize("n, a", [(10, 3), (12, 5), (8, 8), (12, 1)])
+def test_two_letter_tail_law_is_the_frequency_over_every_placement(n, a):
+    # a uniform order puts the n/2 copies of B at each set of n/2 positions equally often
+    row, orders = gen_two_letter(n, E12, E21), []
+    for first in itertools.combinations(range(n), n // 2):
+        order = np.empty(n, dtype=np.int64)
+        order[list(first)] = np.arange(n // 2)  # the first half of the row holds B
+        order[sorted(set(range(n)) - set(first))] = np.arange(n // 2, n)
+        orders.append(order)
+    mean_dev, _ = block_gaps(row, orders, a)
+    eps = [g * (1 + s) for g in np.unique(mean_dev) for s in (1e-9, -1e-9)] + [0.01, 0.7]
+    assert two_letter_tail(n, a, 1.0, eps) == pytest.approx(
+        [float((mean_dev > e).mean()) for e in eps], abs=1e-12)

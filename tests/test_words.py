@@ -17,6 +17,8 @@ from trotter_shuffle.words import (apply_transpositions, batch_word_statistics, 
                                    tau_tail_bound, tau_tail_empirical,
                                    transpositions_to_standard, word_statistics)
 
+from oracles import two_letter_tau_tail
+
 
 def brute_inversions(ranks):
     return sum(1 for i in range(len(ranks)) for j in range(i + 1, len(ranks))
@@ -399,3 +401,13 @@ def test_batch_statistics_of_an_empty_batch_are_empty(a, b):
     assert distance.dtype == np.int64 and distance.shape == (0,)
     with pytest.raises(ValueError, match="length must be a\\*b"):
         batch_word_statistics(np.zeros((0, 0), dtype=np.int64), a)  # no letters: b = 0
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 5, 8])
+def test_two_letter_tau_law_is_the_frequency_over_every_word(b):
+    words = np.ones((math.comb(2 * b, b), 2 * b), dtype=np.int64)
+    for w, zeros in zip(words, itertools.combinations(range(2 * b), b)):
+        w[list(zeros)] = 0
+    tau, _ = batch_word_statistics(words, 2)
+    for p in np.linspace(0.05, math.sqrt(b) + 1, 40):
+        assert two_letter_tau_tail(b, p) == float((tau > p / math.sqrt(b)).mean())
