@@ -165,6 +165,26 @@ def two_letter_tau_tail(b: int, p: float) -> float:
     return 2 * hits / math.comb(2 * b, b)
 
 
+def e12_e21_limit(draws: int, steps: int, seed: int) -> np.ndarray:
+    """Draws of the limit in law of sqrt(n) max_k ||P_k - e^(kA/n)|| over uniform orders of the
+    row of n/2 copies each of B = E12 and C = E21, the products taken as P_k = P_(k-1) e^(X/n)
+    (ROADMAP item 13). Centred, the row's partial sums over sqrt(n) tend to W(u) = Z(u) J / 2,
+    J = B - C and Z a standard Brownian bridge, and the limit is sup_t ||G(t)|| with
+    G(t) = int_0^t e^(uA) dW(u) e^((t-u)A). A = sigma_x / 2 anticommutes with J, an orthogonal
+    matrix, so ||G(t)|| = ||int_0^t e^((u - t/2) sigma_x) dZ(u)|| / 2
+    = max(e^(-t/2) |int_0^t e^u dZ|, e^(t/2) |int_0^t e^(-u) dZ|) / 2: two scalar integrals,
+    each a left-point sum over a grid of the given steps, 250 draws at a time."""
+    u = np.arange(steps) / steps
+    rng, out = np.random.default_rng(seed), []
+    for lo in range(0, draws, 250):
+        dz = rng.standard_normal((min(250, draws - lo), steps))
+        dz -= dz.mean(axis=1, keepdims=True)  # the bridge: increments that sum to 0
+        up = np.abs(np.cumsum(dz * np.exp(u), axis=1)) * np.exp(-(u + 1 / steps) / 2)
+        down = np.abs(np.cumsum(dz * np.exp(-u), axis=1)) * np.exp((u + 1 / steps) / 2)
+        out.append(np.maximum(up, down).max(axis=1))
+    return np.concatenate(out) / (2 * math.sqrt(steps))
+
+
 # The golden oracle: every record of a report recomputed from the config alone. The draws
 # are data, taken from the runners' keyed streams; everything computed from them is done
 # here without the package's kernels: scipy's expm, sequential products, svd_norm, dense

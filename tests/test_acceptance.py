@@ -8,6 +8,7 @@ import math
 import time
 
 import numpy as np
+from scipy.stats import ks_2samp
 
 from trotter_shuffle.evolution import cocycle_check, propagators, step_family
 from trotter_shuffle.experiments import GENERATOR_DEFAULTS, ExperimentConfig, parse_matrix, run
@@ -23,7 +24,8 @@ from trotter_shuffle.words import (apply_transpositions, prefix_counts,
                                    tau_tail_bound, tau_tail_empirical,
                                    transpositions_to_standard, word_statistics)
 
-from oracles import random_matrix, series_exp, svd_norm, two_letter_tail, two_letter_tau_tail
+from oracles import (e12_e21_limit, random_matrix, series_exp, svd_norm, two_letter_tail,
+                     two_letter_tau_tail)
 from test_goldens import GOLDENS
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -231,6 +233,27 @@ def test_criterion_9_regime_feasibility():
         predicted = k / n * linf
         ok = ok and predicted / 2 <= stats.l1 <= 2 * predicted + 1
     assert _verdict(9, "spiked regimes reproduce their formulas at n = 1e6", ok, t0)
+
+
+def test_criterion_10_second_order_limit():
+    t0 = time.time()
+    limit = e12_e21_limit(2000, 4000, 1101)
+    # P(a 200-draw median <= the q-quantile) is P(Bin(200, q) >= 100), so the quantiles at
+    # 1/2 -+ 1/(2 sqrt(200)) lie one standard error either side of the median
+    h = 0.5 / math.sqrt(200)
+    low, mid, high = np.quantile(limit, [0.5 - h, 0.5, 0.5 + h])
+    se = (high - low) / 2
+    ok, details = True, []
+    for n in (2000, 8000):
+        row = gen_two_letter(n, E12, E21, "first_half_b")
+        orders = (np.random.default_rng([110, n, t]).permutation(n) for t in range(200))
+        scaled = [math.sqrt(n) * (rep.sup_dev - rep.slack)
+                  for rep, in path_deviations(row, orders, [row.stats.mean])]
+        median, p = float(np.median(scaled)), float(ks_2samp(scaled, limit).pvalue)
+        ok = ok and abs(median - mid) <= 3 * se and p > 0.01
+        details.append(f"n = {n}: median / limit {median / mid:.3f}, KS p {p:.2f}")
+    assert _verdict(10, "sqrt(n) sup-deviation against its Brownian-bridge limit", ok, t0,
+                    f"limit median {mid:.3f}, se {se:.4f}; " + "; ".join(details))
 
 
 def _within(freq: float, band, trials: int) -> bool:

@@ -5,6 +5,8 @@ import inspect
 import json
 import math
 import re
+import runpy
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -487,6 +489,92 @@ def test_cli_config_file_and_overrides(tmp_path):
     assert len(lines) == 1 + 4  # override applied
 
 
+# Each kind at its defaults, then sizes and rows that reach a kernel's rarer branch. A case
+# with a config runs it alone; the others pass their options.
+@pytest.mark.parametrize("args, doc", _pinned([
+    ("converge-n40", ["converge", "--n", "40", "--trials", "2"], None),
+    ("tail-n40", ["tail", "--n", "40", "--trials", "2"], None),
+    ("regime-n40", ["regime", "--n", "40", "--trials", "2"], None),
+    # words takes its size from the generator
+    ("words-default", ["words", "--trials", "2"], None),
+    ("evolution-n40", ["evolution", "--n", "40", "--trials", "2"], None),
+    ("regime-d8-n200", ["regime", "--n", "200", "--d", "8", "--trials", "2"], None),
+    # the smallest d whose path supremum takes the anchored screen (the regime golden's d)
+    ("regime-d3-n400", ["regime", "--n", "400", "--d", "3", "--trials", "2"], None),
+    # sizes where the chunked 2x2 norms and the screened d = 8 norms run end to end
+    ("converge-n4000", ["converge", "--n", "4000", "--trials", "2"], None),
+    ("regime-d8-n2000", ["regime", "--n", "2000", "--d", "8", "--trials", "1"], None),
+    # four orders a pass at n = 8000, so six trials take a second pass
+    ("evolution-n8000-six-trials", ["evolution", "--n", "8000", "--trials", "6"], None),
+    # a real d = 3 periodic row, with a complex target: float64 factors and scans
+    ("converge-repeated-d3-complex-target", None,
+     {"kind": "converge", "n_list": [121, 4000], "d": 3, "trials": 2,
+      "generator": {"name": "repeated", "letters": [
+          [[0.8, 0.75, -0.95], [0.4, -1.0, 0.0], [-0.15, -0.6, -0.35]],
+          [[0.6, -0.35, -0.7], [0.4, -0.1, 0.6], [-0.55, -0.35, 0.6]],
+          [[0.0, 0.0, -0.55], [-0.95, 0.85, -0.85], [0.7, -0.25, 0.9]]]},
+      "target": [[[0, 0], [0, 1], [0, 0]], [[1, 0], [0, 0], [0, 0]],
+                 [[0, 0], [0, 0], [0.5, -0.5]]]}),
+    ("tail-riemann-step", None,
+     {"kind": "tail", "n_list": [400], "trials": 20, "generator": {"name": "riemann", "fn": "step"}}),
+    # a row with more letters than the block size: block_gaps sums by add.reduceat
+    ("tail-spiked-large_linf", None,
+     {"kind": "tail", "n_list": [400], "trials": 20,
+      "generator": {"name": "spiked", "regime": "large_linf", "delta": 1.0}}),
+    # L1 = 400.5: e^{2 L1} overflows a float, and choose_blocks saturates at a = n // 2
+    ("tail-large-l1", None,
+     {"kind": "tail", "n_list": [400], "trials": 20, "block_mode": "probability",
+      "generator": {"name": "two_letter", "b": [[0, 800], [0, 0]]}}),
+    # d = 3 products without paths: the last-prefix carry, and a second pass at n = 8000
+    ("evolution-linear_diagonal-d3", None,
+     {"kind": "evolution", "n_list": [400, 8000], "d": 3, "trials": 6,
+      "generator": {"name": "family", "fn": "linear_diagonal", "diag": [1.0, -0.5, 0.25]}}),
+    # the iid mode over a proper slice [s, t] = [0.25, 0.75]
+    ("evolution-iid-slice", None,
+     {"kind": "evolution", "n_list": [400], "trials": 2,
+      "generator": {"name": "family", "fn": "step", "mode": "iid", "s": 0.25, "t": 0.75}}),
+    # every element a spike (k_n = n = 40): the spiked builder draws an empty remainder
+    ("regime-all-spikes", None,
+     {"kind": "regime", "n_list": [40], "trials": 2,
+      "generator": {"name": "spiked", "regime": "intermediate", "alpha": 1.0, "beta": 0.0,
+                    "t": 1.0}}),
+    # 400 runs of byte-equal neighbours but 2 letters: stats and the letter kernels differ
+    ("converge-interleaved", None,
+     {"kind": "converge", "n_list": [400], "trials": 2,
+      "generator": {"name": "two_letter", "order": "interleaved"}}),
+    # a = 2, b = 40,000: counts past 2**15 - 1, so the word kernel's 32-bit count type
+    ("words-wide", None,
+     {"kind": "words", "trials": 2, "generator": {"name": "multiset", "a": 2, "b": 40000}}),
+]))
+def test_cli_run_exit_0(tmp_path, capsys, monkeypatch, args, doc):
+    monkeypatch.chdir(tmp_path)
+    if doc is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        args = [doc["kind"], "--config", "cfg.json"]
+    assert main([*args, "--out", "r.csv"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("wrote r.csv and r.json\n"), (out, err)
+    written = sorted(p.name for p in tmp_path.iterdir() if p.name != "cfg.json")
+    assert written == ["r.csv", "r.json"]
+    assert all((tmp_path / name).stat().st_size > 0 for name in written)
+
+
+def test_cli_one_long_word_runs_in_bounded_memory(tmp_path, monkeypatch):
+    # one word of a = 20,000 letters: the distance runs in passes of at most 2^18 counts,
+    # where one array of all of them would take about 800 MB
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"kind": "words", "trials": 1, "generator": {"name": "multiset", "a": 20000, "b": 1}}))
+    tracemalloc.start()
+    try:
+        assert main(["words", "--config", "cfg.json", "--out", "w.csv"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+    assert (tmp_path / "w.csv").exists() and (tmp_path / "w.json").exists()
+
+
 def test_cli_config_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -676,6 +764,9 @@ def test_config_error_names_only_the_first_failing_check(tmp_path, capsys, monke
      ["--config", "latin1.json"], "config: invalid JSON in latin1.json"),
     ("n-401-digits",
      ["--n", "1" + "0" * 400], "n_list: entries must be distinct positive integers"),
+    ("sigma-identity-two-trials",
+     ["--n", "40", "--sigma", "identity", "--trials", "2"],
+     "trials: every trial of an identity sigma_mode"),
 ]))
 def test_cli_bad_input_exit_2(tmp_path, capsys, monkeypatch, args, key):
     monkeypatch.chdir(tmp_path)
@@ -1168,3 +1259,13 @@ def test_shipped_config_runs_through_cli(tmp_path, path):
     assert main([doc["kind"], "--config", str(path), *sized, "--trials", trials,
                  "--out", str(out)]) == 0
     assert out.exists() and out.with_suffix(".json").exists()
+
+
+def test_regime_survey_script_runs_every_regime(capsys):
+    # the shipped script reaches the package through its top-level exports only
+    script = runpy.run_path(str(ROOT / "scripts" / "regime_survey.py"), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "n = 1e6 formula survey:"
+    assert [line.split(":")[0].strip() for line in lines[1:]] == [
+        params["regime"] for params in script["REGIMES"]]
+    assert all("k_n = " in line for line in lines[1:]), lines

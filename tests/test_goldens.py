@@ -19,10 +19,15 @@ output's shape and invariants and recomputes one trial of it.
 
 import hashlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import trotter_shuffle
 from trotter_shuffle.experiments import ExperimentConfig, emit, run
 
 from oracles import recompute
@@ -110,6 +115,44 @@ def test_golden_output_hashes(name, tmp_path, monkeypatch):
     path = emit(run(cfg), cfg.out_path)
     assert _sha256(path) == csv_sha
     assert _sha256(path.with_suffix(".json")) == sidecar_sha
+
+
+# A child interpreter that writes every golden config read from stdin into its working
+# directory and prints linalg's core count and the hashes; "one-cpu" pins it to one CPU
+# before the package is imported, so linalg runs every d >= 3 stack inline.
+_CHILD = """
+import hashlib, json, os, sys
+if sys.argv[1:] == ["one-cpu"]:
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from trotter_shuffle import linalg
+from trotter_shuffle.experiments import ExperimentConfig, emit, run
+hashes = {}
+for name, fields in json.load(sys.stdin).items():
+    path = emit(run(ExperimentConfig(**fields, out_path=f"{name}.csv")), f"{name}.csv")
+    hashes[name] = [hashlib.sha256(p.read_bytes()).hexdigest()
+                    for p in (path, path.with_suffix(".json"))]
+print(json.dumps({"cores": linalg._CORES, "hashes": hashes}))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+def test_golden_output_hashes_with_one_blas_thread_and_on_one_cpu(tmp_path):
+    # the same bytes whether BLAS and linalg split their work over threads or not
+    src = str(Path(trotter_shuffle.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+    configs = json.dumps({name: fields for name, (fields, _, _) in GOLDENS.items()})
+    pinned = {name: [csv_sha, sidecar_sha] for name, (_, csv_sha, sidecar_sha) in GOLDENS.items()}
+    for mode, extra in (("one-blas-thread", {"OPENBLAS_NUM_THREADS": "1"}), ("one-cpu", {})):
+        (tmp_path / mode).mkdir()
+        child = subprocess.run([sys.executable, "-c", _CHILD, mode], input=configs,
+                               capture_output=True, text=True, cwd=tmp_path / mode,
+                               env={**env, **extra})
+        assert child.returncode == 0, child.stderr
+        got = json.loads(child.stdout)
+        assert got["hashes"] == pinned, mode
+        if mode == "one-cpu":
+            assert got["cores"] == 1
 
 
 @pytest.mark.parametrize("name", sorted(GOLDENS))

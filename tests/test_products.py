@@ -18,7 +18,8 @@ from trotter_shuffle.rows import (ArrayRow, RegimeSpec, gen_repeated, gen_rieman
                                   gen_spiked, gen_two_letter, random_unit_hermitians)
 from trotter_shuffle.tails import block_gaps, choose_blocks
 
-from oracles import mp_exp, mp_product_path, random_matrix, sequential_products, svd_norm
+from oracles import (e12_e21_limit, mp_exp, mp_product_path, random_matrix, sequential_products,
+                     svd_norm)
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
@@ -539,3 +540,18 @@ def test_block_conditions_imply_uniform_bound():
     (path,), = path_deviations(row, [sigma], [stats.mean])
     bound = prop_uniform_bound(stats.l1, float(op_norms(stats.mean)), eps, n // a)
     assert path.sup_dev <= bound + 1e-6
+
+
+def test_e12_e21_limit_is_the_sup_of_the_matrix_integral():
+    # the oracle's two scalar integrals against the d x d sum they reduce, on the same draws
+    draws, steps, seed = 3, 400, 7
+    dz = np.random.default_rng(seed).standard_normal((draws, steps))
+    dz -= dz.mean(axis=1, keepdims=True)
+    a, u = (E12 + E21).real / 2, np.arange(steps + 1) / steps
+    e = expm(u[:, None, None] * a)
+    j = (E12 - E21).real
+    # G(t_k) = sum_(i < k) e^(u_i A) dZ_i J / 2 e^((t_k - u_i) A), at t_k = (k + 1) / steps
+    terms = e[:-1] @ j @ np.linalg.inv(e[:-1]) / 2
+    g = np.cumsum(dz[:, :, None, None] * terms, axis=1) @ e[1:]
+    want = np.linalg.norm(g, 2, axis=(-2, -1)).max(axis=1) / math.sqrt(steps)
+    np.testing.assert_allclose(e12_e21_limit(draws, steps, seed), want, rtol=1e-12)
