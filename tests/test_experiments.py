@@ -516,7 +516,8 @@ def test_cli_config_file_and_overrides(tmp_path):
       "target": [[[0, 0], [0, 1], [0, 0]], [[1, 0], [0, 0], [0, 0]],
                  [[0, 0], [0, 0], [0.5, -0.5]]]}),
     ("tail-riemann-step", None,
-     {"kind": "tail", "n_list": [400], "trials": 20, "generator": {"name": "riemann", "fn": "step"}}),
+     {"kind": "tail", "n_list": [400], "trials": 20,
+      "generator": {"name": "riemann", "fn": "step"}}),
     # a row with more letters than the block size: block_gaps sums by add.reduceat
     ("tail-spiked-large_linf", None,
      {"kind": "tail", "n_list": [400], "trials": 20,

@@ -543,14 +543,14 @@ def test_block_conditions_imply_uniform_bound():
 
 
 def test_e12_e21_limit_is_the_sup_of_the_matrix_integral():
-    # the oracle's two scalar integrals against the d x d sum they reduce, on the same draws
+    # the oracle's two scalar integrals against the 2x2 matrix sum they reduce, on the same draws
     draws, steps, seed = 3, 400, 7
     dz = np.random.default_rng(seed).standard_normal((draws, steps))
     dz -= dz.mean(axis=1, keepdims=True)
     a, u = (E12 + E21).real / 2, np.arange(steps + 1) / steps
     e = expm(u[:, None, None] * a)
     j = (E12 - E21).real
-    # G(t_k) = sum_(i < k) e^(u_i A) dZ_i J / 2 e^((t_k - u_i) A), at t_k = (k + 1) / steps
+    # G at t = (k + 1) / steps is the sum over i <= k of e^(u_i A) dZ_i J / 2 e^((t - u_i) A)
     terms = e[:-1] @ j @ np.linalg.inv(e[:-1]) / 2
     g = np.cumsum(dz[:, :, None, None] * terms, axis=1) @ e[1:]
     want = np.linalg.norm(g, 2, axis=(-2, -1)).max(axis=1) / math.sqrt(steps)
