@@ -29,7 +29,8 @@ from .linalg import as_matrix, exp_stack, op_norms
 from .products import path_deviations
 from .rows import (REGIMES, ArrayRow, RegimeSpec, gen_repeated, gen_riemann, gen_spiked,
                    gen_two_letter, spiked_parameters)
-from .tails import block_bernstein_bound, block_gaps, choose_blocks, eps_grid, lemma_random_bound
+from .tails import (block_bernstein_bound, choose_blocks, drawn_block_gaps, eps_grid,
+                    lemma_random_bound)
 from .words import _BATCH, batch_word_statistics, random_word
 
 
@@ -381,13 +382,13 @@ def _regime_spec(g: dict) -> RegimeSpec:
 
 def _cell(cfg: ExperimentConfig, g: dict, n: int, *cell: int):
     """The row of length n of a merged generator, drawn from default_rng(key) with key =
-    (seed, kind, n, *cell), and each trial's order: the identity, or uniform from (*key, trial)."""
+    (seed, kind, n, *cell), and the draw of a trial's order, which calls only numpy: the
+    identity, or uniform from (*key, trial)."""
     key = (cfg.seed, _KIND_ID[cfg.kind], n, *cell)
     row = _build_row(g, n, np.random.default_rng(key), cfg.d)
-    orders = (np.arange(n) if cfg.sigma_mode == "identity"
-              else np.random.default_rng((*key, trial)).permutation(n)
-              for trial in range(cfg.trials))
-    return row, orders
+    if cfg.sigma_mode == "identity":
+        return row, lambda trial: np.arange(n)
+    return row, lambda trial: np.random.default_rng((*key, trial)).permutation(n)
 
 
 # Each runner yields the CSV rows of one cell of its kind (one n, or the whole
@@ -396,8 +397,8 @@ def _cell(cfg: ExperimentConfig, g: dict, n: int, *cell: int):
 def _run_converge(cfg: ExperimentConfig, n: int, summary: dict):
     targets = [] if cfg.target is None else [parse_matrix(cfg.target, "target")]
     sups, finals = [], []
-    row, orders = _cell(cfg, _merged(cfg.generator), n)
-    reports = path_deviations(row, orders, [row.stats.mean, *targets])
+    row, draw = _cell(cfg, _merged(cfg.generator), n)
+    reports = path_deviations(row, map(draw, range(cfg.trials)), [row.stats.mean, *targets])
     for trial, (rep, *rep_t) in enumerate(reports):
         devs_t = rep_t[0].deviations.tolist() if rep_t else [None] * len(rep.ks)
         for k, dev, dev_t in zip(rep.ks.tolist(), rep.deviations.tolist(), devs_t):
@@ -410,12 +411,12 @@ def _run_converge(cfg: ExperimentConfig, n: int, summary: dict):
 
 def _run_tail(cfg: ExperimentConfig, n: int, summary: dict):
     g = _merged(cfg.generator)
-    row, orders = _cell(cfg, g, n)
+    row, draw = _cell(cfg, g, n)
     stats = row.stats
     # generator.a is validated: None or an integer in [1, min(n_list)]
     a = g.get("a") or choose_blocks(n, stats, mode=cfg.block_mode)
     grid = eps_grid(stats.l1, floor=cfg.eps or 0.05).tolist()
-    mean_dev, _ = block_gaps(row, orders, a)
+    mean_dev, _ = drawn_block_gaps(row, draw, cfg.trials, a)
     freqs = [float((mean_dev > e).mean()) for e in grid]
     for e, freq, bound in zip(grid, freqs, block_bernstein_bound(row, a, grid)):
         yield n, e, freq, bound, lemma_random_bound(n, a, e, stats, row.d), cfg.trials
@@ -427,8 +428,8 @@ def _run_regime(cfg: ExperimentConfig, n: int, summary: dict):
     sups: dict = {}  # regimes that share a name pool their trials
     for ri, (_, g) in enumerate(_regimes(cfg.generator)):
         k_n, linf = spiked_parameters(n, _regime_spec(g))
-        row, orders = _cell(cfg, g, n, ri)
-        reports = path_deviations(row, orders, [row.stats.mean])
+        row, draw = _cell(cfg, g, n, ri)
+        reports = path_deviations(row, map(draw, range(cfg.trials)), [row.stats.mean])
         norm_mean = float(op_norms(row.stats.mean))
         for trial, (rep,) in enumerate(reports):
             yield (n, g["regime"], trial, k_n, linf, row.stats.l1, norm_mean,

@@ -55,7 +55,7 @@ def op_norms(batch: np.ndarray) -> np.ndarray:
 
         def part(b, o):
             o[...] = np.linalg.svd(b.astype(np.complex128, copy=False), compute_uv=False)[..., 0]
-        _on_cores(part, batch, out)
+        _on_cores(part, batch, out, least=_least(batch))
         return out
     batch = np.ascontiguousarray(batch)
     if d == 1:
@@ -80,13 +80,16 @@ def _norms_2x2(batch: np.ndarray) -> np.ndarray:
     return np.ldexp(np.sqrt((c0 + c1) / 2.0 + np.hypot((c0 - c1) / 2.0, x)), e)
 
 
-def _on_cores(fn, *stacks) -> None:
-    """fn(*parts) over contiguous slices of the stacks' leading axis, one a core: the
-    first on the caller's thread, each other on a short-lived one, and a slice's error
-    raised again once all have joined. Only d >= 3 with _SLICE_MIN matrices a slice
-    splits. fn calls only numpy, so each matrix gets the same call (and bits) as inline."""
-    k, d = len(stacks[0]), stacks[0].shape[-1]
-    parts = min(_CORES, k, stacks[0].size // (d * d * _SLICE_MIN)) if d > 2 else 1
+def _on_cores(fn, *stacks, least: int) -> None:
+    """fn(*parts) over contiguous slices of the stacks' leading axis, in order and each entry in
+    one slice: one slice a core, of at least `least` entries, the smallest slice the caller finds
+    worth a thread. The first runs on the caller's thread, each other on a short-lived one, and
+    a slice's error is raised again once all have joined. The kernels split d >= 3 stacks at
+    _SLICE_MIN matrices a slice (_least); tails.drawn_block_gaps splits a tail cell's trials.
+    fn calls only numpy and private helpers, so each entry gets the same call (and bits) as
+    inline, and no traced public function runs off the caller's thread."""
+    k = len(stacks[0])
+    parts = min(_CORES, k // least)
     if parts < 2:
         return fn(*stacks)
     cut, errors = [k * i // parts for i in range(parts + 1)], {}
@@ -104,6 +107,14 @@ def _on_cores(fn, *stacks) -> None:
         t.join()
     if errors:
         raise errors[min(errors)]
+
+
+def _least(stack: np.ndarray) -> int:
+    """The leading entries of a stack (k, ..., d, d) that hold _SLICE_MIN matrices at d >= 3;
+    at d <= 2, or for one matrix, more than it has: such a stack runs inline."""
+    d = stack.shape[-1]
+    per = stack[:1].size // (d * d)  # matrices an entry
+    return -(-_SLICE_MIN // per) if d > 2 and per else len(stack) + 1
 
 
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -199,5 +210,5 @@ def exp_stack(batch: np.ndarray, tol: float = 1e-14) -> np.ndarray:
         for j in range(int(s.max(initial=0))):
             sel = np.flatnonzero(s > j)
             e[sel] = np.matmul(e[sel], e[sel])
-    _on_cores(part, x, e, s)
+    _on_cores(part, x, e, s, least=_least(x))
     return e

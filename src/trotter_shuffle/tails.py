@@ -1,9 +1,10 @@
 """The concentration half of the proof: block averages under uniform permutations.
 
 The block size (choose_blocks), the worst block-average gaps of the mean and the
-norm over the consecutive size-a blocks of each order (block_gaps), and the tail
-bounds they are compared against: a Bernstein-type bound for sums of bounded
-centered random matrices and the union bound over the blocks.
+norm over the consecutive size-a blocks of each order (block_gaps; drawn_block_gaps
+draws the orders too, over the cores), and the tail bounds they are compared
+against: a Bernstein-type bound for sums of bounded centered random matrices and
+the union bound over the blocks.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 
 import numpy as np
 
+from . import linalg
 from .linalg import op_norms
 from .rows import ArrayRow, RowStats, _order_of
 
@@ -43,20 +45,22 @@ def _block_count(n: int, a: int) -> int:
     return n // a
 
 
-_CHUNK_BLOCKS = 4096  # block means per op_norms call in block_gaps (whole trials, at least one)
+_CHUNK_BLOCKS = 4096  # block means per op_norms call (whole trials, at least one)
+_SLICE_POSITIONS = 1 << 16  # order positions a slice of drawn trials at least: about 1 ms
 
 
-def block_gaps(row: ArrayRow, orders, a: int) -> tuple[np.ndarray, np.ndarray]:
-    """Largest ||block mean - A_n|| and largest |block norm-mean - L1| over the
-    b = n // a consecutive size-a blocks of the row read in each order (an index
-    array of length n) of the iterable orders; two arrays with one entry per order.
+def _block_kernel(row: ArrayRow, a: int):
+    """(sums, gaps) of the row's b = n // a consecutive size-a blocks, built on the caller's
+    thread (row.stats, row.letters() and the norms of its letters are read here).
 
-    The n % a positions past a*b are ignored. Each order is reduced as it arrives to
-    the (b, 2d^2 + 1) block sums of entries and norms, from one table of the
-    row's letters and their norms: per-block letter counts (one bincount)
-    times the table when there are at most a letters, else an add.reduceat
-    of the permuted table rows. The complex sums are divided by a as mean()
-    does, and the block means of up to _CHUNK_BLOCKS share one op_norms call.
+    sums(order) is the (b, 2d^2 + 1) block sums of entries and norms of the row read in order
+    (an index array of length n; the n % a positions past a*b are ignored), from one table of
+    the row's letters and their norms: per-block letter counts (one bincount) times the table
+    when there are at most a letters, else an add.reduceat of the permuted table rows. It calls
+    only numpy, so any thread may run it. gaps(sums) takes an iterator of such sums, in trial
+    order, and returns the largest ||block mean - A_n|| and |block norm-mean - L1| of each: the
+    complex sums are divided by a as mean() does, and the block means of up to _CHUNK_BLOCKS
+    share one op_norms call.
     """
     b, d, stats = _block_count(row.n, a), row.d, row.stats
     alphabet, letter_of = row.letters()
@@ -66,20 +70,59 @@ def block_gaps(row: ArrayRow, orders, a: int) -> tuple[np.ndarray, np.ndarray]:
         table = table[letter_of]  # one row per element, summed by reduceat
     offsets = np.repeat(m * np.arange(b), a)  # a letter's bin in its block
 
-    def block_sums(idx):
+    def sums(idx):
+        idx = idx[:a * b]
         if m > a:
             return np.add.reduceat(np.take(table, idx, axis=0), np.arange(0, a * b, a))
         counts = np.bincount(np.take(letter_of, idx) + offsets, minlength=m * b)
         return counts.reshape(b, -1) @ table
 
-    per_chunk, gaps = max(1, _CHUNK_BLOCKS // b), [(np.empty(0),) * 2]  # no orders: empty gaps
-    orders = map(_order_of, orders, itertools.repeat(row.n))
-    while chunk := [block_sums(o[:a * b]) for o in itertools.islice(orders, per_chunk)]:
-        sums = np.stack(chunk)
-        means = np.ascontiguousarray(sums[..., :-1]).view(np.complex128).reshape(-1, b, d, d) / a
-        gaps.append((op_norms(means - stats.mean).max(axis=1),
-                     np.abs(sums[..., -1] / a - stats.l1).max(axis=1)))
-    return tuple(map(np.concatenate, zip(*gaps)))
+    def gaps(block_sums):
+        per_chunk, out = max(1, _CHUNK_BLOCKS // b), [(np.empty(0),) * 2]  # none: empty gaps
+        while chunk := list(itertools.islice(block_sums, per_chunk)):
+            chunk = np.stack(chunk)
+            means = np.ascontiguousarray(chunk[..., :-1]).view(np.complex128).reshape(-1, b, d, d)
+            out.append((op_norms(means / a - stats.mean).max(axis=1),
+                        np.abs(chunk[..., -1] / a - stats.l1).max(axis=1)))
+        return tuple(map(np.concatenate, zip(*out)))
+    return sums, gaps
+
+
+def block_gaps(row: ArrayRow, orders, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """Largest ||block mean - A_n|| and largest |block norm-mean - L1| over the
+    b = n // a consecutive size-a blocks of the row read in each order (an index
+    array of length n) of the iterable orders; two arrays with one entry per order.
+
+    Each order is reduced to its block sums as it arrives, and the gaps are formed a
+    chunk of orders at a time (_block_kernel).
+    """
+    sums, gaps = _block_kernel(row, a)
+    return gaps(map(sums, map(_order_of, orders, itertools.repeat(row.n))))
+
+
+def drawn_block_gaps(row: ArrayRow, draw, trials: int, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """block_gaps(row, map(draw, range(trials)), a), bit for bit, where draw(trial) returns
+    that trial's order and calls only numpy.
+
+    The trials are drawn and reduced to their block sums in contiguous slices over the cores
+    (linalg._on_cores), _CORES chunks of trials at a time and at least _SLICE_POSITIONS order
+    positions a slice; the gaps are then formed on the caller's thread, in trial order.
+    """
+    sums, gaps = _block_kernel(row, a)
+    n, b = row.n, row.n // a
+    step, least = linalg._CORES * max(1, _CHUNK_BLOCKS // b), -(-_SLICE_POSITIONS // n)
+
+    def part(ts, out):
+        for t, o in zip(ts.tolist(), out):
+            o[...] = sums(_order_of(draw(t), n))
+
+    def drawn():
+        for start in range(0, trials, step):
+            ts = np.arange(start, min(start + step, trials))
+            out = np.empty((len(ts), b, 2 * row.d ** 2 + 1))
+            linalg._on_cores(part, ts, out, least=least)
+            yield from out
+    return gaps(drawn())
 
 
 def bernstein_tail(eps: float, L: float, v: float, d: int) -> float:

@@ -6,6 +6,8 @@ import json
 import math
 import re
 import runpy
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -139,7 +141,7 @@ def test_json_out_path_is_a_config_error(tmp_path, capsys, monkeypatch, name):
     # the CSV would be its own sidecar: refused before any cell runs or any file is written
     monkeypatch.chdir(tmp_path)
     calls = Counter()
-    _counting(monkeypatch, calls, ((experiments, tails), "block_gaps"))
+    _counting(monkeypatch, calls, ((experiments, tails), "drawn_block_gaps"))
     assert main(["tail", "--n", "40", "--out", name]) == 2
     assert f"config error: out_path: {name!r} ends in .json" in capsys.readouterr().err
     report = run(ExperimentConfig(kind="words", trials=2, seed=1))
@@ -154,7 +156,7 @@ def test_out_path_without_a_file_name_is_a_config_error(tmp_path, capsys, monkey
     # whole run: refused before any cell runs or any file is written
     monkeypatch.chdir(tmp_path)
     calls = Counter()
-    _counting(monkeypatch, calls, ((experiments, tails), "block_gaps"))
+    _counting(monkeypatch, calls, ((experiments, tails), "drawn_block_gaps"))
     assert main(["tail", "--n", "40", "--out", name]) == 2
     assert capsys.readouterr().err.startswith("config error: out_path")
     report = run(ExperimentConfig(kind="words", trials=2, seed=1))
@@ -173,7 +175,7 @@ def test_out_path_that_cannot_be_written_is_a_config_error(tmp_path, capsys, mon
     if present:
         (tmp_path / present).mkdir()
     calls = Counter()
-    _counting(monkeypatch, calls, ((experiments, tails), "block_gaps"))
+    _counting(monkeypatch, calls, ((experiments, tails), "drawn_block_gaps"))
     assert main(["tail", "--n", "40", "--out", out]) == 2
     assert capsys.readouterr().err.startswith("config error: out_path")
     assert not calls
@@ -438,7 +440,7 @@ def test_spiked_infeasible_n_raises_before_any_cell_runs(tmp_path, capsys, monke
         spiked_parameters(40, spec)
     calls = Counter()
     _counting(monkeypatch, calls, ((experiments, products), "path_deviations"),
-              ((experiments, tails), "block_gaps"))
+              ((experiments, tails), "drawn_block_gaps"))
     cfg = tmp_path / "spiked.json"
     out = tmp_path / "s.csv"
     cfg.write_text(json.dumps({
@@ -987,6 +989,75 @@ def test_cli_words_past_memory_exit_3(tmp_path, capsys):
     assert main(["words", "--config", str(cfg)]) == 3
     assert capsys.readouterr().err.startswith("error: words: Unable to allocate")
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+def _started_threads(monkeypatch):
+    """Count the threads started from here on; returns their list."""
+    started, thread = [], threading.Thread
+
+    def counted(*args, **kwargs):
+        started.append(thread(*args, **kwargs))
+        return started[-1]
+    monkeypatch.setattr(linalg.threading, "Thread", counted)
+    return started
+
+
+# n = 2000 at a = 20: 100 blocks, so 40 trials a chunk of gaps, and at least 33 trials a slice
+# of drawn orders; a letter row sums by counts, a spiked d = 3 row by add.reduceat
+@pytest.mark.parametrize("d, generator", [
+    (2, {"name": "two_letter", "a": 20}),
+    (3, {"name": "spiked", "regime": "large_linf", "delta": 1.0, "a": 20}),
+], ids=["two_letter", "spiked-d3"])
+def test_tail_trials_over_more_threads_than_cores_are_the_one_core_run(monkeypatch, d, generator):
+    # four slices a pass on a two-core machine, switching threads every microsecond: the same
+    # records and summary, and the same gaps trial by trial, bit for bit, as on one core, and
+    # every thread joined at the end
+    cfg = ExperimentConfig(kind="tail", n_list=[2000], d=d, trials=300, seed=12,
+                           generator=generator)
+    row, draw = experiments._cell(cfg, experiments._merged(generator), 2000)
+    monkeypatch.setattr(linalg, "_CORES", 1)
+    want = run(cfg), tails.block_gaps(row, map(draw, range(cfg.trials)), 20)
+    got, worker = [], threading.Thread(target=lambda: got.extend(
+        (run(cfg), tails.drawn_block_gaps(row, draw, cfg.trials, 20))), daemon=True)
+    monkeypatch.setattr(linalg, "_CORES", 4)
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    started = _started_threads(monkeypatch)
+    sys.setswitchinterval(1e-6)
+    try:
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive() and threading.active_count() == before
+    assert repr(got[0].records) == repr(want[0].records)
+    assert repr(got[0].summary) == repr(want[0].summary)
+    assert [g.tobytes() for g in got[1]] == [g.tobytes() for g in want[1]]
+    assert len(started) >= 2 * 2 * 3  # twice two passes (160 and 140 trials), three threads each
+
+
+def test_a_failing_trial_in_a_later_slice_fails_the_tail_run(monkeypatch, tmp_path, capsys):
+    # n = 2000 on three cores: slices of trials [0, 33), [33, 66) and [66, 100)
+    cell = experiments._cell
+
+    def failing_cell(cfg, g, n, *key):
+        row, draw = cell(cfg, g, n, *key)
+
+        def draw_or_fail(trial):
+            if trial == 99:
+                raise OverflowError("the order of trial 99 overflowed")
+            return draw(trial)
+        return row, draw_or_fail
+    monkeypatch.setattr(experiments, "_cell", failing_cell)
+    monkeypatch.setattr(linalg, "_CORES", 3)
+    started = _started_threads(monkeypatch)
+    message = "tail: the order of trial 99 overflowed at n = 2000"
+    with pytest.raises(OverflowError, match=f"^{message}$"):
+        run(ExperimentConfig(kind="tail", n_list=[2000], trials=100))
+    assert len(started) == 2 and not any(t.is_alive() for t in started)
+    out = tmp_path / "t.csv"
+    assert main(["tail", "--n", "2000", "--trials", "100", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def _shift_family(scale: float = 1.0):

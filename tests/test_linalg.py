@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -415,17 +416,43 @@ def test_split_fortran_ordered_hermitians_bit_for_bit(monkeypatch, d):
 
 @pytest.mark.parametrize("bad", [0, 1, 2])
 def test_a_slice_that_raises_re_raises_in_the_caller(monkeypatch, bad):
+    # raised again only once every thread has joined: the slices that do not fail still finish
     started = _split(monkeypatch, 3)
     done = []
 
     def fn(b, idx):
         if idx[0] == 4 * bad:
             raise ValueError(f"slice {idx[0]}")
+        time.sleep(0.05)  # a slice still running when another has failed
         done.append(idx[0])
     with pytest.raises(ValueError, match=f"slice {4 * bad}"):
-        linalg._on_cores(fn, np.zeros((12, 3, 3)), np.arange(12))
+        linalg._on_cores(fn, np.zeros((12, 3, 3)), np.arange(12), least=4)
     assert sorted(done) == [i for i in (0, 4, 8) if i != 4 * bad]
     assert len(started) == 2 and not any(t.is_alive() for t in started)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3, 4])
+@pytest.mark.parametrize("k, least", [(0, 1), (1, 1), (7, 1), (7, 3), (7, 4), (13, 5), (100, 7),
+                                      (100, 101)])
+def test_on_cores_slices_are_contiguous_in_order_and_cover_the_axis_once(monkeypatch, cores, k,
+                                                                        least):
+    # min(cores, k // least) slices of k // parts or one more entries, at least `least` each
+    # once split; the first, from entry 0, on the caller's thread
+    started = _split(monkeypatch, cores)
+    seen, hits = [], np.zeros(k, dtype=int)
+
+    def fn(idx, out):
+        seen.append((idx.tolist(), threading.current_thread()))
+        out += 1
+    linalg._on_cores(fn, np.arange(k), hits, least=least)
+    parts = max(1, min(cores, k // least))
+    slices = sorted(idx for idx, _ in seen)
+    assert sum(slices, []) == list(range(k)) and hits.tolist() == [1] * k
+    assert all(idx == list(range(idx[0], idx[0] + len(idx))) for idx in slices if idx)
+    assert len(slices) == parts and len(started) == parts - 1
+    assert parts == 1 or min(map(len, slices)) >= max(least, k // parts)
+    assert max(map(len, slices)) <= -(-k // parts)
+    assert [t for idx, t in seen if idx[:1] in ([], [0])] == [threading.current_thread()]
 
 
 def test_small_and_short_stacks_start_no_thread(monkeypatch):

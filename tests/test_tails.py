@@ -1,13 +1,14 @@
 import itertools
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trotter_shuffle import tails
+from trotter_shuffle import linalg, tails
 from trotter_shuffle.evolution import rotation_family
 from trotter_shuffle.rows import (ArrayRow, RegimeSpec, gen_repeated, gen_riemann, gen_spiked,
                                   gen_two_letter)
@@ -298,6 +299,36 @@ def test_block_gaps_chunks_equal_per_trial_calls(make):
         assert np.array_equal(got[1], np.concatenate([g for _, g in one]))
     with pytest.raises(ValueError, match="block size a = 410 must be >= 1 and at most n = 400"):
         block_gaps(row, _orders(row.n, 1, 0), 410)
+
+
+def _started_threads(monkeypatch):
+    started, thread = [], threading.Thread
+
+    def counted(*args, **kwargs):
+        started.append(thread(*args, **kwargs))
+        return started[-1]
+    monkeypatch.setattr(linalg.threading, "Thread", counted)
+    return started
+
+
+# three letters (counts times the table) and a spiked d = 3 row (add.reduceat), drawn in
+# slices of at least one trial, `cores` chunks of trials at a time
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("make", [_complex_letters, _spiked])
+def test_drawn_block_gaps_are_block_gaps_bit_for_bit(monkeypatch, make, cores):
+    row = make(400)
+    chunk = tails._CHUNK_BLOCKS // (row.n // 10)
+    monkeypatch.setattr(tails, "_SLICE_POSITIONS", row.n)
+    monkeypatch.setattr(linalg, "_CORES", cores)
+    started = _started_threads(monkeypatch)
+    for trials in (0, 1, chunk, cores * chunk + 3):
+        orders = _orders(row.n, trials, trials)
+        got = tails.drawn_block_gaps(row, orders.__getitem__, trials, 10)
+        want = block_gaps(row, orders, 10)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    assert bool(started) == (cores > 1) and not any(t.is_alive() for t in started)
+    with pytest.raises(ValueError, match="permutation size 399 != row length 400"):
+        tails.drawn_block_gaps(row, lambda t: np.arange(row.n - (t > 0)), 2 * cores, 10)
 
 
 @pytest.mark.parametrize("order", [np.arange(45) % 40, np.arange(36)], ids=["long", "short"])
