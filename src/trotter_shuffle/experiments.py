@@ -10,13 +10,13 @@ so cells can be evaluated in any order without changing a byte of the output.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from reprlib import Repr
@@ -500,30 +500,41 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
 def emit(report: ExperimentReport, out_path: str | Path) -> Path:
     """Write the CSV (UTF-8, LF) and a sibling .json sidecar; returns the CSV path.
 
-    Both files are written into one hidden temporary directory beside the targets, then moved
-    over them, both checked first: a failed write leaves any previous report intact.
-    An out_path that ends in .json is a ConfigError before anything is written.
+    Each file is written to its own temporary beside the targets, then both are moved over
+    them, both checked first: a failed write leaves any previous report intact and no
+    temporary. An out_path that ends in .json is a ConfigError before anything is written.
     """
     path, sidecar = Path(out_path), _sidecar_path(out_path)
     cfg = report.config
     columns = COLUMNS[cfg.kind]
     doc = {"config": cfg.to_dict(), "seed": cfg.seed, "package_version": PACKAGE_VERSION,
            "schema_version": SCHEMA_VERSION, "columns": columns, "summary": report.summary}
+    temps: list[Path] = []  # written and not yet moved
+
+    def temporary(**kwargs):  # exclusive, with open's mode (mkstemp's is 0600), a short name
+        name = path.parent / f".{os.urandom(8).hex()}.tmp"
+        fh = open(name, "x", encoding="utf-8", **kwargs)
+        temps.append(name)
+        return fh
+
     try:
-        with tempfile.TemporaryDirectory(prefix=".", dir=path.parent,
-                                         ignore_cleanup_errors=True) as tmp:
-            with open(Path(tmp, "csv"), "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(columns)
-                writer.writerows([rec[c] for c in columns] for rec in report.records)
-            with open(Path(tmp, "json"), "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False, default=os.fspath)
-                fh.write("\n")
-            for final in (path, sidecar):  # os.replace cannot put a file over a directory
-                if final.is_dir():
-                    raise IsADirectoryError(f"{final} is a directory")
-            for name, final in (("csv", path), ("json", sidecar)):
-                os.replace(Path(tmp, name), final)
+        with temporary(newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows([rec[c] for c in columns] for rec in report.records)
+        with temporary() as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False, default=os.fspath)
+            fh.write("\n")
+        for final in (path, sidecar):  # os.replace cannot put a file over a directory
+            if final.is_dir():
+                raise IsADirectoryError(f"{final} is a directory")
+        for final in (path, sidecar):
+            os.replace(temps[0], final)
+            del temps[0]
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
+    finally:
+        for name in temps:
+            with contextlib.suppress(OSError):
+                name.unlink()
     return path

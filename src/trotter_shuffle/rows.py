@@ -9,7 +9,7 @@ ensembles, and Riemann samples of a matrix-valued function on [0, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -45,17 +45,24 @@ class RowStats:
 
 @dataclass(frozen=True, eq=False)
 class ArrayRow:
-    """One row of a triangular array: elements has shape (n, d, d)."""
+    """One row of a triangular array: elements has shape (n, d, d). _norms, passed only by
+    this module's builders that set them (gen_spiked), become its norms unmeasured."""
 
     elements: np.ndarray
+    _norms: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _norms):
         e = np.array(self.elements, dtype=np.complex128, order="C")  # owned: freezing cannot leak
         if e.ndim != 3 or e.shape[0] < 1 or e.shape[1] != e.shape[2] or e.shape[1] < 1:
             raise ValueError(f"elements must have shape (n, d, d), n,d >= 1; got {e.shape}")
         if not np.isfinite(e).all():
             raise ValueError("row has non-finite entries")
         object.__setattr__(self, "elements", _freeze(e))
+        if _norms is not None:
+            norms = np.array(_norms, dtype=np.float64)
+            if norms.shape != e.shape[:1] or not (np.isfinite(norms) & (norms >= 0)).all():
+                raise ValueError(f"norms must be {e.shape[0]} finite values >= 0")
+            object.__setattr__(self, "norms", _freeze(norms))  # fills the cached property
 
     @property
     def n(self) -> int:
@@ -66,11 +73,16 @@ class ArrayRow:
         return self.elements.shape[1]
 
     @cached_property
-    def stats(self) -> RowStats:
+    def norms(self) -> np.ndarray:
+        """The n element operator norms, read-only: the builder's when it set them, else
+        one op_norms per run of byte-equal neighbours, repeated over its run."""
         heads, runs = self._runs
-        norms = np.repeat(op_norms(self.elements[heads]), runs)  # one norm per run
+        return _freeze(np.repeat(op_norms(self.elements[heads]), runs))
+
+    @cached_property
+    def stats(self) -> RowStats:
         return RowStats(mean=_freeze(self.elements.mean(axis=0)),
-                        l1=float(norms.mean()), linf=float(norms.max()))
+                        l1=float(self.norms.mean()), linf=float(self.norms.max()))
 
     def letters(self) -> tuple[np.ndarray, np.ndarray]:
         """(alphabet, letter_of) with elements == alphabet[letter_of] bit for bit:
@@ -213,7 +225,8 @@ def spiked_parameters(n: int, spec: RegimeSpec) -> tuple[int, float]:
 
 
 def random_unit_hermitians(k: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """k independent Hermitian matrices with operator norm exactly 1."""
+    """k independent Hermitian matrices, each divided by its operator norm: norm 1 up to
+    LAPACK's rounding (at d >= 3) and that of the division."""
     g = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
     h = (g + np.conj(np.swapaxes(g, -1, -2))) / 2.0
     return h / op_norms(h)[:, None, None]
@@ -221,11 +234,15 @@ def random_unit_hermitians(k: int, d: int, rng: np.random.Generator) -> np.ndarr
 
 def gen_spiked(n: int, spec: RegimeSpec, rng: np.random.Generator, d: int = 2) -> ArrayRow:
     """Spiked-norm row: k_n random unit-norm Hermitians scaled to norm linf, then
-    n - k_n random unit-norm Hermitians, drawn from rng in that order."""
+    n - k_n random unit-norm Hermitians, drawn from rng in that order.
+
+    The row's norms are the constructed ones, linf k_n times then 1.0, not a second
+    SVD of the stored matrices, whose norms differ from them by LAPACK's rounding."""
     k, linf = spiked_parameters(n, spec)
     spikes = random_unit_hermitians(k, d, rng)
     spikes *= linf
-    return ArrayRow(np.concatenate([spikes, random_unit_hermitians(n - k, d, rng)]))
+    return ArrayRow(np.concatenate([spikes, random_unit_hermitians(n - k, d, rng)]),
+                    _norms=np.repeat([linf, 1.0], [k, n - k]))
 
 
 def gen_riemann(fn: Callable[[np.ndarray], np.ndarray], n: int, mode: str = "ordered",

@@ -51,7 +51,7 @@ _SLICE_POSITIONS = 1 << 16  # order positions a slice of drawn trials at least: 
 
 def _block_kernel(row: ArrayRow, a: int):
     """(sums, gaps) of the row's b = n // a consecutive size-a blocks, built on the caller's
-    thread (row.stats, row.letters() and the norms of its letters are read here).
+    thread (row.stats, the row's letters and their norms, from row.norms, are read here).
 
     sums(order) is the (b, 2d^2 + 1) block sums of entries and norms of the row read in order
     (an index array of length n; the n % a positions past a*b are ignored), from one table of
@@ -63,9 +63,9 @@ def _block_kernel(row: ArrayRow, a: int):
     share one op_norms call.
     """
     b, d, stats = _block_count(row.n, a), row.d, row.stats
-    alphabet, letter_of = row.letters()
-    m = len(alphabet)
-    table = np.column_stack([alphabet.reshape(m, -1).view(np.float64), op_norms(alphabet)])
+    first, letter_of = row._letter_index
+    m = len(first)
+    table = np.column_stack([row.elements[first].reshape(m, -1).view(np.float64), row.norms[first]])
     if m > a:
         table = table[letter_of]  # one row per element, summed by reduceat
     offsets = np.repeat(m * np.arange(b), a)  # a letter's bin in its block

@@ -21,7 +21,7 @@ from trotter_shuffle.cli import build_parser, load_config, main
 from trotter_shuffle.experiments import (COLUMNS, FAMILY_DEFAULTS, GENERATOR_DEFAULTS,
                                          ConfigError, ExperimentConfig, ExperimentReport,
                                          emit, parse_matrix, run)
-from trotter_shuffle.rows import InfeasibleRegimeError, RegimeSpec, spiked_parameters
+from trotter_shuffle.rows import InfeasibleRegimeError, RegimeSpec, gen_spiked, spiked_parameters
 
 V_STAR = 0.1293935159197811
 
@@ -370,6 +370,32 @@ def test_summary_is_the_summary_of_the_records():
     assert report.summary == by(report.records, "deviation", "n")
     report = run(ExperimentConfig(kind="words", trials=5, seed=4))
     assert report.summary == {"tau": by(report.records, "tau")[""], "a": 5, "b": 8}
+
+
+def test_a_spiked_row_goes_through_an_svd_once_in_normalisation(monkeypatch):
+    """Each element of a regime cell's row (n = 2000, d = 8) reaches an SVD once, as the
+    normalising pass's Hermitian, not again for the row's norms; and the block kernel of a
+    spiked row takes its letters' norms from the row, calling no norm kernel."""
+    factored, svd, built, build = [], np.linalg.svd, [], experiments.gen_spiked
+
+    def spy(a, *args, **kwargs):
+        factored.append(np.array(a).reshape(-1, a.shape[-1] ** 2))
+        return svd(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    monkeypatch.setattr(experiments, "gen_spiked", lambda *a: built.append(build(*a)) or built[-1])
+    run(ExperimentConfig(kind="regime", n_list=[2000], d=8, trials=1, generator={
+        "name": "spiked", "regimes": [{"regime": "large_linf", "delta": 1.0}]}))
+    unit = lambda m: m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-300)
+    elements, seen = unit(built[0].elements.reshape(-1, 64)), np.zeros(2000, dtype=int)
+    for chunk in np.array_split(unit(np.concatenate(factored)), 20):  # parallel to an element
+        seen += (np.abs(chunk.conj() @ elements.T) > 1 - 1e-12).sum(axis=0)
+    assert seen.tolist() == [1] * 2000
+
+    row = gen_spiked(400, RegimeSpec("large_linf", delta=1.0), np.random.default_rng(1), 3)
+    factored.clear()
+    monkeypatch.setattr(tails, "op_norms", lambda *a: factored.append(a) or linalg.op_norms(*a))
+    tails._block_kernel(row, 20)
+    assert factored == []
 
 
 BAD_REGIMES = [{"regime": "large_linf", "delta": 1.0}, {"regime": "intermediate", "alpha": 1.5}]

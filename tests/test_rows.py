@@ -116,12 +116,12 @@ def test_stats_chain_inequality(a, reps, seed):
 # -- spiked regimes ----------------------------------------------------------
 
 def _letter_rows():
-    """A spiked d = 3 row (every element its own letter), an interleaved
-    two-letter row, a repeated row with a -0.0 letter beside a 0.0 one, and
-    three letters of distinct norms in runs of 5, 1 and 17, so a norm taken
-    once a run must still count once an element."""
+    """A spiked d = 3 row rebuilt from its bare elements, so that its norms are measured
+    (every element its own letter), an interleaved two-letter row, a repeated row with
+    a -0.0 letter beside a 0.0 one, and three letters of distinct norms in runs of 5,
+    1 and 17, so a norm taken once a run must still count once an element."""
     rng = np.random.default_rng(21)
-    spiked = gen_spiked(300, RegimeSpec("large_linf", delta=1.0), rng, d=3)
+    spiked = ArrayRow(gen_spiked(300, RegimeSpec("large_linf", delta=1.0), rng, d=3).elements)
     pair = gen_two_letter(300, random_matrix(rng, 2, 3.0), random_matrix(rng, 2, 3.0),
                           "interleaved")
     zero = np.zeros((2, 2))
@@ -304,6 +304,32 @@ def test_gen_spiked_all_spikes_is_the_spike_draw_bit_for_bit(d):
     row = gen_spiked(40, spec, rng, d=d)
     assert row.elements.tobytes() == (linf * rows.random_unit_hermitians(40, d, ref)).tobytes()
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+# One spec of each regime feasible at n = 2000, the last with k_n = n. bounded_log is
+# feasible only from n of about 4e5 on, where its k_n = n as the last spec's is.
+_SPIKED_SPECS = [RegimeSpec("prob_regime", delta=0.01, linf=0.2), RegimeSpec("as_regime", linf=0.2),
+                 RegimeSpec("large_linf", delta=1.0), RegimeSpec("intermediate"),
+                 RegimeSpec("intermediate", alpha=1.0)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_spiked_row_norms_are_the_constructed_norms_bit_for_bit(d):
+    n, u = 2000, 2.0 ** -53
+    assert spiked_parameters(n, _SPIKED_SPECS[-1])[0] == n
+    for spec in _SPIKED_SPECS:
+        k, linf = spiked_parameters(n, spec)
+        row = gen_spiked(n, spec, np.random.default_rng(d), d=d)
+        built = np.array([linf] * k + [1.0] * (n - k))
+        assert row.norms.tobytes() == built.tobytes()
+        assert (row.stats.l1, row.stats.linf) == (float(built.mean()), float(built.max()))
+        assert (np.abs(op_norms(row.elements) - built) <= 16 * u * built).all()
+        with pytest.raises(ValueError):
+            row.norms[0] = 1.0
+    for bad in (np.ones(n - 1), np.ones((n, 1)), np.r_[np.nan, np.ones(n - 1)],
+                np.r_[np.inf, np.ones(n - 1)], np.r_[-1.0, np.ones(n - 1)]):
+        with pytest.raises(ValueError, match="norms must be 2000 finite values >= 0"):
+            ArrayRow(row.elements, _norms=bad)
 
 
 # -- riemann sampling --------------------------------------------------------
