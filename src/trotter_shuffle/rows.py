@@ -46,7 +46,7 @@ class RowStats:
 @dataclass(frozen=True, eq=False)
 class ArrayRow:
     """One row of a triangular array: elements has shape (n, d, d). _norms, passed only by
-    this module's builders that set them (gen_spiked), become its norms unmeasured."""
+    this module's generators that set them (gen_spiked), become its norms unmeasured."""
 
     elements: np.ndarray
     _norms: InitVar[np.ndarray | None] = None
@@ -74,7 +74,7 @@ class ArrayRow:
 
     @cached_property
     def norms(self) -> np.ndarray:
-        """The n element operator norms, read-only: the builder's when it set them, else
+        """The n element operator norms, read-only: the generator's when it set them, else
         one op_norms per run of byte-equal neighbours, repeated over its run."""
         heads, runs = self._runs
         return _freeze(np.repeat(op_norms(self.elements[heads]), runs))
